@@ -10,9 +10,10 @@ One binary, subcommand groups:
 
 Exit codes: 0 success, 1 domain error (bad input data, failed validation),
 2 usage error.  Every error path prints one line starting with "error: ".
-Outputs are deterministic: no wall clock, no unseeded randomness, and no
-dependence on --threads.  A JSON manifest describing the run is written
-next to --out (or to --manifest) so results can be reproduced.
+Outputs are deterministic: no wall clock and no unseeded randomness;
+--threads is accepted for compatibility and has no effect.  A JSON manifest
+describing the run is written next to --out (or to --manifest) so results
+can be reproduced.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _cmd_mosaic_show(args):
 
 def _cmd_mosaic_orbit(args):
     m = _load_mosaic(args.file)
-    orb = orbit(m, default_table(), budget=args.budget, threads=args.threads)
+    orb = orbit(m, default_table(), budget=args.budget)
     rep = min(orb.members)
     if args.format == "json":
         payload = {"size": orb.size, "representative": rep}
@@ -105,8 +106,7 @@ def _cmd_mosaic_orbit(args):
 
 def _cmd_mosaic_same_orbit(args):
     a, b = _load_mosaic(args.file_a), _load_mosaic(args.file_b)
-    same, witness = same_orbit(a, b, default_table(),
-                               budget=args.budget, threads=args.threads)
+    same, witness = same_orbit(a, b, default_table(), budget=args.budget)
     moves = len(witness) if witness is not None else None
     if args.format == "json":
         return json.dumps({"same_orbit": same, "witness_moves": moves}), 0
@@ -124,8 +124,7 @@ def _cmd_mosaic_jones(args):
 
 def _cmd_observable_chi(args):
     m = _load_mosaic(args.file)
-    obs = chi_observable(m, default_table(), budget=args.budget,
-                         threads=args.threads)
+    obs = chi_observable(m, default_table(), budget=args.budget)
     if args.format == "json":
         return obs.to_json(), 0
     (oid,) = obs.eigenvalue
@@ -142,8 +141,7 @@ _INVARIANTS = {
 def _cmd_observable_invariant(args):
     m = _load_mosaic(args.file)
     inv = _INVARIANTS[args.invariant]
-    obs = invariant_observable(inv, m.n, default_table(), budget=args.budget,
-                               threads=args.threads)
+    obs = invariant_observable(inv, m.n, default_table(), budget=args.budget)
     val = obs.eigenvalue_for(m)
     if args.format == "json":
         return json.dumps({"invariant": args.invariant, "eigenvalue": val,
@@ -308,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", default="text", choices=["text", "json"])
     common.add_argument("--out", default=None, help="write output here instead of stdout")
     common.add_argument("--manifest", default=None, help="write the run manifest here")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="orbit search budget")
     sub = top.add_subparsers(dest="group")

@@ -1,25 +1,43 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The move-expansion kernel: the hot loop of orbit closure.
 
-Set KNOTFIELD_PURE_PYTHON=1 to force the fallback (used by the benchmark
-and by tests that compare the two implementations).
+Given a mosaic state as bytes and the move instances packed by
+`orbits.compile_instances`, produce every neighbor state.  This is the only
+implementation; BACKEND names it in benchmark reports.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("KNOTFIELD_PURE_PYTHON") == "1":
-    from . import _slowmoves as _impl
-else:
-    try:
-        from . import _fastmoves as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _slowmoves as _impl
-
-expand = _impl.expand
-BACKEND = _impl.BACKEND
+BACKEND = "python"
 
 
-def pure_python_expand():
-    from . import _slowmoves
-    return _slowmoves.expand
+def expand(state, pos, pat_a, pat_b, lens):
+    """Apply every instance to `state`; return the list of changed states.
+
+    pos/pat_a/pat_b are (num_instances, max_len) int arrays (padded), lens the
+    per-instance pattern length.  Neighbors come back in instance order.
+    """
+    out = []
+    n_inst = len(lens)
+    for i in range(n_inst):
+        k = lens[i]
+        row_pos = pos[i]
+        row_a = pat_a[i]
+        row_b = pat_b[i]
+        match_a = True
+        match_b = True
+        for j in range(k):
+            v = state[row_pos[j]]
+            if v != row_a[j]:
+                match_a = False
+            if v != row_b[j]:
+                match_b = False
+            if not match_a and not match_b:
+                break
+        if match_a == match_b:  # neither, or a == b cannot happen (loader forbids)
+            continue
+        src = row_b if match_a else row_a
+        new = bytearray(state)
+        for j in range(k):
+            new[row_pos[j]] = src[j]
+        out.append(bytes(new))
+    return out

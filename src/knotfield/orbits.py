@@ -1,13 +1,13 @@
 """Orbit closure of mosaics under the ambient group's move templates.
 
-Breadth-first closure over the finite basis of an n x n lattice.  The member
-set is independent of exploration order and thread count; witnesses are
-reconstructed from parent pointers laid down in deterministic BFS order.
+Breadth-first closure over the finite basis of an n x n lattice, expanding
+each frontier state with `kernels.expand`.  The member set is independent of
+exploration order; witnesses are reconstructed from parent pointers laid down
+in deterministic BFS order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,12 +97,7 @@ def _find_instance(parent, child, instances, n):
     raise KnotfieldError("internal error: no instance maps parent to child")
 
 
-def _expand_chunk(states, pos, pat_a, pat_b, lens):
-    expand = kernels.expand
-    return [expand(s, pos, pat_a, pat_b, lens) for s in states]
-
-
-def orbit(m: Mosaic, templates, budget: int = DEFAULT_BUDGET, threads: int = 1) -> Orbit:
+def orbit(m: Mosaic, templates, budget: int = DEFAULT_BUDGET) -> Orbit:
     """Breadth-first closure of {m} under all placements of all templates."""
     rep = validate(m)
     if not rep.valid:
@@ -112,41 +107,26 @@ def orbit(m: Mosaic, templates, budget: int = DEFAULT_BUDGET, threads: int = 1) 
     start = bytes(m.cells)
     parents = {start: None}
     frontier = [start]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while frontier:
-            if pool is not None and len(frontier) > 1:
-                chunk = max(1, len(frontier) // (4 * threads))
-                chunks = [frontier[i:i + chunk] for i in range(0, len(frontier), chunk)]
-                results = []
-                for part in pool.map(_expand_chunk, chunks,
-                                     [pos] * len(chunks), [pat_a] * len(chunks),
-                                     [pat_b] * len(chunks), [lens] * len(chunks)):
-                    results.extend(part)
-            else:
-                results = [kernels.expand(s, pos, pat_a, pat_b, lens) for s in frontier]
-            next_frontier = []
-            for state, neighbors in zip(frontier, results):
-                for nb in neighbors:
-                    if nb not in parents:
-                        parents[nb] = state
-                        next_frontier.append(nb)
-                        if len(parents) > budget:
-                            raise BudgetExceededError(budget, len(parents))
-            frontier = next_frontier
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while frontier:
+        results = [kernels.expand(s, pos, pat_a, pat_b, lens) for s in frontier]
+        next_frontier = []
+        for state, neighbors in zip(frontier, results):
+            for nb in neighbors:
+                if nb not in parents:
+                    parents[nb] = state
+                    next_frontier.append(nb)
+                    if len(parents) > budget:
+                        raise BudgetExceededError(budget, len(parents))
+        frontier = next_frontier
     members = frozenset(encode(Mosaic(n, tuple(s))) for s in parents)
     return Orbit(m, members, parents, tuple(insts))
 
 
-def same_orbit(a: Mosaic, b: Mosaic, templates, budget: int = DEFAULT_BUDGET,
-               threads: int = 1):
+def same_orbit(a: Mosaic, b: Mosaic, templates, budget: int = DEFAULT_BUDGET):
     """Decide orbit equivalence; on success also return a witness sequence."""
     if a.n != b.n:
         raise KnotfieldError("mosaics live in different lattice sizes")
-    orb = orbit(a, templates, budget=budget, threads=threads)
+    orb = orbit(a, templates, budget=budget)
     if b in orb:
         return True, orb.witness_for(b)
     return False, None

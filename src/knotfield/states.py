@@ -172,10 +172,10 @@ class DiagonalObservable:
         return json.dumps(items)
 
 
-def chi(K: Mosaic, templates, budget: int = DEFAULT_BUDGET, threads: int = 1) -> DiagonalObservable:
+def chi(K: Mosaic, templates, budget: int = DEFAULT_BUDGET) -> DiagonalObservable:
     """Characteristic projector of the orbit of K: eigenvalue 1 on Orbit(K),
     0 on every other basis label."""
-    orb = orbit(K, templates, budget=budget, threads=threads)
+    orb = orbit(K, templates, budget=budget)
     members = orb.members
     oid = min(members)
 
@@ -186,7 +186,7 @@ def chi(K: Mosaic, templates, budget: int = DEFAULT_BUDGET, threads: int = 1) ->
 
 
 def invariant_observable(inv, n: int, templates, budget: int = DEFAULT_BUDGET,
-                         threads: int = 1, tol: float = 1e-9) -> DiagonalObservable:
+                         tol: float = 1e-9) -> DiagonalObservable:
     """Diagonal observable with eigenvalue inv(K) on the orbit of K.
 
     inv must be a real-valued function of mosaics that is constant on
@@ -204,7 +204,7 @@ def invariant_observable(inv, n: int, templates, budget: int = DEFAULT_BUDGET,
         m = decode(label)
         if m.n != n:
             raise KnotfieldError(f"label has lattice size {m.n}, observable expects {n}")
-        orb = orbit(m, templates, budget=budget, threads=threads)
+        orb = orbit(m, templates, budget=budget)
         members = sorted(orb.members)
         oid = members[0]
         values = [(k, float(inv(decode(k)))) for k in members]

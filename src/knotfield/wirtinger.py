@@ -8,6 +8,7 @@ looking along it into the crossing, the over strand runs left to right.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import KnotfieldError
 from .diagram import PlanarDiagram
@@ -101,8 +102,6 @@ def abelianization_rank(p: WirtingerPresentation, extra_rows=()) -> int:
     from generator to integer coefficient, let callers inject additional
     abelian relations (e.g. {"a1": 1} kills a1).
     """
-    from sympy import Matrix
-
     idx = {g: i for i, g in enumerate(p.generators)}
     rows = []
     for out, _, inp in p.relations:
@@ -117,4 +116,21 @@ def abelianization_rank(p: WirtingerPresentation, extra_rows=()) -> int:
         rows.append(row)
     if not rows:
         return len(p.generators)
-    return len(p.generators) - Matrix(rows).rank()
+    return len(p.generators) - _rank(rows)
+
+
+def _rank(rows):
+    """Exact rank of an integer matrix by Gaussian elimination over Q."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            if m[r][col]:
+                f = m[r][col] / m[rank][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank

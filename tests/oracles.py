@@ -3,10 +3,14 @@
 The bracket oracle enumerates all 2^n smoothing states and counts loops by
 explicitly walking half-edge pairings, sharing no code with the production
 state sum (which contracts crossings with a union-find).  Polynomials are
-plain exponent->coefficient dicts here.
+plain exponent->coefficient dicts here.  The expand oracle applies move
+instances one at a time to Mosaic objects, never touching the packed arrays
+the production kernel reads.
 """
 
 import itertools
+
+from knotfield.moves import apply, instances_for
 
 
 def _poly_mul(p, q):
@@ -125,3 +129,13 @@ def oracle_dim(n):
     for _ in range(n * n):
         total *= 11
     return total
+
+
+def oracle_expand(m, templates):
+    """Every state one move away from m, as bytes, in instance order."""
+    out = []
+    for inst in instances_for(templates, m.n):
+        moved = apply(inst, m)
+        if moved.cells != m.cells:
+            out.append(bytes(moved.cells))
+    return out

@@ -1,61 +1,22 @@
-"""The compiled move-expansion kernel and its fallback must agree exactly."""
+"""The move-expansion kernel against an oracle that applies moves one by one."""
 
 import random
-import subprocess
-import sys
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from knotfield import kernels
 from knotfield.mosaic import random_mosaic
-from knotfield.moves import default_table, instances_for
+from knotfield.moves import default_table
+from knotfield.orbits import compile_instances
+
+from oracles import oracle_expand
+
+TABLE = default_table()
+PACKED = {n: compile_instances(TABLE, n)[1:] for n in range(2, 7)}
 
 
-def _packed_instances(n):
-    insts = instances_for(default_table(), n)
-    lens = np.array([len(i.template.pattern_a) for i in insts], dtype=np.int32)
-    width = int(lens.max())
-    pos = np.zeros((len(insts), width), dtype=np.int32)
-    pat_a = np.zeros((len(insts), width), dtype=np.uint8)
-    pat_b = np.zeros((len(insts), width), dtype=np.uint8)
-    for i, inst in enumerate(insts):
-        t = inst.template
-        r0, c0 = inst.anchor
-        k = 0
-        for r in range(t.rows):
-            for c in range(t.cols):
-                pos[i, k] = (r0 + r) * n + (c0 + c)
-                pat_a[i, k] = t.pattern_a[r * t.cols + c]
-                pat_b[i, k] = t.pattern_b[r * t.cols + c]
-                k += 1
-    return pos, pat_a, pat_b, lens
-
-
-PACKED4 = _packed_instances(4)
-
-
-@given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_backends_agree(seed):
-    m = random_mosaic(4, random.Random(seed))
-    state = bytes(m.cells)
-    fast = kernels.expand(state, *PACKED4)
-    slow = kernels.pure_python_expand()(state, *PACKED4)
-    assert list(fast) == list(slow)
-
-
-def test_compiled_backend_selected():
-    # The editable install builds the extension; absent that, the fallback
-    # must still import cleanly.
-    assert kernels.BACKEND in ("cython", "python")
-
-
-def test_env_forces_pure_python():
-    code = (
-        "import os; os.environ['KNOTFIELD_PURE_PYTHON'] = '1';"
-        "from knotfield import kernels; print(kernels.BACKEND)"
-    )
-    out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "python"
+@given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_expand_matches_oracle(n, seed):
+    m = random_mosaic(n, random.Random(seed))
+    assert kernels.expand(bytes(m.cells), *PACKED[n]) == oracle_expand(m, TABLE)

@@ -67,9 +67,3 @@ def test_budget_enforced():
     with pytest.raises(BudgetExceededError):
         orbit(CIRCLE4, TABLE, budget=100)
 
-
-@pytest.mark.parametrize("threads", [1, 2, 8])
-def test_orbit_thread_independent(threads):
-    orb = orbit(CIRCLE3, TABLE, threads=threads)
-    assert orb.size == 19
-    assert sorted(orb.members) == sorted(orbit(CIRCLE3, TABLE).members)

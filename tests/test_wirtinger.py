@@ -1,6 +1,8 @@
 """Knot group presentations: one conjugation relation per crossing, H1 = Z."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotfield.errors import KnotfieldError
 from knotfield.diagram import PlanarDiagram, to_diagram
@@ -71,3 +73,16 @@ def test_to_text_format(trefoil):
     text = wirtinger(to_diagram(trefoil)).to_text()
     assert text.startswith("gens: a1 a2 a3\n")
     assert "rel 1:" in text and "^-1" in text
+
+
+@given(st.integers(1, 6).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-4, 4), min_size=cols, max_size=cols), min_size=1, max_size=6)))
+@settings(max_examples=200, deadline=None)
+def test_rank_matches_numpy(matrix):
+    # Relations given only as extra rows make the rank of H1 equal
+    # generators minus the rank of exactly this integer matrix.
+    gens = tuple(f"a{j + 1}" for j in range(len(matrix[0])))
+    p = WirtingerPresentation(gens, ())
+    rows = [dict(zip(gens, row)) for row in matrix]
+    expected = len(gens) - int(np.linalg.matrix_rank(np.array(matrix, dtype=float)))
+    assert abelianization_rank(p, extra_rows=rows) == expected
