@@ -1,13 +1,21 @@
 """The move-expansion kernel: the hot loop of orbit closure.
 
-Given a mosaic state as bytes and the move instances packed by
-`orbits.compile_instances`, produce every neighbor state.  This is the only
-implementation; BACKEND names it in benchmark reports.
+Given mosaic states as bytes and the move instances packed by
+`orbits.compile_instances`, produce every neighbor state.  `expand_level`
+is the only implementation: it expands a whole BFS level with numpy, a
+bounded chunk of (state, instance) pairs at a time, and `expand` is the
+same kernel on one state.  BACKEND names it in benchmark reports.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 BACKEND = "python"
+
+# Upper bound on the (state, instance) pairs gathered at once.  It caps the
+# kernel's temporary arrays at a few MB whatever the frontier size.
+_CHUNK_PAIRS = 1 << 16
 
 
 def expand(state, pos, pat_a, pat_b, lens):
@@ -16,28 +24,52 @@ def expand(state, pos, pat_a, pat_b, lens):
     pos/pat_a/pat_b are (num_instances, max_len) int arrays (padded), lens the
     per-instance pattern length.  Neighbors come back in instance order.
     """
-    out = []
+    return [nb for _, nb in expand_level([state], pos, pat_a, pat_b, lens)]
+
+
+def expand_level(states, pos, pat_a, pat_b, lens):
+    """Apply every instance to every state of a BFS level.
+
+    `states` is a sequence of equal-length bytes; the instance arrays are as
+    for `expand`.  Returns (source index, neighbor bytes) pairs ordered by
+    source state and then by instance, i.e. the concatenation of
+    `expand(s, ...)` over `states`.
+    """
     n_inst = len(lens)
-    for i in range(n_inst):
-        k = lens[i]
-        row_pos = pos[i]
-        row_a = pat_a[i]
-        row_b = pat_b[i]
-        match_a = True
-        match_b = True
-        for j in range(k):
-            v = state[row_pos[j]]
-            if v != row_a[j]:
-                match_a = False
-            if v != row_b[j]:
-                match_b = False
-            if not match_a and not match_b:
-                break
-        if match_a == match_b:  # neither, or a == b cannot happen (loader forbids)
-            continue
-        src = row_b if match_a else row_a
-        new = bytearray(state)
-        for j in range(k):
-            new[row_pos[j]] = src[j]
-        out.append(bytes(new))
+    if not states or n_inst == 0:
+        return []
+    width = len(states[0])
+    frontier = np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), width)
+
+    # Pad each pattern with copies of its first cell: a padded cell then
+    # matches exactly when cell 0 does, and writes back cell 0's new value.
+    pad = np.arange(pos.shape[1]) >= lens[:, None]
+    pos = np.where(pad, pos[:, :1], pos)
+    pat_a = np.where(pad, pat_a[:, :1], pat_a)
+    pat_b = np.where(pad, pat_b[:, :1], pat_b)
+
+    # The most selective cell of each instance on this level: the one whose
+    # two pattern tiles occur least often at its position in the frontier.
+    counts = np.stack([np.bincount(column, minlength=256) for column in frontier.T])
+    hits = counts[pos, pat_a] + np.where(pat_a != pat_b, counts[pos, pat_b], 0)
+    key = (np.arange(n_inst), np.argmin(hits, axis=1))
+    key_pos, key_a, key_b = pos[key], pat_a[key], pat_b[key]
+
+    out = []
+    rows_per_chunk = max(1, _CHUNK_PAIRS // n_inst)
+    for start in range(0, len(states), rows_per_chunk):
+        block = frontier[start:start + rows_per_chunk]
+        key_cells = block[:, key_pos]
+        rows, inst = np.nonzero((key_cells == key_a) | (key_cells == key_b))
+        cells = block[rows[:, None], pos[inst]]
+        match_a = (cells == pat_a[inst]).all(axis=1)
+        match_b = (cells == pat_b[inst]).all(axis=1)
+        hit = match_a != match_b  # both cannot hold: the loader forbids a == b
+        rows, inst, match_a = rows[hit], inst[hit], match_a[hit]
+        new = block[rows]
+        new[np.arange(len(rows))[:, None], pos[inst]] = np.where(
+            match_a[:, None], pat_b[inst], pat_a[inst])
+        buf = new.tobytes()
+        out.extend((r, buf[k * width:(k + 1) * width])
+                   for k, r in enumerate((rows + start).tolist()))
     return out

@@ -1,14 +1,16 @@
 """Orbit closure of mosaics under the ambient group's move templates.
 
 Breadth-first closure over the finite basis of an n x n lattice, expanding
-each frontier state with `kernels.expand`.  The member set is independent of
-exploration order; witnesses are reconstructed from parent pointers laid down
-in deterministic BFS order.
+each whole BFS level with one `kernels.expand_level` call.  The member set is
+independent of exploration order; witnesses are reconstructed from parent
+pointers laid down in deterministic BFS order: by level, then by source
+state, then by move instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,8 +24,17 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 def compile_instances(templates, n):
-    """Pack every placement of every template into flat arrays for the kernel."""
-    insts = instances_for(templates, n)
+    """Pack every placement of every template into flat arrays for the kernel.
+
+    Returns (instances, pos, pat_a, pat_b, lens).  Results are cached per
+    (table, n) and shared between callers, so the arrays are read-only.
+    """
+    return _compile_instances(tuple(templates), n)
+
+
+@lru_cache(maxsize=16)
+def _compile_instances(templates, n):
+    insts = tuple(instances_for(templates, n))
     max_len = max((t.rows * t.cols for t in templates), default=1)
     num = len(insts)
     pos = np.zeros((num, max_len), dtype=np.int32)
@@ -40,6 +51,8 @@ def compile_instances(templates, n):
             pos[i, j] = (r0 + r) * n + (c0 + c)
             pat_a[i, j] = t.pattern_a[j]
             pat_b[i, j] = t.pattern_b[j]
+    for arr in (pos, pat_a, pat_b, lens):
+        arr.setflags(write=False)
     return insts, pos, pat_a, pat_b, lens
 
 
@@ -108,18 +121,16 @@ def orbit(m: Mosaic, templates, budget: int = DEFAULT_BUDGET) -> Orbit:
     parents = {start: None}
     frontier = [start]
     while frontier:
-        results = [kernels.expand(s, pos, pat_a, pat_b, lens) for s in frontier]
         next_frontier = []
-        for state, neighbors in zip(frontier, results):
-            for nb in neighbors:
-                if nb not in parents:
-                    parents[nb] = state
-                    next_frontier.append(nb)
-                    if len(parents) > budget:
-                        raise BudgetExceededError(budget, len(parents))
+        for i, nb in kernels.expand_level(frontier, pos, pat_a, pat_b, lens):
+            if nb not in parents:
+                parents[nb] = frontier[i]
+                next_frontier.append(nb)
+                if len(parents) > budget:
+                    raise BudgetExceededError(budget, len(parents))
         frontier = next_frontier
     members = frozenset(encode(Mosaic(n, tuple(s))) for s in parents)
-    return Orbit(m, members, parents, tuple(insts))
+    return Orbit(m, members, parents, insts)
 
 
 def same_orbit(a: Mosaic, b: Mosaic, templates, budget: int = DEFAULT_BUDGET):

@@ -5,11 +5,14 @@ explicitly walking half-edge pairings, sharing no code with the production
 state sum (which contracts crossings with a union-find).  Polynomials are
 plain exponent->coefficient dicts here.  The expand oracle applies move
 instances one at a time to Mosaic objects, never touching the packed arrays
-the production kernel reads.
+the production kernel reads; the orbit oracle is a plain state-by-state BFS
+over it.
 """
 
 import itertools
 
+from knotfield.errors import BudgetExceededError
+from knotfield.mosaic import Mosaic
 from knotfield.moves import apply, instances_for
 
 
@@ -139,3 +142,21 @@ def oracle_expand(m, templates):
         if moved.cells != m.cells:
             out.append(bytes(moved.cells))
     return out
+
+
+def oracle_orbit(m, templates, budget):
+    """Parent pointers of a plain BFS over oracle_expand, in insertion order.
+
+    Raises BudgetExceededError on the first member past the budget.
+    """
+    start = bytes(m.cells)
+    parents = {start: None}
+    queue = [start]
+    for state in queue:  # the queue grows while it is walked
+        for nb in oracle_expand(Mosaic(m.n, tuple(state)), templates):
+            if nb not in parents:
+                parents[nb] = state
+                queue.append(nb)
+                if len(parents) > budget:
+                    raise BudgetExceededError(budget, len(parents))
+    return parents
