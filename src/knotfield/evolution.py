@@ -164,6 +164,8 @@ def run(state: FieldState, cfg: EvolutionConfig, snapshot_every: int = 0):
 
     snapshot_every = 0 keeps only the initial and final states.
     """
+    if snapshot_every < 0:
+        raise KnotfieldError(f"snapshot interval must be at least 0, got {snapshot_every}")
     snaps = [state]
     for i in range(1, cfg.steps + 1):
         state = step(state, cfg)

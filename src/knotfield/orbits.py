@@ -1,22 +1,23 @@
 """Orbit closure of mosaics under the ambient group's move templates.
 
 Breadth-first closure over the finite basis of an n x n lattice, expanding
-each whole BFS level with one `kernels.expand_level` call.  The member set is
-independent of exploration order; witnesses are reconstructed from parent
-pointers laid down in deterministic BFS order: by level, then by source
-state, then by move instance.
+each whole BFS level with one `kernels.expand_level` call.  Members live
+only as byte rows (one byte per cell) in the BFS parent map; their text is
+built only when `Orbit.members` is read, to label or print them.  Witnesses
+are reconstructed from parent pointers laid down in deterministic BFS
+order: by level, then by source state, then by move instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import kernels
 from .errors import BudgetExceededError, KnotfieldError
-from .mosaic import Mosaic, encode, validate
+from .mosaic import Mosaic, decode, encode, validate
 from .moves import apply as apply_move
 from .moves import instances_for
 
@@ -56,50 +57,49 @@ def _compile_instances(templates, n):
     return insts, pos, pat_a, pat_b, lens
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Orbit:
+    """`_parents` maps each member's byte row to its BFS parent's row (None
+    for the representative), in insertion order.  Compared by identity."""
+
     representative: Mosaic
-    members: frozenset  # canonical encode() text of every member
-    _parents: dict = field(default_factory=dict, repr=False, compare=False)
-    _instances: tuple = field(default=(), repr=False, compare=False)
+    _parents: dict = field(repr=False)
+    _instances: tuple = field(default=(), repr=False)
+
+    @cached_property
+    def members(self):
+        """Canonical encode() text of every member, built on first use."""
+        n = self.representative.n
+        return frozenset(encode(Mosaic(n, tuple(s))) for s in self._parents)
 
     @property
     def size(self):
-        return len(self.members)
+        return len(self._parents)
 
     def __contains__(self, m):
-        key = m if isinstance(m, str) else encode(m)
-        return key in self.members
+        if isinstance(m, str):
+            return m in self.members
+        try:
+            return bytes(m.cells) in self._parents
+        except (TypeError, ValueError):  # cells that fit no byte row
+            return False
 
     def member_mosaics(self):
+        """Every member as a Mosaic, in BFS order."""
         n = self.representative.n
-        for key in sorted(self.members):
-            yield Mosaic(n, _cells_from_key(key))
+        return (Mosaic(n, tuple(s)) for s in self._parents)
 
     def witness_for(self, m):
         """Move sequence replaying representative -> m, as MoveInstances."""
-        key = m if isinstance(m, str) else encode(m)
-        if key not in self.members:
+        if m not in self:
             raise KnotfieldError("mosaic is not in this orbit")
         n = self.representative.n
-        state = bytes(_cells_from_key(key))
-        edges = []
-        while True:
-            parent = self._parents[state]
-            if parent is None:
-                break
-            edges.append((parent, state))
-            state = parent
-        edges.reverse()
+        state = bytes((decode(m) if isinstance(m, str) else m).cells)
         seq = []
-        for parent, child in edges:
-            seq.append(_find_instance(parent, child, self._instances, n))
-        return seq
-
-
-def _cells_from_key(key):
-    rows = key.splitlines()[1:]
-    return tuple(int(v) for row in rows for v in row.split())
+        while (parent := self._parents[state]) is not None:
+            seq.append(_find_instance(parent, state, self._instances, n))
+            state = parent
+        return seq[::-1]
 
 
 def _find_instance(parent, child, instances, n):
@@ -112,6 +112,8 @@ def _find_instance(parent, child, instances, n):
 
 def orbit(m: Mosaic, templates, budget: int = DEFAULT_BUDGET) -> Orbit:
     """Breadth-first closure of {m} under all placements of all templates."""
+    if budget < 1:
+        raise KnotfieldError(f"orbit budget must be at least 1, got {budget}")
     rep = validate(m)
     if not rep.valid:
         raise KnotfieldError("orbit closure requires a suitably-connected mosaic")
@@ -129,8 +131,7 @@ def orbit(m: Mosaic, templates, budget: int = DEFAULT_BUDGET) -> Orbit:
                 if len(parents) > budget:
                     raise BudgetExceededError(budget, len(parents))
         frontier = next_frontier
-    members = frozenset(encode(Mosaic(n, tuple(s))) for s in parents)
-    return Orbit(m, members, parents, insts)
+    return Orbit(m, parents, insts)
 
 
 def same_orbit(a: Mosaic, b: Mosaic, templates, budget: int = DEFAULT_BUDGET):

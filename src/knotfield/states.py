@@ -205,16 +205,14 @@ def invariant_observable(inv, n: int, templates, budget: int = DEFAULT_BUDGET,
         if m.n != n:
             raise KnotfieldError(f"label has lattice size {m.n}, observable expects {n}")
         orb = orbit(m, templates, budget=budget)
-        members = sorted(orb.members)
-        oid = members[0]
-        values = [(k, float(inv(decode(k)))) for k in members]
-        ref_label, ref_val = values[0]
+        values = sorted((encode(k), float(inv(k))) for k in orb.member_mosaics())
+        oid, ref_val = values[0]
         for k, v in values[1:]:
             if not math.isclose(v, ref_val, rel_tol=tol, abs_tol=tol):
                 raise ContractViolationError(
                     "invariant is not constant on an orbit: "
-                    f"{ref_label!r} -> {ref_val} but {k!r} -> {v}")
-        return members, oid, ref_val
+                    f"{oid!r} -> {ref_val} but {k!r} -> {v}")
+        return [k for k, _ in values], oid, ref_val
 
     def index(label):
         with lock:

@@ -75,6 +75,20 @@ def test_orbit_size(capsys):
     assert json.loads(out)["size"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["mosaic", "orbit", TREFOIL, "--budget", "-5"],
+    ["mosaic", "same-orbit", TREFOIL, TREFOIL, "--budget", "0"],
+    ["evolve", "run", "--resolution", "16", "--box", "8", "--steps", "2",
+     "--initial", "gaussian", "--snapshot-every", "-1"],
+])
+def test_limits_below_range_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "must be at least" in err
+
+
 def test_same_orbit_self(capsys):
     code, out, _ = run_cli(capsys, "mosaic", "same-orbit", TREFOIL, TREFOIL)
     assert code == 0

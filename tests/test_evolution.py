@@ -195,6 +195,13 @@ def test_resolution_mismatch_rejected():
         step(psi, EvolutionConfig(box=8.0, resolution=64))
 
 
+def test_snapshot_interval_validation():
+    psi = gaussian_state(SMALL)
+    with pytest.raises(KnotfieldError, match="at least 0"):
+        run(psi, SMALL, snapshot_every=-1)  # i % -1 == 0 would keep every step
+    assert len(run(psi, SMALL, snapshot_every=0)) == 2
+
+
 def test_config_json():
     import json
     d = json.loads(SMALL.to_json())

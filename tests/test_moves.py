@@ -1,6 +1,10 @@
 """Move table sanity: involutions that preserve validity, components, Jones."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +22,7 @@ from knotfield.moves import (
 )
 
 TABLE = default_table()
+GENERATOR = pathlib.Path(__file__).resolve().parents[1] / "tools" / "make_move_table.py"
 
 
 def test_table_size_and_names():
@@ -32,6 +37,18 @@ def test_table_size_and_names():
 
 def test_table_json_roundtrip():
     assert templates_from_json(templates_to_json(TABLE)) == TABLE
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_generator_reproduces_shipped_table(hash_seed):
+    # The generator's output must not depend on the string hash seed.
+    code = ("import runpy, sys; g = runpy.run_path(sys.argv[1]); "
+            "sys.stdout.write(g['table_text'](g['build_table']()))")
+    built = subprocess.run([sys.executable, "-c", code, str(GENERATOR)],
+                           env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                           capture_output=True, text=True, check=True).stdout
+    shipped = (GENERATOR.parents[1] / "src/knotfield/data/moves_default.json").read_text()
+    assert built == shipped
 
 
 def test_instance_fit_checking():

@@ -47,12 +47,21 @@ def test_orbit_members_are_valid_encodings(trefoil):
         assert encode(decode(key)) == key
 
 
-def test_same_orbit_with_witness(trefoil):
+def _no_text(_m):
+    raise AssertionError("orbit built member text")
+
+
+def test_same_orbit_with_witness(trefoil, monkeypatch):
+    # Closure, size, membership and witnesses of mosaics never build text.
+    monkeypatch.setattr("knotfield.orbits.encode", _no_text)
     partner = decode(TREFOIL_PARTNER)
     same, witness = same_orbit(trefoil, partner, TABLE)
     assert same
+    orb = orbit(trefoil, TABLE)
+    assert orb.size == 2 and partner in orb and CIRCLE4 not in orb
+    assert orb.witness_for(partner) == witness
     # Replaying the witness from the orbit representative lands on partner.
-    state = orbit(trefoil, TABLE).representative
+    state = orb.representative
     for inst in witness:
         state = apply(inst, state)
     assert state == partner
@@ -62,6 +71,13 @@ def test_unknot_and_trefoil_disjoint(trefoil):
     same, witness = same_orbit(trefoil, CIRCLE4, TABLE)
     assert not same
     assert witness is None
+    orb = orbit(trefoil, TABLE)
+    assert "garbage" not in orb
+    assert encode(CIRCLE4) not in orb
+    assert Mosaic(4, (300,) * 16) not in orb
+    for stranger in (CIRCLE4, encode(CIRCLE4), "garbage"):
+        with pytest.raises(KnotfieldError):
+            orb.witness_for(stranger)
 
 
 def test_different_sizes_rejected(trefoil):
@@ -72,16 +88,22 @@ def test_different_sizes_rejected(trefoil):
 def test_budget_enforced():
     with pytest.raises(BudgetExceededError):
         orbit(CIRCLE4, TABLE, budget=100)
+    for budget in (0, -5):
+        with pytest.raises(KnotfieldError, match="must be at least 1"):
+            orbit(Mosaic(2, (0,) * 4), TABLE, budget=budget)
 
 
 def _assert_same_bfs(m):
-    got = list(orbit(m, TABLE)._parents.items())
-    assert got == list(oracle_orbit(m, TABLE, DEFAULT_BUDGET).items())
+    orb = orbit(m, TABLE)
+    want = oracle_orbit(m, TABLE, DEFAULT_BUDGET)
+    assert list(orb._parents.items()) == list(want.items())
+    assert orb.members == {encode(Mosaic(m.n, tuple(s))) for s in want}
 
 
-@pytest.mark.parametrize("name", ["circle3", "trefoil", "fig8"])
+@pytest.mark.parametrize("name", ["circle3", "circle4", "trefoil", "fig8"])
 def test_bfs_order_matches_oracle(name, request):
-    _assert_same_bfs(CIRCLE3 if name == "circle3" else request.getfixturevalue(name))
+    pinned = {"circle3": CIRCLE3, "circle4": CIRCLE4}
+    _assert_same_bfs(pinned[name] if name in pinned else request.getfixturevalue(name))
 
 
 @given(st.integers(0, 2 ** 32 - 1))

@@ -13,6 +13,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from knotfield.moves import MoveTemplate, templates_to_json  # noqa: E402
 
+OUT = pathlib.Path(__file__).resolve().parents[1] / "src/knotfield/data/moves_default.json"
+
 # tile maps under cw quarter turn and left-right reflection
 ROT90 = {0: 0, 1: 4, 2: 1, 3: 2, 4: 3, 5: 6, 6: 5, 7: 8, 8: 7, 9: 10, 10: 9}
 FLIP = {0: 0, 1: 2, 2: 1, 3: 4, 4: 3, 5: 5, 6: 6, 7: 8, 8: 7, 9: 9, 10: 10}
@@ -109,6 +111,16 @@ def _block_routing(rows, cols, cells):
     return frozenset(pairs), loops
 
 
+def _class_order(key):
+    """Sort key for a (signature, pairing) routing class.
+
+    Sorted tuples instead of the frozensets' repr, whose element order
+    follows the string hash and so changes with PYTHONHASHSEED.
+    """
+    sig, pairing = key
+    return sorted(sig), sorted(sorted(pair) for pair in pairing)
+
+
 def planar_2x2_moves():
     """All 2x2 crossingless planar isotopies, generated by routing class."""
     from knotfield.mosaic import TILE_SIDES
@@ -130,7 +142,7 @@ def planar_2x2_moves():
                     classes.setdefault((sig, pairing), []).append(cells)
     moves = []
     idx = 0
-    for key in sorted(classes, key=repr):
+    for key in sorted(classes, key=_class_order):
         members = sorted(classes[key])
         rep = members[0]
         for other in members[1:]:
@@ -139,7 +151,8 @@ def planar_2x2_moves():
     return moves
 
 
-def main():
+def build_table():
+    """The full move table, in the order it is written to the JSON file."""
     templates = []
     seen = set()
     for name, rows, cols, a, b in BASE:
@@ -166,9 +179,17 @@ def main():
             continue
         seen.add(key)
         templates.append(MoveTemplate(name, rows, cols, a, b))
-    out = pathlib.Path(__file__).resolve().parents[1] / "src/knotfield/data/moves_default.json"
-    out.write_text(templates_to_json(templates) + "\n")
-    print(f"wrote {len(templates)} templates to {out}")
+    return templates
+
+
+def table_text(templates):
+    return templates_to_json(templates) + "\n"
+
+
+def main():
+    templates = build_table()
+    OUT.write_text(table_text(templates))
+    print(f"wrote {len(templates)} templates to {OUT}")
 
 
 if __name__ == "__main__":
