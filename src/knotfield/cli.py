@@ -92,13 +92,12 @@ def _cmd_mosaic_show(args):
 def _cmd_mosaic_orbit(args):
     m = _load_mosaic(args.file)
     orb = orbit(m, default_table(), budget=args.budget)
-    rep = min(orb.members)
     if args.format == "json":
-        payload = {"size": orb.size, "representative": rep}
+        payload = {"size": orb.size, "representative": orb.label}
         if args.members:
             payload["members"] = sorted(orb.members)
         return json.dumps(payload), 0
-    lines = [f"orbit size: {orb.size}", "representative:", rep.rstrip("\n")]
+    lines = [f"orbit size: {orb.size}", "representative:", orb.label.rstrip("\n")]
     if args.members:
         lines += ["members:"] + sorted(orb.members)
     return "\n".join(lines), 0
@@ -222,10 +221,13 @@ def _cmd_field_fiber(args):
 
 
 def _evolution_setup(args):
+    try:
+        omega = tuple(float(v) for v in args.omega.split(","))
+    except ValueError:
+        raise KnotfieldError(f"cannot parse --omega {args.omega!r}: expected numbers like 1,1,1")
     cfg = ev.EvolutionConfig(hamiltonian=args.hamiltonian, box=args.box,
                              resolution=args.resolution, dt=args.dt,
-                             steps=args.steps,
-                             omega=tuple(float(v) for v in args.omega.split(",")))
+                             steps=args.steps, omega=omega)
     if args.initial == "gaussian":
         state = ev.gaussian_state(cfg, width=args.width)
     else:

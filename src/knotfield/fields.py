@@ -85,7 +85,10 @@ def parse_field_spec(spec: str) -> ComplexField:
     """Parse CLI-style "name" or "name:p,q" field selectors."""
     if ":" in spec:
         name, _, rest = spec.partition(":")
-        params = tuple(int(v) for v in rest.split(",") if v)
+        try:
+            params = tuple(int(v) for v in rest.split(",") if v)
+        except ValueError:
+            raise KnotfieldError(f"bad field parameters in {spec!r}: expected integers like 2,3")
     else:
         name, params = spec, ()
     return field_library(name, params)

@@ -1,10 +1,11 @@
 """The move-expansion kernel: the hot loop of orbit closure.
 
 Given mosaic states as bytes and the move instances packed by
-`orbits.compile_instances`, produce every neighbor state.  `expand_level`
-is the only implementation: it expands a whole BFS level with numpy, a
-bounded chunk of (state, instance) pairs at a time, and `expand` is the
-same kernel on one state.  BACKEND names it in benchmark reports.
+`orbits.compile_instances`, produce every neighbor state, with the source
+state and the instance that reached it.  `expand_level` is the only
+implementation: it expands a whole BFS level with numpy, a bounded chunk
+of (state, instance) pairs at a time, and `expand` is the same kernel on
+one state.  BACKEND names it in benchmark reports.
 """
 
 from __future__ import annotations
@@ -24,16 +25,16 @@ def expand(state, pos, pat_a, pat_b, lens):
     pos/pat_a/pat_b are (num_instances, max_len) int arrays (padded), lens the
     per-instance pattern length.  Neighbors come back in instance order.
     """
-    return [nb for _, nb in expand_level([state], pos, pat_a, pat_b, lens)]
+    return [nb for _, _, nb in expand_level([state], pos, pat_a, pat_b, lens)]
 
 
 def expand_level(states, pos, pat_a, pat_b, lens):
     """Apply every instance to every state of a BFS level.
 
     `states` is a sequence of equal-length bytes; the instance arrays are as
-    for `expand`.  Returns (source index, neighbor bytes) pairs ordered by
-    source state and then by instance, i.e. the concatenation of
-    `expand(s, ...)` over `states`.
+    for `expand`.  Returns (source index, instance index, neighbor bytes)
+    triples ordered by source state and then by instance, so their
+    neighbors are the concatenation of `expand(s, ...)` over `states`.
     """
     n_inst = len(lens)
     if not states or n_inst == 0:
@@ -70,6 +71,6 @@ def expand_level(states, pos, pat_a, pat_b, lens):
         new[np.arange(len(rows))[:, None], pos[inst]] = np.where(
             match_a[:, None], pat_b[inst], pat_a[inst])
         buf = new.tobytes()
-        out.extend((r, buf[k * width:(k + 1) * width])
-                   for k, r in enumerate((rows + start).tolist()))
+        out.extend((r, i, buf[k * width:(k + 1) * width])
+                   for k, (r, i) in enumerate(zip((rows + start).tolist(), inst.tolist())))
     return out

@@ -199,6 +199,18 @@ def encode(m: Mosaic) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Renumbers tile ids so that bytes compare as the ids' decimal strings do in
+# encode(): 0 < 1 < 10 < 2 < ... < 9.
+_LABEL_ORDER = bytes.maketrans(bytes(sorted(range(NUM_TILES), key=str)),
+                               bytes(range(NUM_TILES)))
+
+
+def label_key(cells) -> bytes:
+    """Sort key of a cell row: same-size mosaics sort by it exactly as their
+    encode() texts sort, without building the text."""
+    return bytes(cells).translate(_LABEL_ORDER)
+
+
 def decode(text: str) -> Mosaic:
     lines = text.splitlines()
     if not lines:
@@ -235,14 +247,21 @@ def to_json(m: Mosaic) -> str:
 
 def from_json(obj) -> Mosaic:
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except json.JSONDecodeError as exc:
+            raise MosaicParseError(f"bad JSON: {exc.msg}", line=exc.lineno, column=exc.colno)
     if not isinstance(obj, dict) or "n" not in obj or "cells" not in obj:
         raise MosaicParseError('expected an object {"n": int, "cells": [int]}')
-    m = Mosaic(int(obj["n"]), tuple(int(c) for c in obj["cells"]))
-    for i, t in enumerate(m.cells):
-        if not 0 <= t < NUM_TILES:
-            raise MosaicParseError(f"tile id {t} outside 0..{NUM_TILES - 1} at cell {i}")
-    return m
+    n, cells = obj["n"], obj["cells"]
+    if type(n) is not int:  # not bool, not float
+        raise MosaicParseError(f"lattice size must be an integer, got {n!r}")
+    if not isinstance(cells, (list, tuple)):
+        raise MosaicParseError(f"cells must be a list of tile ids, got {cells!r}")
+    for i, t in enumerate(cells):
+        if type(t) is not int or not 0 <= t < NUM_TILES:
+            raise MosaicParseError(f"tile id {t!r} outside 0..{NUM_TILES - 1} at cell {i}")
+    return Mosaic(n, tuple(cells))
 
 
 def load(text: str) -> Mosaic:

@@ -2,10 +2,11 @@
 
 Breadth-first closure over the finite basis of an n x n lattice, expanding
 each whole BFS level with one `kernels.expand_level` call.  Members live
-only as byte rows (one byte per cell) in the BFS parent map; their text is
-built only when `Orbit.members` is read, to label or print them.  Witnesses
-are reconstructed from parent pointers laid down in deterministic BFS
-order: by level, then by source state, then by move instance.
+only as byte rows (one byte per cell) in the BFS parent map; `Orbit.label`
+encodes only the member whose text sorts first, and `Orbit.members` builds
+every member's text on first read.  Witnesses follow parent pointers laid
+down in deterministic BFS order (by level, source state, move instance);
+each step re-expands only its parent to name the move.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BudgetExceededError, KnotfieldError
-from .mosaic import Mosaic, decode, encode, validate
-from .moves import apply as apply_move
+from .mosaic import Mosaic, decode, encode, label_key, validate
 from .moves import instances_for
 
 DEFAULT_BUDGET = 10 ** 6
@@ -60,17 +60,24 @@ def _compile_instances(templates, n):
 @dataclass(frozen=True, eq=False)
 class Orbit:
     """`_parents` maps each member's byte row to its BFS parent's row (None
-    for the representative), in insertion order.  Compared by identity."""
+    for the representative), in insertion order; `_packed` is the
+    `compile_instances` tuple it was closed with.  Compared by identity."""
 
     representative: Mosaic
     _parents: dict = field(repr=False)
-    _instances: tuple = field(default=(), repr=False)
+    _packed: tuple = field(repr=False)
+
+    @cached_property
+    def label(self):
+        """encode() text of the member whose text sorts first: the orbit's
+        name, not to be confused with `representative`, the start mosaic."""
+        n = self.representative.n
+        return encode(Mosaic(n, tuple(min(self._parents, key=label_key))))
 
     @cached_property
     def members(self):
         """Canonical encode() text of every member, built on first use."""
-        n = self.representative.n
-        return frozenset(encode(Mosaic(n, tuple(s))) for s in self._parents)
+        return frozenset(map(encode, self.member_mosaics()))
 
     @property
     def size(self):
@@ -93,45 +100,37 @@ class Orbit:
         """Move sequence replaying representative -> m, as MoveInstances."""
         if m not in self:
             raise KnotfieldError("mosaic is not in this orbit")
-        n = self.representative.n
+        insts, *packed = self._packed
         state = bytes((decode(m) if isinstance(m, str) else m).cells)
         seq = []
         while (parent := self._parents[state]) is not None:
-            seq.append(_find_instance(parent, state, self._instances, n))
+            # BFS kept the first (source, instance) pair reaching each state.
+            seq.append(next(insts[k] for _, k, nb in kernels.expand_level([parent], *packed)
+                            if nb == state))
             state = parent
         return seq[::-1]
-
-
-def _find_instance(parent, child, instances, n):
-    src = Mosaic(n, tuple(parent))
-    for inst in instances:
-        if bytes(apply_move(inst, src).cells) == child:
-            return inst
-    raise KnotfieldError("internal error: no instance maps parent to child")
 
 
 def orbit(m: Mosaic, templates, budget: int = DEFAULT_BUDGET) -> Orbit:
     """Breadth-first closure of {m} under all placements of all templates."""
     if budget < 1:
         raise KnotfieldError(f"orbit budget must be at least 1, got {budget}")
-    rep = validate(m)
-    if not rep.valid:
+    if not validate(m).valid:
         raise KnotfieldError("orbit closure requires a suitably-connected mosaic")
-    n = m.n
-    insts, pos, pat_a, pat_b, lens = compile_instances(templates, n)
+    packed = compile_instances(templates, m.n)
     start = bytes(m.cells)
     parents = {start: None}
     frontier = [start]
     while frontier:
         next_frontier = []
-        for i, nb in kernels.expand_level(frontier, pos, pat_a, pat_b, lens):
+        for i, _, nb in kernels.expand_level(frontier, *packed[1:]):
             if nb not in parents:
                 parents[nb] = frontier[i]
                 next_frontier.append(nb)
                 if len(parents) > budget:
                     raise BudgetExceededError(budget, len(parents))
         frontier = next_frontier
-    return Orbit(m, parents, insts)
+    return Orbit(m, parents, packed)
 
 
 def same_orbit(a: Mosaic, b: Mosaic, templates, budget: int = DEFAULT_BUDGET):

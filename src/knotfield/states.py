@@ -4,7 +4,8 @@ observables built from orbit partitions.
 Basis labels are canonical mosaic encodings (see mosaic.encode), though any
 hashable string label works for the linear-algebra layer.  The full
 11^(n^2)-dimensional space is never materialized; operators are diagonal
-over orbits and materialize orbits lazily.
+over orbits, materialize orbits lazily, and look up a Mosaic or a label by
+its byte row in the orbits they hold, named by `Orbit.label`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import threading
 from dataclasses import dataclass, field
 
 from .errors import ContractViolationError, KnotfieldError
-from .mosaic import Mosaic, decode, encode
+from .mosaic import Mosaic, decode, encode, label_key
 from .moves import apply as apply_move
 from .orbits import DEFAULT_BUDGET, orbit
 
@@ -128,7 +129,6 @@ def act(g, psi: StateVector) -> StateVector:
     for label, amp in psi.amplitudes.items():
         m = decode(label)
         for inst in g:
-            inst.check_fits(m.n)
             m = apply_move(inst, m)
         key = encode(m)
         out[key] = out.get(key, 0) + amp
@@ -139,22 +139,19 @@ def act(g, psi: StateVector) -> StateVector:
 class DiagonalObservable:
     """Real diagonal operator, constant on orbits.
 
-    eigenvalue maps an orbit identifier (the minimal member encoding) to a
-    real number; orbit_index maps a basis label to its orbit identifier,
-    materializing orbits on demand.  Labels mapped to None take eigenvalue 0.
+    eigenvalue maps an orbit identifier (`Orbit.label`, the member encoding
+    that sorts first) to a real number; orbit_index maps a basis label or a
+    Mosaic to its orbit identifier, materializing orbits on demand.  Labels
+    mapped to None take eigenvalue 0.
     """
 
     eigenvalue: dict
-    orbit_index: object  # callable: label -> orbit id or None
+    orbit_index: object  # callable: label or Mosaic -> orbit id or None
     orbit_sizes: dict = field(default_factory=dict)
 
     def eigenvalue_for(self, label) -> float:
-        if isinstance(label, Mosaic):
-            label = encode(label)
         oid = self.orbit_index(label)
-        if oid is None:
-            return 0.0
-        return self.eigenvalue[oid]
+        return 0.0 if oid is None else self.eigenvalue[oid]
 
     def apply(self, psi: StateVector) -> StateVector:
         return StateVector({k: self.eigenvalue_for(k) * v
@@ -176,13 +173,11 @@ def chi(K: Mosaic, templates, budget: int = DEFAULT_BUDGET) -> DiagonalObservabl
     """Characteristic projector of the orbit of K: eigenvalue 1 on Orbit(K),
     0 on every other basis label."""
     orb = orbit(K, templates, budget=budget)
-    members = orb.members
-    oid = min(members)
 
     def index(label):
-        return oid if label in members else None
+        return orb.label if label in orb else None
 
-    return DiagonalObservable({oid: 1.0}, index, {oid: len(members)})
+    return DiagonalObservable({orb.label: 1.0}, index, {orb.label: orb.size})
 
 
 def invariant_observable(inv, n: int, templates, budget: int = DEFAULT_BUDGET,
@@ -191,40 +186,43 @@ def invariant_observable(inv, n: int, templates, budget: int = DEFAULT_BUDGET,
 
     inv must be a real-valued function of mosaics that is constant on
     orbits; constancy is checked on every orbit actually materialized, and
-    a violation raises ContractViolationError naming two witnesses.
-    Materialized orbits are cached; the cache is guarded by a lock so
-    concurrent lookups are safe and order-independent.
+    a violation raises ContractViolationError naming two witnesses.  Text
+    labels must be canonical encodings.  Materialized orbits are cached;
+    the cache is guarded by a lock so concurrent lookups are safe and
+    order-independent.
     """
-    label_to_oid = {}
+    closed = []  # materialized orbits, each named by its Orbit.label
     eigenvalue = {}
     orbit_sizes = {}
     lock = threading.Lock()
 
-    def materialize(label):
-        m = decode(label)
+    def index(label):
+        if isinstance(label, Mosaic):
+            m = label
+        else:
+            m = decode(label)
+            if encode(m) != label:
+                raise KnotfieldError(f"label {label!r} is not a canonical mosaic encoding")
         if m.n != n:
             raise KnotfieldError(f"label has lattice size {m.n}, observable expects {n}")
+        with lock:
+            for orb in closed:
+                if m in orb:
+                    return orb.label
         orb = orbit(m, templates, budget=budget)
-        values = sorted((encode(k), float(inv(k))) for k in orb.member_mosaics())
-        oid, ref_val = values[0]
-        for k, v in values[1:]:
-            if not math.isclose(v, ref_val, rel_tol=tol, abs_tol=tol):
+        first, *rest = sorted(orb.member_mosaics(), key=lambda k: label_key(k.cells))
+        val = float(inv(first))
+        for k in rest:
+            v = float(inv(k))
+            if not math.isclose(v, val, rel_tol=tol, abs_tol=tol):
                 raise ContractViolationError(
                     "invariant is not constant on an orbit: "
-                    f"{oid!r} -> {ref_val} but {k!r} -> {v}")
-        return [k for k, _ in values], oid, ref_val
-
-    def index(label):
+                    f"{orb.label!r} -> {val} but {encode(k)!r} -> {v}")
         with lock:
-            if label in label_to_oid:
-                return label_to_oid[label]
-        members, oid, val = materialize(label)
-        with lock:
-            if label not in label_to_oid:
-                for k in members:
-                    label_to_oid[k] = oid
-                eigenvalue[oid] = val
-                orbit_sizes[oid] = len(members)
-        return label_to_oid[label]
+            if orb.label not in eigenvalue:  # no other lookup closed it meanwhile
+                closed.append(orb)
+                eigenvalue[orb.label] = val
+                orbit_sizes[orb.label] = orb.size
+        return orb.label
 
     return DiagonalObservable(eigenvalue, index, orbit_sizes)

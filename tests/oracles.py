@@ -6,7 +6,8 @@ state sum (which contracts crossings with a union-find).  Polynomials are
 plain exponent->coefficient dicts here.  The expand oracle applies move
 instances one at a time to Mosaic objects, never touching the packed arrays
 the production kernel reads; the orbit oracle is a plain state-by-state BFS
-over it.
+over it, and the witness oracle finds each step's move by trying every
+instance on the parent.
 """
 
 import itertools
@@ -160,3 +161,16 @@ def oracle_orbit(m, templates, budget):
                 if len(parents) > budget:
                     raise BudgetExceededError(budget, len(parents))
     return parents
+
+
+def oracle_witness(parents, m, templates):
+    """Moves replaying the BFS root -> m along `parents` (bytes -> parent
+    bytes or None); each step is the first instance mapping parent to child."""
+    insts = instances_for(templates, m.n)
+    state = bytes(m.cells)
+    seq = []
+    while (parent := parents[state]) is not None:
+        src = Mosaic(m.n, tuple(parent))
+        seq.append(next(i for i in insts if bytes(apply(i, src).cells) == state))
+        state = parent
+    return seq[::-1]

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import data_path
 
+from knotfield import mosaic
 from knotfield.cli import main
 
 TREFOIL = data_path("trefoil4.mosaic")
@@ -87,6 +88,56 @@ def test_limits_below_range_rejected(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "must be at least" in err
+
+
+_EVOLVE = ["evolve", "run", "--resolution", "16", "--box", "8", "--steps", "2"]
+
+
+@pytest.mark.parametrize("mosaic_text,argv", [
+    ('{"n": "x", "cells": [0]}', None),
+    ('{"n": 1, "cells": ["a"]}', None),
+    ('{"n": 1, "cells": 5}', None),
+    ('{"n": 1, "cells": [1.5]}', None),
+    ('{"n": 1, "cells": [0', None),
+    (None, ["field", "eval", "--field", "milnor:2,x", "--z", "0", "--w", "1"]),
+    (None, _EVOLVE + ["--initial", "milnor:2,x"]),
+    (None, _EVOLVE + ["--initial", "gaussian", "--omega", "a"]),
+])
+def test_malformed_input_is_one_error_line(tmp_path, capsys, mosaic_text, argv):
+    if argv is None:
+        path = tmp_path / "bad.mosaic"
+        path.write_text(mosaic_text)
+        argv = ["mosaic", "show", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["mosaic", "orbit"],
+    ["observable", "chi"],
+    ["observable", "invariant"],
+    ["observable", "invariant", "--invariant", "components"],
+])
+def test_orbit_label_encodes_once(tmp_path, capsys, monkeypatch, argv):
+    circle = mosaic.Mosaic(4, (2, 1, 0, 0, 3, 4) + (0,) * 10)
+    path = tmp_path / "circle4.mosaic"
+    path.write_text(mosaic.encode(circle))
+    real, calls = mosaic.encode, []
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "knotfield" or name.startswith("knotfield."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    code, out, _ = run_cli(capsys, *argv[:2], str(path), *argv[2:])
+    assert code == 0 and out
+    assert len(calls) <= 1
 
 
 def test_same_orbit_self(capsys):

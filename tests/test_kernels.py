@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from knotfield import kernels
 from knotfield.mosaic import random_mosaic
-from knotfield.moves import default_table
+from knotfield.moves import apply, default_table
 from knotfield.orbits import compile_instances
 
 from oracles import oracle_expand
 
 TABLE = default_table()
+INSTS = {n: compile_instances(TABLE, n)[0] for n in range(1, 7)}
 PACKED = {n: compile_instances(TABLE, n)[1:] for n in range(1, 7)}
 
 
@@ -34,7 +35,10 @@ def test_expand_level_matches_oracle(n, size, chunk_pairs, seed):
     # A small chunk bound splits the frontier into several chunks.
     with mock.patch.object(kernels, "_CHUNK_PAIRS", chunk_pairs):
         got = kernels.expand_level([bytes(s.cells) for s in frontier], *PACKED[n])
-    assert got == want
+    assert [(i, nb) for i, _, nb in got] == want
+    # The instance index names the move that maps the source to the neighbor.
+    for i, k, nb in got:
+        assert bytes(apply(INSTS[n][k], frontier[i]).cells) == nb
 
 
 def test_expand_level_memory_is_bounded():
@@ -47,6 +51,6 @@ def test_expand_level_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert len(out) > 5 * len(frontier)
-    # About 6 MB, most of it the returned neighbors; one unchunked gather
+    # About 7 MB, most of it the returned neighbors; one unchunked gather
     # over the whole frontier peaks above 30 MB.
     assert peak < 8 * 2 ** 20

@@ -11,6 +11,7 @@ from knotfield.mosaic import (
     encode,
     enumerate_mosaics,
     from_json,
+    label_key,
     load,
     random_mosaic,
     to_json,
@@ -51,6 +52,16 @@ def test_encode_decode_roundtrip(trefoil):
     assert decode(encode(trefoil)) == trefoil
     assert from_json(to_json(trefoil)) == trefoil
     assert load(to_json(trefoil)) == trefoil
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 10), min_size=n * n, max_size=n * n), max_size=30)
+    .map(lambda rows: [Mosaic(n, tuple(r)) for r in rows])))
+@settings(max_examples=200, deadline=None)
+def test_label_key_sorts_like_encode(ms):
+    # Tile ids sort as decimal strings in the text: 0 < 1 < 10 < 2 < ... < 9.
+    assert [encode(m) for m in sorted(ms, key=lambda m: label_key(m.cells))] == \
+        sorted(encode(m) for m in ms)
 
 
 def test_decode_rejects_garbage():

@@ -10,7 +10,7 @@ from knotfield.mosaic import Mosaic, decode, encode, random_mosaic
 from knotfield.moves import apply, default_table
 from knotfield.orbits import DEFAULT_BUDGET, compile_instances, orbit, same_orbit
 
-from oracles import oracle_orbit
+from oracles import oracle_orbit, oracle_witness
 
 TABLE = default_table()
 
@@ -65,6 +65,35 @@ def test_same_orbit_with_witness(trefoil, monkeypatch):
     for inst in witness:
         state = apply(inst, state)
     assert state == partner
+
+
+@pytest.mark.parametrize("name", ["circle3", "trefoil", "fig8"])
+def test_witness_matches_oracle(name, request):
+    m = CIRCLE3 if name == "circle3" else request.getfixturevalue(name)
+    orb = orbit(m, TABLE)
+    for k in orb.member_mosaics():
+        assert orb.witness_for(k) == oracle_witness(orb._parents, k, TABLE)
+
+
+def test_witness_matches_oracle_circle4():
+    orb = orbit(CIRCLE4, TABLE)
+    rows = random.Random(0).sample(list(orb._parents), 200)
+    for row in rows:
+        k = Mosaic(4, tuple(row))
+        assert orb.witness_for(k) == oracle_witness(orb._parents, k, TABLE)
+
+
+def test_label_is_first_member_text(trefoil, monkeypatch):
+    orb = orbit(CIRCLE4, TABLE)
+    want = min(orb.members)  # the text of every member, built before counting
+    assert want != encode(orb.representative)
+    calls = []
+    monkeypatch.setattr("knotfield.orbits.encode", lambda m: calls.append(m) or encode(m))
+    assert orb.label == want and orb.label == want
+    assert len(calls) == 1
+    monkeypatch.undo()
+    orb = orbit(trefoil, TABLE)
+    assert orb.label == min(orb.members)
 
 
 def test_unknot_and_trefoil_disjoint(trefoil):

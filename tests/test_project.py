@@ -111,6 +111,22 @@ def test_crossing_cap_enforced():
         verify_knot_type(fig8_polyline(), FIG8_JONES, cap=2)
 
 
+def test_crossing_cap_reaches_jones(monkeypatch):
+    import knotfield.project
+    caps = []
+
+    def spy(diagram, **kwargs):
+        caps.append(kwargs.get("cap"))
+        return jones(diagram, **kwargs)
+
+    monkeypatch.setattr(knotfield.project, "jones", spy)
+    assert verify_knot_type(fig8_polyline(), FIG8_JONES, cap=30).match
+    assert caps == [30]
+    with pytest.raises(CrossingCapError) as exc:
+        verify_knot_type(fig8_polyline(), FIG8_JONES, cap=2)
+    assert caps == [30, 2] and exc.value.cap == 2
+
+
 def test_expected_jones_type_rejected():
     with pytest.raises(KnotfieldError):
         verify_knot_type(fig8_polyline(), "figure-eight")

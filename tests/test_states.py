@@ -2,6 +2,8 @@
 
 import cmath
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +111,68 @@ def test_invariant_observable_eigenvalues(trefoil):
     assert obs.eigenvalue_for(CIRCLE4) == pytest.approx(1.0)
     assert obs.eigenvalue_for(trefoil) == pytest.approx(-3.0)
     assert abs(obs.eigenvalue_for(trefoil)) == pytest.approx(3.0)  # determinant
+
+
+def _no_closure(*_args, **_kwargs):
+    raise AssertionError("orbit closed")
+
+
+def test_invariant_observable_reuses_closed_orbits(trefoil, monkeypatch):
+    obs = invariant_observable(_v_minus1, 4, TABLE)
+    assert obs.eigenvalue_for(trefoil) == pytest.approx(-3.0)
+    monkeypatch.setattr("knotfield.states.orbit", _no_closure)
+    for inst in instances_for(TABLE, 4):
+        moved = apply(inst, trefoil)
+        if moved != trefoil:
+            assert obs.eigenvalue_for(encode(moved)) == pytest.approx(-3.0)
+            assert obs.eigenvalue_for(moved) == pytest.approx(-3.0)
+    assert list(obs.orbit_sizes.values()) == [2]
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda t: t.replace("\n", " \n"),
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: "0" + t,
+])
+def test_invariant_observable_rejects_noncanonical_label(trefoil, monkeypatch, mangle):
+    label = mangle(encode(trefoil))
+    obs = invariant_observable(_v_minus1, 4, TABLE)
+    monkeypatch.setattr("knotfield.states.orbit", _no_closure)
+    with pytest.raises(KnotfieldError, match="not a canonical") as exc:
+        obs.eigenvalue_for(label)
+    assert repr(label) in str(exc.value)
+
+
+def test_invariant_observable_concurrent_lookups(trefoil):
+    # More threads than cores, switching often: every lookup gets its orbit's
+    # value and each orbit is recorded once.
+    obs = invariant_observable(_v_minus1, 4, TABLE)
+    labels = [trefoil, encode(trefoil), CIRCLE4, encode(CIRCLE4)]
+    results, errors = [], []
+
+    def work(k):
+        try:
+            for label in labels[k % 4:] + labels[:k % 4]:
+                results.append((encode(label) if isinstance(label, Mosaic) else label,
+                                obs.eigenvalue_for(label)))
+        except Exception as exc:  # checked on the main thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert len(results) == 16
+    assert {round(v, 9) for k, v in results if k == encode(trefoil)} == {-3.0}
+    assert {round(v, 9) for k, v in results if k == encode(CIRCLE4)} == {1.0}
+    assert sorted(obs.orbit_sizes.values()) == [2, 1348]
 
 
 def test_invariant_observable_expectation(trefoil):
