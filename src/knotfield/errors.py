@@ -29,7 +29,9 @@ class BudgetExceededError(KnotfieldError):
 
 
 class CrossingCapError(KnotfieldError):
-    """Exact state sums refuse diagrams above the crossing cap rather than approximate."""
+    """The exact bracket refuses diagrams above the crossing cap rather than
+    approximate.  After k crossings its contraction holds at most 2^k
+    partial states, so the cap bounds the worst case."""
 
     def __init__(self, crossings, cap):
         super().__init__(f"diagram has {crossings} crossings, above the exact state-sum cap of {cap}")

@@ -84,8 +84,14 @@ class Orbit:
         return len(self._parents)
 
     def __contains__(self, m):
-        if isinstance(m, str):
-            return m in self.members
+        if isinstance(m, str):  # only a canonical encode() text names a member
+            try:
+                mosaic = decode(m)
+            except KnotfieldError:
+                return False
+            if encode(mosaic) != m:
+                return False
+            m = mosaic
         try:
             return bytes(m.cells) in self._parents
         except (TypeError, ValueError):  # cells that fit no byte row

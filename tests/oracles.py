@@ -2,7 +2,8 @@
 
 The bracket oracle enumerates all 2^n smoothing states and counts loops by
 explicitly walking half-edge pairings, sharing no code with the production
-state sum (which contracts crossings with a union-find).  Polynomials are
+bracket (which adds crossings one at a time and merges partial states by
+their matching of the open edges).  Polynomials are
 plain exponent->coefficient dicts here.  The expand oracle applies move
 instances one at a time to Mosaic objects, never touching the packed arrays
 the production kernel reads; the orbit oracle is a plain state-by-state BFS

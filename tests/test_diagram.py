@@ -1,6 +1,9 @@
-"""Bracket and Jones state sums, checked against the exhaustive oracle."""
+"""Bracket and Jones polynomials, checked against the exhaustive oracle."""
+
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIG8_JONES, TREFOIL_JONES, UNKNOT_JONES
 from oracles import oracle_bracket, oracle_jones, oracle_writhe
@@ -17,7 +20,8 @@ from knotfield.diagram import (
     to_diagram,
 )
 from knotfield.laurent import LaurentPolynomial
-from knotfield.mosaic import Mosaic
+from knotfield.mosaic import Mosaic, random_mosaic, trace_components
+from knotfield.project import reduce_diagram
 
 
 def test_unknot_jones_is_one():
@@ -84,8 +88,76 @@ def test_crossing_cap():
         bracket(d, cap=2)
 
 
+def test_bracket_rejects_open_diagram():
+    # Edges 2 and 3 each meet the crossing once, so no state closes up.
+    with pytest.raises(KnotfieldError, match="does not close up"):
+        bracket(PlanarDiagram((Crossing((1, 1, 2, 3), 3),), 3, 0, 1))
+
+
 def test_to_diagram_components(granny):
     d = to_diagram(granny)
     assert d.n_components == 1
     assert len(d.crossings) == 6
     d.check()
+
+
+def _random_diagram(seed, n, link, max_crossings=10):
+    """Diagram of a random valid n x n mosaic with at most `max_crossings`
+    crossings: one component if not `link`, else at least two.  Four-sided
+    tiles are redrawn, mostly as crossings, so that c reaches the cap."""
+    rng = random.Random(seed)
+    while True:
+        cells = list(random_mosaic(n, rng).cells)
+        full = [i for i, t in enumerate(cells) if t in (7, 8, 9, 10)]
+        rng.shuffle(full)
+        for k, i in enumerate(full):
+            cells[i] = rng.choice((9, 10) if k < max_crossings else (7, 8))
+        m = Mosaic(n, tuple(cells))
+        strands = trace_components(m)
+        if strands and (len(strands) > 1) == link:
+            return to_diagram(m)
+
+
+def _assert_oracle_bracket(d):
+    assert dict(bracket(d).terms()) == oracle_bracket(d)
+    assert dict(bracket(d.mirror()).terms()) == oracle_bracket(d.mirror())
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(4, 7), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_bracket_matches_oracle_on_random_mosaics(seed, n, link):
+    d = _random_diagram(seed, n, link)
+    assert len(d.crossings) <= 10
+    _assert_oracle_bracket(d)
+    _assert_oracle_bracket(reduce_diagram(d))
+
+
+def _disjoint_union(a, b):
+    """a and b side by side: b's edge ids shifted past a's."""
+    shifted = tuple(Crossing(tuple(e + a.n_edges for e in x.ends), x.over_in)
+                    for x in b.crossings)
+    return PlanarDiagram(a.crossings + shifted, a.n_edges + b.n_edges,
+                         a.free_loops + b.free_loops, a.n_components + b.n_components)
+
+
+KINK_POS = PlanarDiagram((Crossing((1, 1, 2, 2), 3),), 2, 0, 1)
+KINK_NEG = PlanarDiagram((Crossing((1, 2, 2, 1), 1),), 2, 0, 1)
+# A circle with a positive and then a negative kink on it.
+KINK_PAIR = PlanarDiagram((Crossing((1, 1, 2, 4), 3), Crossing((2, 3, 3, 4), 1)), 4, 0, 1)
+
+
+@pytest.mark.parametrize("case", ["kink_pos", "kink_neg", "kink_pair", "free_loops",
+                                  "split", "split_with_kink"])
+def test_bracket_matches_oracle_on_built_diagrams(case, trefoil, fig8):
+    t, f = to_diagram(trefoil), to_diagram(fig8)
+    d = {"kink_pos": KINK_POS, "kink_neg": KINK_NEG, "kink_pair": KINK_PAIR,
+         "free_loops": PlanarDiagram(t.crossings, t.n_edges, 2, 3),
+         "split": _disjoint_union(t, f),
+         "split_with_kink": _disjoint_union(t, KINK_PAIR)}[case]
+    d.check()
+    _assert_oracle_bracket(d)
+    assert jones(d) == LaurentPolynomial(oracle_jones(d))
+    if case == "split":  # <D1 u D2> = d <D1><D2>, d = -A^2 - A^-2
+        assert bracket(d) == LaurentPolynomial({2: -1, -2: -1}) * bracket(t) * bracket(f)
+    if case == "kink_pair":
+        assert bracket(d) == LaurentPolynomial.one()

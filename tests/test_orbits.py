@@ -109,6 +109,20 @@ def test_unknot_and_trefoil_disjoint(trefoil):
             orb.witness_for(stranger)
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda t: t,
+    lambda t: t.replace("\n", " \n"),
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: "0" + t,
+    lambda t: t[:-1],
+])
+def test_text_membership_needs_canonical_label(trefoil, mangle):
+    orb = orbit(trefoil, TABLE)
+    text = mangle(encode(trefoil))
+    assert (text in orb) == (text == encode(trefoil))
+    assert (mangle(TREFOIL_PARTNER) in orb) == (mangle(TREFOIL_PARTNER) == TREFOIL_PARTNER)
+
+
 def test_different_sizes_rejected(trefoil):
     with pytest.raises(KnotfieldError):
         same_orbit(trefoil, CIRCLE3, TABLE)

@@ -15,7 +15,9 @@ from knotfield.diagram import jones, to_diagram
 from knotfield.extraction import SampleGrid, extract
 from knotfield.fields import field_library
 from knotfield.mosaic import Mosaic, enumerate_mosaics
+from knotfield.laurent import LaurentPolynomial
 from knotfield.project import (
+    PROJECTION_START,
     VerificationReport,
     project_diagram,
     reduce_diagram,
@@ -32,6 +34,40 @@ def fig8_polyline(k=400):
 def test_parametric_fig8_jones():
     d = reduce_diagram(project_diagram(fig8_polyline()))
     assert jones(d) in (FIG8_JONES, FIG8_JONES.mirror())
+
+
+def torus_jones(p, q):
+    """Jones polynomial of the (p, q) torus knot in s = t^(1/2) units:
+    t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2)."""
+    num = {0: 1, p + 1: -1, q + 1: -1, p + q: 1}
+    quot = {}
+    for k in range(p + q - 1):
+        quot[k] = num.get(k, 0) + quot.get(k - 2, 0)
+    for k in (p + q - 1, p + q):  # the remainder must vanish
+        assert num.get(k, 0) + quot.get(k - 2, 0) == 0
+    shift = (p - 1) * (q - 1) // 2
+    return LaurentPolynomial({2 * (k + shift): v for k, v in quot.items()})
+
+
+def torus_polyline(p, q, k):
+    """The (p, q) torus knot winding p times round an axis laid along
+    PROJECTION_START, so it projects as a closed p-braid with (p-1)q crossings."""
+    t = np.linspace(0.0, 2 * np.pi, k, endpoint=False)
+    r = 2 + np.cos(q * t)
+    pts = np.column_stack([r * np.cos(p * t), r * np.sin(p * t), np.sin(q * t)])
+    axis = np.asarray(PROJECTION_START) / np.linalg.norm(PROJECTION_START)
+    u = np.cross(axis, [0.0, 0.0, 1.0])
+    u /= np.linalg.norm(u)
+    return pts @ np.vstack([u, np.cross(axis, u), axis])
+
+
+@pytest.mark.parametrize("p,q", [(2, 5), (3, 4), (2, 21), (4, 7), (2, 23), (5, 6)])
+def test_torus_knot_jones_closed_form(p, q):
+    # Up to 24 crossings: far beyond an exhaustive sum over 2^c states.
+    d = reduce_diagram(project_diagram(torus_polyline(p, q, 60 * (p + q))))
+    assert len(d.crossings) == (p - 1) * q
+    want = torus_jones(p, q)
+    assert jones(d) in (want, want.mirror())
 
 
 def test_planar_circle_is_unknot():

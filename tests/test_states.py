@@ -102,6 +102,28 @@ def test_chi_constant_on_whole_orbit(trefoil):
         assert proj.eigenvalue_for(moved) == 1.0
 
 
+def test_chi_text_lookup_encodes_once(monkeypatch):
+    # A text label is decoded and looked up by its byte row; the orbit's
+    # 1,348 members are never encoded.
+    import knotfield.mosaic
+    proj = chi(CIRCLE4, TABLE)
+    label = encode(CIRCLE4)
+    real, calls = knotfield.mosaic.encode, []
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "knotfield" or name.startswith("knotfield."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    assert proj.eigenvalue_for(label) == 1.0
+    assert len(calls) <= 1
+    assert proj.orbit_sizes[proj.orbit_index(label)] == 1348
+
+
 def _v_minus1(m):
     return evaluate_jones(jones(to_diagram(m)), -1.0)
 

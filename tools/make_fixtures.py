@@ -7,6 +7,8 @@
                     (exactly 4 crossing tiles, single component)
 
 Selection is by exhaustive enumeration, so the fixtures are reproducible.
+Each `build_<name>()` returns its mosaic without touching the disk; `main`
+writes every one as `<name>.mosaic` (the `mosaic.encode` text).
 """
 
 import pathlib
@@ -25,7 +27,7 @@ TREFOIL_L = LaurentPolynomial({-8: -1, -6: 1, -2: 1})  # V(3_1) in t^(1/2) units
 FIG8 = LaurentPolynomial({-4: 1, -2: -1, 0: 1, 2: -1, 4: 1})
 
 
-def find_trefoil4():
+def build_trefoil4():
     for m in M.enumerate_mosaics(4):  # enumeration is lexicographic
         if len(M.trace_components(m)) != 1:
             continue
@@ -73,7 +75,8 @@ def splice_vertical(top: M.Mosaic, bottom: M.Mosaic, col: int) -> M.Mosaic:
     return big.with_cells(new)
 
 
-def make_granny(tref):
+def build_granny8():
+    tref = build_trefoil4()
     n = tref.n
     for col in range(n - 1):
         top_ok = ("E" in TILE_SIDES[tref.tile(n - 1, col)]
@@ -95,7 +98,7 @@ def make_granny(tref):
     raise AssertionError("no clean splice column found")
 
 
-def find_fig8_5():
+def build_fig8_5():
     """Exhaustive 5x5 search restricted to exactly 4 crossing tiles."""
     n = 5
     total = n * n
@@ -131,18 +134,17 @@ def find_fig8_5():
     return found[0]
 
 
+BUILDERS = {"trefoil4": build_trefoil4, "granny8": build_granny8, "fig8_5": build_fig8_5}
+
+
+def write_fixture(name, m):
+    (DATA / f"{name}.mosaic").write_text(M.encode(m))
+    print(f"{name}:", m.cells, jones(to_diagram(m)).pretty("s"))
+
+
 def main():
-    tref = find_trefoil4()
-    (DATA / "trefoil4.mosaic").write_text(M.encode(tref))
-    print("trefoil4:", tref.cells, jones(to_diagram(tref)).pretty("s"))
-
-    granny = make_granny(tref)
-    (DATA / "granny8.mosaic").write_text(M.encode(granny))
-    print("granny8:", jones(to_diagram(granny)).pretty("s"))
-
-    fig8 = find_fig8_5()
-    (DATA / "fig8_5.mosaic").write_text(M.encode(fig8))
-    print("fig8_5:", fig8.cells, jones(to_diagram(fig8)).pretty("s"))
+    for name, build in BUILDERS.items():
+        write_fixture(name, build())
 
 
 if __name__ == "__main__":
