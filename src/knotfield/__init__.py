@@ -30,6 +30,6 @@ from .orbits import Orbit, orbit, same_orbit  # noqa: F401
 from .states import StateVector, act, chi, dim, inner, invariant_observable  # noqa: F401
 from .wirtinger import WirtingerPresentation, abelianization_rank, wirtinger  # noqa: F401
 from .fields import ComplexField, field_library, parse_field_spec  # noqa: F401
-from .extraction import NodalCurve, SampleGrid, extract, extract_from_samples  # noqa: F401
+from .extraction import NodalCurve, SampleGrid, extract, extract_from_samples, refine  # noqa: F401
 from .project import VerificationReport, project_diagram, verify_knot_type  # noqa: F401
 from .evolution import EvolutionConfig, FieldState, step, track_nodal  # noqa: F401

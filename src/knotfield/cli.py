@@ -33,7 +33,7 @@ from .orbits import DEFAULT_BUDGET, orbit, same_orbit
 from .states import chi as chi_observable, invariant_observable
 from .wirtinger import abelianization_rank, wirtinger
 from .fields import parse_field_spec, phase
-from .extraction import SampleGrid, extract, fiber_to_csv, sample_fiber
+from .extraction import SampleGrid, extract, fiber_to_csv, refine, sample_fiber
 from .project import expected_jones, verify_knot_type
 from . import evolution as ev
 
@@ -183,7 +183,8 @@ def _cmd_field_eval(args):
 
 def _cmd_field_extract(args):
     f = parse_field_spec(args.field)
-    curve = extract(f, _grid(args))
+    grid = _grid(args)
+    curve = refine(extract(f, grid), f, grid)
     if args.format == "json":
         return json.dumps({
             "chart": curve.chart, "n_components": curve.n_components,

@@ -318,8 +318,13 @@ def track_nodal(history, cfg: EvolutionConfig, min_amp: float = None,
     return TrackReport(tuple(snaps), tuple(events))
 
 
+def _vertices(curve: NodalCurve):
+    """Component vertices, without the repeated last vertex of closed ones."""
+    return [c[:-1] if curve.is_closed(i) else c for i, c in enumerate(curve.components)]
+
+
 def _match(prev: NodalCurve, curr: NodalCurve, time, events, reconnect_dist):
-    a, b = list(prev.components), list(curr.components)
+    a, b = _vertices(prev), _vertices(curr)
     if len(b) > len(a):
         events.append((time, "creation", f"{len(a)} -> {len(b)} components"))
     elif len(b) < len(a):
@@ -331,7 +336,7 @@ def _match(prev: NodalCurve, curr: NodalCurve, time, events, reconnect_dist):
         for i, ref in enumerate(a):
             if i in used:
                 continue
-            d = hausdorff(comp[:-1], ref[:-1])
+            d = hausdorff(comp, ref)
             if best is None or d < best:
                 best, bi = d, i
         if bi is None:

@@ -3,8 +3,9 @@
 Pipeline: sample the field on a regular grid in a chart, split each cell
 into six tetrahedra around a consistent main diagonal, intersect the zero
 line of the per-tet linear interpolant with the tet faces, chain segments
-by shared faces into closed loops, then sharpen every vertex with damped
-Newton steps in the plane normal to the local tangent.
+by shared faces into closed loops: `extract` returns this piecewise-linear
+zero set.  `refine` then sharpens every vertex with damped Newton steps in
+the plane normal to the local tangent; only `field extract` runs it.
 
 Charts: S^3 = {|z|^2 + |w|^2 = r^2} in R^4 with coordinates
 (x0, x1, x2, x3) = (Re z, Im z, Re w, Im w), stereographically projected
@@ -92,13 +93,12 @@ def chart_transfer(u):
 
 @dataclass(frozen=True)
 class NodalCurve:
-    """Closed polylines (first vertex repeated last) in chart coordinates."""
+    """Polylines in chart coordinates; closed ones repeat their first vertex last."""
 
-    components: tuple  # tuple of (k+1, 3) float arrays
+    components: tuple  # tuple of (k, 3) float arrays
     chart: str
-    residual: float  # max |f| over all refined vertices
+    residual: float  # max |f| over all vertices; 0 on the piecewise-linear set
     vertex_residuals: tuple = ()  # per-vertex |f| arrays, parallel to components
-    raw_components: tuple = ()  # pre-refinement polylines (piecewise-linear zero set)
     closed_flags: tuple = ()  # per-component; empty means all closed
 
     @property
@@ -107,9 +107,6 @@ class NodalCurve:
 
     def is_closed(self, i) -> bool:
         return bool(self.closed_flags[i]) if self.closed_flags else True
-
-    def component_residuals(self):
-        return [float(v.max()) if len(v) else 0.0 for v in self.vertex_residuals]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -258,38 +255,23 @@ def _chain(segments, face_points, allow_open=False):
             "the sampling does not separate nearby strands", [])
 
     visited = set()
-    paths = []
-    for start in sorted((k for k in adjacency if len(adjacency[k]) == 1), key=sorted):
-        if start in visited:
-            continue
-        path = [start]
-        visited.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = [n for n in adjacency[cur] if n != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            path.append(cur)
-            visited.add(cur)
-        paths.append(path)
 
-    loops = []
-    for start in sorted(adjacency, key=sorted):
-        if start in visited:
-            continue
-        loop = [start]
+    def walk(start):
+        # stops at the far end of a path, or just before closing a loop
+        chain = [start]
         visited.add(start)
         prev, cur = None, start
         while True:
             nxt = [n for n in adjacency[cur] if n != prev]
-            step = nxt[0] if nxt else prev
-            if step == start:
-                break
-            loop.append(step)
-            visited.add(step)
-            prev, cur = cur, step
-        loops.append(loop)
+            if not nxt or nxt[0] == start:
+                return chain
+            prev, cur = cur, nxt[0]
+            chain.append(cur)
+            visited.add(cur)
+
+    ends = sorted((k for k in adjacency if len(adjacency[k]) == 1), key=sorted)
+    paths = [walk(k) for k in ends if k not in visited]
+    loops = [walk(k) for k in sorted(adjacency, key=sorted) if k not in visited]
     return loops, paths
 
 
@@ -335,53 +317,25 @@ def _refine_vertex(g, p, tangent, step_clamp, h):
     return p, abs(fv)
 
 
-def extract_from_samples(values, axes, evaluator=None, spacing=None,
-                         min_amp=0.0, chart="box", allow_open=False) -> NodalCurve:
+def extract_from_samples(values, axes, min_amp=0.0, chart="box",
+                         allow_open=False) -> NodalCurve:
     """Extraction core on precomputed samples.
 
-    evaluator, if given, is a callable on a 3-vector of chart coordinates
-    returning a complex value; it drives Newton refinement and residuals.
-    Without it, vertices stay on the piecewise-linear zero set (residual 0
-    by construction of the interpolant).  allow_open keeps chains that do
+    Vertices lie on the piecewise-linear zero set, so every residual is 0
+    by construction of the interpolant.  allow_open keeps chains that do
     not close (filaments truncated at the min_amp floor) instead of
     raising.
     """
     segments, face_points = _march(axes, values, min_amp=min_amp)
     loops, paths = _chain(segments, face_points, allow_open=allow_open)
-    if spacing is None:
-        spacing = float(axes[0][1] - axes[0][0])
     components = []
-    raw_components = []
-    vertex_abs = []
     flags = []
-    residual = 0.0
     for chain, closed in [(c, True) for c in loops] + [(c, False) for c in paths]:
         pts = np.array([face_points[key] for key in chain])
-        raw_components.append(np.vstack([pts, pts[:1]]) if closed else pts)
-        res = np.zeros(len(pts))
-        if evaluator is not None:
-            refined = []
-            for idx in range(len(pts)):
-                if closed:
-                    tangent = pts[(idx + 1) % len(pts)] - pts[idx - 1]
-                else:
-                    tangent = pts[min(idx + 1, len(pts) - 1)] - pts[max(idx - 1, 0)]
-                p, r = _refine_vertex(evaluator, pts[idx], tangent,
-                                      step_clamp=spacing / 2.0, h=spacing * 1e-3)
-                refined.append(p)
-                res[idx] = r
-            pts = np.array(refined)
-        if closed:
-            components.append(np.vstack([pts, pts[:1]]))
-            vertex_abs.append(np.append(res, res[0]))
-        else:
-            components.append(pts)
-            vertex_abs.append(res)
+        components.append(np.vstack([pts, pts[:1]]) if closed else pts)
         flags.append(closed)
-        if len(res):
-            residual = max(residual, float(res.max()))
-    return NodalCurve(tuple(components), chart, residual, tuple(vertex_abs),
-                      tuple(raw_components), tuple(flags))
+    return NodalCurve(tuple(components), chart, 0.0,
+                      tuple(np.zeros(len(c)) for c in components), tuple(flags))
 
 
 # Deterministic grid dilations tried when the sampling lattice happens to
@@ -391,15 +345,15 @@ _RETRY_DILATIONS = (1.0, 1.0000701, 0.9999303, 1.0002107)
 
 
 def extract(f, grid: SampleGrid) -> NodalCurve:
-    """Extract the nodal curve of a ComplexField in a stereographic chart."""
+    """The piecewise-linear nodal curve of a ComplexField in a stereographic chart.
+
+    On a degenerate lattice (open chains, or a tetrahedron with more than
+    two face zeros) the grid is dilated and sampled again.  Pass the result
+    to `refine` for vertices on the zero set of f itself.
+    """
     if grid.chart == "box":
         raise KnotfieldError("use extract_from_samples for box-chart data")
     n = grid.resolution
-
-    def evaluator(p):
-        zz, ww = embed(grid, p)
-        return f(zz, ww)
-
     last_exc = None
     for dilation in _RETRY_DILATIONS:
         ax0 = np.linspace(-grid.extent * dilation, grid.extent * dilation, n)
@@ -414,14 +368,49 @@ def extract(f, grid: SampleGrid) -> NodalCurve:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", UserWarning)
-                return extract_from_samples(values, ax, evaluator=evaluator,
-                                            spacing=float(ax0[1] - ax0[0]),
-                                            chart=grid.chart)
+                return extract_from_samples(values, ax, chart=grid.chart)
         except (OpenChainError, UserWarning) as exc:
             last_exc = exc
     if isinstance(last_exc, OpenChainError):
         raise last_exc
     raise OpenChainError(f"degenerate sampling at every retry dilation: {last_exc}", [])
+
+
+def refine(curve: NodalCurve, f, grid: SampleGrid) -> NodalCurve:
+    """Newton-sharpen every vertex of `extract(f, grid)` onto the zero set of f.
+
+    Steps are clamped to half the spacing of grid's undilated lattice.
+    Components, vertex counts and closed flags are kept; the residual is the
+    largest |f| left at any vertex.  A vertex where the Jacobian is
+    near-degenerate (transversality may fail) stops with a UserWarning.
+    """
+    def evaluator(p):
+        zz, ww = embed(grid, p)
+        return f(zz, ww)
+
+    ax0 = grid.axes()[0]
+    spacing = float(ax0[1] - ax0[0])
+    components = []
+    vertex_abs = []
+    for ci, comp in enumerate(curve.components):
+        closed = curve.is_closed(ci)
+        pts = comp[:-1] if closed else comp
+        k = len(pts)
+        out, res = np.empty_like(pts), np.zeros(k)
+        for idx in range(k):
+            if closed:
+                tangent = pts[(idx + 1) % k] - pts[idx - 1]
+            else:
+                tangent = pts[min(idx + 1, k - 1)] - pts[max(idx - 1, 0)]
+            out[idx], res[idx] = _refine_vertex(evaluator, pts[idx], tangent,
+                                                step_clamp=spacing / 2.0, h=spacing * 1e-3)
+        if closed:
+            out, res = np.vstack([out, out[:1]]), np.append(res, res[0])
+        components.append(out)
+        vertex_abs.append(res)
+    residual = max((float(r.max()) for r in vertex_abs if len(r)), default=0.0)
+    return NodalCurve(tuple(components), curve.chart, residual, tuple(vertex_abs),
+                      curve.closed_flags)
 
 
 def sample_fiber(f, theta, grid: SampleGrid, band: float = 0.05,

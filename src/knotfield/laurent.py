@@ -103,12 +103,6 @@ class LaurentPolynomial:
             raise KnotfieldError("cannot evaluate at 0: negative exponents present")
         return sum(c * x ** e for e, c in sorted(self.coeffs.items()))
 
-    def min_exp(self):
-        return min(self.coeffs) if self.coeffs else 0
-
-    def max_exp(self):
-        return max(self.coeffs) if self.coeffs else 0
-
     def terms(self):
         return sorted(self.coeffs.items())
 

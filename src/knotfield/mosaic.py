@@ -138,11 +138,6 @@ class Strand:
 
     passages: tuple
 
-    def crossings(self, m: Mosaic):
-        """Cells where this strand passes through a crossing tile."""
-        return [(cell, entry, exit_) for cell, entry, exit_ in self.passages
-                if m.cells[cell] in CROSSING_TILES]
-
 
 def trace_components(m: Mosaic):
     """Follow every connection pair into closed strands.

@@ -291,17 +291,16 @@ def expected_jones(expected) -> LaurentPolynomial:
 def verify_knot_type(curve, expected, cap: int = DEFAULT_CROSSING_CAP) -> VerificationReport:
     """Compare an extracted curve's knot type with an expected knot.
 
-    curve: a NodalCurve with one component, or a raw (k, 3) polyline.
+    curve: the unrefined `extract` result (one component; its piecewise-linear
+    zero set is embedded by construction, refined vertices can jitter where f
+    is ill-conditioned), or a raw (k, 3) polyline.
     expected: Mosaic, PlanarDiagram, or Jones polynomial.
     """
     if hasattr(curve, "components"):
         if curve.n_components != 1:
             raise KnotfieldError(
                 f"verification needs a single component, curve has {curve.n_components}")
-        # Project the pre-refinement polyline: the piecewise-linear zero set
-        # is embedded by construction, while refined vertices can jitter
-        # tangentially where the field is ill-conditioned.
-        points = curve.raw_components[0] if curve.raw_components else curve.components[0]
+        points = curve.components[0]
     else:
         points = curve
     raw = project_diagram(points)

@@ -22,7 +22,7 @@ from oracles import oracle_jones
 from knotfield.diagram import evaluate_jones, jones, to_diagram
 from knotfield.evolution import (EvolutionConfig, gaussian_state, plane_wave,
                                  run, step)
-from knotfield.extraction import SampleGrid, chart_transfer, extract
+from knotfield.extraction import SampleGrid, chart_transfer, extract, refine
 from knotfield.fields import field_library
 from knotfield.mosaic import Mosaic, load, random_mosaic, validate
 from knotfield.moves import apply, default_table, instances_for
@@ -120,10 +120,12 @@ def test_criterion_06_wirtinger(trefoil, fig8):
 
 def test_criterion_07_classifying_maps(trefoil):
     t0 = time.perf_counter()
-    c23 = extract(field_library("milnor", (2, 3)), SampleGrid(resolution=64))
+    f23, g64 = field_library("milnor", (2, 3)), SampleGrid(resolution=64)
+    c23 = extract(f23, g64)
+    r23 = refine(c23, f23, g64)
     assert time.perf_counter() - t0 < 60.0
     assert c23.n_components == 1 and c23.is_closed(0)
-    assert c23.residual < 1e-8
+    assert r23.residual < 1e-8
     assert verify_knot_type(c23, trefoil).match      # up to mirror
 
     t0 = time.perf_counter()
@@ -143,8 +145,9 @@ def test_criterion_07_classifying_maps(trefoil):
 
 def test_criterion_08_resolution_and_chart_stability(trefoil):
     for n in (48, 64, 96):
-        c = extract(field_library("milnor", (2, 3)), SampleGrid(resolution=n))
-        assert c.n_components == 1 and c.residual < 1e-8
+        f23, g = field_library("milnor", (2, 3)), SampleGrid(resolution=n)
+        c = extract(f23, g)
+        assert c.n_components == 1 and refine(c, f23, g).residual < 1e-8
         assert verify_knot_type(c, trefoil).match
         assert extract(field_library("milnor", (2, 2)),
                        SampleGrid(resolution=n)).n_components == 2

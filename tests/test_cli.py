@@ -1,15 +1,17 @@
 """End-to-end CLI checks through main(), without spawning subprocesses
 except where thread independence is the point."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import data_path
 
-from knotfield import mosaic
+from knotfield import cli, mosaic
 from knotfield.cli import main
 
 TREFOIL = data_path("trefoil4.mosaic")
@@ -189,6 +191,29 @@ def test_field_verify(capsys):
                            "--format", "json")
     assert code == 0
     assert json.loads(out)["match"] is True
+
+
+def test_field_verify_makes_no_scalar_evaluations(capsys, monkeypatch):
+    # verify projects the piecewise-linear zero set, so it samples the field
+    # on the grid only and never point by point as Newton refinement does
+    calls = {"scalar": 0, "array": 0}
+    parse = cli.parse_field_spec
+
+    def counting_spec(spec):
+        f = parse(spec)
+
+        def evaluate(z, w):
+            calls["scalar" if np.ndim(z) == 0 else "array"] += 1
+            return f.evaluator(z, w)
+        return dataclasses.replace(f, evaluator=evaluate)
+
+    monkeypatch.setattr(cli, "parse_field_spec", counting_spec)
+    code, out, _ = run_cli(capsys, "field", "verify", "--field", "milnor:2,3",
+                           "--expect", TREFOIL, "--resolution", "48",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["match"] is True
+    assert calls["array"] > 0
+    assert calls["scalar"] == 0
 
 
 def test_field_fiber(capsys):

@@ -11,6 +11,7 @@ import pytest
 from knotfield.errors import KnotfieldError
 from knotfield.evolution import (
     EvolutionConfig,
+    _match,
     FieldState,
     density_center,
     gaussian_state,
@@ -20,6 +21,7 @@ from knotfield.evolution import (
     step,
     track_nodal,
 )
+from knotfield.extraction import NodalCurve
 from knotfield.fields import field_library
 
 SMALL = EvolutionConfig(box=8.0, resolution=32, dt=1e-3, steps=10)
@@ -181,6 +183,19 @@ def test_track_report_csv():
     lines = report.to_csv().splitlines()
     assert lines[0] == "time,n_components,displacement,error"
     assert lines[1].startswith("0,0")
+
+
+def test_match_compares_every_vertex_of_open_components():
+    # the last vertex of an open filament is its free end, not a repeat of
+    # the first vertex, so moving it by 5 must show up
+    line = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    moved = line.copy()
+    moved[-1, 0] += 5.0
+    prev = NodalCurve((line,), "box", 0.0, closed_flags=(False,))
+    curr = NodalCurve((moved,), "box", 0.0, closed_flags=(False,))
+    events = []
+    assert _match(prev, curr, 1.0, events, reconnect_dist=1.0) == 5.0
+    assert [kind for _, kind, _ in events] == ["reconnection"]
 
 
 def test_track_roi_validation():

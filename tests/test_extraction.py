@@ -10,6 +10,7 @@ import pytest
 
 from knotfield.errors import KnotfieldError, OpenChainError
 from knotfield.extraction import (
+    RESIDUAL_TOL,
     NodalCurve,
     SampleGrid,
     chart_transfer,
@@ -19,6 +20,7 @@ from knotfield.extraction import (
     extract_from_samples,
     fiber_to_csv,
     hausdorff,
+    refine,
     sample_fiber,
 )
 from knotfield.fields import field_library
@@ -46,7 +48,8 @@ def test_chart_transfer_involution():
 
 
 def test_unknot_circle_geometry():
-    curve = extract(field_library("unknot"), SampleGrid(resolution=48))
+    f, g = field_library("unknot"), SampleGrid(resolution=48)
+    curve = refine(extract(f, g), f, g)
     assert curve.n_components == 1
     pts = curve.components[0]
     # z = 0 on the unit sphere: chart x-coordinate 0, distance 1 from axis
@@ -58,15 +61,32 @@ def test_unknot_circle_geometry():
 
 
 def test_milnor_23_single_component():
-    curve = extract(field_library("milnor", (2, 3)), SampleGrid(resolution=64))
+    f, g = field_library("milnor", (2, 3)), SampleGrid(resolution=64)
+    curve = refine(extract(f, g), f, g)
     assert curve.n_components == 1
     assert curve.residual < 1e-8
 
 
 def test_milnor_22_two_components():
-    curve = extract(field_library("milnor", (2, 2)), SampleGrid(resolution=64))
+    f, g = field_library("milnor", (2, 2)), SampleGrid(resolution=64)
+    curve = refine(extract(f, g), f, g)
     assert curve.n_components == 2
     assert curve.residual < 1e-8
+
+
+@pytest.mark.parametrize("chart", ["north", "south"])
+@pytest.mark.parametrize("spec", [("unknot", ()), ("milnor", (2, 3))])
+def test_refine_keeps_structure(spec, chart):
+    f, g = field_library(*spec), SampleGrid(chart=chart, resolution=48)
+    raw = extract(f, g)
+    assert raw.residual == 0.0
+    sharp = refine(raw, f, g)
+    assert sharp.n_components == raw.n_components
+    assert sharp.closed_flags == raw.closed_flags
+    for a, b, res in zip(raw.components, sharp.components, sharp.vertex_residuals):
+        assert a.shape == b.shape and res.shape == (len(a),)
+        assert np.linalg.norm(a - b, axis=1).max() <= g.spacing
+    assert sharp.residual < RESIDUAL_TOL
 
 
 def test_resolution_stability():

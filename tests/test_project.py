@@ -108,7 +108,7 @@ def test_reduce_preserves_jones_on_census():
 def test_reduce_removes_kinks(trefoil):
     # projecting a noisy trefoil polyline gains spurious R1/R2 crossings
     curve = extract(field_library("milnor", (2, 3)), SampleGrid(resolution=48))
-    raw = project_diagram(curve.raw_components[0])
+    raw = project_diagram(curve.components[0])
     red = reduce_diagram(raw)
     assert len(red.crossings) <= len(raw.crossings)
     assert jones(red) in (TREFOIL_JONES, TREFOIL_JONES.mirror())
