@@ -7,6 +7,13 @@ by shared faces into closed loops: `extract` returns this piecewise-linear
 zero set.  `refine` then sharpens every vertex with damped Newton steps in
 the plane normal to the local tangent; only `field extract` runs it.
 
+Both work on whole arrays.  The march gathers the 24 tetrahedron faces of
+every candidate cell at once, keys each face by its lowest lattice vertex
+and its shape, and solves every distinct face's zero in one pass; Newton
+iterates all vertices together, with one field evaluation per batch of
+points.  The per-cell and per-vertex loops they replaced are kept in
+tests/oracles.py as the reference the tests compare against.
+
 Charts: S^3 = {|z|^2 + |w|^2 = r^2} in R^4 with coordinates
 (x0, x1, x2, x3) = (Re z, Im z, Re w, Im w), stereographically projected
 from the poles (+-r, 0, 0, 0).  The library fields are nonzero at both
@@ -34,7 +41,6 @@ _CORNER_OFFSETS = tuple((b & 1, (b >> 1) & 1, (b >> 2) & 1) for b in range(8))
 NEWTON_MAX_STEPS = 20
 NEWTON_TARGET = 1e-10
 RESIDUAL_TOL = 1e-8
-CLOSURE_REL_TOL = 1e-3
 CONDITION_WARN = 1e8
 
 
@@ -134,28 +140,14 @@ class NodalCurve:
         return "\n".join(lines) + "\n"
 
 
-def _face_zero(ids, coords, vals):
-    """Zero of the linear interpolant on a triangle, or None.
-
-    ids fix a deterministic vertex order; returns barycentric point in
-    world coordinates when all barycentric weights are >= -1e-12.
-    """
-    order = sorted(range(3), key=lambda i: ids[i])
-    p = [coords[i] for i in order]
-    f = [vals[i] for i in order]
-    # lam0*f0 + lam1*f1 + (1 - lam0 - lam1)*f2 = 0
-    a = np.array([[f[0].real - f[2].real, f[1].real - f[2].real],
-                  [f[0].imag - f[2].imag, f[1].imag - f[2].imag]])
-    b = -np.array([f[2].real, f[2].imag])
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if abs(det) < 1e-300:
-        return None
-    l0 = (b[0] * a[1, 1] - b[1] * a[0, 1]) / det
-    l1 = (a[0, 0] * b[1] - a[1, 0] * b[0]) / det
-    l2 = 1.0 - l0 - l1
-    if l0 < -1e-12 or l1 < -1e-12 or l2 < -1e-12:
-        return None
-    return l0 * p[0] + l1 * p[1] + l2 * p[2]
+def _corner_range(arr):
+    """Min and max of arr over the 8 corners of every cell, one axis at a time."""
+    low = high = arr
+    for axis in range(3):
+        head = (slice(None),) * axis + (slice(None, -1),)
+        tail = (slice(None),) * axis + (slice(1, None),)
+        low, high = np.minimum(low[head], low[tail]), np.maximum(high[head], high[tail])
+    return low, high
 
 
 def _candidate_cells(values, min_amp, slab=32):
@@ -163,24 +155,16 @@ def _candidate_cells(values, min_amp, slab=32):
 
     Processed in x-slabs to keep peak memory flat at large resolutions.
     """
-    n0, n1, n2 = values.shape
+    n0 = values.shape[0]
     out = []
     for lo in range(0, n0 - 1, slab):
         hi = min(lo + slab, n0 - 1)
         block = values[lo:hi + 1]
         re, im = block.real, block.imag
-        m0 = hi - lo
-
-        def corner_stack(arr):
-            return np.stack([arr[dx:m0 + dx, dy:n1 - 1 + dy, dz:n2 - 1 + dz]
-                             for dx, dy, dz in _CORNER_OFFSETS])
-
-        cr, ci = corner_stack(re), corner_stack(im)
-        mask = ((cr.min(axis=0) <= 0) & (cr.max(axis=0) >= 0)
-                & (ci.min(axis=0) <= 0) & (ci.max(axis=0) >= 0))
+        (rlo, rhi), (ilo, ihi) = _corner_range(re), _corner_range(im)
+        mask = (rlo <= 0) & (rhi >= 0) & (ilo <= 0) & (ihi >= 0)
         if min_amp > 0:
-            amp = np.sqrt(cr * cr + ci * ci).max(axis=0)
-            mask &= amp > min_amp
+            mask &= _corner_range(np.sqrt(re * re + im * im))[1] > min_amp
         idx = np.argwhere(mask)
         if len(idx):
             idx[:, 0] += lo
@@ -188,61 +172,97 @@ def _candidate_cells(values, min_amp, slab=32):
     return np.vstack(out) if out else np.zeros((0, 3), dtype=int)
 
 
+def _face_table():
+    """Corners and shape codes of the 24 (tetrahedron, omitted vertex) faces.
+
+    Each face's corners are sorted in row-major order (x slowest).  Within
+    a Kuhn tetrahedron the corners differ by 0 or 1 per axis from the
+    lowest one, so a face is fixed by its lowest lattice vertex plus a
+    shape code < 64 built from the row-major offsets of the other two, and
+    lowest-vertex-id * 64 + shape sorts faces as their sorted vertex-id
+    triples sort.
+    """
+    rank = [4 * dx + 2 * dy + dz for dx, dy, dz in _CORNER_OFFSETS]
+    corners, shapes = [], []
+    for tet in _KUHN_TETS:
+        for omit in range(4):
+            tri = sorted((tet[t] for t in range(4) if t != omit), key=rank.__getitem__)
+            corners.append(tri)
+            shapes.append(8 * (rank[tri[1]] - rank[tri[0]]) + rank[tri[2]] - rank[tri[0]])
+    return np.array(corners), np.array(shapes)
+
+
+_FACE_CORNERS, _FACE_SHAPES = _face_table()
+
+
 def _march(axes, values, min_amp=0.0):
-    """Segments of the piecewise-linear zero set, as face-key pairs.
+    """Segments of the piecewise-linear zero set, as pairs of face indices.
 
-    Returns (segments, face_points) where each segment is a frozenset pair
-    of face keys and face_points maps a face key to its zero coordinates.
+    Returns (segments, points): points is the (h, 3) array of face zeros,
+    one per face of a candidate cell whose interpolant vanishes on it,
+    ordered by the face's sorted row-major vertex ids; segments is an
+    (s, 2) int array of rows i < j into points, one per tetrahedron with
+    exactly two such faces.  A tetrahedron with more warns and is skipped.
     """
-    ax0, ax1, ax2 = axes
-    face_points = {}
-    segments = []
-    for i, j, k in _candidate_cells(values, min_amp):
-        ids = []
-        coords = []
-        vals = []
-        for dx, dy, dz in _CORNER_OFFSETS:
-            gi, gj, gk = i + dx, j + dy, k + dz
-            ids.append((gi, gj, gk))
-            coords.append(np.array([ax0[gi], ax1[gj], ax2[gk]]))
-            vals.append(complex(values[gi, gj, gk]))
-        for tet in _KUHN_TETS:
-            hits = []
-            for omit in range(4):
-                tri = tuple(tet[t] for t in range(4) if t != omit)
-                key = frozenset(ids[v] for v in tri)
-                if key in face_points:
-                    pt = face_points[key]
-                else:
-                    pt = _face_zero([ids[v] for v in tri],
-                                    [coords[v] for v in tri],
-                                    [vals[v] for v in tri])
-                    face_points[key] = pt
-                if pt is not None:
-                    hits.append(key)
-            if len(hits) == 2:
-                segments.append(frozenset(hits))
-            elif len(hits) > 2:
-                warnings.warn(f"degenerate tetrahedron at cell ({i},{j},{k}): "
-                              f"{len(hits)} face zeros", stacklevel=2)
-    return segments, face_points
+    _, n1, n2 = values.shape
+    cells = _candidate_cells(values, min_amp)
+    corner_ids = np.array([dx * n1 * n2 + dy * n2 + dz for dx, dy, dz in _CORNER_OFFSETS])
+    base = cells @ np.array([n1 * n2, n2, 1])
+    tri = base[:, None, None] + corner_ids[_FACE_CORNERS]  # (cells, 24, 3) vertex ids
+    keys = tri[:, :, 0] * 64 + _FACE_SHAPES
+    _, first, face_of = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    tri = tri.reshape(-1, 3)[first]  # one row per distinct face
+
+    # Zero of the linear interpolant on each face:
+    # lam0*f0 + lam1*f1 + (1 - lam0 - lam1)*f2 = 0, all weights >= -1e-12.
+    fv = values.reshape(-1)[tri]
+    re, im = fv.real, fv.imag
+    a00, a01 = re[:, 0] - re[:, 2], re[:, 1] - re[:, 2]
+    a10, a11 = im[:, 0] - im[:, 2], im[:, 1] - im[:, 2]
+    b0, b1 = -re[:, 2], -im[:, 2]
+    det = a00 * a11 - a01 * a10
+    # negated comparisons: a NaN counts as a hit, as the per-face rule counted it
+    solvable = ~(np.abs(det) < 1e-300)
+    det = np.where(solvable, det, 1.0)
+    l0 = (b0 * a11 - b1 * a01) / det
+    l1 = (a00 * b1 - a10 * b0) / det
+    l2 = 1.0 - l0 - l1
+    hit = solvable & ~((l0 < -1e-12) | (l1 < -1e-12) | (l2 < -1e-12))
+
+    ht = tri[hit]
+    coords = np.stack([axes[0][ht // (n1 * n2)], axes[1][ht // n2 % n1], axes[2][ht % n2]],
+                      axis=-1)  # (h, 3 vertices, 3 axes)
+    w0, w1, w2 = l0[hit, None], l1[hit, None], l2[hit, None]
+    points = w0 * coords[:, 0] + w1 * coords[:, 1] + w2 * coords[:, 2]
+
+    face_of = face_of.reshape(-1, 6, 4)
+    tet_hits = hit[face_of]
+    count = tet_hits.sum(axis=2)
+    for c, t in np.argwhere(count > 2):
+        i, j, k = cells[c]
+        warnings.warn(f"degenerate tetrahedron at cell ({i},{j},{k}): "
+                      f"{count[c, t]} face zeros", stacklevel=2)
+    pairs = count == 2
+    hit_index = np.cumsum(hit) - 1
+    segments = hit_index[face_of[pairs][tet_hits[pairs]]].reshape(-1, 2)
+    return np.sort(segments, axis=1), points
 
 
-def _chain(segments, face_points, allow_open=False):
-    """Join segments sharing a face into polylines of face keys.
+def _chain(segments, points, allow_open=False):
+    """Join segments sharing a face into polylines of face indices.
 
-    Returns (loops, paths).  Chains that do not close are an error unless
-    allow_open is set, in which case they come back as open paths (used
-    when tracking filaments truncated at an amplitude floor).
+    Returns (loops, paths).  A path starts at its lower-indexed end and a
+    loop at its lowest face, walking first to that face's lower neighbour.
+    Chains that do not close are an error unless allow_open is set, in
+    which case they come back as open paths (used when tracking filaments
+    truncated at an amplitude floor).
     """
-    adjacency = {}
-    for seg in set(segments):
-        a, b = sorted(seg, key=sorted)
+    adjacency = {}  # face -> ascending neighbours, keys ascending
+    for a, b in np.unique(np.vstack([segments, segments[:, ::-1]]), axis=0).tolist():
         adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
     dangling = [k for k, nbrs in adjacency.items() if len(nbrs) != 2]
     if dangling and not allow_open:
-        pts = [tuple(np.round(face_points[k], 6)) for k in sorted(dangling, key=sorted)]
+        pts = [tuple(np.round(points[k], 6)) for k in dangling]
         shown = ", ".join(str(p) for p in pts[:4])
         if len(pts) > 4:
             shown += f", ... ({len(pts)} total)"
@@ -269,69 +289,87 @@ def _chain(segments, face_points, allow_open=False):
             chain.append(cur)
             visited.add(cur)
 
-    ends = sorted((k for k in adjacency if len(adjacency[k]) == 1), key=sorted)
+    ends = [k for k in adjacency if len(adjacency[k]) == 1]
     paths = [walk(k) for k in ends if k not in visited]
-    loops = [walk(k) for k in sorted(adjacency, key=sorted) if k not in visited]
+    loops = [walk(k) for k in adjacency if k not in visited]
     return loops, paths
 
 
-def _refine_vertex(g, p, tangent, step_clamp, h):
-    """Damped Newton on (Re g, Im g) in the plane normal to tangent."""
-    t = tangent / (np.linalg.norm(tangent) or 1.0)
-    # orthonormal basis of the normal plane
-    probe = np.array([1.0, 0.0, 0.0]) if abs(t[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+def _newton(g, p, tangent, step_clamp, h):
+    """Damped Newton on (Re g, Im g) in the plane normal to each tangent.
+
+    p and tangent are (m, 3); g maps (k, 3) points to k complex values and
+    is called once per batch.  A point stops when |g| < NEWTON_TARGET, when
+    its Jacobian is near-degenerate (a UserWarning), when no step of
+    length down to 1e-3 of the Newton step lowers |g| (a stall), or after
+    NEWTON_MAX_STEPS steps.  Returns the points and their |g|.
+    """
+    norm = np.linalg.norm(tangent, axis=1, keepdims=True)
+    t = tangent / np.where(norm == 0, 1.0, norm)
+    # orthonormal basis of each normal plane
+    probe = np.where(np.abs(t[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     e1 = np.cross(t, probe)
-    e1 /= np.linalg.norm(e1)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = np.cross(t, e1)
     p = p.copy()
-    fv = complex(g(p))
+    fv = g(p)
+    live = np.ones(len(p), dtype=bool)
+    degenerate = np.zeros(len(p), dtype=bool)  # stopped in place; warned about below
     for _ in range(NEWTON_MAX_STEPS):
-        if abs(fv) < NEWTON_TARGET:
+        live &= ~(np.abs(fv) < NEWTON_TARGET)
+        idx = np.flatnonzero(live)
+        if not len(idx):
             break
-        d1 = (complex(g(p + h * e1)) - complex(g(p - h * e1))) / (2 * h)
-        d2 = (complex(g(p + h * e2)) - complex(g(p - h * e2))) / (2 * h)
-        jac = np.array([[d1.real, d2.real], [d1.imag, d2.imag]])
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        norm = abs(jac).max()
-        if norm == 0 or abs(det) < (norm ** 2) / CONDITION_WARN:
-            warnings.warn(f"near-degenerate Jacobian at {p.tolist()}: "
-                          "transversality may fail here", stacklevel=2)
-            break
-        rhs = -np.array([fv.real, fv.imag])
-        s1 = (rhs[0] * jac[1, 1] - rhs[1] * jac[0, 1]) / det
-        s2 = (jac[0, 0] * rhs[1] - jac[1, 0] * rhs[0]) / det
-        step = s1 * e1 + s2 * e2
-        ln = np.linalg.norm(step)
-        if ln > step_clamp:
-            step *= step_clamp / ln
+        q, u1, u2 = p[idx], h * e1[idx], h * e2[idx]
+        gp1, gm1, gp2, gm2 = np.split(g(np.concatenate([q + u1, q - u1, q + u2, q - u2])), 4)
+        d1, d2 = (gp1 - gm1) / (2 * h), (gp2 - gm2) / (2 * h)
+        j00, j01, j10, j11 = d1.real, d2.real, d1.imag, d2.imag
+        det = j00 * j11 - j01 * j10
+        jnorm = np.maximum.reduce([np.abs(j00), np.abs(j01), np.abs(j10), np.abs(j11)])
+        bad = (jnorm == 0) | (np.abs(det) < (jnorm ** 2) / CONDITION_WARN)
+        degenerate[idx[bad]] = True
+        live[idx[bad]] = False
+        ok = ~bad
+        idx, det, f0 = idx[ok], det[ok], fv[idx[ok]]
+        j00, j01, j10, j11 = j00[ok], j01[ok], j10[ok], j11[ok]
+        r0, r1 = -f0.real, -f0.imag
+        s1 = (r0 * j11 - r1 * j01) / det
+        s2 = (j00 * r1 - j10 * r0) / det
+        step = s1[:, None] * e1[idx] + s2[:, None] * e2[idx]
+        ln = np.linalg.norm(step, axis=1)
+        over = ln > step_clamp
+        step[over] *= (step_clamp / ln[over])[:, None]
         damp = 1.0
-        while damp > 1e-3:
-            cand = p + damp * step
-            fc = complex(g(cand))
-            if abs(fc) < abs(fv):
-                p, fv = cand, fc
-                break
+        while damp > 1e-3 and len(idx):
+            cand = p[idx] + damp * step
+            fc = g(cand)
+            better = np.abs(fc) < np.abs(fv[idx])
+            p[idx[better]], fv[idx[better]] = cand[better], fc[better]
+            idx, step = idx[~better], step[~better]
             damp *= 0.5
-        else:
-            break  # stall
-    return p, abs(fv)
+        live[idx] = False  # stalled
+    for q in p[degenerate]:
+        warnings.warn(f"near-degenerate Jacobian at {q.tolist()}: "
+                      "transversality may fail here", stacklevel=2)
+    return p, np.abs(fv)
 
 
 def extract_from_samples(values, axes, min_amp=0.0, chart="box",
                          allow_open=False) -> NodalCurve:
     """Extraction core on precomputed samples.
 
-    Vertices lie on the piecewise-linear zero set, so every residual is 0
-    by construction of the interpolant.  allow_open keeps chains that do
-    not close (filaments truncated at the min_amp floor) instead of
-    raising.
+    Every candidate cell's faces are marched at once (see `_march`), and
+    segments are chained on integer face indices.  Vertices lie on the
+    piecewise-linear zero set, so every residual is 0 by construction of
+    the interpolant.  allow_open keeps chains that do not close (filaments
+    truncated at the min_amp floor) instead of raising.
     """
-    segments, face_points = _march(axes, values, min_amp=min_amp)
-    loops, paths = _chain(segments, face_points, allow_open=allow_open)
+    segments, points = _march(axes, values, min_amp=min_amp)
+    loops, paths = _chain(segments, points, allow_open=allow_open)
     components = []
     flags = []
     for chain, closed in [(c, True) for c in loops] + [(c, False) for c in paths]:
-        pts = np.array([face_points[key] for key in chain])
+        pts = points[chain]
         components.append(np.vstack([pts, pts[:1]]) if closed else pts)
         flags.append(closed)
     return NodalCurve(tuple(components), chart, 0.0,
@@ -379,10 +417,12 @@ def extract(f, grid: SampleGrid) -> NodalCurve:
 def refine(curve: NodalCurve, f, grid: SampleGrid) -> NodalCurve:
     """Newton-sharpen every vertex of `extract(f, grid)` onto the zero set of f.
 
-    Steps are clamped to half the spacing of grid's undilated lattice.
-    Components, vertex counts and closed flags are kept; the residual is the
-    largest |f| left at any vertex.  A vertex where the Jacobian is
-    near-degenerate (transversality may fail) stops with a UserWarning.
+    All vertices of all components iterate together (see `_newton`), with
+    one field evaluation per batch of points.  Steps are clamped to half
+    the spacing of grid's undilated lattice.  Components, vertex counts and
+    closed flags are kept; the residual is the largest |f| left at any
+    vertex.  A vertex where the Jacobian is near-degenerate (transversality
+    may fail) stops with a UserWarning.
     """
     def evaluator(p):
         zz, ww = embed(grid, p)
@@ -390,24 +430,25 @@ def refine(curve: NodalCurve, f, grid: SampleGrid) -> NodalCurve:
 
     ax0 = grid.axes()[0]
     spacing = float(ax0[1] - ax0[0])
-    components = []
-    vertex_abs = []
+    pts, tangents = [], []
     for ci, comp in enumerate(curve.components):
-        closed = curve.is_closed(ci)
-        pts = comp[:-1] if closed else comp
-        k = len(pts)
-        out, res = np.empty_like(pts), np.zeros(k)
-        for idx in range(k):
-            if closed:
-                tangent = pts[(idx + 1) % k] - pts[idx - 1]
-            else:
-                tangent = pts[min(idx + 1, k - 1)] - pts[max(idx - 1, 0)]
-            out[idx], res[idx] = _refine_vertex(evaluator, pts[idx], tangent,
-                                                step_clamp=spacing / 2.0, h=spacing * 1e-3)
-        if closed:
-            out, res = np.vstack([out, out[:1]]), np.append(res, res[0])
-        components.append(out)
-        vertex_abs.append(res)
+        if curve.is_closed(ci):
+            comp = comp[:-1]
+            tangents.append(np.roll(comp, -1, axis=0) - np.roll(comp, 1, axis=0))
+        else:
+            tangents.append(np.vstack([comp[1:], comp[-1:]]) - np.vstack([comp[:1], comp[:-1]]))
+        pts.append(comp)
+    if not pts:
+        return NodalCurve((), curve.chart, 0.0, (), curve.closed_flags)
+    out, res = _newton(evaluator, np.concatenate(pts), np.concatenate(tangents),
+                       step_clamp=spacing / 2.0, h=spacing * 1e-3)
+    splits = np.cumsum([len(c) for c in pts])[:-1]
+    components, vertex_abs = [], []
+    for ci, (o, r) in enumerate(zip(np.split(out, splits), np.split(res, splits))):
+        if curve.is_closed(ci):
+            o, r = np.vstack([o, o[:1]]), np.append(r, r[0])
+        components.append(o)
+        vertex_abs.append(r)
     residual = max((float(r.max()) for r in vertex_abs if len(r)), default=0.0)
     return NodalCurve(tuple(components), curve.chart, residual, tuple(vertex_abs),
                       curve.closed_flags)

@@ -8,12 +8,27 @@ plain exponent->coefficient dicts here.  The expand oracle applies move
 instances one at a time to Mosaic objects, never touching the packed arrays
 the production kernel reads; the orbit oracle is a plain state-by-state BFS
 over it, and the witness oracle finds each step's move by trying every
-instance on the parent.
+instance on the parent.  The extraction oracles march one cell and one
+tetrahedron at a time, keying faces by frozensets of lattice-index tuples,
+and Newton-refine one vertex at a time with scalar field evaluations.
 """
 
 import itertools
+import warnings
+
+import numpy as np
 
 from knotfield.errors import BudgetExceededError
+from knotfield.extraction import (
+    _CORNER_OFFSETS,
+    _KUHN_TETS,
+    CONDITION_WARN,
+    NEWTON_MAX_STEPS,
+    NEWTON_TARGET,
+    NodalCurve,
+    SampleGrid,
+    embed,
+)
 from knotfield.mosaic import Mosaic
 from knotfield.moves import apply, instances_for
 
@@ -175,3 +190,177 @@ def oracle_witness(parents, m, templates):
         seq.append(next(i for i in insts if bytes(apply(i, src).cells) == state))
         state = parent
     return seq[::-1]
+
+
+def oracle_face_zero(ids, coords, vals):
+    """Zero of the linear interpolant on a triangle, or None.
+
+    ids fix a deterministic vertex order; returns barycentric point in
+    world coordinates when all barycentric weights are >= -1e-12.
+    """
+    order = sorted(range(3), key=lambda i: ids[i])
+    p = [coords[i] for i in order]
+    f = [vals[i] for i in order]
+    # lam0*f0 + lam1*f1 + (1 - lam0 - lam1)*f2 = 0
+    a = np.array([[f[0].real - f[2].real, f[1].real - f[2].real],
+                  [f[0].imag - f[2].imag, f[1].imag - f[2].imag]])
+    b = -np.array([f[2].real, f[2].imag])
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    if abs(det) < 1e-300:
+        return None
+    l0 = (b[0] * a[1, 1] - b[1] * a[0, 1]) / det
+    l1 = (a[0, 0] * b[1] - a[1, 0] * b[0]) / det
+    l2 = 1.0 - l0 - l1
+    if l0 < -1e-12 or l1 < -1e-12 or l2 < -1e-12:
+        return None
+    return l0 * p[0] + l1 * p[1] + l2 * p[2]
+
+
+def oracle_candidate_cells(values, min_amp, slab=32):
+    """Indices of cells whose corners straddle zero in both Re and Im.
+
+    Processed in x-slabs to keep peak memory flat at large resolutions.
+    """
+    n0, n1, n2 = values.shape
+    out = []
+    for lo in range(0, n0 - 1, slab):
+        hi = min(lo + slab, n0 - 1)
+        block = values[lo:hi + 1]
+        re, im = block.real, block.imag
+        m0 = hi - lo
+
+        def corner_stack(arr):
+            return np.stack([arr[dx:m0 + dx, dy:n1 - 1 + dy, dz:n2 - 1 + dz]
+                             for dx, dy, dz in _CORNER_OFFSETS])
+
+        cr, ci = corner_stack(re), corner_stack(im)
+        mask = ((cr.min(axis=0) <= 0) & (cr.max(axis=0) >= 0)
+                & (ci.min(axis=0) <= 0) & (ci.max(axis=0) >= 0))
+        if min_amp > 0:
+            amp = np.sqrt(cr * cr + ci * ci).max(axis=0)
+            mask &= amp > min_amp
+        idx = np.argwhere(mask)
+        if len(idx):
+            idx[:, 0] += lo
+            out.append(idx)
+    return np.vstack(out) if out else np.zeros((0, 3), dtype=int)
+
+
+def oracle_march(axes, values, min_amp=0.0):
+    """Segments of the piecewise-linear zero set, as face-key pairs.
+
+    Returns (segments, face_points) where each segment is a frozenset pair
+    of face keys and face_points maps a face key to its zero coordinates.
+    """
+    ax0, ax1, ax2 = axes
+    face_points = {}
+    segments = []
+    for i, j, k in oracle_candidate_cells(values, min_amp):
+        ids = []
+        coords = []
+        vals = []
+        for dx, dy, dz in _CORNER_OFFSETS:
+            gi, gj, gk = i + dx, j + dy, k + dz
+            ids.append((gi, gj, gk))
+            coords.append(np.array([ax0[gi], ax1[gj], ax2[gk]]))
+            vals.append(complex(values[gi, gj, gk]))
+        for tet in _KUHN_TETS:
+            hits = []
+            for omit in range(4):
+                tri = tuple(tet[t] for t in range(4) if t != omit)
+                key = frozenset(ids[v] for v in tri)
+                if key in face_points:
+                    pt = face_points[key]
+                else:
+                    pt = oracle_face_zero([ids[v] for v in tri],
+                                          [coords[v] for v in tri],
+                                          [vals[v] for v in tri])
+                    face_points[key] = pt
+                if pt is not None:
+                    hits.append(key)
+            if len(hits) == 2:
+                segments.append(frozenset(hits))
+            elif len(hits) > 2:
+                warnings.warn(f"degenerate tetrahedron at cell ({i},{j},{k}): "
+                              f"{len(hits)} face zeros", stacklevel=2)
+    return segments, face_points
+
+
+def oracle_refine_vertex(g, p, tangent, step_clamp, h):
+    """Damped Newton on (Re g, Im g) in the plane normal to tangent."""
+    t = tangent / (np.linalg.norm(tangent) or 1.0)
+    # orthonormal basis of the normal plane
+    probe = np.array([1.0, 0.0, 0.0]) if abs(t[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(t, probe)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(t, e1)
+    p = p.copy()
+    fv = complex(g(p))
+    for _ in range(NEWTON_MAX_STEPS):
+        if abs(fv) < NEWTON_TARGET:
+            break
+        d1 = (complex(g(p + h * e1)) - complex(g(p - h * e1))) / (2 * h)
+        d2 = (complex(g(p + h * e2)) - complex(g(p - h * e2))) / (2 * h)
+        jac = np.array([[d1.real, d2.real], [d1.imag, d2.imag]])
+        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+        norm = abs(jac).max()
+        if norm == 0 or abs(det) < (norm ** 2) / CONDITION_WARN:
+            warnings.warn(f"near-degenerate Jacobian at {p.tolist()}: "
+                          "transversality may fail here", stacklevel=2)
+            break
+        rhs = -np.array([fv.real, fv.imag])
+        s1 = (rhs[0] * jac[1, 1] - rhs[1] * jac[0, 1]) / det
+        s2 = (jac[0, 0] * rhs[1] - jac[1, 0] * rhs[0]) / det
+        step = s1 * e1 + s2 * e2
+        ln = np.linalg.norm(step)
+        if ln > step_clamp:
+            step *= step_clamp / ln
+        damp = 1.0
+        while damp > 1e-3:
+            cand = p + damp * step
+            fc = complex(g(cand))
+            if abs(fc) < abs(fv):
+                p, fv = cand, fc
+                break
+            damp *= 0.5
+        else:
+            break  # stall
+    return p, abs(fv)
+
+
+def oracle_refine(curve: NodalCurve, f, grid: SampleGrid) -> NodalCurve:
+    """Newton-sharpen every vertex of `extract(f, grid)` onto the zero set of f.
+
+    Steps are clamped to half the spacing of grid's undilated lattice.
+    Components, vertex counts and closed flags are kept; the residual is the
+    largest |f| left at any vertex.  A vertex where the Jacobian is
+    near-degenerate (transversality may fail) stops with a UserWarning.
+    """
+    def evaluator(p):
+        zz, ww = embed(grid, p)
+        return f(zz, ww)
+
+    ax0 = grid.axes()[0]
+    spacing = float(ax0[1] - ax0[0])
+    components = []
+    vertex_abs = []
+    for ci, comp in enumerate(curve.components):
+        closed = curve.is_closed(ci)
+        pts = comp[:-1] if closed else comp
+        k = len(pts)
+        out, res = np.empty_like(pts), np.zeros(k)
+        for idx in range(k):
+            if closed:
+                tangent = pts[(idx + 1) % k] - pts[idx - 1]
+            else:
+                tangent = pts[min(idx + 1, k - 1)] - pts[max(idx - 1, 0)]
+            out[idx], res[idx] = oracle_refine_vertex(evaluator, pts[idx], tangent,
+                                                      step_clamp=spacing / 2.0,
+                                                      h=spacing * 1e-3)
+        if closed:
+            out, res = np.vstack([out, out[:1]]), np.append(res, res[0])
+        components.append(out)
+        vertex_abs.append(res)
+    residual = max((float(r.max()) for r in vertex_abs if len(r)), default=0.0)
+    return NodalCurve(tuple(components), curve.chart, residual, tuple(vertex_abs),
+                      curve.closed_flags)

@@ -5,12 +5,19 @@ z = 0, which the north chart maps to the unit circle in the (y, z) chart
 plane (chart x = 0).  That gives exact geometry to test against.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from oracles import oracle_candidate_cells, oracle_march, oracle_refine
 
+from knotfield import extraction
 from knotfield.errors import KnotfieldError, OpenChainError
+from knotfield.evolution import EvolutionConfig, initial_knot_state, run
 from knotfield.extraction import (
     RESIDUAL_TOL,
+    _candidate_cells,
+    _march,
     NodalCurve,
     SampleGrid,
     chart_transfer,
@@ -24,6 +31,48 @@ from knotfield.extraction import (
     sample_fiber,
 )
 from knotfield.fields import field_library
+
+LIBRARY = [("unknot", ()), ("milnor", (2, 2)), ("milnor", (2, 3)), ("milnor", (2, 5)),
+           ("milnor", (3, 4)), ("rudolph_F", ()), ("rudolph_G", ())]
+LIBRARY_IDS = ["unknot", "milnor22", "milnor23", "milnor25", "milnor34", "rudolphF", "rudolphG"]
+
+
+def library_grid(spec, chart, resolution):
+    radius = 0.5 if spec[0].startswith("rudolph") else 1.0
+    return SampleGrid(chart=chart, resolution=resolution, radius=radius)
+
+
+def samples(f, grid):
+    """Values on grid's undilated lattice, as `extract` samples them first."""
+    ax = grid.axes()
+    z, w = embed(grid, np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1))
+    return ax, f(z, w)
+
+
+def recorded(fn, *args, **kwargs):
+    """fn's result and the text of every warning it emits, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args, **kwargs)
+    return out, [str(w.message) for w in caught]
+
+
+def assert_march_matches_oracle(axes, values, min_amp=0.0):
+    assert np.array_equal(_candidate_cells(values, min_amp),
+                          oracle_candidate_cells(values, min_amp))
+    (segments, points), warned = recorded(_march, axes, values, min_amp=min_amp)
+    (oracle_segments, face_points), oracle_warned = recorded(
+        oracle_march, axes, values, min_amp=min_amp)
+    assert warned == oracle_warned
+    # Production numbers the faces with a zero in sorted-vertex-id order,
+    # the order of the oracle's keys under sorted(key, key=sorted).
+    keys = sorted((k for k, pt in face_points.items() if pt is not None), key=sorted)
+    assert np.array_equal(points, np.array([face_points[k] for k in keys]).reshape(-1, 3))
+    index = {k: i for i, k in enumerate(keys)}
+    assert len(segments) == len(oracle_segments)
+    assert ({frozenset(s) for s in segments.tolist()}
+            == {frozenset(index[k] for k in s) for s in oracle_segments})
+    return segments, points
 
 
 def test_grid_validation():
@@ -156,3 +205,104 @@ def test_hausdorff_basics():
     b = np.ones((2, 3))
     assert hausdorff(a, a) == 0.0
     assert hausdorff(a, b) == pytest.approx(np.sqrt(3.0))
+
+
+@pytest.mark.parametrize("chart", ["north", "south"])
+@pytest.mark.parametrize("resolution", [32, 48, 64])
+@pytest.mark.parametrize("spec", LIBRARY, ids=LIBRARY_IDS)
+def test_march_matches_oracle(spec, resolution, chart):
+    grid = library_grid(spec, chart, resolution)
+    assert_march_matches_oracle(*samples(field_library(*spec), grid))
+
+
+def test_march_matches_oracle_past_packed_key_range():
+    # (a*N + b)*N + c with N = n^3 vertex ids overflows int64 above n = 128
+    grid = SampleGrid(resolution=136)
+    segments, points = assert_march_matches_oracle(*samples(field_library("unknot"), grid))
+    assert len(segments) > 0
+
+
+def test_march_matches_oracle_on_evolved_box():
+    cfg = EvolutionConfig(resolution=64, steps=20)
+    history = run(initial_knot_state(field_library("milnor", (2, 3)), cfg), cfg,
+                  snapshot_every=10)
+    ax = cfg.axes()
+    keep = np.abs(ax[0]) <= cfg.box / 4.0  # the central subcube track_nodal reads
+    sub_ax = tuple(a[keep] for a in ax)
+    open_components = 0
+    for st in history:
+        sub = st.values[np.ix_(keep, keep, keep)]
+        for floor in (1e-3, 0.1):  # track_nodal's default, and one that cuts filaments
+            min_amp = floor * float(np.abs(st.values).max())
+            _, points = assert_march_matches_oracle(sub_ax, sub, min_amp=min_amp)
+            curve = extract_from_samples(sub, sub_ax, min_amp=min_amp, allow_open=True)
+            open_components += sum(not curve.is_closed(i) for i in range(curve.n_components))
+            for comp in curve.components:
+                assert (comp[:, None, :] == points[None, :, :]).all(axis=2).any(axis=1).all()
+    assert open_components > 0
+
+
+def test_degenerate_tetrahedron_warns_and_extract_dilates(monkeypatch):
+    f, grid = field_library("milnor", (2, 2)), SampleGrid(resolution=64)
+    _, warned = recorded(_march, *samples(f, grid))
+    assert warned[0] == "degenerate tetrahedron at cell (20,20,20): 3 face zeros"
+    calls = []
+    core = extraction.extract_from_samples
+
+    def counted(values, axes, **kwargs):
+        calls.append(axes[0][-1])
+        return core(values, axes, **kwargs)
+
+    monkeypatch.setattr(extraction, "extract_from_samples", counted)
+    curve = extract(f, grid)
+    assert calls == [3.0, 3.0 * 1.0000701]  # settled at the second dilation
+    assert curve.n_components == 2
+
+
+@pytest.mark.parametrize("chart", ["north", "south"])
+@pytest.mark.parametrize("spec", LIBRARY, ids=LIBRARY_IDS)
+def test_refine_matches_oracle(spec, chart):
+    f, grid = field_library(*spec), library_grid(spec, chart, 48)
+    raw = extract(f, grid)
+    sharp, oracle = refine(raw, f, grid), oracle_refine(raw, f, grid)
+    assert sharp.n_components == oracle.n_components
+    assert sharp.closed_flags == oracle.closed_flags
+    for a, b in zip(sharp.components, oracle.components):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12
+    assert sharp.residual <= RESIDUAL_TOL and oracle.residual <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("shift", [(0.3, 0.0, 0.0), (0.1, -0.2, 0.15)])
+@pytest.mark.parametrize("spec", [("milnor", (3, 4)), ("rudolph_G", ())],
+                         ids=["milnor34", "rudolphG"])
+def test_refine_matches_oracle_off_the_zero_set(spec, shift):
+    # Shifts of 0.27-0.3 exceed the half-spacing step clamp (0.097 at
+    # resolution 32), so clamped steps and deep backtracking occur.
+    f, grid = field_library(*spec), library_grid(spec, "north", 32)
+    raw = extract(f, grid)
+    moved = NodalCurve(tuple(c + np.array(shift) for c in raw.components), raw.chart, 0.0,
+                       raw.vertex_residuals, raw.closed_flags)
+    sharp, warned = recorded(refine, moved, f, grid)
+    oracle, oracle_warned = recorded(oracle_refine, moved, f, grid)
+    assert warned == oracle_warned
+    for a, b in zip(sharp.components, oracle.components):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+def test_refine_warns_like_oracle_on_degenerate_jacobian():
+    # f is real, so the imaginary row of the Jacobian vanishes everywhere
+    def f(z, w):
+        return z * np.conjugate(z) - 0.25 + 0 * w
+
+    grid = SampleGrid(resolution=32)
+    square = np.array([[0.3, 0.1, 0.2], [0.1, 0.4, 0.0], [-0.2, 0.1, 0.3],
+                       [0.0, -0.3, 0.1], [0.3, 0.1, 0.2]])
+    curve = NodalCurve((square,), "north", 0.0, (np.zeros(5),), (True,))
+    sharp, warned = recorded(refine, curve, f, grid)
+    oracle, oracle_warned = recorded(oracle_refine, curve, f, grid)
+    assert warned == oracle_warned == [
+        f"near-degenerate Jacobian at {p.tolist()}: transversality may fail here"
+        for p in square[:-1]]
+    assert np.array_equal(sharp.components[0], square)
+    assert np.allclose(sharp.vertex_residuals[0], oracle.vertex_residuals[0], rtol=1e-12)
