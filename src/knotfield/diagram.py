@@ -1,11 +1,15 @@
-"""Planar diagrams (PD codes) extracted from mosaics, and exact bracket/Jones.
+"""Planar diagrams (PD codes) of mosaics and projected curves, and exact
+bracket/Jones.
 
-A crossing stores its four incident edge ids in counterclockwise cyclic
-order starting from the incoming under-strand edge, plus the position
-(1 or 3) of the incoming over-strand edge.  Edges run from crossing to
-crossing along the traversal orientation, so each edge id appears exactly
-twice across the diagram; closed components that meet no crossing are
-counted separately as free loops.
+PD convention.  Mosaic and projected diagrams are both built by
+`from_traversal`, which gives a diagram with c crossings the edge ids
+1..2c, numbered along each component in turn (edge j runs from its j-th
+crossing passage to the next), so each id appears exactly twice and
+`n_edges` = 2c is derived.  A crossing lists its ends counterclockwise
+from the incoming under edge; `over_in` (1 or 3) is the position of the
+incoming over edge: 3 when ud x od < 0 for under and over directions ud,
+od (the over strand runs left to right seen along the under strand), else
+1.  Closed components that meet no crossing are counted as free loops.
 
 The Kauffman bracket is exact: it contracts the diagram crossing by
 crossing, keeping one polynomial per way the smoothed arcs can pair up the
@@ -19,10 +23,10 @@ from dataclasses import dataclass
 
 from .errors import CrossingCapError, KnotfieldError
 from .laurent import LaurentPolynomial
-from .mosaic import (CROSSING_OVER, CROSSING_TILES, Mosaic, trace_components)
+from .mosaic import CROSSING_TILES, Mosaic, trace_components
 
-# ccw cyclic order of cell sides in the plane (x = column, y = -row).
-CCW_SIDES = ("E", "N", "W", "S")
+# Unit direction of travel towards each cell side (x = column, y = -row).
+SIDE_VECTORS = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
 
 DEFAULT_CROSSING_CAP = 24
 
@@ -42,9 +46,12 @@ class Crossing:
 @dataclass(frozen=True)
 class PlanarDiagram:
     crossings: tuple
-    n_edges: int
     free_loops: int = 0
     n_components: int = 1
+
+    @property
+    def n_edges(self):
+        return 2 * len(self.crossings)
 
     @property
     def writhe(self):
@@ -56,6 +63,8 @@ class PlanarDiagram:
             for e in x.ends:
                 seen[e] = seen.get(e, 0) + 1
         for e, k in seen.items():
+            if not 1 <= e <= self.n_edges:
+                raise KnotfieldError(f"edge id {e} outside 1..{self.n_edges}")
             if k != 2:
                 raise KnotfieldError(f"edge {e} appears {k} times, expected 2")
         return self
@@ -69,8 +78,7 @@ class PlanarDiagram:
             k = x.over_in
             ends = tuple(x.ends[(k + i) % 4] for i in range(4))
             flipped.append(Crossing(ends, 4 - k))
-        return PlanarDiagram(tuple(flipped), self.n_edges, self.free_loops,
-                             self.n_components)
+        return PlanarDiagram(tuple(flipped), self.free_loops, self.n_components)
 
     def pd_code(self):
         return " ".join("X(%d,%d,%d,%d)" % x.ends for x in self.crossings) or "(no crossings)"
@@ -97,7 +105,36 @@ def from_xcode(quads):
         else:
             raise KnotfieldError(f"cannot orient over strand of X({a},{b},{c},{d})")
         crossings.append(Crossing((a, b, c, d), over_in))
-    return PlanarDiagram(tuple(crossings), n_edges, 0, 1).check()
+    return PlanarDiagram(tuple(crossings), 0, 1).check()
+
+
+def from_traversal(components) -> PlanarDiagram:
+    """Build a diagram from a list with, per closed component, its crossing
+    passages (key, over?, (dx, dy) direction of travel) in traversal order.
+
+    A component with no passages is a free loop.  Each key is passed once
+    over and once under, in non-parallel directions.  Crossings come out
+    sorted by key, numbered as the module docstring says.
+    """
+    passes = {}  # key -> {over?: (edge in, edge out, direction)}
+    edge = 0
+    for passages in components:
+        k = len(passages)
+        for j, (key, over, direction) in enumerate(passages):
+            passes.setdefault(key, {})[over] = (edge + (j - 1) % k + 1, edge + j + 1, direction)
+        edge += k
+
+    crossings = []
+    for key in sorted(passes):
+        if len(passes[key]) != 2:
+            raise KnotfieldError(f"crossing {key} not traversed twice")
+        (u_in, u_out, (ux, uy)), (o_in, o_out, (ox, oy)) = passes[key][False], passes[key][True]
+        if ux * oy - uy * ox < 0:
+            crossings.append(Crossing((u_in, o_out, u_out, o_in), 3))
+        else:
+            crossings.append(Crossing((u_in, o_in, u_out, o_out), 1))
+    free_loops = sum(1 for passages in components if not passages)
+    return PlanarDiagram(tuple(crossings), free_loops, len(components)).check()
 
 
 def to_diagram(m: Mosaic) -> PlanarDiagram:
@@ -105,47 +142,11 @@ def to_diagram(m: Mosaic) -> PlanarDiagram:
     strands = trace_components(m)
     if not strands:
         raise KnotfieldError("mosaic has zero components")
-
-    crossing_cells = [i for i, t in enumerate(m.cells) if t in CROSSING_TILES]
-    edge_id = 0
-    component_count = len(strands)
-    free_loops = 0
-
-    # events[cell][side_entry] = (edge_in, edge_out)
-    events = {cell: {} for cell in crossing_cells}
-    for strand in strands:
-        pas = strand.passages
-        hits = [k for k, (cell, _, _) in enumerate(pas) if cell in events]
-        if not hits:
-            free_loops += 1
-            continue
-        # Edge j runs from crossing passage j to passage j+1 (cyclically).
-        base, k = edge_id, len(hits)
-        for j, hit in enumerate(hits):
-            cell, entry, exit_ = pas[hit]
-            events[cell][entry] = (base + (j - 1) % k, base + j, exit_)
-        edge_id += k
-
-    crossings = []
-    for cell in crossing_cells:
-        tile = m.cells[cell]
-        over_pair = CROSSING_OVER[tile]
-        side_info = {}  # side -> (edge, "in"|"out", over?)
-        for entry, (e_in, e_out, exit_) in events[cell].items():
-            over = frozenset({entry, exit_}) == over_pair
-            side_info[entry] = (e_in, "in", over)
-            side_info[exit_] = (e_out, "out", over)
-        if len(side_info) != 4:
-            raise KnotfieldError(f"crossing cell {cell} not traversed twice")
-        order = [side_info[s] for s in CCW_SIDES]
-        under_in_pos = next(i for i, (e, d, over) in enumerate(order)
-                            if d == "in" and not over)
-        ends = tuple(order[(under_in_pos + i) % 4][0] for i in range(4))
-        over_in = next(i for i in (1, 3)
-                       if order[(under_in_pos + i) % 4][1] == "in")
-        crossings.append(Crossing(ends, over_in))
-
-    return PlanarDiagram(tuple(crossings), edge_id, free_loops, component_count).check()
+    cells = m.cells
+    return from_traversal([
+        [(cell, (exit_ in "EW") == (cells[cell] == 9), SIDE_VECTORS[exit_])
+         for cell, _, exit_ in strand.passages if cells[cell] in CROSSING_TILES]
+        for strand in strands])
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ class CrossingCapError(KnotfieldError):
     partial states, so the cap bounds the worst case."""
 
     def __init__(self, crossings, cap):
-        super().__init__(f"diagram has {crossings} crossings, above the exact state-sum cap of {cap}")
+        super().__init__(f"diagram has {crossings} crossings, above the bracket's crossing cap of {cap}")
         self.crossings = crossings
         self.cap = cap
 

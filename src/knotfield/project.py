@@ -9,15 +9,14 @@ nor the projection fix a chirality convention).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import KnotfieldError, NonGenericProjectionError
-from .diagram import (DEFAULT_CROSSING_CAP, Crossing, PlanarDiagram, jones,
-                      to_diagram)
+from .diagram import (DEFAULT_CROSSING_CAP, Crossing, PlanarDiagram, from_traversal,
+                      jones, to_diagram)
 from .laurent import LaurentPolynomial
 from .mosaic import Mosaic
 
@@ -87,53 +86,6 @@ def _crossing_events(pts2, depth, scale):
     return events
 
 
-def _build_diagram(events, pts2, k):
-    """Assemble a PlanarDiagram from crossing events along the curve."""
-    # order passages along the curve
-    passages = []  # (seg, t, crossing_id, role) role: "a" first strand, "b" second
-    if not events:
-        return PlanarDiagram((), 0, 1, 1)  # embedded circle, no crossings
-    for cid, (i, ti, j, tj, over_is_i) in enumerate(events):
-        passages.append((i, ti, cid, True))
-        passages.append((j, tj, cid, False))
-    passages.sort(key=lambda p: (p[0], p[1]))
-    n = len(passages)
-    # edge e runs from passage e-1 to passage e (cyclically); 1-based ids
-    incoming = {}
-    outgoing = {}
-    for pos, (seg, t, cid, first) in enumerate(passages):
-        incoming[(cid, first)] = pos if pos > 0 else n
-        outgoing[(cid, first)] = pos + 1 if pos + 1 <= n else 1
-
-    crossings = []
-    for cid, (i, ti, j, tj, over_is_i) in enumerate(events):
-        di = pts2[(i + 1) % k] - pts2[i]
-        dj = pts2[(j + 1) % k] - pts2[j]
-        under_first = not over_is_i
-        ud = di if under_first else dj
-        od = dj if under_first else di
-        u_in = incoming[(cid, under_first)]
-        u_out = outgoing[(cid, under_first)]
-        o_in = incoming[(cid, not under_first)]
-        o_out = outgoing[(cid, not under_first)]
-        # ccw angular order of the four local ends, starting at the
-        # incoming under end (direction -ud from the crossing)
-        base = math.atan2(-ud[1], -ud[0])
-
-        def ccw_pos(vec):
-            return (math.atan2(vec[1], vec[0]) - base) % (2 * math.pi)
-
-        slots = sorted([(ccw_pos(ud), "u_out", u_out),
-                        (ccw_pos(-od), "o_in", o_in),
-                        (ccw_pos(od), "o_out", o_out)])
-        ends = (u_in,) + tuple(e for _, _, e in slots)
-        over_in = 1 + [name for _, name, _ in slots].index("o_in")
-        if over_in not in (1, 3):
-            raise NonGenericProjectionError(f"degenerate crossing geometry (cid {cid})")
-        crossings.append(Crossing(ends, over_in))
-    return PlanarDiagram(tuple(crossings), n, 0, 1).check()
-
-
 def project_diagram(points) -> PlanarDiagram:
     """Project a closed polyline to a planar diagram along a generic direction.
 
@@ -156,7 +108,11 @@ def project_diagram(points) -> PlanarDiagram:
             pts2 = np.column_stack([pts @ e1, pts @ e2])
             depth = pts @ d
             events = _crossing_events(pts2, depth, scale)
-            return _build_diagram(events, pts2, len(pts2))
+            seg = np.roll(pts2, -1, axis=0) - pts2
+            # both passages of every crossing, in order along the curve
+            passages = sorted(p for cid, (i, ti, j, tj, over_is_i) in enumerate(events)
+                              for p in ((i, ti, cid, over_is_i), (j, tj, cid, not over_is_i)))
+            return from_traversal([[(cid, over, seg[s]) for s, _, cid, over in passages]])
         except NonGenericProjectionError as err:
             last_err = err
             direction = direction + np.array([rng.uniform(-0.05, 0.05) for _ in range(3)])
@@ -175,7 +131,7 @@ def _renumber(crossings, free_loops, n_components):
         for e in x.ends:
             ids.setdefault(e, len(ids) + 1)
     xs = tuple(Crossing(tuple(ids[e] for e in x.ends), x.over_in) for x in crossings)
-    return PlanarDiagram(xs, len(ids), free_loops, n_components)
+    return PlanarDiagram(xs, free_loops, n_components)
 
 
 def reduce_diagram(d: PlanarDiagram) -> PlanarDiagram:

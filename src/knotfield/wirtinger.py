@@ -33,8 +33,8 @@ class WirtingerPresentation:
 
 
 def _arc_classes(diagram: PlanarDiagram):
-    """Union edges across over-passages into arcs; return edge -> arc root."""
-    parent = list(range(diagram.n_edges))
+    """Union edges across over-passages into arcs; return {edge id: arc root}."""
+    parent = {e: e for e in range(1, diagram.n_edges + 1)}
 
     def find(a):
         while parent[a] != a:
@@ -47,7 +47,7 @@ def _arc_classes(diagram: PlanarDiagram):
         ra, rb = find(x.ends[x.over_in]), find(x.ends[over_out])
         if ra != rb:
             parent[ra] = rb
-    return [find(e) for e in range(diagram.n_edges)]
+    return {e: find(e) for e in parent}
 
 
 def wirtinger(diagram: PlanarDiagram) -> WirtingerPresentation:
@@ -55,14 +55,15 @@ def wirtinger(diagram: PlanarDiagram) -> WirtingerPresentation:
     if diagram.n_components != 1:
         raise KnotfieldError(
             f"Wirtinger presentation requires a knot diagram, got {diagram.n_components} components")
+    diagram.check()
     if not diagram.crossings:
         return WirtingerPresentation(("a1",), ())
 
     roots = _arc_classes(diagram)
     label = {}
-    for root in sorted(set(roots)):
+    for root in sorted(set(roots.values())):
         label[root] = f"a{len(label) + 1}"
-    arc = [label[r] for r in roots]
+    arc = {e: label[r] for e, r in roots.items()}
 
     relations = []
     for x in diagram.crossings:
@@ -76,8 +77,7 @@ def wirtinger(diagram: PlanarDiagram) -> WirtingerPresentation:
             inp, out = arc[x.ends[2]], arc[x.ends[0]]
         relations.append((out, over, inp))
 
-    return WirtingerPresentation(tuple(label[r] for r in sorted(set(roots))),
-                                 tuple(relations))
+    return WirtingerPresentation(tuple(label.values()), tuple(relations))
 
 
 def relation_exponent_sums(p: WirtingerPresentation):

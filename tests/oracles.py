@@ -10,7 +10,9 @@ the production kernel reads; the orbit oracle is a plain state-by-state BFS
 over it, and the witness oracle finds each step's move by trying every
 instance on the parent.  The extraction oracles march one cell and one
 tetrahedron at a time, keying faces by frozensets of lattice-index tuples,
-and Newton-refine one vertex at a time with scalar field evaluations.
+and Newton-refine one vertex at a time with scalar field evaluations.  The
+diagram oracle places each mosaic crossing's ends from a table of cell
+sides instead of from direction vectors.
 """
 
 import itertools
@@ -29,7 +31,8 @@ from knotfield.extraction import (
     SampleGrid,
     embed,
 )
-from knotfield.mosaic import Mosaic
+from knotfield.diagram import Crossing, PlanarDiagram
+from knotfield.mosaic import CROSSING_OVER, Mosaic, trace_components
 from knotfield.moves import apply, instances_for
 
 
@@ -141,6 +144,56 @@ def oracle_jones(diagram):
         assert e % 2 == 0, "bracket of a closed diagram has even exponents"
         out[-e // 2] = out.get(-e // 2, 0) + c
     return {e: c for e, c in out.items() if c}
+
+
+# ccw cyclic order of cell sides in the plane (x = column, y = -row).
+CCW_SIDES = ("E", "N", "W", "S")
+
+
+def oracle_to_diagram(m):
+    """Diagram of a mosaic read off a per-side table at each crossing cell.
+
+    Each crossing's four ends are placed by cell side in counterclockwise
+    order and rotated to start at the incoming under end, with no direction
+    vectors or turn rule.  Edge j of a component runs from its crossing
+    passage j to passage j+1, ids 1..2c.
+    """
+    strands = trace_components(m)
+    crossing_cells = [i for i, t in enumerate(m.cells) if t in CROSSING_OVER]
+    edge_id = 0
+    free_loops = 0
+
+    # events[cell][side_entry] = (edge_in, edge_out, side_exit)
+    events = {cell: {} for cell in crossing_cells}
+    for strand in strands:
+        pas = strand.passages
+        hits = [k for k, (cell, _, _) in enumerate(pas) if cell in events]
+        if not hits:
+            free_loops += 1
+            continue
+        base, k = edge_id, len(hits)
+        for j, hit in enumerate(hits):
+            cell, entry, exit_ = pas[hit]
+            events[cell][entry] = (base + (j - 1) % k + 1, base + j + 1, exit_)
+        edge_id += k
+
+    crossings = []
+    for cell in crossing_cells:
+        over_pair = CROSSING_OVER[m.cells[cell]]
+        side_info = {}  # side -> (edge, "in"|"out", over?)
+        for entry, (e_in, e_out, exit_) in events[cell].items():
+            over = frozenset({entry, exit_}) == over_pair
+            side_info[entry] = (e_in, "in", over)
+            side_info[exit_] = (e_out, "out", over)
+        assert len(side_info) == 4, f"crossing cell {cell} not traversed twice"
+        order = [side_info[s] for s in CCW_SIDES]
+        under_in_pos = next(i for i, (e, d, over) in enumerate(order)
+                            if d == "in" and not over)
+        ends = tuple(order[(under_in_pos + i) % 4][0] for i in range(4))
+        over_in = next(i for i in (1, 3)
+                       if order[(under_in_pos + i) % 4][1] == "in")
+        crossings.append(Crossing(ends, over_in))
+    return PlanarDiagram(tuple(crossings), free_loops, len(strands))
 
 
 def oracle_dim(n):

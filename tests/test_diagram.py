@@ -5,37 +5,38 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIG8_JONES, TREFOIL_JONES, UNKNOT_JONES
-from oracles import oracle_bracket, oracle_jones, oracle_writhe
+from conftest import FIG8_JONES, TREFOIL_JONES, UNKNOT_JONES, crossing_mosaic, random_diagram
+from oracles import oracle_bracket, oracle_jones, oracle_to_diagram, oracle_writhe
 
-from knotfield.errors import KnotfieldError
+from knotfield.errors import CrossingCapError, KnotfieldError
 from knotfield.diagram import (
     Crossing,
     PlanarDiagram,
     bracket,
     evaluate_jones,
+    from_traversal,
     from_xcode,
     jones,
     jones_in_t,
     to_diagram,
 )
 from knotfield.laurent import LaurentPolynomial
-from knotfield.mosaic import Mosaic, random_mosaic, trace_components
+from knotfield.mosaic import Mosaic, trace_components
 from knotfield.project import reduce_diagram
 
 
 def test_unknot_jones_is_one():
-    d = PlanarDiagram((), 0, 1, 1)
+    d = PlanarDiagram((), 1, 1)
     assert jones(d) == UNKNOT_JONES
 
 
 def test_kink_brackets():
     # One crossing with each edge joined to itself: <kink+-> = -A^(+-3).
-    pos = PlanarDiagram((Crossing((1, 1, 2, 2), 3),), 2, 0, 1)
+    pos = PlanarDiagram((Crossing((1, 1, 2, 2), 3),), 0, 1)
     assert pos.writhe == 1
     assert bracket(pos) == LaurentPolynomial({3: -1})
     assert jones(pos) == UNKNOT_JONES  # writhe normalization removes the kink
-    neg = PlanarDiagram((Crossing((1, 2, 2, 1), 1),), 2, 0, 1)
+    neg = PlanarDiagram((Crossing((1, 2, 2, 1), 1),), 0, 1)
     assert neg.writhe == -1
     assert bracket(neg) == LaurentPolynomial({-3: -1})
     assert jones(neg) == UNKNOT_JONES
@@ -84,14 +85,14 @@ def test_half_integer_powers_rejected():
 
 def test_crossing_cap():
     d = to_diagram(Mosaic(4, (0, 2, 1, 0, 2, 8, 9, 1, 3, 9, 10, 4, 0, 3, 4, 0)))
-    with pytest.raises(KnotfieldError):
+    with pytest.raises(CrossingCapError, match="above the bracket's crossing cap of 2"):
         bracket(d, cap=2)
 
 
 def test_bracket_rejects_open_diagram():
     # Edges 2 and 3 each meet the crossing once, so no state closes up.
     with pytest.raises(KnotfieldError, match="does not close up"):
-        bracket(PlanarDiagram((Crossing((1, 1, 2, 3), 3),), 3, 0, 1))
+        bracket(PlanarDiagram((Crossing((1, 1, 2, 3), 3),), 0, 1))
 
 
 def test_to_diagram_components(granny):
@@ -101,21 +102,58 @@ def test_to_diagram_components(granny):
     d.check()
 
 
-def _random_diagram(seed, n, link, max_crossings=10):
-    """Diagram of a random valid n x n mosaic with at most `max_crossings`
-    crossings: one component if not `link`, else at least two.  Four-sided
-    tiles are redrawn, mostly as crossings, so that c reaches the cap."""
-    rng = random.Random(seed)
-    while True:
-        cells = list(random_mosaic(n, rng).cells)
-        full = [i for i, t in enumerate(cells) if t in (7, 8, 9, 10)]
-        rng.shuffle(full)
-        for k, i in enumerate(full):
-            cells[i] = rng.choice((9, 10) if k < max_crossings else (7, 8))
-        m = Mosaic(n, tuple(cells))
-        strands = trace_components(m)
-        if strands and (len(strands) > 1) == link:
-            return to_diagram(m)
+def test_trefoil_pd_code(trefoil):
+    d = to_diagram(trefoil)
+    assert d.pd_code() == "X(5,2,6,3) X(3,6,4,1) X(1,4,2,5)"
+    assert d.n_edges == 6
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8))
+@settings(max_examples=100, deadline=None)
+def test_to_diagram_matches_side_table_oracle(seed, n):
+    m = crossing_mosaic(random.Random(seed), n, max_crossings=n * n)
+    if not trace_components(m):
+        with pytest.raises(KnotfieldError, match="zero components"):
+            to_diagram(m)
+        return
+    d, want = to_diagram(m), oracle_to_diagram(m)
+    assert d.pd_code() == want.pd_code()
+    assert d.crossings == want.crossings
+    assert (d.free_loops, d.n_components) == (want.free_loops, want.n_components)
+
+
+def test_from_traversal_kinks_and_free_loops():
+    # One component passing its only crossing over (heading east), then
+    # under (heading north): the under strand sees the over strand run from
+    # left to right, a positive kink.
+    assert from_traversal([[(7, True, (1, 0)), (7, False, (0, 1))]]) == KINK_POS
+    assert from_traversal([[(7, True, (1, 0)), (7, False, (0, -1))]]) == KINK_NEG
+    assert from_traversal([[], []]) == PlanarDiagram((), 2, 2)
+
+
+def test_from_traversal_numbers_edges_along_the_component():
+    # Edge j runs from passage j to passage j + 1; crossings sorted by key.
+    passages = [(0, True, (1, 0)), (2, False, (0, 1)), (1, True, (-1, 0)),
+                (0, False, (0, -1)), (2, True, (1, 0)), (1, False, (0, 1))]
+    d = from_traversal([passages])
+    assert d.pd_code() == "X(3,6,4,1) X(5,2,6,3) X(1,5,2,4)"
+    assert [x.over_in for x in d.crossings] == [1, 1, 3]
+    assert d.n_edges == 6
+
+
+def test_from_traversal_rejects_unpaired_crossing():
+    with pytest.raises(KnotfieldError, match="crossing 3 not traversed twice"):
+        from_traversal([[(3, True, (1, 0))]])
+
+
+@pytest.mark.parametrize("quads,stray", [
+    (((4, 1, 5, 2), (2, 5, 3, 0), (0, 3, 1, 4)), 0),  # the trefoil with 0-based ids
+    (((1, 2, 3, 4), (4, 3, 5, 7), (7, 5, 2, 1)), 7),  # 7 > 2c
+])
+def test_check_rejects_ids_outside_one_to_2c(quads, stray):
+    d = PlanarDiagram(tuple(Crossing(q, 1) for q in quads))
+    with pytest.raises(KnotfieldError, match=rf"edge id {stray} outside 1\.\.6"):
+        d.check()
 
 
 def _assert_oracle_bracket(d):
@@ -126,7 +164,7 @@ def _assert_oracle_bracket(d):
 @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 7), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_bracket_matches_oracle_on_random_mosaics(seed, n, link):
-    d = _random_diagram(seed, n, link)
+    d = random_diagram(seed, n, link)
     assert len(d.crossings) <= 10
     _assert_oracle_bracket(d)
     _assert_oracle_bracket(reduce_diagram(d))
@@ -136,14 +174,14 @@ def _disjoint_union(a, b):
     """a and b side by side: b's edge ids shifted past a's."""
     shifted = tuple(Crossing(tuple(e + a.n_edges for e in x.ends), x.over_in)
                     for x in b.crossings)
-    return PlanarDiagram(a.crossings + shifted, a.n_edges + b.n_edges,
-                         a.free_loops + b.free_loops, a.n_components + b.n_components)
+    return PlanarDiagram(a.crossings + shifted, a.free_loops + b.free_loops,
+                         a.n_components + b.n_components)
 
 
-KINK_POS = PlanarDiagram((Crossing((1, 1, 2, 2), 3),), 2, 0, 1)
-KINK_NEG = PlanarDiagram((Crossing((1, 2, 2, 1), 1),), 2, 0, 1)
+KINK_POS = PlanarDiagram((Crossing((1, 1, 2, 2), 3),), 0, 1)
+KINK_NEG = PlanarDiagram((Crossing((1, 2, 2, 1), 1),), 0, 1)
 # A circle with a positive and then a negative kink on it.
-KINK_PAIR = PlanarDiagram((Crossing((1, 1, 2, 4), 3), Crossing((2, 3, 3, 4), 1)), 4, 0, 1)
+KINK_PAIR = PlanarDiagram((Crossing((1, 1, 2, 4), 3), Crossing((2, 3, 3, 4), 1)), 0, 1)
 
 
 @pytest.mark.parametrize("case", ["kink_pos", "kink_neg", "kink_pair", "free_loops",
@@ -151,7 +189,7 @@ KINK_PAIR = PlanarDiagram((Crossing((1, 1, 2, 4), 3), Crossing((2, 3, 3, 4), 1))
 def test_bracket_matches_oracle_on_built_diagrams(case, trefoil, fig8):
     t, f = to_diagram(trefoil), to_diagram(fig8)
     d = {"kink_pos": KINK_POS, "kink_neg": KINK_NEG, "kink_pair": KINK_PAIR,
-         "free_loops": PlanarDiagram(t.crossings, t.n_edges, 2, 3),
+         "free_loops": PlanarDiagram(t.crossings, 2, 3),
          "split": _disjoint_union(t, f),
          "split_with_kink": _disjoint_union(t, KINK_PAIR)}[case]
     d.check()

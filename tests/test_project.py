@@ -8,7 +8,7 @@ end-to-end oracle for project + reduce + jones.
 import numpy as np
 import pytest
 
-from conftest import FIG8_JONES, TREFOIL_JONES, UNKNOT_JONES
+from conftest import FIG8_JONES, TREFOIL_JONES, UNKNOT_JONES, torus_polyline
 
 from knotfield.errors import CrossingCapError, KnotfieldError
 from knotfield.diagram import jones, to_diagram
@@ -17,7 +17,6 @@ from knotfield.fields import field_library
 from knotfield.mosaic import Mosaic, enumerate_mosaics
 from knotfield.laurent import LaurentPolynomial
 from knotfield.project import (
-    PROJECTION_START,
     VerificationReport,
     project_diagram,
     reduce_diagram,
@@ -47,18 +46,6 @@ def torus_jones(p, q):
         assert num.get(k, 0) + quot.get(k - 2, 0) == 0
     shift = (p - 1) * (q - 1) // 2
     return LaurentPolynomial({2 * (k + shift): v for k, v in quot.items()})
-
-
-def torus_polyline(p, q, k):
-    """The (p, q) torus knot winding p times round an axis laid along
-    PROJECTION_START, so it projects as a closed p-braid with (p-1)q crossings."""
-    t = np.linspace(0.0, 2 * np.pi, k, endpoint=False)
-    r = 2 + np.cos(q * t)
-    pts = np.column_stack([r * np.cos(p * t), r * np.sin(p * t), np.sin(q * t)])
-    axis = np.asarray(PROJECTION_START) / np.linalg.norm(PROJECTION_START)
-    u = np.cross(axis, [0.0, 0.0, 1.0])
-    u /= np.linalg.norm(u)
-    return pts @ np.vstack([u, np.cross(axis, u), axis])
 
 
 @pytest.mark.parametrize("p,q", [(2, 5), (3, 4), (2, 21), (4, 7), (2, 23), (5, 6)])
@@ -112,6 +99,17 @@ def test_reduce_removes_kinks(trefoil):
     red = reduce_diagram(raw)
     assert len(red.crossings) <= len(raw.crossings)
     assert jones(red) in (TREFOIL_JONES, TREFOIL_JONES.mirror())
+
+
+@pytest.mark.parametrize("name,params,resolution,radius,code", [
+    ("milnor", (2, 3), 48, 1.0, "X(6,3,1,4) X(4,1,5,2) X(2,5,3,6)"),
+    ("rudolph_G", (), 64, 0.5, "X(12,9,1,10) X(8,1,9,2) X(2,5,3,6) X(3,11,4,10) "
+                                "X(11,5,12,4) X(7,7,8,6)"),
+])
+def test_projected_pd_code_pinned(name, params, resolution, radius, code):
+    curve = extract(field_library(name, params),
+                    SampleGrid(chart="north", resolution=resolution, radius=radius))
+    assert project_diagram(curve.components[0]).pd_code() == code
 
 
 def test_verify_extracted_trefoil(trefoil):

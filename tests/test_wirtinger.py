@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_diagram, torus_polyline
+
 from knotfield.errors import KnotfieldError
-from knotfield.diagram import PlanarDiagram, to_diagram
+from knotfield.diagram import Crossing, PlanarDiagram, from_xcode, to_diagram
+from knotfield.project import project_diagram, reduce_diagram
 from knotfield.wirtinger import (
     WirtingerPresentation,
     abelianization_rank,
@@ -45,7 +48,7 @@ def test_relations_trivialize_under_degree_map(name, request):
 
 
 def test_unknot_presentation():
-    p = wirtinger(PlanarDiagram((), 0, 1, 1))
+    p = wirtinger(PlanarDiagram((), 1, 1))
     assert p.generators == ("a1",)
     assert p.relations == ()
     assert abelianization_rank(p) == 1
@@ -57,11 +60,48 @@ def test_extra_relation_kills_h1(trefoil):
 
 
 def test_links_rejected():
-    from knotfield.diagram import Crossing
-    hopf = PlanarDiagram((Crossing((1, 3, 2, 4), 1), Crossing((3, 1, 4, 2), 1)),
-                         4, 0, 2)
+    hopf = PlanarDiagram((Crossing((1, 3, 2, 4), 1), Crossing((3, 1, 4, 2), 1)), 0, 2)
     with pytest.raises(KnotfieldError):
         wirtinger(hopf)
+
+
+def test_reduced_trefoil_presentation(trefoil):
+    p = wirtinger(reduce_diagram(to_diagram(trefoil)))
+    assert len(p.generators) == 3
+    assert abelianization_rank(p) == 1
+
+
+def test_projected_torus_knot_presentation():
+    raw = project_diagram(torus_polyline(2, 5, 420))
+    for d in (raw, reduce_diagram(raw)):
+        p = wirtinger(d)
+        assert len(p.generators) == len(p.relations) == len(d.crossings)
+        assert abelianization_rank(p) == 1
+
+
+def test_xcode_trefoil_presentation():
+    p = wirtinger(from_xcode([(1, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 2)]))
+    assert len(p.generators) == 3
+    assert abelianization_rank(p) == 1
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(4, 7))
+@settings(max_examples=60, deadline=None)
+def test_reduced_mosaic_knot_presentation(seed, n):
+    d = reduce_diagram(random_diagram(seed, n, link=False))
+    c = len(d.crossings)
+    p = wirtinger(d)
+    if c:
+        assert len(p.generators) == len(p.relations) == c
+    assert abelianization_rank(p) == 1
+
+
+def test_zero_based_ids_rejected():
+    # The trefoil with every edge id one lower: one clear error, not an IndexError.
+    d = PlanarDiagram((Crossing((4, 1, 5, 2), 1), Crossing((2, 5, 3, 0), 1),
+                       Crossing((0, 3, 1, 4), 1)))
+    with pytest.raises(KnotfieldError, match=r"edge id 0 outside 1\.\.6"):
+        wirtinger(d)
 
 
 def test_unknown_generator_rejected():
