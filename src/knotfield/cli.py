@@ -46,6 +46,14 @@ def _read(path: str) -> str:
         raise KnotfieldError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise KnotfieldError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_mosaic(path: str) -> mz.Mosaic:
     return mz.load(_read(path))
 
@@ -60,10 +68,6 @@ def _add_grid_flags(p):
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("--extent", type=float, default=3.0)
     p.add_argument("--radius", type=float, default=1.0)
-
-
-def _poly_payload(p):
-    return {"variable": "t^(1/2)", "terms": {str(e): c for e, c in sorted(p.terms())}}
 
 
 # --- subcommand handlers: return (text, exit_code) ---
@@ -117,7 +121,7 @@ def _cmd_mosaic_jones(args):
     m = _load_mosaic(args.file)
     v = jones(to_diagram(m))
     if args.format == "json":
-        return json.dumps(_poly_payload(v)), 0
+        return json.dumps(v.to_json("t^(1/2)")), 0
     return v.pretty("s"), 0
 
 
@@ -204,8 +208,8 @@ def _cmd_field_verify(args):
     if args.format == "json":
         return json.dumps({
             "match": rep.match, "mirrored": rep.mirrored,
-            "computed": _poly_payload(rep.computed),
-            "expected": _poly_payload(rep.expected),
+            "computed": rep.computed.to_json("t^(1/2)"),
+            "expected": rep.expected.to_json("t^(1/2)"),
             "crossings_raw": rep.crossings_raw,
             "crossings_reduced": rep.crossings_reduced}), 0
     return rep.to_text(), 0
@@ -256,13 +260,12 @@ def _add_evolve_flags(p):
 
 def _dump_snapshots(history, outdir):
     import os
-    os.makedirs(outdir, exist_ok=True)
-    paths = []
-    for i, st in enumerate(history):
-        path = os.path.join(outdir, f"snapshot_{i:04d}.npy")
-        np.save(path, st.values)
-        paths.append(path)
-    return paths
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        for i, st in enumerate(history):
+            np.save(os.path.join(outdir, f"snapshot_{i:04d}.npy"), st.values)
+    except OSError as exc:
+        raise KnotfieldError(f"cannot write snapshots to {outdir}: {exc}") from exc
 
 
 def _cmd_evolve_run(args):
@@ -384,18 +387,16 @@ def main(argv=None) -> int:
         return 2
     try:
         text, code = args.fn(args)
+        if args.out:
+            _write(args.out, text + "\n")
+        else:
+            print(text)
+        manifest_path = args.manifest or (args.out + ".manifest.json" if args.out else None)
+        if manifest_path:
+            _write(manifest_path, _manifest(args, argv, code) + "\n")
     except KnotfieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    manifest_path = args.manifest or (args.out + ".manifest.json" if args.out else None)
-    if manifest_path:
-        with open(manifest_path, "w") as fh:
-            fh.write(_manifest(args, argv, code) + "\n")
     return code
 
 

@@ -13,14 +13,16 @@ claim that knot type is preserved.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import KnotfieldError
-from .extraction import NodalCurve, extract_from_samples, hausdorff
+from .extraction import NodalCurve, SampleGrid, embed, extract_from_samples, hausdorff
 
-DEFAULT_TAPER = (0.7, 0.95)  # bump shoulder and cutoff, as fractions of L/2
+TAPER = (0.7, 0.95)  # bump shoulder and cutoff of initial states, as fractions of L/2
+RECONNECTION_FACTOR = 4.0  # a matched move beyond this many cells is a reconnection
 
 
 @dataclass(frozen=True)
@@ -42,10 +44,10 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.hamiltonian not in ("free", "harmonic"):
             raise KnotfieldError(f"unknown hamiltonian {self.hamiltonian!r}")
-        if self.dt <= 0:
-            raise KnotfieldError(f"dt must be positive, got {self.dt}")
-        if self.box <= 0:
-            raise KnotfieldError(f"box side must be positive, got {self.box}")
+        if not 0 < self.dt < math.inf:
+            raise KnotfieldError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 < self.box < math.inf:
+            raise KnotfieldError(f"box side must be positive and finite, got {self.box}")
         if self.steps < 0:
             raise KnotfieldError(f"steps must be nonnegative, got {self.steps}")
         n = self.resolution
@@ -55,8 +57,9 @@ class EvolutionConfig:
         if np.isscalar(om):
             om = (float(om),) * 3
         om = tuple(float(v) for v in om)
-        if len(om) != 3 or any(v < 0 for v in om):
-            raise KnotfieldError(f"omega must be three nonnegative frequencies, got {self.omega}")
+        if len(om) != 3 or not all(0 <= v < math.inf for v in om):
+            raise KnotfieldError(
+                f"omega must be three finite nonnegative frequencies, got {self.omega}")
         object.__setattr__(self, "omega", om)
 
     def axes(self):
@@ -176,30 +179,25 @@ def run(state: FieldState, cfg: EvolutionConfig, snapshot_every: int = 0):
     return snaps
 
 
-def initial_knot_state(f, cfg: EvolutionConfig, scale: float = None,
-                       taper=DEFAULT_TAPER) -> FieldState:
+def initial_knot_state(f, cfg: EvolutionConfig, scale: float = None) -> FieldState:
     """Sample a library field into the box through inverse stereographic
     projection, tapered to zero near the boundary.
 
-    The box point x maps to the chart point u = x / scale and then onto the
-    unit sphere; the nodal knot lands near the box center with bounding
-    radius about 2 * scale.  A Gaussian radial taper (1 inside
-    taper[0] * L/2, decaying to below 1e-15 of peak by taper[1] * L/2)
-    enforces periodicity to rounding error.  The taper is strictly
-    positive, so it multiplies amplitudes without creating new zeros.
+    The box point x maps to the chart point u = x / scale and then, by
+    `embed` in the north chart, onto the unit sphere; the nodal knot lands
+    near the box center with bounding radius about 2 * scale.  A Gaussian
+    radial taper (1 inside TAPER[0] * L/2, decaying to below 1e-15 of peak
+    by TAPER[1] * L/2) enforces periodicity to rounding error.  The taper is
+    strictly positive, so it multiplies amplitudes without creating new
+    zeros.
     """
     L = cfg.box
     if scale is None:
         scale = L / 16.0
-    lo, hi = (t * L / 2.0 for t in taper)
-    if not 0 < lo < hi:
-        raise KnotfieldError(f"taper fractions must satisfy 0 < lo < hi, got {taper}")
+    lo, hi = (t * L / 2.0 for t in TAPER)
     ax = cfg.axes()
     X, Y, Z = np.meshgrid(*ax, indexing="ij")
-    r2 = (X * X + Y * Y + Z * Z) / scale ** 2
-    s = 1.0 + r2
-    z = (s - 2.0) / s + 1j * (2.0 * X / scale / s)
-    w = 2.0 * Y / scale / s + 1j * (2.0 * Z / scale / s)
+    z, w = embed(SampleGrid(), np.stack([X, Y, Z], axis=-1) / scale)
     vals = np.asarray(f(z, w), dtype=complex)
 
     rho = np.sqrt(X * X + Y * Y + Z * Z)
@@ -271,12 +269,12 @@ class TrackReport:
 
 
 def track_nodal(history, cfg: EvolutionConfig, min_amp: float = None,
-                roi: float = 0.5, reconnection_factor: float = 4.0) -> TrackReport:
+                roi: float = 0.5) -> TrackReport:
     """Extract nodal curves per snapshot and match components in time.
 
     Components of consecutive snapshots are paired greedily by smallest
     Hausdorff distance.  A count change is logged as creation/annihilation;
-    a matched pair moving more than reconnection_factor * spacing in one
+    a matched pair moving more than RECONNECTION_FACTOR * spacing in one
     interval is logged as a reconnection candidate.  Extraction failures
     are recorded as gaps and tracking resumes at the next good snapshot.
 
@@ -312,7 +310,7 @@ def track_nodal(history, cfg: EvolutionConfig, min_amp: float = None,
         disp = None
         if prev is not None:
             disp = _match(prev, curve, st.time, events,
-                          reconnection_factor * cfg.spacing)
+                          RECONNECTION_FACTOR * cfg.spacing)
         snaps.append(TrackedSnapshot(st.time, curve, "", disp))
         prev = curve
     return TrackReport(tuple(snaps), tuple(events))

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,14 +43,17 @@ NEWTON_MAX_STEPS = 20
 NEWTON_TARGET = 1e-10
 RESIDUAL_TOL = 1e-8
 CONDITION_WARN = 1e8
+SAMPLE_SLAB = 64  # x-planes per field evaluation in `sample_chart`
+CELL_SLAB = 32  # x-planes per pass in `_candidate_cells`
+FIBER_NODAL_TOL = 1e-3  # `sample_fiber` drops points with |f| at or below this
 
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Regular sampling lattice in one chart.
+    """Regular sampling lattice in the "north" or "south" stereographic chart of S^3.
 
-    chart: "north" or "south" stereographic chart of S^3, or "box" for a
-    flat periodic cube (used when tracking evolved fields).
+    Box-lattice data (evolved fields) has no sphere behind it and goes
+    straight to `extract_from_samples`.
     """
 
     chart: str = "north"
@@ -58,12 +62,13 @@ class SampleGrid:
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.chart not in ("north", "south", "box"):
+        if self.chart not in ("north", "south"):
             raise KnotfieldError(f"unknown chart {self.chart!r}")
         if self.resolution < 16:
             raise KnotfieldError(f"resolution must be >= 16, got {self.resolution}")
-        if self.extent <= 0 or self.radius <= 0:
-            raise KnotfieldError("extent and radius must be positive")
+        if not (0 < self.extent < math.inf and 0 < self.radius < math.inf):
+            raise KnotfieldError(f"extent and radius must be positive and finite, "
+                                 f"got {self.extent} and {self.radius}")
 
     def axes(self):
         ax = np.linspace(-self.extent, self.extent, self.resolution)
@@ -80,14 +85,24 @@ def embed(grid: SampleGrid, u):
     x, y, zc = u[..., 0], u[..., 1], u[..., 2]
     s = 1.0 + x * x + y * y + zc * zc
     r = grid.radius
-    if grid.chart == "north":
-        x0 = r * (s - 2.0) / s  # (|u|^2 - 1)/(|u|^2 + 1)
-    elif grid.chart == "south":
-        x0 = -r * (s - 2.0) / s
-    else:
-        raise KnotfieldError("box chart has no sphere embedding")
+    x0 = (r if grid.chart == "north" else -r) * (s - 2.0) / s  # +-(|u|^2 - 1)/(|u|^2 + 1)
     x1, x2, x3 = 2.0 * r * x / s, 2.0 * r * y / s, 2.0 * r * zc / s
     return x0 + 1j * x1, x2 + 1j * x3
+
+
+def sample_chart(f, grid: SampleGrid):
+    """grid's axes and the (n, n, n) complex values of f on its lattice.
+
+    Evaluated in x-slabs of SAMPLE_SLAB planes to bound peak memory.
+    """
+    ax = grid.axes()
+    n = grid.resolution
+    values = np.empty((n, n, n), dtype=complex)
+    for lo in range(0, n, SAMPLE_SLAB):
+        u = np.stack(np.meshgrid(ax[0][lo:lo + SAMPLE_SLAB], ax[1], ax[2], indexing="ij"),
+                     axis=-1)
+        values[lo:lo + SAMPLE_SLAB] = f(*embed(grid, u))
+    return ax, values
 
 
 def chart_transfer(u):
@@ -150,15 +165,16 @@ def _corner_range(arr):
     return low, high
 
 
-def _candidate_cells(values, min_amp, slab=32):
+def _candidate_cells(values, min_amp):
     """Indices of cells whose corners straddle zero in both Re and Im.
 
-    Processed in x-slabs to keep peak memory flat at large resolutions.
+    Processed in x-slabs of CELL_SLAB cells to keep peak memory flat at
+    large resolutions.
     """
     n0 = values.shape[0]
     out = []
-    for lo in range(0, n0 - 1, slab):
-        hi = min(lo + slab, n0 - 1)
+    for lo in range(0, n0 - 1, CELL_SLAB):
+        hi = min(lo + CELL_SLAB, n0 - 1)
         block = values[lo:hi + 1]
         re, im = block.real, block.imag
         (rlo, rhi), (ilo, ihi) = _corner_range(re), _corner_range(im)
@@ -389,20 +405,9 @@ def extract(f, grid: SampleGrid) -> NodalCurve:
     two face zeros) the grid is dilated and sampled again.  Pass the result
     to `refine` for vertices on the zero set of f itself.
     """
-    if grid.chart == "box":
-        raise KnotfieldError("use extract_from_samples for box-chart data")
-    n = grid.resolution
     last_exc = None
     for dilation in _RETRY_DILATIONS:
-        ax0 = np.linspace(-grid.extent * dilation, grid.extent * dilation, n)
-        ax = (ax0, ax0, ax0)
-        values = np.empty((n, n, n), dtype=complex)
-        for lo in range(0, n, 64):  # slab-wise evaluation bounds peak memory
-            hi = min(lo + 64, n)
-            u = np.stack(np.meshgrid(ax[0][lo:hi], ax[1], ax[2], indexing="ij"),
-                         axis=-1)
-            z, w = embed(grid, u)
-            values[lo:hi] = f(z, w)
+        ax, values = sample_chart(f, replace(grid, extent=grid.extent * dilation))
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", UserWarning)
@@ -424,10 +429,6 @@ def refine(curve: NodalCurve, f, grid: SampleGrid) -> NodalCurve:
     vertex.  A vertex where the Jacobian is near-degenerate (transversality
     may fail) stops with a UserWarning.
     """
-    def evaluator(p):
-        zz, ww = embed(grid, p)
-        return f(zz, ww)
-
     ax0 = grid.axes()[0]
     spacing = float(ax0[1] - ax0[0])
     pts, tangents = [], []
@@ -440,8 +441,8 @@ def refine(curve: NodalCurve, f, grid: SampleGrid) -> NodalCurve:
         pts.append(comp)
     if not pts:
         return NodalCurve((), curve.chart, 0.0, (), curve.closed_flags)
-    out, res = _newton(evaluator, np.concatenate(pts), np.concatenate(tangents),
-                       step_clamp=spacing / 2.0, h=spacing * 1e-3)
+    out, res = _newton(lambda p: f(*embed(grid, p)), np.concatenate(pts),
+                       np.concatenate(tangents), step_clamp=spacing / 2.0, h=spacing * 1e-3)
     splits = np.cumsum([len(c) for c in pts])[:-1]
     components, vertex_abs = [], []
     for ci, (o, r) in enumerate(zip(np.split(out, splits), np.split(res, splits))):
@@ -454,23 +455,18 @@ def refine(curve: NodalCurve, f, grid: SampleGrid) -> NodalCurve:
                       curve.closed_flags)
 
 
-def sample_fiber(f, theta, grid: SampleGrid, band: float = 0.05,
-                 nodal_tol: float = 1e-3):
+def sample_fiber(f, theta, grid: SampleGrid, band: float = 0.05):
     """Grid points whose field phase is within `band` of theta.
 
     Returns an (m, 4) array of chart coordinates plus |f|; points with
-    |f| <= nodal_tol are excluded (phase undefined near the nodal set).
+    |f| <= FIBER_NODAL_TOL are excluded (phase undefined near the nodal set).
     """
-    ax = grid.axes()
-    u = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1)
-    z, w = embed(grid, u)
-    values = np.asarray(f(z, w), dtype=complex)
+    ax, values = sample_chart(f, grid)
     mag = np.abs(values)
     ph = np.angle(values)  # (-pi, pi]
     diff = np.angle(np.exp(1j * (ph - theta)))  # wrapped distance to theta
-    mask = (np.abs(diff) <= band) & (mag > nodal_tol)
-    pts = u[mask]
-    return np.column_stack([pts, mag[mask]])
+    i, j, k = np.nonzero((np.abs(diff) <= band) & (mag > FIBER_NODAL_TOL))
+    return np.column_stack([ax[0][i], ax[1][j], ax[2][k], mag[i, j, k]])
 
 
 def fiber_to_csv(cloud) -> str:

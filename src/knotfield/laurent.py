@@ -93,10 +93,6 @@ class LaurentPolynomial:
         """Substitute x -> x^-1 (negate every exponent)."""
         return LaurentPolynomial({-e: c for e, c in self.coeffs.items()})
 
-    def scale_exponents(self, k):
-        """Substitute x -> x^k for integer k (or divide exponents for 1/k)."""
-        return LaurentPolynomial({e * k: c for e, c in self.coeffs.items()})
-
     def evaluate(self, x):
         """Evaluate at a real (or complex) x; x=0 rejected with negative exponents."""
         if x == 0 and any(e < 0 for e in self.coeffs):
@@ -107,12 +103,8 @@ class LaurentPolynomial:
         return sorted(self.coeffs.items())
 
     def to_json(self, variable):
-        return {"variable": variable,
-                "terms": [{"exp": e, "coeff": c} for e, c in self.terms()]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls({t["exp"]: t["coeff"] for t in obj["terms"]})
+        """{"variable": variable, "terms": {"<exponent>": coefficient}}, exponents ascending."""
+        return {"variable": variable, "terms": {str(e): c for e, c in self.terms()}}
 
     def pretty(self, var="x"):
         if not self.coeffs:

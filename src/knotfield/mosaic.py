@@ -296,8 +296,12 @@ _ADMISSIBLE = {
 }
 
 
-def enumerate_mosaics(n: int):
-    """Yield every suitably-connected n x n mosaic (DFS with edge constraints)."""
+def _depth_first(n: int, rng=None):
+    """Yield n x n mosaics depth-first over the cells in row-major order.
+
+    Each cell tries the tiles its west and north neighbours admit; with
+    rng, in an order shuffled by rng.shuffle on entering the cell.
+    """
     total = n * n
     cells = [0] * total
 
@@ -308,32 +312,25 @@ def enumerate_mosaics(n: int):
         r, c = divmod(i, n)
         wr = c > 0 and E in TILE_SIDES[cells[i - 1]]
         nr = r > 0 and S in TILE_SIDES[cells[i - n]]
-        for t in _ADMISSIBLE[(wr, nr, c == n - 1, r == n - 1)]:
+        options = _ADMISSIBLE[(wr, nr, c == n - 1, r == n - 1)]
+        if rng is not None:
+            options = list(options)
+            rng.shuffle(options)
+        for t in options:
             cells[i] = t
             yield from rec(i + 1)
 
-    yield from rec(0)
+    return rec(0)
+
+
+def enumerate_mosaics(n: int):
+    """Yield every suitably-connected n x n mosaic (DFS with edge constraints)."""
+    return _depth_first(n)
 
 
 def random_mosaic(n: int, rng: random.Random) -> Mosaic:
-    """Sample a uniformly random-ish valid mosaic by randomized backtracking DFS."""
-    total = n * n
-    cells = [0] * total
-
-    def rec(i):
-        if i == total:
-            return True
-        r, c = divmod(i, n)
-        wr = c > 0 and E in TILE_SIDES[cells[i - 1]]
-        nr = r > 0 and S in TILE_SIDES[cells[i - n]]
-        options = list(_ADMISSIBLE[(wr, nr, c == n - 1, r == n - 1)])
-        rng.shuffle(options)
-        for t in options:
-            cells[i] = t
-            if rec(i + 1):
-                return True
-        return False
-
-    if not rec(0):
+    """The first mosaic of the DFS with every cell's tile order shuffled by rng."""
+    m = next(_depth_first(n, rng), None)
+    if m is None:
         raise KnotfieldError(f"no valid mosaic of size {n}")
-    return Mosaic(n, tuple(cells))
+    return m

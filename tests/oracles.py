@@ -11,8 +11,13 @@ over it, and the witness oracle finds each step's move by trying every
 instance on the parent.  The extraction oracles march one cell and one
 tetrahedron at a time, keying faces by frozensets of lattice-index tuples,
 and Newton-refine one vertex at a time with scalar field evaluations.  The
-diagram oracle places each mosaic crossing's ends from a table of cell
-sides instead of from direction vectors.
+sampling oracles write the inverse stereographic map out inline (the box
+initial state) or evaluate the whole chart cube in one call (the fiber),
+where production goes through `embed` and the slab-wise `sample_chart`.
+The diagram oracle places each mosaic crossing's ends from a table of cell
+sides instead of from direction vectors.  The random-mosaic oracle is a
+backtracking search of its own, where production takes the first mosaic
+of the shuffled enumeration DFS.
 """
 
 import itertools
@@ -20,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from knotfield.errors import BudgetExceededError
+from knotfield.errors import BudgetExceededError, KnotfieldError
 from knotfield.extraction import (
     _CORNER_OFFSETS,
     _KUHN_TETS,
@@ -32,7 +37,7 @@ from knotfield.extraction import (
     embed,
 )
 from knotfield.diagram import Crossing, PlanarDiagram
-from knotfield.mosaic import CROSSING_OVER, Mosaic, trace_components
+from knotfield.mosaic import _ADMISSIBLE, CROSSING_OVER, E, S, TILE_SIDES, Mosaic, trace_components
 from knotfield.moves import apply, instances_for
 
 
@@ -417,3 +422,61 @@ def oracle_refine(curve: NodalCurve, f, grid: SampleGrid) -> NodalCurve:
     residual = max((float(r.max()) for r in vertex_abs if len(r)), default=0.0)
     return NodalCurve(tuple(components), curve.chart, residual, tuple(vertex_abs),
                       curve.closed_flags)
+
+
+def oracle_sample_fiber(f, theta, grid: SampleGrid, band=0.05, nodal_tol=1e-3):
+    """Chart points (plus |f|) whose phase is within band of theta, |f| > nodal_tol.
+
+    Evaluates f once on the full (n, n, n, 3) cube of chart points.
+    """
+    ax = grid.axes()
+    u = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1)
+    z, w = embed(grid, u)
+    values = np.asarray(f(z, w), dtype=complex)
+    mag = np.abs(values)
+    diff = np.angle(np.exp(1j * (np.angle(values) - theta)))
+    mask = (np.abs(diff) <= band) & (mag > nodal_tol)
+    return np.column_stack([u[mask], mag[mask]])
+
+
+def oracle_initial_knot_state(f, cfg, scale=None, taper=(0.7, 0.95)):
+    """Box samples of f through an inline north-chart inverse stereographic
+    map of x / scale, times the Gaussian radial taper; returns the array."""
+    L = cfg.box
+    if scale is None:
+        scale = L / 16.0
+    lo, hi = (t * L / 2.0 for t in taper)
+    X, Y, Z = np.meshgrid(*cfg.axes(), indexing="ij")
+    r2 = (X * X + Y * Y + Z * Z) / scale ** 2
+    s = 1.0 + r2
+    z = (s - 2.0) / s + 1j * (2.0 * X / scale / s)
+    w = 2.0 * Y / scale / s + 1j * (2.0 * Z / scale / s)
+    vals = np.asarray(f(z, w), dtype=complex)
+    rho = np.sqrt(X * X + Y * Y + Z * Z)
+    t = np.maximum(rho - lo, 0.0) / ((hi - lo) / 6.0)
+    return vals * np.exp(-t * t)
+
+
+def oracle_random_mosaic(n, rng):
+    """Randomized backtracking: each cell shuffles its admissible tiles with
+    rng.shuffle and takes the first that completes the mosaic."""
+    total = n * n
+    cells = [0] * total
+
+    def rec(i):
+        if i == total:
+            return True
+        r, c = divmod(i, n)
+        wr = c > 0 and E in TILE_SIDES[cells[i - 1]]
+        nr = r > 0 and S in TILE_SIDES[cells[i - n]]
+        options = list(_ADMISSIBLE[(wr, nr, c == n - 1, r == n - 1)])
+        rng.shuffle(options)
+        for t in options:
+            cells[i] = t
+            if rec(i + 1):
+                return True
+        return False
+
+    if not rec(0):
+        raise KnotfieldError(f"no valid mosaic of size {n}")
+    return Mosaic(n, tuple(cells))

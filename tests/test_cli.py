@@ -104,6 +104,16 @@ _EVOLVE = ["evolve", "run", "--resolution", "16", "--box", "8", "--steps", "2"]
     (None, ["field", "eval", "--field", "milnor:2,x", "--z", "0", "--w", "1"]),
     (None, _EVOLVE + ["--initial", "milnor:2,x"]),
     (None, _EVOLVE + ["--initial", "gaussian", "--omega", "a"]),
+    (None, ["field", "extract", "--field", "unknot", "--resolution", "32", "--extent", "nan"]),
+    (None, ["field", "extract", "--field", "unknot", "--resolution", "32", "--radius", "nan"]),
+    (None, ["field", "fiber", "--field", "unknot", "--theta", "0", "--resolution", "32",
+            "--extent", "inf"]),
+    (None, _EVOLVE + ["--box", "nan"]),
+    (None, _EVOLVE + ["--initial", "gaussian", "--dt", "inf"]),
+    (None, _EVOLVE + ["--initial", "gaussian", "--hamiltonian", "harmonic", "--omega", "1,inf,1"]),
+    # a path below a regular file can be neither written nor created
+    (None, ["mosaic", "show", TREFOIL, "--out", TREFOIL + "/x.txt"]),
+    (None, _EVOLVE + ["--initial", "gaussian", "--snapshots-dir", TREFOIL + "/snaps"]),
 ])
 def test_malformed_input_is_one_error_line(tmp_path, capsys, mosaic_text, argv):
     if argv is None:
@@ -114,6 +124,15 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, mosaic_text, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_unwritable_manifest_is_one_error_line(capsys):
+    # stdout is already printed when the manifest write fails
+    _, shown, _ = run_cli(capsys, "mosaic", "show", TREFOIL)
+    code, out, err = run_cli(capsys, "mosaic", "show", TREFOIL, "--manifest", TREFOIL + "/m.json")
+    assert code == 1
+    assert out == shown
+    assert err.startswith("error: cannot write ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [

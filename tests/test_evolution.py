@@ -7,6 +7,7 @@ phase exp(-i |k|^2 t / 2) and nothing else.
 
 import numpy as np
 import pytest
+from oracles import oracle_initial_knot_state
 
 from knotfield.errors import KnotfieldError
 from knotfield.evolution import (
@@ -36,6 +37,10 @@ def test_config_validation():
         EvolutionConfig(resolution=48)  # not a power of two
     with pytest.raises(KnotfieldError):
         EvolutionConfig(omega=(1.0, -1.0, 1.0))
+    for bad in (float("nan"), float("inf")):
+        for kwargs in ({"box": bad}, {"dt": bad}, {"omega": (1.0, bad, 1.0)}):
+            with pytest.raises(KnotfieldError):
+                EvolutionConfig(**kwargs)
     cfg = EvolutionConfig(omega=2.0)
     assert cfg.omega == (2.0, 2.0, 2.0)
 
@@ -143,6 +148,12 @@ def test_initial_knot_state_contains_curve():
     report = track_nodal([psi], cfg)
     assert report.snapshots[0].n_components == 1
     assert report.events == ()
+
+
+@pytest.mark.parametrize("box", [16.0, 12.0])
+def test_initial_knot_state_matches_inline_stereographic_oracle(box):
+    f, cfg = field_library("milnor", (2, 3)), EvolutionConfig(box=box, resolution=64)
+    assert np.array_equal(initial_knot_state(f, cfg).values, oracle_initial_knot_state(f, cfg))
 
 
 def test_track_static_history_no_events():

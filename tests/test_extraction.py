@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import oracle_candidate_cells, oracle_march, oracle_refine
+from oracles import oracle_candidate_cells, oracle_march, oracle_refine, oracle_sample_fiber
 
 from knotfield import extraction
 from knotfield.errors import KnotfieldError, OpenChainError
@@ -82,6 +82,13 @@ def test_grid_validation():
         SampleGrid(resolution=8)
     with pytest.raises(KnotfieldError):
         SampleGrid(extent=-1.0)
+    with pytest.raises(KnotfieldError):
+        SampleGrid(chart="box")  # box data goes to extract_from_samples
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(KnotfieldError):
+            SampleGrid(extent=bad)
+        with pytest.raises(KnotfieldError):
+            SampleGrid(radius=bad)
 
 
 def test_embed_lands_on_sphere():
@@ -198,6 +205,28 @@ def test_sample_fiber_phase_band():
     assert np.abs(ph).max() <= 0.1 + 1e-12
     text = fiber_to_csv(cloud)
     assert text.splitlines()[0] == "x,y,z,abs_f"
+
+
+@pytest.mark.parametrize("resolution", [32, 48])
+@pytest.mark.parametrize("chart", ["north", "south"])
+@pytest.mark.parametrize("spec", [("unknot", ()), ("milnor", (2, 3))], ids=["unknot", "milnor23"])
+def test_sample_fiber_matches_full_cube_oracle(spec, chart, resolution):
+    f, grid = field_library(*spec), SampleGrid(chart=chart, resolution=resolution)
+    sizes = []
+    for theta in (0.0, 0.7, -2.5):
+        cloud = sample_fiber(f, theta, grid)
+        assert np.array_equal(cloud, oracle_sample_fiber(f, theta, grid))
+        sizes.append(len(cloud))
+    assert max(sizes) > 0
+
+
+def test_sample_chart_is_the_extraction_lattice():
+    # slab-wise sampling equals one evaluation on the full cube of chart points
+    f, grid = field_library("milnor", (2, 3)), SampleGrid(chart="south", resolution=136)
+    ax, values = extraction.sample_chart(f, grid)
+    ref_ax, ref = samples(f, grid)
+    assert all(np.array_equal(a, b) for a, b in zip(ax, ref_ax))
+    assert np.array_equal(values, ref)
 
 
 def test_hausdorff_basics():

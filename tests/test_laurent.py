@@ -1,3 +1,5 @@
+import json
+
 from hypothesis import given, strategies as st
 
 from knotfield.laurent import LaurentPolynomial
@@ -27,10 +29,11 @@ def test_evaluate():
 
 
 def test_json_roundtrip():
-    p = LaurentPolynomial({-8: -1, -6: 1, -2: 1})
-    obj = p.to_json("s")
-    assert obj["variable"] == "s"
-    assert LaurentPolynomial.from_json(obj) == p
+    # the form `mosaic jones` and `field verify` print: exponent keys ascending
+    p = LaurentPolynomial({-2: 1, -8: -1, -6: 1})
+    obj = p.to_json("t^(1/2)")
+    assert json.dumps(obj) == '{"variable": "t^(1/2)", "terms": {"-8": -1, "-6": 1, "-2": 1}}'
+    assert LaurentPolynomial({int(e): c for e, c in obj["terms"].items()}) == p
 
 
 def test_pretty_readable():
@@ -49,9 +52,3 @@ def test_mul_commutes(a, b):
 def test_mul_distributes(a, b, c):
     p, q, r = LaurentPolynomial(a), LaurentPolynomial(b), LaurentPolynomial(c)
     assert p * (q + r) == p * q + p * r
-
-
-@given(coeffs)
-def test_scale_exponents_involution(a):
-    p = LaurentPolynomial(a)
-    assert p.scale_exponents(-1).scale_exponents(-1) == p

@@ -4,6 +4,7 @@ import runpy
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import oracle_random_mosaic
 
 from knotfield.errors import KnotfieldError, MosaicParseError
 from knotfield.mosaic import (
@@ -107,6 +108,15 @@ def test_random_mosaic_deterministic():
     a = random_mosaic(5, random.Random(7))
     b = random_mosaic(5, random.Random(7))
     assert a == b
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_random_mosaic_matches_backtracking_oracle(n):
+    # same mosaic and the same generator state after the draw
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert random_mosaic(n, rng) == oracle_random_mosaic(n, ref)
+        assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("name", ["trefoil4", "granny8"])
