@@ -294,6 +294,7 @@ def _cmd_evolve_track(args):
     if args.format == "json":
         return json.dumps({
             "snapshots": [{"time": s.time, "n_components": s.n_components,
+                           "n_closed": s.n_closed, "n_open": s.n_open,
                            "displacement": s.displacement, "error": s.error}
                           for s in report.snapshots],
             "events": [list(e) for e in report.events],

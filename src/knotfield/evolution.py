@@ -1,9 +1,13 @@
 """Schrodinger evolution of sampled complex fields on a periodic box.
 
 Natural units hbar = m = 1 throughout.  The free Hamiltonian uses the exact
-spectral propagator (Fourier multiply by exp(-i |k|^2 dt / 2)); the harmonic
-oscillator uses symmetric Strang splitting, second order in dt.  Nodal
-curves of snapshots are tracked over time with component matching.
+spectral propagator (Fourier multiply by exp(-i |k|^2 T / 2)), so `run`
+jumps from one kept snapshot to the next with one multiply over the whole
+interval T.  The harmonic oscillator uses symmetric Strang splitting,
+second order in dt; within an interval adjacent half-kicks are fused into
+full kicks, and half-kicks act only at the interval's two ends, so every
+snapshot is the exact Strang state.  Nodal curves of snapshots are
+tracked over time with component matching.
 
 Which Hamiltonians make interesting nodal dynamics is left open here; the
 module ships the two standard ones and measures what happens, making no
@@ -129,10 +133,11 @@ def _l2(values) -> float:
     return float(np.sqrt(np.sum(np.abs(values) ** 2)))
 
 
-def _kinetic_phase(cfg: EvolutionConfig, dt: float):
+def _kinetic_phase(cfg: EvolutionConfig, span: float):
+    """exp(-i |k|^2 span / 2): the free propagator over time span, in k-space."""
     k = cfg.wavenumbers()
     k2 = (k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2)
-    return np.exp(-0.5j * dt * k2)
+    return np.exp(-0.5j * span * k2)
 
 
 def _potential(cfg: EvolutionConfig):
@@ -143,39 +148,79 @@ def _potential(cfg: EvolutionConfig):
                   + (wz * ax[2][None, None, :]) ** 2)
 
 
-def step(s: FieldState, cfg: EvolutionConfig, dt: float = None) -> FieldState:
-    """One propagator application; dt defaults to cfg.dt and may be negative
-    (time reversal)."""
-    if dt is None:
-        dt = cfg.dt
+def _phases(cfg: EvolutionConfig, n: int, dt: float):
+    """Phase arrays for n steps of dt: (kinetic, half kick, full kick).
+
+    The free propagator is one kinetic phase over the whole span n * dt and
+    has no kicks; the harmonic one takes n Strang steps, so its arrays are
+    those of a single step and do not depend on n.
+    """
+    if cfg.hamiltonian == "free":
+        return _kinetic_phase(cfg, n * dt), None, None
+    v = _potential(cfg)
+    return _kinetic_phase(cfg, dt), np.exp(-0.5j * dt * v), np.exp(-1j * dt * v)
+
+
+def _advance(s: FieldState, cfg: EvolutionConfig, n: int, dt: float, phases=None) -> FieldState:
+    """n propagator steps of dt from s in one call.
+
+    Free: one multiply by exp(-i |k|^2 n dt / 2) between one FFT pair,
+    exact for any n.  Harmonic: n Strang steps whose adjacent half-kicks
+    are merged into full kicks, so half-kicks act only at the two ends and
+    the result is the exact n-step Strang state.  phases, from
+    `_phases(cfg, n, dt)`, lets a caller build them once for many calls.
+    The time stamp adds dt n times, as n single steps would.
+    """
     if s.resolution != cfg.resolution:
         raise KnotfieldError(
             f"state resolution {s.resolution} does not match config {cfg.resolution}")
-    v = s.values
-    if cfg.hamiltonian == "free":
-        out = np.fft.ifftn(_kinetic_phase(cfg, dt) * np.fft.fftn(v))
+    kinetic, half, full = phases if phases is not None else _phases(cfg, n, dt)
+    if half is None:
+        out = np.fft.fftn(s.values)
+        out *= kinetic
+        np.fft.ifftn(out, out=out)
     else:
-        half = np.exp(-0.5j * dt * _potential(cfg))
-        out = half * np.fft.ifftn(_kinetic_phase(cfg, dt) * np.fft.fftn(half * v))
+        out = half * s.values
+        for i in range(n):
+            np.fft.fftn(out, out=out)
+            out *= kinetic
+            np.fft.ifftn(out, out=out)
+            out *= full if i < n - 1 else half
     if not np.all(np.isfinite(out.view(float))):
         raise KnotfieldError(f"numeric overflow during step at t = {s.time}")
-    return FieldState(out, s.time + dt, s.norm0)
+    t = s.time
+    for _ in range(n):
+        t += dt
+    return FieldState(out, t, s.norm0)
+
+
+def step(s: FieldState, cfg: EvolutionConfig, dt: float = None) -> FieldState:
+    """One propagator application; dt defaults to cfg.dt and may be negative
+    (time reversal)."""
+    return _advance(s, cfg, 1, cfg.dt if dt is None else dt)
 
 
 def run(state: FieldState, cfg: EvolutionConfig, snapshot_every: int = 0):
     """Evolve cfg.steps steps; return the list of snapshots.
 
-    snapshot_every = 0 keeps only the initial and final states.
+    snapshot_every = 0 keeps only the initial and final states.  The state
+    jumps from one kept snapshot to the next in a single `_advance` call;
+    the phase arrays of each distinct interval length are built once.
     """
     if snapshot_every < 0:
         raise KnotfieldError(f"snapshot interval must be at least 0, got {snapshot_every}")
+    every = snapshot_every or cfg.steps
     snaps = [state]
-    for i in range(1, cfg.steps + 1):
-        state = step(state, cfg)
-        if snapshot_every and i % snapshot_every == 0 and i != cfg.steps:
-            snaps.append(state)
-    if cfg.steps:
+    built = {}
+    done = 0
+    while done < cfg.steps:
+        n = min(every, cfg.steps - done)
+        key = n if cfg.hamiltonian == "free" else 1  # harmonic phases do not depend on n
+        if key not in built:
+            built[key] = _phases(cfg, n, cfg.dt)
+        state = _advance(state, cfg, n, cfg.dt, built[key])
         snaps.append(state)
+        done += n
     return snaps
 
 
@@ -194,6 +239,8 @@ def initial_knot_state(f, cfg: EvolutionConfig, scale: float = None) -> FieldSta
     L = cfg.box
     if scale is None:
         scale = L / 16.0
+    if not 0 < scale < math.inf:
+        raise KnotfieldError(f"scale must be positive and finite, got {scale}")
     lo, hi = (t * L / 2.0 for t in TAPER)
     ax = cfg.axes()
     X, Y, Z = np.meshgrid(*ax, indexing="ij")
@@ -209,6 +256,8 @@ def initial_knot_state(f, cfg: EvolutionConfig, scale: float = None) -> FieldSta
 def gaussian_state(cfg: EvolutionConfig, center=(0.0, 0.0, 0.0), width: float = 1.0,
                    momentum=(0.0, 0.0, 0.0)) -> FieldState:
     """exp(-|x - c|^2 / (2 width^2)) exp(i p . x), unnormalized."""
+    if not 0 < width < math.inf:
+        raise KnotfieldError(f"width must be positive and finite, got {width}")
     ax = cfg.axes()
     X, Y, Z = np.meshgrid(*ax, indexing="ij")
     cx, cy, cz = center
@@ -249,6 +298,16 @@ class TrackedSnapshot:
     def n_components(self):
         return self.curve.n_components if self.curve is not None else None
 
+    @property
+    def n_closed(self):
+        if self.curve is None:
+            return None
+        return sum(self.curve.is_closed(i) for i in range(self.curve.n_components))
+
+    @property
+    def n_open(self):
+        return None if self.curve is None else self.n_components - self.n_closed
+
 
 @dataclass(frozen=True)
 class TrackReport:
@@ -288,6 +347,8 @@ def track_nodal(history, cfg: EvolutionConfig, min_amp: float = None,
     """
     if not 0 < roi <= 1:
         raise KnotfieldError(f"roi must be a fraction in (0, 1], got {roi}")
+    if min_amp is not None and not 0 <= min_amp < math.inf:
+        raise KnotfieldError(f"min_amp must be finite and nonnegative, got {min_amp}")
     ax = cfg.axes()
     half = roi * cfg.box / 2.0
     keep = np.abs(ax[0]) <= half

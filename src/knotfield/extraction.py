@@ -461,6 +461,10 @@ def sample_fiber(f, theta, grid: SampleGrid, band: float = 0.05):
     Returns an (m, 4) array of chart coordinates plus |f|; points with
     |f| <= FIBER_NODAL_TOL are excluded (phase undefined near the nodal set).
     """
+    if not math.isfinite(theta):
+        raise KnotfieldError(f"theta must be finite, got {theta}")
+    if not 0 <= band < math.inf:
+        raise KnotfieldError(f"band must be finite and nonnegative, got {band}")
     ax, values = sample_chart(f, grid)
     mag = np.abs(values)
     ph = np.angle(values)  # (-pi, pi]

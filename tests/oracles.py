@@ -17,7 +17,9 @@ where production goes through `embed` and the slab-wise `sample_chart`.
 The diagram oracle places each mosaic crossing's ends from a table of cell
 sides instead of from direction vectors.  The random-mosaic oracle is a
 backtracking search of its own, where production takes the first mosaic
-of the shuffled enumeration DFS.
+of the shuffled enumeration DFS.  The evolution oracle takes one
+propagator step at a time, rebuilding its phases every step, where
+production jumps from snapshot to snapshot with phases built once.
 """
 
 import itertools
@@ -37,6 +39,7 @@ from knotfield.extraction import (
     embed,
 )
 from knotfield.diagram import Crossing, PlanarDiagram
+from knotfield.evolution import FieldState
 from knotfield.mosaic import _ADMISSIBLE, CROSSING_OVER, E, S, TILE_SIDES, Mosaic, trace_components
 from knotfield.moves import apply, instances_for
 
@@ -480,3 +483,35 @@ def oracle_random_mosaic(n, rng):
     if not rec(0):
         raise KnotfieldError(f"no valid mosaic of size {n}")
     return Mosaic(n, tuple(cells))
+
+
+def oracle_step(s, cfg, dt):
+    """One free spectral step, or one unfused Strang step (half kick,
+    kinetic step, half kick), with the phases built inline."""
+    k = cfg.wavenumbers()
+    k2 = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2
+    kinetic = np.exp(-0.5j * dt * k2)
+    v = s.values
+    if cfg.hamiltonian == "free":
+        out = np.fft.ifftn(kinetic * np.fft.fftn(v))
+    else:
+        x, y, z = cfg.axes()
+        wx, wy, wz = cfg.omega
+        pot = 0.5 * ((wx * x[:, None, None]) ** 2 + (wy * y[None, :, None]) ** 2
+                     + (wz * z[None, None, :]) ** 2)
+        half = np.exp(-0.5j * dt * pot)
+        out = half * np.fft.ifftn(kinetic * np.fft.fftn(half * v))
+    return FieldState(out, s.time + dt, s.norm0)
+
+
+def oracle_run(state, cfg, snapshot_every=0):
+    """cfg.steps single steps; keeps the initial state, every
+    snapshot_every-th state before the last, and the last."""
+    snaps = [state]
+    for i in range(1, cfg.steps + 1):
+        state = oracle_step(state, cfg, cfg.dt)
+        if snapshot_every and i % snapshot_every == 0 and i != cfg.steps:
+            snaps.append(state)
+    if cfg.steps:
+        snaps.append(state)
+    return snaps

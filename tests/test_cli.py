@@ -114,8 +114,18 @@ _EVOLVE = ["evolve", "run", "--resolution", "16", "--box", "8", "--steps", "2"]
     # a path below a regular file can be neither written nor created
     (None, ["mosaic", "show", TREFOIL, "--out", TREFOIL + "/x.txt"]),
     (None, _EVOLVE + ["--initial", "gaussian", "--snapshots-dir", TREFOIL + "/snaps"]),
+    (None, _EVOLVE + ["--initial", "gaussian", "--width", "0"]),
+    (None, _EVOLVE + ["--initial", "gaussian", "--width", "-1"]),
+    (None, _EVOLVE + ["--initial", "gaussian", "--width", "nan"]),
+    (None, _EVOLVE + ["--scale", "0"]),
+    (None, _EVOLVE + ["--scale", "inf"]),
+    (None, ["evolve", "track"] + _EVOLVE[2:] + ["--initial", "gaussian", "--min-amp", "nan"]),
+    (None, ["evolve", "track"] + _EVOLVE[2:] + ["--initial", "gaussian", "--min-amp", "-1"]),
+    (None, ["field", "fiber", "--field", "unknot", "--theta", "nan", "--resolution", "16"]),
+    (None, ["field", "fiber", "--field", "unknot", "--theta", "0", "--band", "nan",
+            "--resolution", "16"]),
 ])
-def test_malformed_input_is_one_error_line(tmp_path, capsys, mosaic_text, argv):
+def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, mosaic_text, argv):
     if argv is None:
         path = tmp_path / "bad.mosaic"
         path.write_text(mosaic_text)
@@ -124,6 +134,7 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, mosaic_text, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_unwritable_manifest_is_one_error_line(capsys):
@@ -264,6 +275,18 @@ def test_evolve_track_csv(capsys, tmp_path):
     assert lines[0] == "time,n_components,displacement,error"
     assert all(",1," in ln for ln in lines[1:4])
     assert len(list(snaps.glob("*.npy"))) == 3
+
+
+def test_evolve_track_json_counts_closed_components(capsys):
+    # the benchmark's track command; its "creation 1 -> 13" event is open stubs
+    code, out, _ = run_cli(capsys, "evolve", "track", "--initial", "milnor:2,3",
+                           "--steps", "20", "--snapshot-every", "5",
+                           "--resolution", "64", "--format", "json")
+    assert code == 0
+    snaps = json.loads(out)["snapshots"]
+    assert len(snaps) == 5
+    assert all(s["n_closed"] == 1 for s in snaps)
+    assert all(s["n_closed"] + s["n_open"] == s["n_components"] for s in snaps)
 
 
 def test_out_and_manifest(tmp_path, capsys):

@@ -7,8 +7,9 @@ phase exp(-i |k|^2 t / 2) and nothing else.
 
 import numpy as np
 import pytest
-from oracles import oracle_initial_knot_state
+from oracles import oracle_initial_knot_state, oracle_run, oracle_step
 
+from knotfield import evolution
 from knotfield.errors import KnotfieldError
 from knotfield.evolution import (
     EvolutionConfig,
@@ -232,3 +233,106 @@ def test_config_json():
     import json
     d = json.loads(SMALL.to_json())
     assert d["hamiltonian"] == "free" and d["resolution"] == 32
+
+
+def _relative_gap(a, b):
+    return np.abs(a.values - b.values).max() / np.abs(b.values).max()
+
+
+def _initial(kind, cfg):
+    if kind == "milnor":
+        return initial_knot_state(field_library("milnor", (2, 3)), cfg)
+    return gaussian_state(cfg, center=(0.5, 0.0, 0.0), width=1.0, momentum=(1.0, 0.5, 0.0))
+
+
+@pytest.mark.parametrize("ham,tol", [("free", 1e-12), ("harmonic", 1e-13)])
+@pytest.mark.parametrize("resolution,steps", [(32, 16), (64, 9)])
+@pytest.mark.parametrize("kind", ["milnor", "gaussian"])
+def test_run_matches_per_step_oracle(kind, resolution, steps, ham, tol):
+    # jumped (free) and fused (harmonic) intervals against single steps,
+    # including a last interval shorter than the others (every = 7)
+    cfg = EvolutionConfig(hamiltonian=ham, box=16.0, resolution=resolution,
+                          dt=2e-3, steps=steps, omega=(1.0, 1.5, 0.5))
+    psi = _initial(kind, cfg)
+    for every in (0, 1, 7, steps):
+        got, want = run(psi, cfg, every), oracle_run(psi, cfg, every)
+        assert [s.time for s in got] == [s.time for s in want]
+        assert all(s.norm0 == psi.norm0 for s in got)
+        assert max(_relative_gap(a, b) for a, b in zip(got, want)) <= tol
+
+
+@pytest.mark.parametrize("ham", ["free", "harmonic"])
+def test_negative_step_matches_oracle(ham):
+    cfg = EvolutionConfig(hamiltonian=ham, box=8.0, resolution=32, dt=1e-3)
+    psi = gaussian_state(cfg, width=1.0, momentum=(0.5, 0.0, 0.0))
+    got, want = step(psi, cfg, dt=-cfg.dt), oracle_step(psi, cfg, -cfg.dt)
+    assert got.time == want.time == -cfg.dt
+    assert _relative_gap(got, want) <= 1e-13
+
+
+def test_track_matches_per_step_oracle():
+    # the benchmark's track command: milnor:2,3 at 64^3, 20 steps, every 5
+    cfg = EvolutionConfig(resolution=64, steps=20)
+    psi = initial_knot_state(field_library("milnor", (2, 3)), cfg)
+    got = track_nodal(run(psi, cfg, snapshot_every=5), cfg)
+    want = track_nodal(oracle_run(psi, cfg, snapshot_every=5), cfg)
+    assert [s.time for s in got.snapshots] == [s.time for s in want.snapshots]
+    assert ([s.n_components for s in got.snapshots]
+            == [s.n_components for s in want.snapshots])
+    assert got.events == want.events
+
+
+@pytest.mark.parametrize("steps,every,calls", [(60, 0, 1), (20, 5, 4), (20, 7, 3)])
+def test_free_run_takes_one_fft_pair_per_interval(monkeypatch, steps, every, calls):
+    real, counted = np.fft.fftn, []
+
+    def fftn(*args, **kwargs):
+        counted.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", fftn)
+    cfg = EvolutionConfig(box=8.0, resolution=32, steps=steps)
+    run(gaussian_state(cfg), cfg, snapshot_every=every)
+    assert len(counted) == calls
+
+
+@pytest.mark.parametrize("ham,builds", [("free", 2), ("harmonic", 1)])
+def test_run_builds_each_phase_once(monkeypatch, ham, builds):
+    # 20 steps every 7: intervals 7, 7, 6
+    real, spans = evolution._kinetic_phase, []
+
+    def kinetic(cfg, span):
+        spans.append(span)
+        return real(cfg, span)
+
+    monkeypatch.setattr(evolution, "_kinetic_phase", kinetic)
+    cfg = EvolutionConfig(hamiltonian=ham, box=8.0, resolution=32, steps=20)
+    run(gaussian_state(cfg), cfg, snapshot_every=7)
+    assert len(spans) == builds
+
+
+def test_initial_state_validation():
+    f = field_library("milnor", (2, 3))
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(KnotfieldError, match="width"):
+            gaussian_state(SMALL, width=bad)
+        with pytest.raises(KnotfieldError, match="scale"):
+            initial_knot_state(f, SMALL, scale=bad)
+
+
+def test_track_min_amp_validation():
+    psi = gaussian_state(SMALL)
+    for bad in (float("nan"), -1e-3, float("inf")):
+        with pytest.raises(KnotfieldError, match="min_amp"):
+            track_nodal([psi], SMALL, min_amp=bad)
+    assert track_nodal([psi], SMALL, min_amp=0.0).snapshots[0].n_components == 0
+
+
+def test_track_counts_closed_and_open_components():
+    line = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    loop = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    curve = NodalCurve((loop, line, line), "box", 0.0, closed_flags=(True, False, False))
+    snap = evolution.TrackedSnapshot(0.0, curve)
+    assert (snap.n_components, snap.n_closed, snap.n_open) == (3, 1, 2)
+    gap = evolution.TrackedSnapshot(0.0, None, "failed")
+    assert (gap.n_closed, gap.n_open) == (None, None)
