@@ -19,6 +19,7 @@ can be reproduced.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -364,6 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process: parsing leaves no state in
+    the parser, and every call gets a fresh namespace."""
+    return build_parser()
+
+
 def _manifest(args, argv, code):
     inputs = [getattr(args, k) for k in ("file", "file_a", "file_b", "expect")
               if getattr(args, k, None)]
@@ -380,7 +388,7 @@ def _manifest(args, argv, code):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not getattr(args, "fn", None):
         parser.print_usage(sys.stderr)

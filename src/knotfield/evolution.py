@@ -243,8 +243,8 @@ def initial_knot_state(f, cfg: EvolutionConfig, scale: float = None) -> FieldSta
         raise KnotfieldError(f"scale must be positive and finite, got {scale}")
     lo, hi = (t * L / 2.0 for t in TAPER)
     ax = cfg.axes()
-    X, Y, Z = np.meshgrid(*ax, indexing="ij")
-    z, w = embed(SampleGrid(), np.stack([X, Y, Z], axis=-1) / scale)
+    X, Y, Z = np.meshgrid(*ax, indexing="ij", sparse=True)
+    z, w = embed(SampleGrid(), X / scale, Y / scale, Z / scale)
     vals = np.asarray(f(z, w), dtype=complex)
 
     rho = np.sqrt(X * X + Y * Y + Z * Z)

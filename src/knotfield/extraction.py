@@ -79,10 +79,14 @@ class SampleGrid:
         return 2.0 * self.extent / (self.resolution - 1)
 
 
-def embed(grid: SampleGrid, u):
-    """Map chart points u (shape (..., 3)) to (z, w) on the sphere."""
-    u = np.asarray(u, dtype=float)
-    x, y, zc = u[..., 0], u[..., 1], u[..., 2]
+def embed(grid: SampleGrid, x, y, z):
+    """Map chart coordinates x, y, z to the sphere point (z, w) in C^2.
+
+    The three coordinates are broadcast against each other, so lattice
+    axes shaped (m, 1, 1), (1, n, 1) and (1, 1, n) give the values on the
+    whole (m, n, n) block; (m, 3) points pass as `*p.T`.
+    """
+    x, y, zc = (np.asarray(c, dtype=float) for c in (x, y, z))
     s = 1.0 + x * x + y * y + zc * zc
     r = grid.radius
     x0 = (r if grid.chart == "north" else -r) * (s - 2.0) / s  # +-(|u|^2 - 1)/(|u|^2 + 1)
@@ -98,10 +102,10 @@ def sample_chart(f, grid: SampleGrid):
     ax = grid.axes()
     n = grid.resolution
     values = np.empty((n, n, n), dtype=complex)
+    y, z = ax[1][None, :, None], ax[2][None, None, :]
     for lo in range(0, n, SAMPLE_SLAB):
-        u = np.stack(np.meshgrid(ax[0][lo:lo + SAMPLE_SLAB], ax[1], ax[2], indexing="ij"),
-                     axis=-1)
-        values[lo:lo + SAMPLE_SLAB] = f(*embed(grid, u))
+        x = ax[0][lo:lo + SAMPLE_SLAB, None, None]
+        values[lo:lo + SAMPLE_SLAB] = f(*embed(grid, x, y, z))
     return ax, values
 
 
@@ -441,7 +445,7 @@ def refine(curve: NodalCurve, f, grid: SampleGrid) -> NodalCurve:
         pts.append(comp)
     if not pts:
         return NodalCurve((), curve.chart, 0.0, (), curve.closed_flags)
-    out, res = _newton(lambda p: f(*embed(grid, p)), np.concatenate(pts),
+    out, res = _newton(lambda p: f(*embed(grid, *p.T)), np.concatenate(pts),
                        np.concatenate(tangents), step_clamp=spacing / 2.0, h=spacing * 1e-3)
     splits = np.cumsum([len(c) for c in pts])[:-1]
     components, vertex_abs = [], []

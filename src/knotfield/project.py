@@ -5,6 +5,13 @@ read off with over/under from projection depth, the resulting planar
 diagram is simplified by R1/R2 reductions, and its Jones polynomial is
 compared with the expected knot's (up to mirror, since neither the charts
 nor the projection fix a chirality convention).
+
+Crossings are found in one array pass: a sort-and-sweep over the projected
+segments' padded bounding boxes yields the candidate pairs, and every
+candidate is tested at once, in (i, j) order.  A projection that grazes a
+vertex, ties in depth or nearly triple-crosses raises, and the direction
+is nudged through a fixed sequence.  The per-segment loop this replaced is
+kept in tests/oracles.py; events and errors match it exactly.
 """
 
 from __future__ import annotations
@@ -39,8 +46,22 @@ def _crossing_events(pts2, depth, scale):
 
     pts2: (k, 2) projected vertices (not closed); segment i joins vertex i
     to vertex (i+1) mod k.  Returns a list of
-    (seg_i, param_i, seg_j, param_j, over_is_i) or raises on a
-    non-generic configuration.
+    (seg_i, param_i, seg_j, param_j, over_is_i) with i < j, in (i, j) order,
+    or raises on a non-generic configuration.
+
+    Candidate pairs come from one sort-and-sweep over the segments'
+    bounding boxes: sorted by min-x, each box's x-overlaps are one
+    `searchsorted` range, and the pairs whose y-ranges also overlap are
+    kept.  Every box is padded by twice `eps_t` times the largest
+    coordinate extent of any segment, so a hit with a parameter in
+    (-eps_t, 1 + eps_t) is never dropped, even after rounding in t and s.
+    Segments that share a vertex (j = i + 1, and the pair (0, k - 1)) are
+    never paired.  All candidates are then tested at once with the
+    per-segment loop's formulas (kept in tests/oracles.py), so parameters
+    and depths are bit-equal to it.  The first grazing or depth-tied hit in
+    (i, j) order raises with that loop's message, so retries take the same
+    directions; then any two crossings that nearly coincide raise as a
+    triple point.
     """
     k = len(pts2)
     a = pts2
@@ -48,42 +69,49 @@ def _crossing_events(pts2, depth, scale):
     d = b - a
     eps_par = 1e-9 * scale * scale
     eps_t = 1e-6
-    events = []
-    points = []
-    for i in range(k):
-        di = d[i]
-        # vectorized over all j > i + 1, skipping the shared-vertex neighbors
-        js = np.arange(i + 2, k if i > 0 else k - 1)
-        if len(js) == 0:
-            continue
-        dj = d[js]
-        rel = a[js] - a[i]
-        denom = di[0] * dj[:, 1] - di[1] * dj[:, 0]
-        ok = np.abs(denom) > eps_par
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (rel[:, 0] * dj[:, 1] - rel[:, 1] * dj[:, 0]) / denom
-            s = (rel[:, 0] * di[1] - rel[:, 1] * di[0]) / denom
-        hit = ok & (t > -eps_t) & (t < 1 + eps_t) & (s > -eps_t) & (s < 1 + eps_t)
-        for idx in np.nonzero(hit)[0]:
-            j = int(js[idx])
-            ti, tj = float(t[idx]), float(s[idx])
-            if min(ti, 1 - ti, tj, 1 - tj) < eps_t:
-                raise NonGenericProjectionError(
-                    f"intersection grazes a vertex (segments {i}, {j})")
-            zi = depth[i] + ti * (depth[(i + 1) % k] - depth[i])
-            zj = depth[j] + tj * (depth[(j + 1) % k] - depth[j])
-            if abs(zi - zj) < 1e-9 * scale:
-                raise NonGenericProjectionError(
-                    f"depths coincide at crossing of segments {i}, {j}")
-            p = a[i] + ti * di
-            points.append(p)
-            events.append((i, ti, j, tj, zi > zj))
-    pts = np.array(points) if points else np.zeros((0, 2))
-    for m in range(len(pts)):
-        dd = np.linalg.norm(pts[m + 1:] - pts[m], axis=1) if m + 1 < len(pts) else []
-        if len(dd) and dd.min() < 1e-6 * scale:
-            raise NonGenericProjectionError("two crossings nearly coincide (triple point)")
-    return events
+
+    pad = 2.0 * eps_t * float(np.abs(d).max(initial=0.0))
+    lo, hi = np.minimum(a, b) - pad, np.maximum(a, b) + pad
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo_x = lo[order, 0]
+    stop = np.searchsorted(lo_x, hi[order, 0], side="right")
+    count = np.maximum(stop - np.arange(1, k + 1), 0)
+    first = np.repeat(np.arange(k), count)
+    second = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + first + 1
+    p, q = order[first], order[second]
+    i, j = np.minimum(p, q), np.maximum(p, q)
+    keep = ((lo[p, 1] <= hi[q, 1]) & (lo[q, 1] <= hi[p, 1])
+            & (j > i + 1) & ~((i == 0) & (j == k - 1)))
+    i, j = i[keep], j[keep]
+    by_pair = np.lexsort((j, i))
+    i, j = i[by_pair], j[by_pair]
+
+    di, dj = d[i], d[j]
+    rel = a[j] - a[i]
+    denom = di[:, 0] * dj[:, 1] - di[:, 1] * dj[:, 0]
+    ok = np.abs(denom) > eps_par
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (rel[:, 0] * dj[:, 1] - rel[:, 1] * dj[:, 0]) / denom
+        s = (rel[:, 0] * di[:, 1] - rel[:, 1] * di[:, 0]) / denom
+    hit = ok & (t > -eps_t) & (t < 1 + eps_t) & (s > -eps_t) & (s < 1 + eps_t)
+    i, j, t, s = i[hit], j[hit], t[hit], s[hit]
+    zi = depth[i] + t * (depth[(i + 1) % k] - depth[i])
+    zj = depth[j] + s * (depth[(j + 1) % k] - depth[j])
+    grazes = (t < eps_t) | (1 - t < eps_t) | (s < eps_t) | (1 - s < eps_t)
+    ties = np.abs(zi - zj) < 1e-9 * scale
+    bad = np.flatnonzero(grazes | ties)
+    if len(bad):
+        m = bad[0]
+        if grazes[m]:
+            raise NonGenericProjectionError(
+                f"intersection grazes a vertex (segments {i[m]}, {j[m]})")
+        raise NonGenericProjectionError(
+            f"depths coincide at crossing of segments {i[m]}, {j[m]}")
+    points = a[i] + t[:, None] * di[hit]
+    r, c = np.triu_indices(len(points), 1)
+    if len(r) and np.linalg.norm(points[c] - points[r], axis=1).min() < 1e-6 * scale:
+        raise NonGenericProjectionError("two crossings nearly coincide (triple point)")
+    return list(zip(i.tolist(), t.tolist(), j.tolist(), s.tolist(), (zi > zj).tolist()))
 
 
 def project_diagram(points) -> PlanarDiagram:

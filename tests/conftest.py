@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))  # for the oracles module
 
 from knotfield.diagram import to_diagram
+from knotfield.extraction import SampleGrid
 from knotfield.laurent import LaurentPolynomial
 from knotfield.mosaic import Mosaic, load, random_mosaic, trace_components
 from knotfield.project import PROJECTION_START
@@ -40,6 +41,17 @@ def random_diagram(seed, n, link, max_crossings=10):
         strands = trace_components(m)
         if strands and (len(strands) > 1) == link:
             return to_diagram(m)
+
+
+# The library fields the chart tests run, with their ids.
+LIBRARY = [("unknot", ()), ("milnor", (2, 2)), ("milnor", (2, 3)), ("milnor", (2, 5)),
+           ("milnor", (3, 4)), ("rudolph_F", ()), ("rudolph_G", ())]
+LIBRARY_IDS = ["unknot", "milnor22", "milnor23", "milnor25", "milnor34", "rudolphF", "rudolphG"]
+
+
+def library_grid(spec, chart, resolution):
+    radius = 0.5 if spec[0].startswith("rudolph") else 1.0
+    return SampleGrid(chart=chart, resolution=resolution, radius=radius)
 
 
 def torus_polyline(p, q, k):

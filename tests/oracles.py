@@ -19,7 +19,11 @@ sides instead of from direction vectors.  The random-mosaic oracle is a
 backtracking search of its own, where production takes the first mosaic
 of the shuffled enumeration DFS.  The evolution oracle takes one
 propagator step at a time, rebuilding its phases every step, where
-production jumps from snapshot to snapshot with phases built once.
+production jumps from snapshot to snapshot with phases built once.  The
+projection-crossing oracle tests each segment against every later one in
+a Python loop and checks triple points pair by pair, where production
+sweeps sorted bounding boxes for candidate pairs and tests them all at
+once.
 """
 
 import itertools
@@ -27,7 +31,7 @@ import warnings
 
 import numpy as np
 
-from knotfield.errors import BudgetExceededError, KnotfieldError
+from knotfield.errors import BudgetExceededError, KnotfieldError, NonGenericProjectionError
 from knotfield.extraction import (
     _CORNER_OFFSETS,
     _KUHN_TETS,
@@ -398,7 +402,7 @@ def oracle_refine(curve: NodalCurve, f, grid: SampleGrid) -> NodalCurve:
     near-degenerate (transversality may fail) stops with a UserWarning.
     """
     def evaluator(p):
-        zz, ww = embed(grid, p)
+        zz, ww = embed(grid, *p.T)
         return f(zz, ww)
 
     ax0 = grid.axes()[0]
@@ -433,8 +437,9 @@ def oracle_sample_fiber(f, theta, grid: SampleGrid, band=0.05, nodal_tol=1e-3):
     Evaluates f once on the full (n, n, n, 3) cube of chart points.
     """
     ax = grid.axes()
-    u = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1)
-    z, w = embed(grid, u)
+    X, Y, Z = np.meshgrid(*ax, indexing="ij")
+    u = np.stack([X, Y, Z], axis=-1)
+    z, w = embed(grid, X, Y, Z)
     values = np.asarray(f(z, w), dtype=complex)
     mag = np.abs(values)
     diff = np.angle(np.exp(1j * (np.angle(values) - theta)))
@@ -515,3 +520,55 @@ def oracle_run(state, cfg, snapshot_every=0):
     if cfg.steps:
         snaps.append(state)
     return snaps
+
+
+def oracle_crossing_events(pts2, depth, scale):
+    """All transverse intersections among segments of a closed polyline.
+
+    pts2: (k, 2) projected vertices (not closed); segment i joins vertex i
+    to vertex (i+1) mod k.  Returns a list of
+    (seg_i, param_i, seg_j, param_j, over_is_i) or raises on a
+    non-generic configuration.
+    """
+    k = len(pts2)
+    a = pts2
+    b = pts2[(np.arange(k) + 1) % k]
+    d = b - a
+    eps_par = 1e-9 * scale * scale
+    eps_t = 1e-6
+    events = []
+    points = []
+    for i in range(k):
+        di = d[i]
+        # vectorized over all j > i + 1, skipping the shared-vertex neighbors
+        js = np.arange(i + 2, k if i > 0 else k - 1)
+        if len(js) == 0:
+            continue
+        dj = d[js]
+        rel = a[js] - a[i]
+        denom = di[0] * dj[:, 1] - di[1] * dj[:, 0]
+        ok = np.abs(denom) > eps_par
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = (rel[:, 0] * dj[:, 1] - rel[:, 1] * dj[:, 0]) / denom
+            s = (rel[:, 0] * di[1] - rel[:, 1] * di[0]) / denom
+        hit = ok & (t > -eps_t) & (t < 1 + eps_t) & (s > -eps_t) & (s < 1 + eps_t)
+        for idx in np.nonzero(hit)[0]:
+            j = int(js[idx])
+            ti, tj = float(t[idx]), float(s[idx])
+            if min(ti, 1 - ti, tj, 1 - tj) < eps_t:
+                raise NonGenericProjectionError(
+                    f"intersection grazes a vertex (segments {i}, {j})")
+            zi = depth[i] + ti * (depth[(i + 1) % k] - depth[i])
+            zj = depth[j] + tj * (depth[(j + 1) % k] - depth[j])
+            if abs(zi - zj) < 1e-9 * scale:
+                raise NonGenericProjectionError(
+                    f"depths coincide at crossing of segments {i}, {j}")
+            p = a[i] + ti * di
+            points.append(p)
+            events.append((i, ti, j, tj, zi > zj))
+    pts = np.array(points) if points else np.zeros((0, 2))
+    for m in range(len(pts)):
+        dd = np.linalg.norm(pts[m + 1:] - pts[m], axis=1) if m + 1 < len(pts) else []
+        if len(dd) and dd.min() < 1e-6 * scale:
+            raise NonGenericProjectionError("two crossings nearly coincide (triple point)")
+    return events

@@ -323,3 +323,45 @@ def test_thread_independence(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def outcome_of(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), a SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # the parser is built once per process; calls interleaved on it must
+    # print what each prints on a parser of its own
+    out_file = str(tmp_path / "jones.txt")
+    calls = [
+        ["mosaic", "jones", TREFOIL, "--format", "json"],
+        ["mosaic", "jones", TREFOIL],
+        ["mosaic", "jones", TREFOIL, "--out", out_file],
+        ["mosaic", "jones", TREFOIL],
+        ["observable", "invariant", TREFOIL, "--invariant", "components"],
+        ["observable", "invariant", TREFOIL],
+        ["mosaic"],
+        ["mosaic", "jones"],
+        ["mosaic", "jones", TREFOIL, "--format", "xml"],
+        ["--help"],
+        ["field", "verify", "--help"],
+        ["mosaic", "jones", TREFOIL],
+    ]
+    cli._parser.cache_clear()
+    shared = [outcome_of(capsys, argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    own = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        own.append(outcome_of(capsys, argv))
+    assert shared == own
+    json.loads(shared[0][1])
+    assert shared[1] == shared[3] == shared[11] and not shared[1][1].startswith("{")
+    assert shared[2] == (0, "", "")
+    assert [o[0] for o in shared[6:11]] == [2, 2, 2, 0, 0]

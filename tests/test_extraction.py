@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import LIBRARY, LIBRARY_IDS, library_grid
 from oracles import oracle_candidate_cells, oracle_march, oracle_refine, oracle_sample_fiber
 
 from knotfield import extraction
@@ -32,20 +33,10 @@ from knotfield.extraction import (
 )
 from knotfield.fields import field_library
 
-LIBRARY = [("unknot", ()), ("milnor", (2, 2)), ("milnor", (2, 3)), ("milnor", (2, 5)),
-           ("milnor", (3, 4)), ("rudolph_F", ()), ("rudolph_G", ())]
-LIBRARY_IDS = ["unknot", "milnor22", "milnor23", "milnor25", "milnor34", "rudolphF", "rudolphG"]
-
-
-def library_grid(spec, chart, resolution):
-    radius = 0.5 if spec[0].startswith("rudolph") else 1.0
-    return SampleGrid(chart=chart, resolution=resolution, radius=radius)
-
-
 def samples(f, grid):
     """Values on grid's undilated lattice, as `extract` samples them first."""
     ax = grid.axes()
-    z, w = embed(grid, np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1))
+    z, w = embed(grid, *np.meshgrid(*ax, indexing="ij"))
     return ax, f(z, w)
 
 
@@ -94,7 +85,7 @@ def test_grid_validation():
 def test_embed_lands_on_sphere():
     g = SampleGrid(radius=2.0)
     u = np.random.default_rng(0).normal(size=(50, 3))
-    z, w = embed(g, u)
+    z, w = embed(g, *u.T)
     assert np.allclose(np.abs(z) ** 2 + np.abs(w) ** 2, 4.0)
 
 
@@ -200,7 +191,7 @@ def test_sample_fiber_phase_band():
     cloud = sample_fiber(f, 0.0, g, band=0.1)
     assert len(cloud) > 0
     u = cloud[:, :3]
-    z, _ = embed(g, u)
+    z, _ = embed(g, *u.T)
     ph = np.angle(z)
     assert np.abs(ph).max() <= 0.1 + 1e-12
     text = fiber_to_csv(cloud)
