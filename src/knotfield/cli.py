@@ -166,9 +166,12 @@ def _cmd_wirtinger(args):
 
 def _parse_complex(s: str) -> complex:
     try:
-        return complex(s.replace("i", "j"))
+        v = complex(s.replace("i", "j"))
     except ValueError as exc:
         raise KnotfieldError(f"cannot parse complex number {s!r}") from exc
+    if not np.isfinite(v):
+        raise KnotfieldError(f"complex number must be finite, got {s!r}")
+    return v
 
 
 def _cmd_field_eval(args):

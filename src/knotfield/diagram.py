@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import CrossingCapError, KnotfieldError
 from .laurent import LaurentPolynomial
-from .mosaic import CROSSING_TILES, Mosaic, trace_components
+from .mosaic import CROSSING_OVER, CROSSING_TILES, Mosaic, trace_components
 
 # Unit direction of travel towards each cell side (x = column, y = -row).
 SIDE_VECTORS = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
@@ -144,7 +144,7 @@ def to_diagram(m: Mosaic) -> PlanarDiagram:
         raise KnotfieldError("mosaic has zero components")
     cells = m.cells
     return from_traversal([
-        [(cell, (exit_ in "EW") == (cells[cell] == 9), SIDE_VECTORS[exit_])
+        [(cell, exit_ in CROSSING_OVER[cells[cell]], SIDE_VECTORS[exit_])
          for cell, _, exit_ in strand.passages if cells[cell] in CROSSING_TILES]
         for strand in strands])
 

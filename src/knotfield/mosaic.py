@@ -50,14 +50,16 @@ TILE_SIDES = {t: frozenset().union(*pairs) if pairs else frozenset() for t, pair
 
 NUM_TILES = 11
 
+# The exit side of a strand entering tile t at side s, for every (t, s) on a
+# connection pair: the single source of tile connectivity for the walk.
+TILE_EXIT = {(t, a): b for t, pairs in TILE_PAIRS.items()
+             for pair in pairs for a, b in (tuple(pair), tuple(pair)[::-1])}
 
-def tile_partner(tile, side):
-    """Return the side connected to `side` on `tile`, or None."""
-    for pair in TILE_PAIRS[tile]:
-        if side in pair:
-            (other,) = pair - {side}
-            return other
-    return None
+# (row step, column step) to the neighbour across each side.
+SIDE_STEP = {N: (-1, 0), E: (0, 1), S: (1, 0), W: (0, -1)}
+
+BOUNDARY_FAULT = "connection point on outer boundary"
+INTERIOR_FAULT = "mismatched interior edge"
 
 
 @dataclass(frozen=True)
@@ -98,38 +100,79 @@ class ValidationReport:
     # outer boundary.  Vertical edge ("v", r, c) separates (r, c-1) from (r, c).
 
 
+def _edge_faults(rows, cols, cells):
+    """Every edge of a rows x cols block of cells with a connection point on
+    one side only, as (kind, r, c, reason) in the ValidationReport edge
+    convention: horizontal edges row by row, then vertical ones.
+
+    On the block's outer boundary the reason is BOUNDARY_FAULT, inside it
+    INTERIOR_FAULT.
+    """
+    sides = [TILE_SIDES[t] for t in cells]
+    bad = []
+    for r in range(rows + 1):
+        for c in range(cols):
+            above = r > 0 and S in sides[(r - 1) * cols + c]
+            below = r < rows and N in sides[r * cols + c]
+            if above != below:
+                bad.append(("h", r, c, BOUNDARY_FAULT if r in (0, rows) else INTERIOR_FAULT))
+    for r in range(rows):
+        for c in range(cols + 1):
+            left = c > 0 and E in sides[r * cols + c - 1]
+            right = c < cols and W in sides[r * cols + c]
+            if left != right:
+                bad.append(("v", r, c, BOUNDARY_FAULT if c in (0, cols) else INTERIOR_FAULT))
+    return bad
+
+
 def validate(m: Mosaic) -> ValidationReport:
     """Check the suitably-connected condition edge by edge."""
     for i, t in enumerate(m.cells):
         if not isinstance(t, int) or not 0 <= t < NUM_TILES:
             raise KnotfieldError(f"malformed tile id {t!r} at cell {i}")
-    n = m.n
-    bad = []
-
-    def has(r, c, side):
-        return side in TILE_SIDES[m.tile(r, c)]
-
-    for r in range(n + 1):
-        for c in range(n):
-            above = has(r - 1, c, S) if r > 0 else None
-            below = has(r, c, N) if r < n else None
-            if above is None and below:
-                bad.append(("h", r, c, "connection point on outer boundary"))
-            elif below is None and above:
-                bad.append(("h", r, c, "connection point on outer boundary"))
-            elif above is not None and below is not None and above != below:
-                bad.append(("h", r, c, "mismatched interior edge"))
-    for r in range(n):
-        for c in range(n + 1):
-            left = has(r, c - 1, E) if c > 0 else None
-            right = has(r, c, W) if c < n else None
-            if left is None and right:
-                bad.append(("v", r, c, "connection point on outer boundary"))
-            elif right is None and left:
-                bad.append(("v", r, c, "connection point on outer boundary"))
-            elif left is not None and right is not None and left != right:
-                bad.append(("v", r, c, "mismatched interior edge"))
+    bad = _edge_faults(m.n, m.n, m.cells)
     return ValidationReport(valid=not bad, bad_edges=tuple(bad))
+
+
+def _walk(rows, cols, cells, faults):
+    """Follow the strands of a rows x cols block of cells without interior
+    faults, each as a tuple of (cell, entry_side, exit_side) passages.
+
+    Open strands start at the block's boundary `faults` (from _edge_faults,
+    in their order) and end where they next leave the block; closed strands
+    start at the smaller side of each untraversed pair, cells in row-major
+    order.  Returns (open strands, closed strands).
+    """
+    used = set()  # (cell, side) endpoints already traversed
+
+    def follow(cell, side):
+        start = (cell, side)
+        passages = []
+        while True:
+            exit_side = TILE_EXIT[cells[cell], side]
+            passages.append((cell, side, exit_side))
+            used.add((cell, side))
+            used.add((cell, exit_side))
+            dr, dc = SIDE_STEP[exit_side]
+            r, c = cell // cols + dr, cell % cols + dc
+            if not (0 <= r < rows and 0 <= c < cols):
+                return tuple(passages)
+            cell, side = r * cols + c, OPPOSITE[exit_side]
+            if (cell, side) == start:
+                return tuple(passages)
+
+    opened = []
+    for kind, r, c, _ in faults:
+        if kind == "h":
+            cell, side = (c, N) if r == 0 else ((rows - 1) * cols + c, S)
+        else:
+            cell, side = (r * cols, W) if c == 0 else (r * cols + cols - 1, E)
+        if (cell, side) not in used:
+            opened.append(follow(cell, side))
+    closed = [follow(cell, min(pair))
+              for cell in range(rows * cols) for pair in TILE_PAIRS[cells[cell]]
+              if (cell, min(pair)) not in used]
+    return opened, closed
 
 
 @dataclass(frozen=True)
@@ -147,35 +190,7 @@ def trace_components(m: Mosaic):
     rep = validate(m)
     if not rep.valid:
         raise KnotfieldError(f"mosaic is not suitably connected ({len(rep.bad_edges)} bad edges)")
-    n = m.n
-    used = set()  # (cell, side) endpoints already traversed
-    strands = []
-    for start_cell in range(n * n):
-        for pair in TILE_PAIRS[m.cells[start_cell]]:
-            entry = min(pair)  # deterministic starting direction
-            if (start_cell, entry) in used:
-                continue
-            passages = []
-            cell, side = start_cell, entry
-            while True:
-                exit_side = tile_partner(m.cells[cell], side)
-                passages.append((cell, side, exit_side))
-                used.add((cell, side))
-                used.add((cell, exit_side))
-                r, c = divmod(cell, n)
-                if exit_side == N:
-                    r -= 1
-                elif exit_side == S:
-                    r += 1
-                elif exit_side == E:
-                    c += 1
-                else:
-                    c -= 1
-                cell, side = r * n + c, OPPOSITE[exit_side]
-                if cell == start_cell and side == entry:
-                    break
-            strands.append(Strand(tuple(passages)))
-    return strands
+    return [Strand(p) for p in _walk(m.n, m.n, m.cells, ())[1]]
 
 
 def count_crossings(m: Mosaic) -> int:
@@ -233,6 +248,9 @@ def decode(text: str) -> Mosaic:
                 raise MosaicParseError(f"tile id {t} outside 0..{NUM_TILES - 1}",
                                        line=r + 2, column=c + 1)
             cells.append(t)
+    for i in range(n + 1, len(lines)):
+        if lines[i].strip():
+            raise MosaicParseError(f"unexpected text after the {n} rows", line=i + 1)
     return Mosaic(n, tuple(cells))
 
 

@@ -14,42 +14,9 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import MoveTableError, KnotfieldError
-from .mosaic import Mosaic, NUM_TILES, TILE_SIDES, N, E, S, W
+from .mosaic import BOUNDARY_FAULT, Mosaic, NUM_TILES, _edge_faults
 
 _DEFAULT_TABLE = None
-
-
-def _pattern_boundary_signature(rows, cols, cells):
-    """Frozenset of (side, index) boundary connection points of a pattern."""
-    sig = set()
-    for r in range(rows):
-        for c in range(cols):
-            sides = TILE_SIDES[cells[r * cols + c]]
-            if r == 0 and N in sides:
-                sig.add(("N", c))
-            if r == rows - 1 and S in sides:
-                sig.add(("S", c))
-            if c == 0 and W in sides:
-                sig.add(("W", r))
-            if c == cols - 1 and E in sides:
-                sig.add(("E", r))
-    return frozenset(sig)
-
-
-def _pattern_consistent(rows, cols, cells):
-    """Interior edges of the pattern itself must match up."""
-    for r in range(rows):
-        for c in range(cols):
-            sides = TILE_SIDES[cells[r * cols + c]]
-            if c + 1 < cols:
-                right = TILE_SIDES[cells[r * cols + c + 1]]
-                if (E in sides) != (W in right):
-                    return False
-            if r + 1 < rows:
-                below = TILE_SIDES[cells[(r + 1) * cols + c]]
-                if (S in sides) != (N in below):
-                    return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -64,18 +31,20 @@ class MoveTemplate:
         if not (1 <= self.rows <= 3 and 1 <= self.cols <= 3):
             raise MoveTableError(f"{self.name}: pattern shape must be within 3x3")
         size = self.rows * self.cols
+        signatures = []
         for label, pat in (("pattern_a", self.pattern_a), ("pattern_b", self.pattern_b)):
             if len(pat) != size:
                 raise MoveTableError(f"{self.name}: {label} has {len(pat)} cells, expected {size}")
             if any(not 0 <= t < NUM_TILES for t in pat):
                 raise MoveTableError(f"{self.name}: {label} contains a bad tile id")
-            if not _pattern_consistent(self.rows, self.cols, pat):
+            faults = _edge_faults(self.rows, self.cols, pat)
+            if any(reason != BOUNDARY_FAULT for *_, reason in faults):
                 raise MoveTableError(f"{self.name}: {label} has mismatched interior edges")
+            # The pattern's boundary connection points, as the edges they sit on.
+            signatures.append(frozenset(fault[:3] for fault in faults))
         if self.pattern_a == self.pattern_b:
             raise MoveTableError(f"{self.name}: patterns are identical")
-        sig_a = _pattern_boundary_signature(self.rows, self.cols, self.pattern_a)
-        sig_b = _pattern_boundary_signature(self.rows, self.cols, self.pattern_b)
-        if sig_a != sig_b:
+        if signatures[0] != signatures[1]:
             raise MoveTableError(f"{self.name}: boundary signatures differ")
 
 

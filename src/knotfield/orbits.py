@@ -143,6 +143,8 @@ def same_orbit(a: Mosaic, b: Mosaic, templates, budget: int = DEFAULT_BUDGET):
     """Decide orbit equivalence; on success also return a witness sequence."""
     if a.n != b.n:
         raise KnotfieldError("mosaics live in different lattice sizes")
+    if not validate(b).valid:
+        raise KnotfieldError("orbit comparison requires a suitably-connected mosaic")
     orb = orbit(a, templates, budget=budget)
     if b in orb:
         return True, orb.witness_for(b)

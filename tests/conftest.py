@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))  # for the oracles module
 
+import knotfield
 from knotfield.diagram import to_diagram
 from knotfield.extraction import SampleGrid
 from knotfield.laurent import LaurentPolynomial
@@ -14,6 +15,11 @@ from knotfield.mosaic import Mosaic, load, random_mosaic, trace_components
 from knotfield.project import PROJECTION_START
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "knotfield", "data")
+
+# Environment for a `python -m knotfield.cli` child: it imports knotfield
+# from where the tests do, whether that is on PYTHONPATH or not.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(knotfield.__file__)), os.environ.get("PYTHONPATH")]))}
 
 # Pinned Jones polynomials in s = t^(1/2) units.
 TREFOIL_JONES = LaurentPolynomial({-8: -1, -6: 1, -2: 1})

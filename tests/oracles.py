@@ -14,8 +14,14 @@ and Newton-refine one vertex at a time with scalar field evaluations.  The
 sampling oracles write the inverse stereographic map out inline (the box
 initial state) or evaluate the whole chart cube in one call (the fiber),
 where production goes through `embed` and the slab-wise `sample_chart`.
-The diagram oracle places each mosaic crossing's ends from a table of cell
-sides instead of from direction vectors.  The random-mosaic oracle is a
+The validation oracle checks each lattice edge
+with a three-way None/True/False comparison, where production scans any
+rows x cols block with one rule shared by validation and move templates.
+The tracing oracle steps each strand cell by cell, finding the exit by
+searching the tile's pairs and the next cell by an if/elif chain, where
+production reads one exit table.  The diagram oracle places each mosaic
+crossing's ends from a table of cell sides instead of from direction
+vectors.  The random-mosaic oracle is a
 backtracking search of its own, where production takes the first mosaic
 of the shuffled enumeration DFS.  The evolution oracle takes one
 propagator step at a time, rebuilding its phases every step, where
@@ -44,7 +50,19 @@ from knotfield.extraction import (
 )
 from knotfield.diagram import Crossing, PlanarDiagram
 from knotfield.evolution import FieldState
-from knotfield.mosaic import _ADMISSIBLE, CROSSING_OVER, E, S, TILE_SIDES, Mosaic, trace_components
+from knotfield.mosaic import (
+    _ADMISSIBLE,
+    CROSSING_OVER,
+    OPPOSITE,
+    TILE_PAIRS,
+    TILE_SIDES,
+    E,
+    N,
+    S,
+    W,
+    Mosaic,
+    Strand,
+)
 from knotfield.moves import apply, instances_for
 
 
@@ -158,6 +176,81 @@ def oracle_jones(diagram):
     return {e: c for e, c in out.items() if c}
 
 
+def oracle_validate(m):
+    """Bad edges of a mosaic, each lattice edge compared as None (outer
+    boundary), True or False on either side."""
+    n = m.n
+    bad = []
+
+    def has(r, c, side):
+        return side in TILE_SIDES[m.tile(r, c)]
+
+    for r in range(n + 1):
+        for c in range(n):
+            above = has(r - 1, c, S) if r > 0 else None
+            below = has(r, c, N) if r < n else None
+            if above is None and below:
+                bad.append(("h", r, c, "connection point on outer boundary"))
+            elif below is None and above:
+                bad.append(("h", r, c, "connection point on outer boundary"))
+            elif above is not None and below is not None and above != below:
+                bad.append(("h", r, c, "mismatched interior edge"))
+    for r in range(n):
+        for c in range(n + 1):
+            left = has(r, c - 1, E) if c > 0 else None
+            right = has(r, c, W) if c < n else None
+            if left is None and right:
+                bad.append(("v", r, c, "connection point on outer boundary"))
+            elif right is None and left:
+                bad.append(("v", r, c, "connection point on outer boundary"))
+            elif left is not None and right is not None and left != right:
+                bad.append(("v", r, c, "mismatched interior edge"))
+    return tuple(bad)
+
+
+def oracle_trace_components(m):
+    """Closed strands of a valid mosaic, walked one cell at a time from the
+    smaller side of each untraversed pair, cells in row-major order."""
+    assert not oracle_validate(m)
+
+    def partner(tile, side):
+        for pair in TILE_PAIRS[tile]:
+            if side in pair:
+                (other,) = pair - {side}
+                return other
+        return None
+
+    n = m.n
+    used = set()
+    strands = []
+    for start_cell in range(n * n):
+        for pair in TILE_PAIRS[m.cells[start_cell]]:
+            entry = min(pair)
+            if (start_cell, entry) in used:
+                continue
+            passages = []
+            cell, side = start_cell, entry
+            while True:
+                exit_side = partner(m.cells[cell], side)
+                passages.append((cell, side, exit_side))
+                used.add((cell, side))
+                used.add((cell, exit_side))
+                r, c = divmod(cell, n)
+                if exit_side == N:
+                    r -= 1
+                elif exit_side == S:
+                    r += 1
+                elif exit_side == E:
+                    c += 1
+                else:
+                    c -= 1
+                cell, side = r * n + c, OPPOSITE[exit_side]
+                if cell == start_cell and side == entry:
+                    break
+            strands.append(Strand(tuple(passages)))
+    return strands
+
+
 # ccw cyclic order of cell sides in the plane (x = column, y = -row).
 CCW_SIDES = ("E", "N", "W", "S")
 
@@ -170,7 +263,7 @@ def oracle_to_diagram(m):
     vectors or turn rule.  Edge j of a component runs from its crossing
     passage j to passage j+1, ids 1..2c.
     """
-    strands = trace_components(m)
+    strands = oracle_trace_components(m)
     crossing_cells = [i for i, t in enumerate(m.cells) if t in CROSSING_OVER]
     edge_id = 0
     free_loops = 0

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FIG8_JONES, TREFOIL_JONES, UNKNOT_JONES, data_path
+from conftest import CHILD_ENV, FIG8_JONES, TREFOIL_JONES, UNKNOT_JONES, data_path
 
 from oracles import oracle_jones
 
@@ -212,7 +212,7 @@ def test_criterion_10_cli_thread_determinism(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "knotfield.cli", *argv,
                  "--threads", t, "--out", str(path)],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=CHILD_ENV)
             assert proc.returncode == 0, proc.stderr
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]

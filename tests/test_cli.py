@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import data_path
+from conftest import CHILD_ENV, data_path
 
 from knotfield import cli, mosaic
 from knotfield.cli import main
@@ -49,6 +49,27 @@ def test_validate_bad_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "mosaic", "validate", str(bad))
     assert code == 1
     assert out.splitlines()[0] == "invalid"
+
+
+def test_validate_lists_every_bad_edge(tmp_path, capsys):
+    # A lone line or arc in each corner: one fault on each outer side and
+    # six inside, listed horizontal edges first, each kind row by row.
+    bad = tmp_path / "bad.mosaic"
+    bad.write_text("3\n5 0 6\n0 2 0\n6 0 5\n")
+    code, out, _ = run_cli(capsys, "mosaic", "validate", str(bad))
+    assert code == 1
+    assert out == """invalid
+edge h (0,2): connection point on outer boundary
+edge h (1,2): mismatched interior edge
+edge h (2,0): mismatched interior edge
+edge h (2,1): mismatched interior edge
+edge h (3,0): connection point on outer boundary
+edge v (0,0): connection point on outer boundary
+edge v (0,1): mismatched interior edge
+edge v (1,2): mismatched interior edge
+edge v (2,2): mismatched interior edge
+edge v (2,3): connection point on outer boundary
+"""
 
 
 def test_missing_file(capsys):
@@ -124,6 +145,10 @@ _EVOLVE = ["evolve", "run", "--resolution", "16", "--box", "8", "--steps", "2"]
     (None, ["field", "fiber", "--field", "unknot", "--theta", "nan", "--resolution", "16"]),
     (None, ["field", "fiber", "--field", "unknot", "--theta", "0", "--band", "nan",
             "--resolution", "16"]),
+    ("2\n0 0\n0 0\ngarbage\n", None),
+    (None, ["field", "eval", "--field", "unknot", "--z", "nan", "--w", "1"]),
+    (None, ["field", "eval", "--field", "unknot", "--z", "0", "--w", "nan"]),
+    (None, ["field", "eval", "--field", "unknot", "--z", "1e400", "--w", "1"]),
 ])
 def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, mosaic_text, argv):
     if argv is None:
@@ -176,6 +201,18 @@ def test_same_orbit_self(capsys):
     code, out, _ = run_cli(capsys, "mosaic", "same-orbit", TREFOIL, TREFOIL)
     assert code == 0
     assert out.startswith("same orbit: yes")
+
+
+@pytest.mark.parametrize("invalid_first", [True, False])
+def test_same_orbit_rejects_either_invalid_mosaic(tmp_path, capsys, invalid_first):
+    bad = tmp_path / "bad.mosaic"
+    bad.write_text("4\n5 0 0 0\n0 0 0 0\n0 0 0 0\n0 0 0 0\n")
+    files = [str(bad), TREFOIL] if invalid_first else [TREFOIL, str(bad)]
+    code, out, err = run_cli(capsys, "mosaic", "same-orbit", *files)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "suitably-connected" in err
 
 
 def test_observable_invariant(capsys):
@@ -319,7 +356,7 @@ def test_thread_independence(tmp_path):
             [sys.executable, "-m", "knotfield.cli", "mosaic", "orbit", TREFOIL,
              "--members", "--format", "json", "--threads", t,
              "--out", str(path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0, proc.stderr
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]

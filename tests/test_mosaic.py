@@ -4,7 +4,7 @@ import runpy
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import oracle_random_mosaic
+from oracles import oracle_random_mosaic, oracle_trace_components, oracle_validate
 
 from knotfield.errors import KnotfieldError, MosaicParseError
 from knotfield.mosaic import (
@@ -21,8 +21,18 @@ from knotfield.mosaic import (
     trace_components,
     validate,
 )
+from knotfield.moves import default_table
+from knotfield.orbits import orbit
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# A representative of each multi-member 4x4 orbit class without crossings,
+# by class size; the trefoil fixture's class has the other 2 members.
+CLASSES_4X4 = {
+    1348: (0,) * 10 + (2, 1, 0, 0, 3, 4),
+    766: (0,) * 8 + (2, 1, 2, 1, 3, 4, 3, 4),
+    172: (0,) * 5 + (2, 1, 0, 2, 7, 8, 1, 3, 4, 3, 4),
+}
 
 
 def test_blank_is_valid():
@@ -45,6 +55,36 @@ def test_mismatched_edge_reported():
     rep = validate(m)
     assert not rep.valid
     assert len(rep.bad_edges) == 2
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.integers(0, 10), min_size=n * n, max_size=n * n)
+    .map(lambda cells: Mosaic(n, tuple(cells)))))
+@settings(max_examples=300, deadline=None)
+def test_validate_matches_oracle(m):
+    # Arbitrary rows are almost always invalid: every kind of fault shows.
+    assert validate(m).bad_edges == oracle_validate(m)
+
+
+def test_trace_matches_oracle_on_4x4_orbit_classes(trefoil):
+    starts = [Mosaic(4, cells) for cells in CLASSES_4X4.values()] + [trefoil]
+    orbits = [orbit(m, default_table()) for m in starts]
+    assert [orb.size for orb in orbits] == list(CLASSES_4X4) + [2]
+    for orb in orbits:
+        for m in orb.member_mosaics():
+            assert trace_components(m) == oracle_trace_components(m)
+
+
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_trace_matches_oracle(n, seed):
+    m = random_mosaic(n, random.Random(seed))
+    assert trace_components(m) == oracle_trace_components(m)
+
+
+def test_trace_rejects_invalid_mosaic():
+    with pytest.raises(KnotfieldError, match="not suitably connected"):
+        trace_components(Mosaic(2, (2, 0, 0, 0)))
 
 
 def test_boundary_connection_rejected():
@@ -76,6 +116,13 @@ def test_decode_rejects_garbage():
         decode("2\n0 0\n0 99\n")
     with pytest.raises(KnotfieldError):
         Mosaic(2, (0, 0, 0))  # wrong cell count
+
+
+def test_decode_rows_end_the_document():
+    assert decode("2\n0 0\n0 0\n\n  \n") == Mosaic(2, (0,) * 4)
+    with pytest.raises(MosaicParseError) as exc:
+        decode("2\n0 0\n0 0\n\ngarbage\nmore\n")
+    assert exc.value.line == 5
 
 
 def test_trefoil_fixture_shape(trefoil):

@@ -9,11 +9,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotfield.errors import KnotfieldError
+from knotfield.errors import KnotfieldError, MoveTableError
 from knotfield.diagram import jones, to_diagram
 from knotfield.mosaic import Mosaic, random_mosaic, trace_components, validate
 from knotfield.moves import (
     MoveInstance,
+    MoveTemplate,
     apply,
     default_table,
     instances_for,
@@ -49,6 +50,25 @@ def test_generator_reproduces_shipped_table(hash_seed):
                            capture_output=True, text=True, check=True).stdout
     shipped = (GENERATOR.parents[1] / "src/knotfield/data/moves_default.json").read_text()
     assert built == shipped
+
+
+def test_template_rejects_mismatched_interior_edge():
+    # Tile 5 (W-E line) runs into a blank: the pattern's own edge dangles.
+    # The other pattern is consistent, so only the first can be at fault.
+    with pytest.raises(MoveTableError, match="pattern_a has mismatched interior edges"):
+        MoveTemplate("bad", 1, 2, (5, 0), (5, 5))
+    with pytest.raises(MoveTableError, match="pattern_b has mismatched interior edges"):
+        MoveTemplate("bad", 1, 2, (5, 5), (0, 5))
+
+
+def test_template_rejects_differing_boundary_signatures():
+    # A W-E line and an N-S line touch different sides of their cell.
+    with pytest.raises(MoveTableError, match="boundary signatures differ"):
+        MoveTemplate("bad", 1, 1, (5,), (6,))
+    # Same sides, different positions along them.
+    with pytest.raises(MoveTableError, match="boundary signatures differ"):
+        MoveTemplate("bad", 2, 1, (5, 0), (0, 5))
+    MoveTemplate("ok", 2, 2, (5, 5, 0, 0), (1, 2, 3, 4))
 
 
 def test_instance_fit_checking():

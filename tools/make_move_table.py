@@ -6,11 +6,13 @@ full table is their closure under quarter-turn rotation and left-right
 reflection, deduplicated.
 """
 
+import itertools
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from knotfield.mosaic import BOUNDARY_FAULT, _edge_faults, _walk  # noqa: E402
 from knotfield.moves import MoveTemplate, templates_to_json  # noqa: E402
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src/knotfield/data/moves_default.json"
@@ -51,95 +53,40 @@ BASE = [
 ]
 
 
-def _block_routing(rows, cols, cells):
-    """Boundary pairing and loop count of a crossingless pattern, or None.
-
-    Returns (frozenset of frozenset boundary-point pairs, n_loops).  Boundary
-    points are ("N"|"S", col) / ("W"|"E", row).
-    """
-    from knotfield.mosaic import TILE_PAIRS, OPPOSITE, tile_partner
-
-    def boundary_point(r, c, side):
-        if side == "N" and r == 0:
-            return ("N", c)
-        if side == "S" and r == rows - 1:
-            return ("S", c)
-        if side == "W" and c == 0:
-            return ("W", r)
-        if side == "E" and c == cols - 1:
-            return ("E", r)
-        return None
-
-    def walk(r, c, side):
-        """Follow the strand from endpoint (r, c, side); return exit boundary point or None (loop)."""
-        while True:
-            used.add((r, c, side))
-            out = tile_partner(cells[r * cols + c], side)
-            used.add((r, c, out))
-            bp = boundary_point(r, c, out)
-            if bp is not None:
-                return bp
-            if out == "N":
-                r -= 1
-            elif out == "S":
-                r += 1
-            elif out == "E":
-                c += 1
-            else:
-                c -= 1
-            side = OPPOSITE[out]
-            if (r, c, side) in used:
-                return None
-
-    used = set()
-    pairs = set()
-    loops = 0
-    endpoints = [(r, c, side)
-                 for r in range(rows) for c in range(cols)
-                 for pair in TILE_PAIRS[cells[r * cols + c]] for side in pair]
-    # open strands first (walk from boundary endpoints), then closed loops
-    for r, c, side in endpoints:
-        bp = boundary_point(r, c, side)
-        if bp is None or (r, c, side) in used:
-            continue
-        other = walk(r, c, side)
-        pairs.add(frozenset({bp, other}))
-    for r, c, side in endpoints:
-        if (r, c, side) not in used:
-            walk(r, c, side)
-            loops += 1
-    return frozenset(pairs), loops
+def _ends(strand, cols):
+    """The two boundary points of an open strand in a block `cols` wide,
+    each ("N"|"S", col) or ("W"|"E", row)."""
+    (first, entry, _), (last, _, exit_) = strand[0], strand[-1]
+    return frozenset((side, c if side in "NS" else r) for (r, c), side in
+                     ((divmod(first, cols), entry), (divmod(last, cols), exit_)))
 
 
-def _class_order(key):
-    """Sort key for a (signature, pairing) routing class.
+def _class_order(pairing):
+    """Sort key for a routing class, given by its boundary-point pairing:
+    its sorted boundary points, then its sorted pairs.
 
     Sorted tuples instead of the frozensets' repr, whose element order
     follows the string hash and so changes with PYTHONHASHSEED.
     """
-    sig, pairing = key
-    return sorted(sig), sorted(sorted(pair) for pair in pairing)
+    return sorted(p for pair in pairing for p in pair), sorted(sorted(pair) for pair in pairing)
 
 
 def planar_2x2_moves():
-    """All 2x2 crossingless planar isotopies, generated by routing class."""
-    from knotfield.mosaic import TILE_SIDES
-    from knotfield.moves import _pattern_boundary_signature, _pattern_consistent
+    """All 2x2 crossingless planar isotopies, generated by routing class.
 
+    A routing class is the pairing of boundary points that the open strands
+    make; patterns with a closed loop never join one, so no move creates or
+    deletes a circle component.
+    """
     classes = {}
-    arcs = [t for t in range(9)]  # crossing tiles 9, 10 excluded
-    for a in arcs:
-        for b in arcs:
-            for c in arcs:
-                for d in arcs:
-                    cells = (a, b, c, d)
-                    if not _pattern_consistent(2, 2, cells):
-                        continue
-                    pairing, loops = _block_routing(2, 2, cells)
-                    if loops:
-                        continue  # never create or delete a circle component
-                    sig = _pattern_boundary_signature(2, 2, cells)
-                    classes.setdefault((sig, pairing), []).append(cells)
+    for cells in itertools.product(range(9), repeat=4):  # crossing tiles 9, 10 excluded
+        faults = _edge_faults(2, 2, cells)
+        if any(reason != BOUNDARY_FAULT for *_, reason in faults):
+            continue
+        opened, closed = _walk(2, 2, cells, faults)
+        if closed:
+            continue
+        classes.setdefault(frozenset(_ends(s, 2) for s in opened), []).append(cells)
     moves = []
     idx = 0
     for key in sorted(classes, key=_class_order):
