@@ -4,9 +4,11 @@ Natural units hbar = m = 1 throughout.  The free Hamiltonian uses the exact
 spectral propagator (Fourier multiply by exp(-i |k|^2 T / 2)), so `run`
 jumps from one kept snapshot to the next with one multiply over the whole
 interval T.  The harmonic oscillator uses symmetric Strang splitting,
-second order in dt; within an interval adjacent half-kicks are fused into
-full kicks, and half-kicks act only at the interval's two ends, so every
-snapshot is the exact Strang state.  Nodal curves of snapshots are
+second order in dt.  Its kinetic phase and potential are both sums over
+the three axes, so n Strang steps are exactly the Kronecker product of
+three 1-D n-step propagators: `run` builds one N x N matrix per axis and
+interval length and jumps to each snapshot with three matrix products.
+Every snapshot is the exact Strang state.  Nodal curves of snapshots are
 tracked over time with component matching.
 
 Which Hamiltonians make interesting nodal dynamics is left open here; the
@@ -140,52 +142,68 @@ def _kinetic_phase(cfg: EvolutionConfig, span: float):
     return np.exp(-0.5j * span * k2)
 
 
-def _potential(cfg: EvolutionConfig):
-    ax = cfg.axes()
-    wx, wy, wz = cfg.omega
-    return 0.5 * ((wx * ax[0][:, None, None]) ** 2
-                  + (wy * ax[1][None, :, None]) ** 2
-                  + (wz * ax[2][None, None, :]) ** 2)
+def _axis_matrix(cfg: EvolutionConfig, omega: float, n: int, dt: float):
+    """n Strang steps of dt along one axis of frequency omega, as an N x N matrix.
+
+    The sequence (half kick; then n times 1-D FFT, kinetic phase
+    exp(-i k^2 dt / 2), inverse FFT, full kick; the last kick a half one)
+    applied to the columns of the identity.
+    """
+    v = 0.5 * (omega * cfg.axes()[0]) ** 2
+    half, full = np.exp(-0.5j * dt * v), np.exp(-1j * dt * v)
+    kinetic = np.exp(-0.5j * dt * cfg.wavenumbers() ** 2)
+    m = np.diag(half)
+    for i in range(n):
+        m = np.fft.fft(m, axis=0)
+        m *= kinetic[:, None]
+        np.fft.ifft(m, axis=0, out=m)
+        m *= (full if i < n - 1 else half)[:, None]
+    return m
 
 
 def _phases(cfg: EvolutionConfig, n: int, dt: float):
-    """Phase arrays for n steps of dt: (kinetic, half kick, full kick).
+    """The propagator over n steps of dt, in the form `_advance` applies.
 
-    The free propagator is one kinetic phase over the whole span n * dt and
-    has no kicks; the harmonic one takes n Strang steps, so its arrays are
-    those of a single step and do not depend on n.
+    Free: the k-space phase exp(-i |k|^2 n dt / 2) of the whole span.
+    Harmonic: three N x N matrices, the n-step Strang propagator along
+    each axis.  Kinetic phase and potential are both sums over axes, so
+    the 3-D n-step propagator is exactly their Kronecker product.  Axes of
+    equal frequency share one matrix.  Built with floating-point warnings
+    off: a dt or box that overflows leaves non-finite entries, which
+    `_advance` reports as one error.
     """
-    if cfg.hamiltonian == "free":
-        return _kinetic_phase(cfg, n * dt), None, None
-    v = _potential(cfg)
-    return _kinetic_phase(cfg, dt), np.exp(-0.5j * dt * v), np.exp(-1j * dt * v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.hamiltonian == "free":
+            return _kinetic_phase(cfg, n * dt)
+        built = {om: _axis_matrix(cfg, om, n, dt) for om in dict.fromkeys(cfg.omega)}
+        return tuple(built[om] for om in cfg.omega)
 
 
 def _advance(s: FieldState, cfg: EvolutionConfig, n: int, dt: float, phases=None) -> FieldState:
     """n propagator steps of dt from s in one call.
 
     Free: one multiply by exp(-i |k|^2 n dt / 2) between one FFT pair,
-    exact for any n.  Harmonic: n Strang steps whose adjacent half-kicks
-    are merged into full kicks, so half-kicks act only at the two ends and
-    the result is the exact n-step Strang state.  phases, from
-    `_phases(cfg, n, dt)`, lets a caller build them once for many calls.
-    The time stamp adds dt n times, as n single steps would.
+    exact for any n.  Harmonic: the exact n-step Strang state as three
+    matrix products, one per axis, with the matrices of `_phases`.
+    phases, from `_phases(cfg, n, dt)`, lets a caller build them once for
+    many calls.  The time stamp adds dt n times, as n single steps would.
     """
     if s.resolution != cfg.resolution:
         raise KnotfieldError(
             f"state resolution {s.resolution} does not match config {cfg.resolution}")
-    kinetic, half, full = phases if phases is not None else _phases(cfg, n, dt)
-    if half is None:
-        out = np.fft.fftn(s.values)
-        out *= kinetic
-        np.fft.ifftn(out, out=out)
-    else:
-        out = half * s.values
-        for i in range(n):
-            np.fft.fftn(out, out=out)
-            out *= kinetic
+    if phases is None:
+        phases = _phases(cfg, n, dt)
+    N = cfg.resolution
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.hamiltonian == "free":
+            out = np.fft.fftn(s.values)
+            out *= phases
             np.fft.ifftn(out, out=out)
-            out *= full if i < n - 1 else half
+        else:
+            m0, m1, m2 = phases
+            out = (m0 @ s.values.reshape(N, N * N)).reshape(N, N, N)  # axis 0
+            out = m1 @ out  # axis 1, one product per slice of axis 0
+            out = (out.reshape(N * N, N) @ m2.T).reshape(N, N, N)  # axis 2
     if not np.all(np.isfinite(out.view(float))):
         raise KnotfieldError(f"numeric overflow during step at t = {s.time}")
     t = s.time
@@ -205,7 +223,8 @@ def run(state: FieldState, cfg: EvolutionConfig, snapshot_every: int = 0):
 
     snapshot_every = 0 keeps only the initial and final states.  The state
     jumps from one kept snapshot to the next in a single `_advance` call;
-    the phase arrays of each distinct interval length are built once.
+    the propagator of each distinct interval length (`_phases`) is built
+    once.
     """
     if snapshot_every < 0:
         raise KnotfieldError(f"snapshot interval must be at least 0, got {snapshot_every}")
@@ -215,10 +234,9 @@ def run(state: FieldState, cfg: EvolutionConfig, snapshot_every: int = 0):
     done = 0
     while done < cfg.steps:
         n = min(every, cfg.steps - done)
-        key = n if cfg.hamiltonian == "free" else 1  # harmonic phases do not depend on n
-        if key not in built:
-            built[key] = _phases(cfg, n, cfg.dt)
-        state = _advance(state, cfg, n, cfg.dt, built[key])
+        if n not in built:
+            built[n] = _phases(cfg, n, cfg.dt)
+        state = _advance(state, cfg, n, cfg.dt, built[n])
         snaps.append(state)
         done += n
     return snaps

@@ -17,6 +17,7 @@ from .errors import MoveTableError, KnotfieldError
 from .mosaic import BOUNDARY_FAULT, Mosaic, NUM_TILES, _edge_faults
 
 _DEFAULT_TABLE = None
+_ENTRY_KEYS = ("name", "rows", "cols", "pattern_a", "pattern_b")
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class MoveTemplate:
         for label, pat in (("pattern_a", self.pattern_a), ("pattern_b", self.pattern_b)):
             if len(pat) != size:
                 raise MoveTableError(f"{self.name}: {label} has {len(pat)} cells, expected {size}")
-            if any(not 0 <= t < NUM_TILES for t in pat):
+            if any(not isinstance(t, int) or not 0 <= t < NUM_TILES for t in pat):
                 raise MoveTableError(f"{self.name}: {label} contains a bad tile id")
             faults = _edge_faults(self.rows, self.cols, pat)
             if any(reason != BOUNDARY_FAULT for *_, reason in faults):
@@ -105,11 +106,19 @@ def templates_from_json(text_or_obj):
         raise MoveTableError("move table must be a JSON list")
     templates = []
     names = set()
-    for entry in obj:
-        t = MoveTemplate(entry["name"], int(entry["rows"]), int(entry["cols"]),
-                         tuple(entry["pattern_a"]), tuple(entry["pattern_b"]))
+    for i, entry in enumerate(obj):
+        if not isinstance(entry, dict):
+            raise MoveTableError(f"move table entry {i} is not an object")
+        missing = [key for key in _ENTRY_KEYS if key not in entry]
+        if missing:
+            raise MoveTableError(f"move table entry {i} lacks {', '.join(missing)}")
+        try:
+            t = MoveTemplate(entry["name"], int(entry["rows"]), int(entry["cols"]),
+                             tuple(entry["pattern_a"]), tuple(entry["pattern_b"]))
+        except (MoveTableError, TypeError, ValueError) as exc:
+            raise MoveTableError(f"move table entry {i}: {exc}") from None
         if t.name in names:
-            raise MoveTableError(f"duplicate move name {t.name}")
+            raise MoveTableError(f"move table entry {i}: duplicate move name {t.name}")
         names.add(t.name)
         templates.append(t)
     return templates

@@ -149,6 +149,10 @@ _EVOLVE = ["evolve", "run", "--resolution", "16", "--box", "8", "--steps", "2"]
     (None, ["field", "eval", "--field", "unknot", "--z", "nan", "--w", "1"]),
     (None, ["field", "eval", "--field", "unknot", "--z", "0", "--w", "nan"]),
     (None, ["field", "eval", "--field", "unknot", "--z", "1e400", "--w", "1"]),
+    # propagators that overflow: one error line, no floating-point warnings
+    (None, _EVOLVE + ["--initial", "gaussian", "--dt", "1e308"]),
+    (None, _EVOLVE + ["--initial", "gaussian", "--dt", "1e308", "--hamiltonian", "harmonic"]),
+    (None, _EVOLVE + ["--initial", "gaussian", "--box", "1e-300", "--steps", "1"]),
 ])
 def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, mosaic_text, argv):
     if argv is None:

@@ -261,6 +261,26 @@ def test_run_matches_per_step_oracle(kind, resolution, steps, ham, tol):
         assert max(_relative_gap(a, b) for a, b in zip(got, want)) <= tol
 
 
+@pytest.mark.parametrize("kind,resolution,steps,omega", [
+    ("milnor", 64, 60, (1.0, 1.0, 1.0)),  # the benchmark's harmonic evolve run
+    ("milnor", 32, 16, (0.0, 2.0, 1.0)),  # axis 0 purely kinetic
+    ("gaussian", 32, 16, (0.0, 2.0, 1.0)),
+])
+def test_harmonic_run_matches_per_step_oracle(kind, resolution, steps, omega):
+    # as above, with one oracle run of single steps for all intervals: the
+    # snapshots every e steps are its states 0, e, 2e, ... and the last
+    cfg = EvolutionConfig(hamiltonian="harmonic", box=16.0, resolution=resolution,
+                          dt=2e-3, steps=steps, omega=omega)
+    psi = _initial(kind, cfg)
+    states = oracle_run(psi, cfg, 1)
+    for every in (0, 1, 7, steps):
+        got = run(psi, cfg, every)
+        want = [states[i] for i in sorted({*range(0, steps, every or steps), steps})]
+        assert [s.time for s in got] == [s.time for s in want]
+        assert all(s.norm0 == psi.norm0 for s in got)
+        assert max(_relative_gap(a, b) for a, b in zip(got, want)) <= 1e-13
+
+
 @pytest.mark.parametrize("ham", ["free", "harmonic"])
 def test_negative_step_matches_oracle(ham):
     cfg = EvolutionConfig(hamiltonian=ham, box=8.0, resolution=32, dt=1e-3)
@@ -282,6 +302,17 @@ def test_track_matches_per_step_oracle():
     assert got.events == want.events
 
 
+def test_harmonic_track_matches_per_step_oracle():
+    # the benchmark's track command under the harmonic Hamiltonian
+    cfg = EvolutionConfig(hamiltonian="harmonic", resolution=64, steps=20)
+    psi = initial_knot_state(field_library("milnor", (2, 3)), cfg)
+    got = track_nodal(run(psi, cfg, snapshot_every=5), cfg)
+    want = track_nodal(oracle_run(psi, cfg, snapshot_every=5), cfg)
+    assert ([(s.time, s.n_components, s.n_closed, s.n_open) for s in got.snapshots]
+            == [(s.time, s.n_components, s.n_closed, s.n_open) for s in want.snapshots])
+    assert got.events == want.events
+
+
 @pytest.mark.parametrize("steps,every,calls", [(60, 0, 1), (20, 5, 4), (20, 7, 3)])
 def test_free_run_takes_one_fft_pair_per_interval(monkeypatch, steps, every, calls):
     real, counted = np.fft.fftn, []
@@ -296,19 +327,41 @@ def test_free_run_takes_one_fft_pair_per_interval(monkeypatch, steps, every, cal
     assert len(counted) == calls
 
 
-@pytest.mark.parametrize("ham,builds", [("free", 2), ("harmonic", 1)])
-def test_run_builds_each_phase_once(monkeypatch, ham, builds):
-    # 20 steps every 7: intervals 7, 7, 6
-    real, spans = evolution._kinetic_phase, []
+def test_harmonic_run_takes_no_3d_fft(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("3-D FFT in a harmonic run")
+
+    monkeypatch.setattr(np.fft, "fftn", fail)
+    monkeypatch.setattr(np.fft, "ifftn", fail)
+    cfg = EvolutionConfig(hamiltonian="harmonic", box=8.0, resolution=32, steps=20)
+    assert len(run(gaussian_state(cfg), cfg, snapshot_every=7)) == 4
+
+
+@pytest.mark.parametrize("ham,omega,builds", [
+    ("free", (1.0, 1.0, 1.0), [7 * 2e-3, 6 * 2e-3]),
+    ("harmonic", (1.0, 1.0, 1.0), [(7, 1.0), (6, 1.0)]),
+    ("harmonic", (1.0, 1.5, 0.5), [(7, 1.0), (7, 1.5), (7, 0.5), (6, 1.0), (6, 1.5), (6, 0.5)]),
+], ids=["free-2", "harmonic-2", "harmonic-6"])
+def test_run_builds_each_phase_once(monkeypatch, ham, omega, builds):
+    # 20 steps every 7: intervals 7, 7, 6.  Free builds one kinetic phase
+    # per interval length; harmonic one axis matrix per interval length and
+    # distinct frequency, and no 3-D kinetic phase.
+    real_kinetic, real_axis, built = evolution._kinetic_phase, evolution._axis_matrix, []
 
     def kinetic(cfg, span):
-        spans.append(span)
-        return real(cfg, span)
+        built.append(span)
+        return real_kinetic(cfg, span)
+
+    def axis_matrix(cfg, om, n, dt):
+        built.append((n, om))
+        return real_axis(cfg, om, n, dt)
 
     monkeypatch.setattr(evolution, "_kinetic_phase", kinetic)
-    cfg = EvolutionConfig(hamiltonian=ham, box=8.0, resolution=32, steps=20)
+    monkeypatch.setattr(evolution, "_axis_matrix", axis_matrix)
+    cfg = EvolutionConfig(hamiltonian=ham, box=8.0, resolution=32, dt=2e-3, steps=20,
+                          omega=omega)
     run(gaussian_state(cfg), cfg, snapshot_every=7)
-    assert len(spans) == builds
+    assert built == builds
 
 
 def test_initial_state_validation():

@@ -71,6 +71,22 @@ def test_template_rejects_differing_boundary_signatures():
     MoveTemplate("ok", 2, 2, (5, 5, 0, 0), (1, 2, 3, 4))
 
 
+_GOOD_ENTRY = {"name": "ok", "rows": 2, "cols": 2,
+               "pattern_a": [5, 5, 0, 0], "pattern_b": [1, 2, 3, 4]}
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({**_GOOD_ENTRY, "pattern_a": [5, 5, 0, 1.5]}, "entry 1: ok: pattern_a contains a bad tile id"),
+    ({k: v for k, v in _GOOD_ENTRY.items() if k != "pattern_b"}, "entry 1 lacks pattern_b"),
+    ({**_GOOD_ENTRY, "rows": "x"}, "entry 1: invalid literal"),
+    ([3], "entry 1 is not an object"),
+], ids=["float-tile", "no-pattern_b", "rows-not-a-number", "not-an-object"])
+def test_malformed_table_entry_is_a_move_table_error(entry, message):
+    # the index counts from 0, so the bad entry follows one good one
+    with pytest.raises(MoveTableError, match=message):
+        templates_from_json([_GOOD_ENTRY, entry])
+
+
 def test_instance_fit_checking():
     inst = MoveInstance(TABLE[0], (3, 3))
     with pytest.raises(KnotfieldError):
