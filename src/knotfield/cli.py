@@ -136,15 +136,30 @@ def _cmd_observable_chi(args):
             f"representative:\n{oid.rstrip(chr(10))}"), 0
 
 
+def _v_minus1():
+    """V(-1) of each mosaic, bracketing each distinct diagram once: an orbit's
+    members share few diagrams.  The memo lives as long as one observable."""
+    values = {}
+
+    def inv(m):
+        d = to_diagram(m)
+        if d not in values:
+            values[d] = evaluate_jones(jones(d), -1.0)
+        return values[d]
+
+    return inv
+
+
+# Each entry makes a fresh invariant for one observable.
 _INVARIANTS = {
-    "v_minus1": lambda m: evaluate_jones(jones(to_diagram(m)), -1.0),
-    "components": lambda m: float(len(mz.trace_components(m))),
+    "v_minus1": _v_minus1,
+    "components": lambda: lambda m: float(len(mz.trace_components(m))),
 }
 
 
 def _cmd_observable_invariant(args):
     m = _load_mosaic(args.file)
-    inv = _INVARIANTS[args.invariant]
+    inv = _INVARIANTS[args.invariant]()
     obs = invariant_observable(inv, m.n, default_table(), budget=args.budget)
     val = obs.eigenvalue_for(m)
     if args.format == "json":

@@ -4,19 +4,97 @@ Given mosaic states as bytes and the move instances packed by
 `orbits.compile_instances`, produce every neighbor state, with the source
 state and the instance that reached it.  `expand_level` is the only
 implementation: it expands a whole BFS level with numpy, a bounded chunk
-of (state, instance) pairs at a time, and `expand` is the same kernel on
-one state.  BACKEND names it in benchmark reports.
+of states at a time, and `expand` is the same kernel on one state.
+BACKEND names it in benchmark reports.
+
+Moves are matched by window code.  A window is the block of cells that
+instances of one shape share at one anchor; the default table at n = 4
+has 1,320 instances in 13 windows.  A window's code reads its tiles, row
+by row, as the digits of a base-12 number.  Each window has one sorted
+table of the codes of `pattern_a` and `pattern_b` of every instance on it
+(several instances may share a code).  One matrix product codes every
+window of a chunk of states, and `np.searchsorted` then finds exactly the
+instances with a matching pattern; no other cell is compared.  A byte
+above 10 reads as the digit 11, which no pattern has, so it matches
+nothing.
 """
 
 from __future__ import annotations
+
+import threading
+from collections import namedtuple
 
 import numpy as np
 
 BACKEND = "python"
 
-# Upper bound on the (state, instance) pairs gathered at once.  It caps the
-# kernel's temporary arrays at a few MB whatever the frontier size.
-_CHUNK_PAIRS = 1 << 16
+# Upper bound on the (state, window) pairs coded at once.  A pair matches
+# at most a few instances (4 in the default table), so this caps the
+# kernel's temporary arrays at a few hundred KB whatever the frontier size.
+_CHUNK_PAIRS = 1 << 11
+
+_BASE = 12
+# The code digit of each byte: a tile id is its own digit, any other byte 11.
+# Codes plus window offsets stay far below 2^53, so float64 products (BLAS)
+# are exact.
+_DIGIT = np.minimum(np.arange(256), _BASE - 1).astype(np.float64)
+
+# The window tables of one packed instance table.  weights[c, w] is the
+# place value of cell c in window w's code (0 off the window), and
+# offsets[w] keeps the windows' codes apart.  Entry k of the sorted `keys`
+# is one pattern of instance `inst[k]`, and run[k] counts the entries from
+# k on with the same key; matching it writes `target[k]` at that
+# instance's cells `pos[inst[k]]`, both padded with copies of their first
+# cell.
+_Windows = namedtuple("_Windows", "weights offsets keys run inst pos target")
+
+# id()s of packed arrays -> (those arrays, their _Windows).  Holding the
+# arrays keeps their ids from being reused while the entry lives.
+_TABLES = {}
+_TABLES_MAX = 16
+_TABLES_LOCK = threading.Lock()
+
+
+def _windows(pos, pat_a, pat_b, lens):
+    """The window tables of a packed instance table, built once per table.
+
+    The arrays are taken as read-only, as `compile_instances` returns them.
+    """
+    key = (id(pos), id(pat_a), id(pat_b), id(lens))
+    with _TABLES_LOCK:
+        hit = _TABLES.get(key)
+        if hit is None:
+            if len(_TABLES) >= _TABLES_MAX:
+                del _TABLES[next(iter(_TABLES))]
+            hit = _TABLES[key] = ((pos, pat_a, pat_b, lens),
+                                  _build_windows(pos, pat_a, pat_b, lens))
+    return hit[1]
+
+
+def _build_windows(pos, pat_a, pat_b, lens):
+    n_inst, max_len = pos.shape
+    window_of = {}
+    win = np.array([window_of.setdefault(tuple(pos[i, :k].tolist()), len(window_of))
+                    for i, k in enumerate(lens.tolist())])
+    # Padded cells have place value 0, and write cell 0's new value again.
+    pad = np.arange(max_len) >= lens[:, None]
+    power = np.maximum(lens[:, None] - 1 - np.arange(max_len), 0)
+    value = np.where(pad, 0, np.int64(_BASE) ** power)
+    weights = np.zeros((int(pos.max()) + 1, len(window_of)))
+    weights[pos[~pad], np.broadcast_to(win[:, None], pad.shape)[~pad]] = value[~pad]
+    offsets = np.arange(len(window_of)) * float(_BASE ** max_len)
+
+    pos = np.where(pad, pos[:, :1], pos).astype(np.min_scalar_type(int(pos.max())))
+    pat_a = np.where(pad, pat_a[:, :1], pat_a)
+    pat_b = np.where(pad, pat_b[:, :1], pat_b)
+    keys = np.concatenate([(pat_a * value).sum(axis=1) + offsets[win],
+                           (pat_b * value).sum(axis=1) + offsets[win]])
+    order = np.argsort(keys)
+    keys = keys[order]
+    run = np.searchsorted(keys, keys, "right") - np.arange(len(keys))
+    # Matching pattern_a writes pattern_b, and the other way round.
+    return _Windows(weights, offsets, keys, run, np.tile(np.arange(n_inst), 2)[order],
+                    pos, np.concatenate([pat_b, pat_a])[order])
 
 
 def expand(state, pos, pat_a, pat_b, lens):
@@ -39,38 +117,26 @@ def expand_level(states, pos, pat_a, pat_b, lens):
     n_inst = len(lens)
     if not states or n_inst == 0:
         return []
+    win = _windows(pos, pat_a, pat_b, lens)
     width = len(states[0])
     frontier = np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), width)
-
-    # Pad each pattern with copies of its first cell: a padded cell then
-    # matches exactly when cell 0 does, and writes back cell 0's new value.
-    pad = np.arange(pos.shape[1]) >= lens[:, None]
-    pos = np.where(pad, pos[:, :1], pos)
-    pat_a = np.where(pad, pat_a[:, :1], pat_a)
-    pat_b = np.where(pad, pat_b[:, :1], pat_b)
-
-    # The most selective cell of each instance on this level: the one whose
-    # two pattern tiles occur least often at its position in the frontier.
-    counts = np.stack([np.bincount(column, minlength=256) for column in frontier.T])
-    hits = counts[pos, pat_a] + np.where(pat_a != pat_b, counts[pos, pat_b], 0)
-    key = (np.arange(n_inst), np.argmin(hits, axis=1))
-    key_pos, key_a, key_b = pos[key], pat_a[key], pat_b[key]
+    n_win = len(win.offsets)
 
     out = []
-    rows_per_chunk = max(1, _CHUNK_PAIRS // n_inst)
+    rows_per_chunk = max(1, _CHUNK_PAIRS // n_win)
     for start in range(0, len(states), rows_per_chunk):
         block = frontier[start:start + rows_per_chunk]
-        key_cells = block[:, key_pos]
-        rows, inst = np.nonzero((key_cells == key_a) | (key_cells == key_b))
-        cells = block[rows[:, None], pos[inst]]
-        match_a = (cells == pat_a[inst]).all(axis=1)
-        match_b = (cells == pat_b[inst]).all(axis=1)
-        hit = match_a != match_b  # both cannot hold: the loader forbids a == b
-        rows, inst, match_a = rows[hit], inst[hit], match_a[hit]
+        codes = (_DIGIT[block[:, :len(win.weights)]] @ win.weights + win.offsets).ravel()
+        lo = np.minimum(np.searchsorted(win.keys, codes), len(win.keys) - 1)
+        count = np.where(win.keys[lo] == codes, win.run[lo], 0)
+        # Entry lo, lo + 1, ..., lo + count - 1 for each (state, window) pair.
+        pair = np.repeat(np.arange(len(codes)), count)
+        entry = np.arange(len(pair)) + np.repeat(lo - np.cumsum(count) + count, count)
+        rows, inst = pair // n_win, win.inst[entry]
+        order = np.argsort(rows * n_inst + inst, kind="stable")
+        rows, inst, entry = rows[order], inst[order], entry[order]
         new = block[rows]
-        new[np.arange(len(rows))[:, None], pos[inst]] = np.where(
-            match_a[:, None], pat_b[inst], pat_a[inst])
-        buf = new.tobytes()
-        out.extend((r, i, buf[k * width:(k + 1) * width])
-                   for k, (r, i) in enumerate(zip((rows + start).tolist(), inst.tolist())))
+        new[np.arange(len(rows))[:, None], win.pos[inst]] = win.target[entry]
+        out.extend(zip((rows + start).tolist(), inst.tolist(),
+                       new.view(f"V{width}").ravel().tolist()))
     return out

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import KnotfieldError, MosaicParseError
 
@@ -55,8 +56,16 @@ NUM_TILES = 11
 TILE_EXIT = {(t, a): b for t, pairs in TILE_PAIRS.items()
              for pair in pairs for a, b in (tuple(pair), tuple(pair)[::-1])}
 
-# (row step, column step) to the neighbour across each side.
-SIDE_STEP = {N: (-1, 0), E: (0, 1), S: (1, 0), W: (0, -1)}
+# The walk's integer form of TILE_EXIT.  A strand endpoint is cell * 4 + side,
+# sides numbered in SIDES order; _EXIT[tile * 4 + entry side] is the exit
+# side, -1 where the tile has no connection point at the entry side.
+_EXIT = [SIDES.index(TILE_EXIT[t, s]) if (t, s) in TILE_EXIT else -1
+         for t in range(NUM_TILES) for s in SIDES]
+
+# Where the closed strands through each tile start: at the side of each of
+# its pairs whose letter sorts first, pairs in TILE_PAIRS order.
+_STARTS = [tuple(SIDES.index(min(pair)) for pair in TILE_PAIRS[t]) for t in range(NUM_TILES)]
+
 
 BOUNDARY_FAULT = "connection point on outer boundary"
 INTERIOR_FAULT = "mismatched interior edge"
@@ -134,44 +143,76 @@ def validate(m: Mosaic) -> ValidationReport:
     return ValidationReport(valid=not bad, bad_edges=tuple(bad))
 
 
+@lru_cache(maxsize=None)
+def _across(rows, cols):
+    """For each endpoint of a rows x cols block, the endpoint facing it in
+    the neighbouring cell, or -1 on the block's boundary."""
+    out = []
+    for cell in range(rows * cols):
+        r, c = divmod(cell, cols)
+        for side, (dr, dc) in enumerate(((-1, 0), (0, 1), (1, 0), (0, -1))):  # N, E, S, W
+            if 0 <= r + dr < rows and 0 <= c + dc < cols:
+                out.append(((r + dr) * cols + c + dc) * 4 + (side + 2) % 4)
+            else:
+                out.append(-1)
+    return out
+
+
 def _walk(rows, cols, cells, faults):
-    """Follow the strands of a rows x cols block of cells without interior
-    faults, each as a tuple of (cell, entry_side, exit_side) passages.
+    """Follow the strands of a rows x cols block of tile ids 0..10, each as a
+    tuple of (cell, entry_side, exit_side) passages.
 
     Open strands start at the block's boundary `faults` (from _edge_faults,
     in their order) and end where they next leave the block; closed strands
     start at the smaller side of each untraversed pair, cells in row-major
-    order.  Returns (open strands, closed strands).
-    """
-    used = set()  # (cell, side) endpoints already traversed
+    order.  Returns (open strands, closed strands), or None if a strand
+    enters a side its tile lacks or a closed strand leaves the block: a
+    block without faults meets neither.
 
-    def follow(cell, side):
-        start = (cell, side)
-        passages = []
+    The walk runs on integer endpoints (cell * 4 + side) through the _EXIT
+    and _across tables; side letters are made only for the strands returned.
+    """
+    across = _across(rows, cols)
+    used = bytearray(4 * rows * cols)  # endpoints already traversed
+
+    def follow(start):
+        """(entry, exit) endpoint pairs from `start` until the strand closes
+        or leaves the block, and whether it left; None at a missing side."""
+        path = []
+        e = start
         while True:
-            exit_side = TILE_EXIT[cells[cell], side]
-            passages.append((cell, side, exit_side))
-            used.add((cell, side))
-            used.add((cell, exit_side))
-            dr, dc = SIDE_STEP[exit_side]
-            r, c = cell // cols + dr, cell % cols + dc
-            if not (0 <= r < rows and 0 <= c < cols):
-                return tuple(passages)
-            cell, side = r * cols + c, OPPOSITE[exit_side]
-            if (cell, side) == start:
-                return tuple(passages)
+            k = _EXIT[cells[e >> 2] * 4 + (e & 3)]
+            if k < 0:
+                return None
+            x = (e & -4) | k
+            path.append((e, x))
+            used[e] = used[x] = 1
+            e = across[x]
+            if e < 0 or e == start:
+                return path, e < 0
+
+    def passages(path):
+        return tuple((e >> 2, SIDES[e & 3], SIDES[x & 3]) for e, x in path)
 
     opened = []
     for kind, r, c, _ in faults:
         if kind == "h":
-            cell, side = (c, N) if r == 0 else ((rows - 1) * cols + c, S)
+            e = c * 4 if r == 0 else ((rows - 1) * cols + c) * 4 + 2
         else:
-            cell, side = (r * cols, W) if c == 0 else (r * cols + cols - 1, E)
-        if (cell, side) not in used:
-            opened.append(follow(cell, side))
-    closed = [follow(cell, min(pair))
-              for cell in range(rows * cols) for pair in TILE_PAIRS[cells[cell]]
-              if (cell, min(pair)) not in used]
+            e = r * cols * 4 + 3 if c == 0 else (r * cols + cols - 1) * 4 + 1
+        if not used[e]:
+            walked = follow(e)
+            if walked is None:
+                return None
+            opened.append(passages(walked[0]))
+    closed = []
+    for cell, t in enumerate(cells):
+        for side in _STARTS[t]:
+            if not used[cell * 4 + side]:
+                walked = follow(cell * 4 + side)
+                if walked is None or walked[1]:
+                    return None
+                closed.append(passages(walked[0]))
     return opened, closed
 
 
@@ -185,12 +226,19 @@ class Strand:
 def trace_components(m: Mosaic):
     """Follow every connection pair into closed strands.
 
-    Requires a valid mosaic; every pair belongs to exactly one strand.
+    Requires a valid mosaic; every pair belongs to exactly one strand.  The
+    walk meets every fault of an invalid one, and only then is the mosaic
+    validated, for the error message.
     """
-    rep = validate(m)
-    if not rep.valid:
+    try:
+        cells = bytes(m.cells)  # a float, a negative or a large id raises
+    except (TypeError, ValueError):
+        cells = None
+    walked = _walk(m.n, m.n, cells, ()) if cells is not None and max(cells) < NUM_TILES else None
+    if walked is None:
+        rep = validate(m)  # raises on a malformed tile id
         raise KnotfieldError(f"mosaic is not suitably connected ({len(rep.bad_edges)} bad edges)")
-    return [Strand(p) for p in _walk(m.n, m.n, m.cells, ())[1]]
+    return [Strand(p) for p in walked[1]]
 
 
 def count_crossings(m: Mosaic) -> int:

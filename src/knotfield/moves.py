@@ -36,7 +36,7 @@ class MoveTemplate:
         for label, pat in (("pattern_a", self.pattern_a), ("pattern_b", self.pattern_b)):
             if len(pat) != size:
                 raise MoveTableError(f"{self.name}: {label} has {len(pat)} cells, expected {size}")
-            if any(not isinstance(t, int) or not 0 <= t < NUM_TILES for t in pat):
+            if any(type(t) is not int or not 0 <= t < NUM_TILES for t in pat):  # not bool
                 raise MoveTableError(f"{self.name}: {label} contains a bad tile id")
             faults = _edge_faults(self.rows, self.cols, pat)
             if any(reason != BOUNDARY_FAULT for *_, reason in faults):
@@ -112,10 +112,14 @@ def templates_from_json(text_or_obj):
         missing = [key for key in _ENTRY_KEYS if key not in entry]
         if missing:
             raise MoveTableError(f"move table entry {i} lacks {', '.join(missing)}")
+        for key in ("rows", "cols"):
+            if type(entry[key]) is not int:  # not bool, not float
+                raise MoveTableError(f"move table entry {i}: invalid literal {entry[key]!r} "
+                                     f"for {key}, expected an integer")
         try:
-            t = MoveTemplate(entry["name"], int(entry["rows"]), int(entry["cols"]),
+            t = MoveTemplate(entry["name"], entry["rows"], entry["cols"],
                              tuple(entry["pattern_a"]), tuple(entry["pattern_b"]))
-        except (MoveTableError, TypeError, ValueError) as exc:
+        except (MoveTableError, TypeError) as exc:
             raise MoveTableError(f"move table entry {i}: {exc}") from None
         if t.name in names:
             raise MoveTableError(f"move table entry {i}: duplicate move name {t.name}")

@@ -11,8 +11,11 @@ import pytest
 
 from conftest import CHILD_ENV, data_path
 
-from knotfield import cli, mosaic
+from knotfield import cli, diagram, mosaic
 from knotfield.cli import main
+from knotfield.diagram import to_diagram
+from knotfield.moves import default_table
+from knotfield.orbits import orbit
 
 TREFOIL = data_path("trefoil4.mosaic")
 FIG8 = data_path("fig8_5.mosaic")
@@ -224,6 +227,29 @@ def test_observable_invariant(capsys):
                            "--format", "json")
     assert code == 0
     assert json.loads(out)["eigenvalue"] == pytest.approx(-3.0)
+
+
+def test_v_minus1_brackets_each_distinct_diagram_once(tmp_path, capsys, monkeypatch):
+    circle = mosaic.Mosaic(4, (0,) * 10 + (2, 1, 0, 0, 3, 4))
+    path = tmp_path / "circle.mosaic"
+    path.write_text(mosaic.encode(circle))
+    members = orbit(circle, default_table()).member_mosaics()
+    codes = {to_diagram(m).pd_code() for m in members}
+    bracketed = []
+    real = diagram.bracket
+
+    def counting_bracket(d, *args, **kwargs):
+        bracketed.append(d)
+        return real(d, *args, **kwargs)
+
+    monkeypatch.setattr(diagram, "bracket", counting_bracket)
+    # Each command makes a fresh observable, whose memo starts empty.
+    for _ in range(2):
+        bracketed.clear()
+        code, out, _ = run_cli(capsys, "observable", "invariant", str(path))
+        assert (code, out) == (0, "v_minus1 eigenvalue on this orbit: 1\n")
+        assert len(bracketed) == len(codes)
+        assert {d.pd_code() for d in bracketed} == codes
 
 
 def test_observable_chi(capsys):

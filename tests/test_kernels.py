@@ -7,7 +7,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from knotfield import kernels
-from knotfield.mosaic import random_mosaic
+from knotfield.mosaic import Mosaic, enumerate_mosaics, random_mosaic
 from knotfield.moves import apply, default_table
 from knotfield.orbits import compile_instances
 
@@ -39,6 +39,70 @@ def test_expand_level_matches_oracle(n, size, chunk_pairs, seed):
     # The instance index names the move that maps the source to the neighbor.
     for i, k, nb in got:
         assert bytes(apply(INSTS[n][k], frontier[i]).cells) == nb
+
+
+def _assert_level_matches_oracle(n, frontier):
+    """expand_level on a whole level against oracle_expand state by state;
+    returns the level's neighbors."""
+    got = kernels.expand_level([bytes(m.cells) for m in frontier], *PACKED[n])
+    want = [(i, nb) for i, m in enumerate(frontier) for nb in oracle_expand(m, TABLE)]
+    assert [(i, nb) for i, _, nb in got] == want
+    for i, k, nb in got:
+        assert bytes(apply(INSTS[n][k], frontier[i]).cells) == nb
+    return [nb for _, nb in want]
+
+
+def _bfs_levels_match_oracle(start, budget):
+    """Every BFS level from `start`, until the orbit closes or passes `budget`
+    members (the last level cut to fit it), matches the oracle."""
+    seen = {bytes(start.cells)}
+    level = [start]
+    while level:
+        fresh = []
+        for nb in _assert_level_matches_oracle(start.n, level):
+            if nb not in seen and len(seen) < budget:
+                seen.add(nb)
+                fresh.append(Mosaic(start.n, tuple(nb)))
+        level = fresh
+    return len(seen)
+
+
+def test_expand_level_matches_oracle_on_bfs_levels():
+    circle4 = Mosaic(4, (0,) * 10 + (2, 1, 0, 0, 3, 4))
+    assert _bfs_levels_match_oracle(circle4, 10 ** 6) == 1348
+    circle5 = Mosaic(5, (0,) * 6 + (2, 1, 0, 0, 0, 3, 4) + (0,) * 12)
+    assert _bfs_levels_match_oracle(circle5, 300) == 300
+
+
+def test_expand_matches_oracle_on_a_shared_window_code():
+    # A 2x2 pattern of several templates: one window code, several moves.
+    by_pattern = {}
+    for t in TABLE:
+        if (t.rows, t.cols) == (2, 2):
+            for pat in (t.pattern_a, t.pattern_b):
+                by_pattern.setdefault(pat, []).append(t)
+    pattern = max(by_pattern, key=lambda pat: len(by_pattern[pat]))
+    assert len(by_pattern[pattern]) >= 2
+    m = Mosaic(2, pattern)
+    assert len(kernels.expand(bytes(m.cells), *PACKED[2])) >= 2
+    _assert_level_matches_oracle(2, [m])
+
+
+def test_byte_above_10_matches_nothing():
+    # Were bytes code digits as they stand, (a, b, c - 1, d + 12) would carry
+    # into the code of the pattern (a, b, c, d).
+    t = next(t for t in TABLE if (t.rows, t.cols) == (2, 2) and t.pattern_a[2] >= 1)
+    a, b, c, d = t.pattern_a
+    m = Mosaic(2, (a, b, c - 1, d + 12))
+    assert kernels.expand(bytes(m.cells), *PACKED[2]) == oracle_expand(m, TABLE) == []
+
+
+def test_expand_level_without_3x3_windows():
+    # n = 1 fits no move at all, n = 2 only the 2x2 ones.
+    assert len(INSTS[1]) == 0
+    assert {(inst.template.rows, inst.template.cols) for inst in INSTS[2]} == {(2, 2)}
+    for n in (1, 2):
+        _assert_level_matches_oracle(n, list(enumerate_mosaics(n)))
 
 
 def test_expand_level_memory_is_bounded():

@@ -3,7 +3,7 @@ import random
 import runpy
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracles import oracle_random_mosaic, oracle_trace_components, oracle_validate
 
 from knotfield.errors import KnotfieldError, MosaicParseError
@@ -80,6 +80,47 @@ def test_trace_matches_oracle_on_4x4_orbit_classes(trefoil):
 def test_trace_matches_oracle(n, seed):
     m = random_mosaic(n, random.Random(seed))
     assert trace_components(m) == oracle_trace_components(m)
+
+
+# Tile ids the walk must reject as validate() does: out of range at either
+# end (a negative id must not index the exit table from its end), True
+# (taken as 1, as validate takes it) and a fraction.
+_ANY_TILE = st.one_of(st.integers(-1, 11), st.sampled_from([True, 2.5]))
+
+
+@st.composite
+def _faulty_grids(draw):
+    """n <= 5 grids: a random valid mosaic with a few cells redrawn, or any
+    row of tile ids, so that faults are both local and everywhere."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        cells = list(random_mosaic(n, random.Random(draw(st.integers(0, 2 ** 32 - 1)))).cells)
+        for i, t in draw(st.lists(st.tuples(st.integers(0, n * n - 1), _ANY_TILE), max_size=3)):
+            cells[i] = t
+    else:
+        cells = draw(st.lists(_ANY_TILE, min_size=n * n, max_size=n * n))
+    return Mosaic(n, tuple(cells))
+
+
+@given(_faulty_grids())
+# -1 where tile 10 fits: a walk indexing its table from the end takes it for 10.
+@example(Mosaic(3, (0, 2, 1, 2, -1, 4, 3, 4, 0)))
+@example(Mosaic(2, (2, True, 3, 4)))
+@settings(max_examples=400, deadline=None)
+def test_trace_faults_match_validating_first(m):
+    # The walk finds the faults itself; it must answer as validating first did.
+    try:
+        rep = validate(m)
+    except KnotfieldError as exc:
+        want = exc
+    else:
+        if rep.valid:
+            assert trace_components(m) == oracle_trace_components(m)
+            return
+        want = KnotfieldError(f"mosaic is not suitably connected ({len(rep.bad_edges)} bad edges)")
+    with pytest.raises(KnotfieldError) as got:
+        trace_components(m)
+    assert (type(got.value), str(got.value)) == (type(want), str(want))
 
 
 def test_trace_rejects_invalid_mosaic():

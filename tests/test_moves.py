@@ -80,7 +80,12 @@ _GOOD_ENTRY = {"name": "ok", "rows": 2, "cols": 2,
     ({k: v for k, v in _GOOD_ENTRY.items() if k != "pattern_b"}, "entry 1 lacks pattern_b"),
     ({**_GOOD_ENTRY, "rows": "x"}, "entry 1: invalid literal"),
     ([3], "entry 1 is not an object"),
-], ids=["float-tile", "no-pattern_b", "rows-not-a-number", "not-an-object"])
+    ({**_GOOD_ENTRY, "rows": 2.7}, "entry 1: invalid literal 2.7 for rows"),
+    ({**_GOOD_ENTRY, "rows": True}, "entry 1: invalid literal True for rows"),
+    ({**_GOOD_ENTRY, "pattern_b": [True, 2, 3, 4]}, "pattern_b contains a bad tile id"),
+    ({**_GOOD_ENTRY, "pattern_a": [5, 5, 0, 1.0]}, "pattern_a contains a bad tile id"),
+], ids=["float-tile", "no-pattern_b", "rows-not-a-number", "not-an-object",
+        "fractional-rows", "bool-rows", "bool-tile", "integral-float-tile"])
 def test_malformed_table_entry_is_a_move_table_error(entry, message):
     # the index counts from 0, so the bad entry follows one good one
     with pytest.raises(MoveTableError, match=message):
