@@ -192,7 +192,13 @@ def _parse_complex(s: str) -> complex:
 def _cmd_field_eval(args):
     f = parse_field_spec(args.field)
     z, w = _parse_complex(args.z), _parse_complex(args.w)
-    v = complex(f(z, w))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = complex(f(z, w))
+    except OverflowError:  # Python complex powers raise instead of giving inf
+        v = complex("nan")
+    if not np.isfinite(v):
+        raise KnotfieldError(f"{f.name} is not finite at ({z}, {w})")
     payload = {"field": f.name, "re": v.real, "im": v.imag, "abs": abs(v)}
     try:
         payload["phase"] = phase(f, z, w)

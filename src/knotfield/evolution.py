@@ -1,15 +1,17 @@
 """Schrodinger evolution of sampled complex fields on a periodic box.
 
-Natural units hbar = m = 1 throughout.  The free Hamiltonian uses the exact
-spectral propagator (Fourier multiply by exp(-i |k|^2 T / 2)), so `run`
-jumps from one kept snapshot to the next with one multiply over the whole
-interval T.  The harmonic oscillator uses symmetric Strang splitting,
+Natural units hbar = m = 1 throughout.  Both Hamiltonians share one
+propagator form.  The harmonic oscillator uses symmetric Strang splitting,
 second order in dt.  Its kinetic phase and potential are both sums over
 the three axes, so n Strang steps are exactly the Kronecker product of
 three 1-D n-step propagators: `run` builds one N x N matrix per axis and
 interval length and jumps to each snapshot with three matrix products.
-Every snapshot is the exact Strang state.  Nodal curves of snapshots are
-tracked over time with component matching.
+The free Hamiltonian is the omega = 0 oscillator, whose kicks are the
+identity, so a single Strang step of span T is its exact spectral
+propagator (exp(-i k^2 T / 2) between a 1-D FFT pair) and a whole
+snapshot interval is one such step.  Every snapshot is the exact Strang
+state.  Nodal curves of snapshots are tracked over time with component
+matching.
 
 Which Hamiltonians make interesting nodal dynamics is left open here; the
 module ships the two standard ones and measures what happens, making no
@@ -36,8 +38,8 @@ class EvolutionConfig:
     """Hamiltonian and discretization parameters.
 
     hamiltonian is "free" or "harmonic"; omega gives per-axis oscillator
-    frequencies (a scalar is broadcast).  N must be a power of two for the
-    spectral transform.
+    frequencies (a scalar is broadcast) and is unused by "free".  The
+    resolution N, samples per axis, must be a power of two of at least 2.
     """
 
     hamiltonian: str = "free"
@@ -135,13 +137,6 @@ def _l2(values) -> float:
     return float(np.sqrt(np.sum(np.abs(values) ** 2)))
 
 
-def _kinetic_phase(cfg: EvolutionConfig, span: float):
-    """exp(-i |k|^2 span / 2): the free propagator over time span, in k-space."""
-    k = cfg.wavenumbers()
-    k2 = (k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2)
-    return np.exp(-0.5j * span * k2)
-
-
 def _axis_matrix(cfg: EvolutionConfig, omega: float, n: int, dt: float):
     """n Strang steps of dt along one axis of frequency omega, as an N x N matrix.
 
@@ -162,48 +157,40 @@ def _axis_matrix(cfg: EvolutionConfig, omega: float, n: int, dt: float):
 
 
 def _phases(cfg: EvolutionConfig, n: int, dt: float):
-    """The propagator over n steps of dt, in the form `_advance` applies.
+    """The propagator over n steps of dt, as the three N x N matrices that
+    `_advance` applies, the n-step Strang propagator along each axis.
 
-    Free: the k-space phase exp(-i |k|^2 n dt / 2) of the whole span.
-    Harmonic: three N x N matrices, the n-step Strang propagator along
-    each axis.  Kinetic phase and potential are both sums over axes, so
-    the 3-D n-step propagator is exactly their Kronecker product.  Axes of
-    equal frequency share one matrix.  Built with floating-point warnings
-    off: a dt or box that overflows leaves non-finite entries, which
-    `_advance` reports as one error.
+    Kinetic phase and potential are both sums over axes, so the 3-D n-step
+    propagator is exactly their Kronecker product.  Axes of equal frequency
+    share one matrix.  The free Hamiltonian is omega = 0, where the kicks
+    are the identity and n steps of dt are exactly one step of n dt: one
+    matrix, exact and O(1) in n.  Built with floating-point warnings off:
+    a dt or box that overflows leaves non-finite entries, which `_advance`
+    reports as one error.
     """
+    omega = cfg.omega
+    if cfg.hamiltonian == "free":
+        omega, n, dt = (0.0, 0.0, 0.0), 1, n * dt
     with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.hamiltonian == "free":
-            return _kinetic_phase(cfg, n * dt)
-        built = {om: _axis_matrix(cfg, om, n, dt) for om in dict.fromkeys(cfg.omega)}
-        return tuple(built[om] for om in cfg.omega)
+        built = {om: _axis_matrix(cfg, om, n, dt) for om in dict.fromkeys(omega)}
+    return tuple(built[om] for om in omega)
 
 
-def _advance(s: FieldState, cfg: EvolutionConfig, n: int, dt: float, phases=None) -> FieldState:
-    """n propagator steps of dt from s in one call.
-
-    Free: one multiply by exp(-i |k|^2 n dt / 2) between one FFT pair,
-    exact for any n.  Harmonic: the exact n-step Strang state as three
-    matrix products, one per axis, with the matrices of `_phases`.
-    phases, from `_phases(cfg, n, dt)`, lets a caller build them once for
-    many calls.  The time stamp adds dt n times, as n single steps would.
+def _advance(s: FieldState, cfg: EvolutionConfig, n: int, dt: float, phases) -> FieldState:
+    """n propagator steps of dt from s in one call: the exact n-step state
+    as three matrix products, one per axis.  phases is `_phases(cfg, n,
+    dt)`, which a caller builds once for many calls.  The time stamp adds
+    dt n times, as n single steps would.
     """
     if s.resolution != cfg.resolution:
         raise KnotfieldError(
             f"state resolution {s.resolution} does not match config {cfg.resolution}")
-    if phases is None:
-        phases = _phases(cfg, n, dt)
     N = cfg.resolution
+    m0, m1, m2 = phases
     with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.hamiltonian == "free":
-            out = np.fft.fftn(s.values)
-            out *= phases
-            np.fft.ifftn(out, out=out)
-        else:
-            m0, m1, m2 = phases
-            out = (m0 @ s.values.reshape(N, N * N)).reshape(N, N, N)  # axis 0
-            out = m1 @ out  # axis 1, one product per slice of axis 0
-            out = (out.reshape(N * N, N) @ m2.T).reshape(N, N, N)  # axis 2
+        out = (m0 @ s.values.reshape(N, N * N)).reshape(N, N, N)  # axis 0
+        out = m1 @ out  # axis 1, one product per slice of axis 0
+        out = (out.reshape(N * N, N) @ m2.T).reshape(N, N, N)  # axis 2
     if not np.all(np.isfinite(out.view(float))):
         raise KnotfieldError(f"numeric overflow during step at t = {s.time}")
     t = s.time
@@ -215,7 +202,8 @@ def _advance(s: FieldState, cfg: EvolutionConfig, n: int, dt: float, phases=None
 def step(s: FieldState, cfg: EvolutionConfig, dt: float = None) -> FieldState:
     """One propagator application; dt defaults to cfg.dt and may be negative
     (time reversal)."""
-    return _advance(s, cfg, 1, cfg.dt if dt is None else dt)
+    dt = cfg.dt if dt is None else dt
+    return _advance(s, cfg, 1, dt, _phases(cfg, 1, dt))
 
 
 def run(state: FieldState, cfg: EvolutionConfig, snapshot_every: int = 0):

@@ -16,8 +16,9 @@ tests/oracles.py as the reference the tests compare against.
 
 Charts: S^3 = {|z|^2 + |w|^2 = r^2} in R^4 with coordinates
 (x0, x1, x2, x3) = (Re z, Im z, Re w, Im w), stereographically projected
-from the poles (+-r, 0, 0, 0).  The library fields are nonzero at both
-poles, so the two charts each see the whole nodal set, near |u| = 1.
+from the poles (+-r, 0, 0, 0).  The library fields as shipped are nonzero
+at both poles, so the two charts each see the whole nodal set, near
+|u| = 1; a U(2)-rotated field need not be, and can fall out of a chart.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ class SampleGrid:
         if not (0 < self.extent < math.inf and 0 < self.radius < math.inf):
             raise KnotfieldError(f"extent and radius must be positive and finite, "
                                  f"got {self.extent} and {self.radius}")
+        if not math.isfinite(self.spacing):
+            raise KnotfieldError(f"extent {self.extent} overflows the lattice spacing")
 
     def axes(self):
         ax = np.linspace(-self.extent, self.extent, self.resolution)

@@ -112,6 +112,8 @@ def templates_from_json(text_or_obj):
         missing = [key for key in _ENTRY_KEYS if key not in entry]
         if missing:
             raise MoveTableError(f"move table entry {i} lacks {', '.join(missing)}")
+        if not isinstance(entry["name"], str):
+            raise MoveTableError(f"move table entry {i}: name {entry['name']!r} is not a string")
         for key in ("rows", "cols"):
             if type(entry[key]) is not int:  # not bool, not float
                 raise MoveTableError(f"move table entry {i}: invalid literal {entry[key]!r} "

@@ -24,8 +24,10 @@ crossing's ends from a table of cell sides instead of from direction
 vectors.  The random-mosaic oracle is a
 backtracking search of its own, where production takes the first mosaic
 of the shuffled enumeration DFS.  The evolution oracle takes one
-propagator step at a time, rebuilding its phases every step, where
-production jumps from snapshot to snapshot with phases built once.  The
+propagator step at a time with a 3-D FFT pair, rebuilding its phases
+every step, where production jumps from snapshot to snapshot with three
+per-axis matrices built once (the free Hamiltonian as the omega = 0
+oscillator).  The
 projection-crossing oracle tests each segment against every later one in
 a Python loop and checks triple points pair by pair, where production
 sweeps sorted bounding boxes for candidate pairs and tests them all at

@@ -315,53 +315,87 @@ def test_harmonic_track_matches_per_step_oracle():
 
 @pytest.mark.parametrize("steps,every,calls", [(60, 0, 1), (20, 5, 4), (20, 7, 3)])
 def test_free_run_takes_one_fft_pair_per_interval(monkeypatch, steps, every, calls):
-    real, counted = np.fft.fftn, []
+    # The free propagator that was one FFT pair per kept interval is now one
+    # omega = 0 per-axis step per interval: still one application each.
+    real, counted = evolution._advance, []
 
-    def fftn(*args, **kwargs):
+    def advance(*args, **kwargs):
         counted.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "fftn", fftn)
+    monkeypatch.setattr(evolution, "_advance", advance)
     cfg = EvolutionConfig(box=8.0, resolution=32, steps=steps)
     run(gaussian_state(cfg), cfg, snapshot_every=every)
     assert len(counted) == calls
 
 
-def test_harmonic_run_takes_no_3d_fft(monkeypatch):
+@pytest.mark.parametrize("ham", ["free", "harmonic"])
+def test_run_takes_no_3d_fft(monkeypatch, ham):
     def fail(*args, **kwargs):
-        raise AssertionError("3-D FFT in a harmonic run")
+        raise AssertionError(f"3-D FFT in a {ham} run")
 
     monkeypatch.setattr(np.fft, "fftn", fail)
     monkeypatch.setattr(np.fft, "ifftn", fail)
-    cfg = EvolutionConfig(hamiltonian="harmonic", box=8.0, resolution=32, steps=20)
+    cfg = EvolutionConfig(hamiltonian=ham, box=8.0, resolution=32, steps=20)
     assert len(run(gaussian_state(cfg), cfg, snapshot_every=7)) == 4
 
 
-@pytest.mark.parametrize("ham,omega,builds", [
-    ("free", (1.0, 1.0, 1.0), [7 * 2e-3, 6 * 2e-3]),
-    ("harmonic", (1.0, 1.0, 1.0), [(7, 1.0), (6, 1.0)]),
-    ("harmonic", (1.0, 1.5, 0.5), [(7, 1.0), (7, 1.5), (7, 0.5), (6, 1.0), (6, 1.5), (6, 0.5)]),
+@pytest.mark.parametrize("ham,omega,builds,dts", [
+    ("free", (1.0, 1.0, 1.0), [(1, 0.0), (1, 0.0)], [7 * 2e-3, 6 * 2e-3]),
+    ("harmonic", (1.0, 1.0, 1.0), [(7, 1.0), (6, 1.0)], [2e-3] * 2),
+    ("harmonic", (1.0, 1.5, 0.5), [(7, 1.0), (7, 1.5), (7, 0.5), (6, 1.0), (6, 1.5), (6, 0.5)],
+     [2e-3] * 6),
 ], ids=["free-2", "harmonic-2", "harmonic-6"])
-def test_run_builds_each_phase_once(monkeypatch, ham, omega, builds):
-    # 20 steps every 7: intervals 7, 7, 6.  Free builds one kinetic phase
-    # per interval length; harmonic one axis matrix per interval length and
-    # distinct frequency, and no 3-D kinetic phase.
-    real_kinetic, real_axis, built = evolution._kinetic_phase, evolution._axis_matrix, []
-
-    def kinetic(cfg, span):
-        built.append(span)
-        return real_kinetic(cfg, span)
+def test_run_builds_each_phase_once(monkeypatch, ham, omega, builds, dts):
+    # 20 steps every 7: intervals 7, 7, 6.  Harmonic builds one axis matrix
+    # per interval length and distinct frequency; free, the omega = 0
+    # oscillator whatever omega says, one single step spanning the interval.
+    real_axis, built, built_dts = evolution._axis_matrix, [], []
 
     def axis_matrix(cfg, om, n, dt):
         built.append((n, om))
+        built_dts.append(dt)
         return real_axis(cfg, om, n, dt)
 
-    monkeypatch.setattr(evolution, "_kinetic_phase", kinetic)
     monkeypatch.setattr(evolution, "_axis_matrix", axis_matrix)
     cfg = EvolutionConfig(hamiltonian=ham, box=8.0, resolution=32, dt=2e-3, steps=20,
                           omega=omega)
     run(gaussian_state(cfg), cfg, snapshot_every=7)
     assert built == builds
+    assert built_dts == dts
+
+
+@pytest.mark.parametrize("kind", ["milnor", "gaussian"])
+def test_free_run_is_the_zero_frequency_oscillator(kind):
+    # free jumps each interval in one step of span n dt; harmonic at
+    # omega = 0 takes n Strang steps whose kicks are the identity
+    base = dict(box=16.0, resolution=32, dt=2e-3, steps=16)
+    free = EvolutionConfig(hamiltonian="free", **base)
+    still = EvolutionConfig(hamiltonian="harmonic", omega=(0.0, 0.0, 0.0), **base)
+    psi = _initial(kind, free)
+    for every in (0, 1, 7):
+        got, want = run(psi, free, every), run(psi, still, every)
+        assert [s.time for s in got] == [s.time for s in want]
+        assert max(_relative_gap(a, b) for a, b in zip(got, want)) <= 1e-13
+
+
+def test_free_run_over_a_long_span_is_one_exact_step(monkeypatch):
+    # 10^6 steps to t = 1000: one matrix, no drift accumulated per step
+    real_axis, built = evolution._axis_matrix, []
+
+    def axis_matrix(cfg, om, n, dt):
+        built.append((n, om))
+        return real_axis(cfg, om, n, dt)
+
+    monkeypatch.setattr(evolution, "_axis_matrix", axis_matrix)
+    cfg = EvolutionConfig(box=8.0, resolution=32, dt=1e-3, steps=10 ** 6)
+    psi = plane_wave(cfg, (2, 1, 0))
+    final = run(psi, cfg)[-1]
+    assert built == [(1, 0.0)]
+    assert final.norm_drift() < 1e-14
+    k2 = (2 * np.pi / cfg.box) ** 2 * (4 + 1)
+    expect = psi.values * np.exp(-0.5j * k2 * cfg.steps * cfg.dt)
+    assert np.abs(final.values - expect).max() < 1e-10
 
 
 def test_initial_state_validation():

@@ -84,8 +84,11 @@ _GOOD_ENTRY = {"name": "ok", "rows": 2, "cols": 2,
     ({**_GOOD_ENTRY, "rows": True}, "entry 1: invalid literal True for rows"),
     ({**_GOOD_ENTRY, "pattern_b": [True, 2, 3, 4]}, "pattern_b contains a bad tile id"),
     ({**_GOOD_ENTRY, "pattern_a": [5, 5, 0, 1.0]}, "pattern_a contains a bad tile id"),
+    ({**_GOOD_ENTRY, "name": ["x"]}, r"entry 1: name \['x'\] is not a string"),
+    ({**_GOOD_ENTRY, "name": 7}, "entry 1: name 7 is not a string"),
 ], ids=["float-tile", "no-pattern_b", "rows-not-a-number", "not-an-object",
-        "fractional-rows", "bool-rows", "bool-tile", "integral-float-tile"])
+        "fractional-rows", "bool-rows", "bool-tile", "integral-float-tile",
+        "list-name", "int-name"])
 def test_malformed_table_entry_is_a_move_table_error(entry, message):
     # the index counts from 0, so the bad entry follows one good one
     with pytest.raises(MoveTableError, match=message):
