@@ -14,6 +14,14 @@ iterates all vertices together, with one field evaluation per batch of
 points.  The per-cell and per-vertex loops they replaced are kept in
 tests/oracles.py as the reference the tests compare against.
 
+The two passes over the full lattice are memory-bound.  `embed` writes
+each real component of (z, w) straight into its complex outputs, with the
+same bits as the per-component formula.  The candidate scan packs the
+signs and NaN flags of Re and Im of each lattice point into one 16-bit
+code and ORs the codes over every cell's corners; a cell is kept when both
+parts straddle zero and neither is NaN, as the min/max rule in the oracle
+decides.
+
 Charts: S^3 = {|z|^2 + |w|^2 = r^2} in R^4 with coordinates
 (x0, x1, x2, x3) = (Re z, Im z, Re w, Im w), stereographically projected
 from the poles (+-r, 0, 0, 0).  The library fields as shipped are nonzero
@@ -70,8 +78,11 @@ class SampleGrid:
         if not (0 < self.extent < math.inf and 0 < self.radius < math.inf):
             raise KnotfieldError(f"extent and radius must be positive and finite, "
                                  f"got {self.extent} and {self.radius}")
-        if not math.isfinite(self.spacing):
-            raise KnotfieldError(f"extent {self.extent} overflows the lattice spacing")
+        # s = 1 + x*x + y*y + z*z in `embed` reaches 1 + 3*extent^2 at the
+        # lattice corners; finite there, the spacing is finite too
+        if not math.isfinite(1.0 + 3.0 * (self.extent * self.extent)):
+            raise KnotfieldError(f"extent {self.extent} overflows the chart embedding "
+                                 f"(1 + 3*extent^2 is not finite)")
 
     def axes(self):
         ax = np.linspace(-self.extent, self.extent, self.resolution)
@@ -88,13 +99,28 @@ def embed(grid: SampleGrid, x, y, z):
     The three coordinates are broadcast against each other, so lattice
     axes shaped (m, 1, 1), (1, n, 1) and (1, 1, n) give the values on the
     whole (m, n, n) block; (m, 3) points pass as `*p.T`.
+
+    With s = ((1 + x*x) + y*y) + z*z the four real components are
+    x0 = (+-r*(s - 2))/s and xk = (2r*xk)/s, written straight into the real
+    and imaginary parts of the two outputs: the same bits as the
+    per-component formula combined as `x0 + 1j*x1, x2 + 1j*x3` wherever s
+    is finite and no quotient underflows.  That sum turns an imaginary -0
+    into +0 and gives a real -0 (x0 on the south chart's s = 2 sphere) the
+    sign of its imaginary part's zero; the signed zeros added below do the
+    same.
     """
     x, y, zc = (np.asarray(c, dtype=float) for c in (x, y, z))
     s = 1.0 + x * x + y * y + zc * zc
     r = grid.radius
-    x0 = (r if grid.chart == "north" else -r) * (s - 2.0) / s  # +-(|u|^2 - 1)/(|u|^2 + 1)
-    x1, x2, x3 = 2.0 * r * x / s, 2.0 * r * y / s, 2.0 * r * zc / s
-    return x0 + 1j * x1, x2 + 1j * x3
+    nx, ny, nz = 2.0 * r * x, 2.0 * r * y, 2.0 * r * zc
+    zw = np.empty(s.shape, dtype=complex), np.empty(s.shape, dtype=complex)
+    re0 = zw[0].real  # +-(|u|^2 - 1)/(|u|^2 + 1)
+    np.divide((r if grid.chart == "north" else -r) * (s - 2.0), s, out=re0)
+    np.add(re0, 0.0 * nx - 0.0, out=re0)
+    np.divide(nx + 0.0, s, out=zw[0].imag)
+    np.divide(ny + (0.0 * nz - 0.0), s, out=zw[1].real)
+    np.divide(nz + 0.0, s, out=zw[1].imag)
+    return zw
 
 
 def sample_chart(f, grid: SampleGrid):
@@ -162,33 +188,46 @@ class NodalCurve:
         return "\n".join(lines) + "\n"
 
 
-def _corner_range(arr):
-    """Min and max of arr over the 8 corners of every cell, one axis at a time."""
-    low = high = arr
+def _corner_or(code):
+    """Bitwise OR of code over the 8 corners of every cell, one axis at a time."""
     for axis in range(3):
         head = (slice(None),) * axis + (slice(None, -1),)
         tail = (slice(None),) * axis + (slice(1, None),)
-        low, high = np.minimum(low[head], low[tail]), np.maximum(high[head], high[tail])
-    return low, high
+        code = code[head] | code[tail]
+    return code
 
 
 def _candidate_cells(values, min_amp):
     """Indices of cells whose corners straddle zero in both Re and Im.
 
+    A cell straddles zero in Re when some corner has Re <= 0, some corner
+    has Re >= 0 and no corner has a NaN Re (the min/max rule, NaN failing
+    every comparison).  Each lattice point packs (v <= 0), (v >= 0) and
+    isnan(v) for its Re into bits 0-2 of one byte and for its Im into the
+    byte next to it: the boolean arrays of the interleaved float view, read
+    as uint16.  The codes are ORed over the 8 corners and a cell kept when
+    both bytes read 0b011 under the mask 0b111; the test treats the two
+    bytes alike, so byte order does not matter.  With min_amp > 0 a kept
+    cell also needs a corner with sqrt(re*re + im*im) > min_amp.
     Processed in x-slabs of CELL_SLAB cells to keep peak memory flat at
     large resolutions.
     """
+    values = np.ascontiguousarray(values, dtype=complex)
     n0 = values.shape[0]
     out = []
     for lo in range(0, n0 - 1, CELL_SLAB):
         hi = min(lo + CELL_SLAB, n0 - 1)
         block = values[lo:hi + 1]
-        re, im = block.real, block.imag
-        (rlo, rhi), (ilo, ihi) = _corner_range(re), _corner_range(im)
-        mask = (rlo <= 0) & (rhi >= 0) & (ilo <= 0) & (ihi >= 0)
-        if min_amp > 0:
-            mask &= _corner_range(np.sqrt(re * re + im * im))[1] > min_amp
-        idx = np.argwhere(mask)
+        v = block.view(float)
+        code = ((v <= 0).view(np.uint16) | ((v >= 0).view(np.uint16) << 1)
+                | (np.isnan(v).view(np.uint16) << 2))
+        mask = (_corner_or(code) & 0x0707) == 0x0303
+        idx = np.column_stack(np.unravel_index(np.flatnonzero(mask), mask.shape))
+        if min_amp > 0:  # the floor, on the cells the sign test keeps
+            re, im = block.real, block.imag
+            amp = np.max([np.sqrt(re[c] * re[c] + im[c] * im[c])
+                          for c in (tuple((idx + off).T) for off in _CORNER_OFFSETS)], axis=0)
+            idx = idx[amp > min_amp]
         if len(idx):
             idx[:, 0] += lo
             out.append(idx)
@@ -280,8 +319,12 @@ def _chain(segments, points, allow_open=False):
     which case they come back as open paths (used when tracking filaments
     truncated at an amplitude floor).
     """
+    # both directions of every segment as one key a*H + b, ascending as (a, b) pairs
+    h = len(points)
+    keys = np.unique(np.concatenate([segments[:, 0] * h + segments[:, 1],
+                                     segments[:, 1] * h + segments[:, 0]]))
     adjacency = {}  # face -> ascending neighbours, keys ascending
-    for a, b in np.unique(np.vstack([segments, segments[:, ::-1]]), axis=0).tolist():
+    for a, b in zip((keys // h).tolist(), (keys % h).tolist()):
         adjacency.setdefault(a, []).append(b)
     dangling = [k for k, nbrs in adjacency.items() if len(nbrs) != 2]
     if dangling and not allow_open:

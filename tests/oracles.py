@@ -11,6 +11,12 @@ over it, and the witness oracle finds each step's move by trying every
 instance on the parent.  The extraction oracles march one cell and one
 tetrahedron at a time, keying faces by frozensets of lattice-index tuples,
 and Newton-refine one vertex at a time with scalar field evaluations.  The
+embed oracle builds the sphere point as `x0 + 1j*x1, x2 + 1j*x3` from four
+real arrays, where production writes each component into the real and
+imaginary parts of its outputs; the candidate-cell oracle takes min and
+max over the stacked corners, where production ORs packed sign bits; the
+chaining oracle finds the adjacency with a row-wise `np.unique` of
+segment pairs, where production packs each pair into one integer.  The
 sampling oracles write the inverse stereographic map out inline (the box
 initial state) or evaluate the whole chart cube in one call (the fiber),
 where production goes through `embed` and the slab-wise `sample_chart`.
@@ -39,7 +45,8 @@ import warnings
 
 import numpy as np
 
-from knotfield.errors import BudgetExceededError, KnotfieldError, NonGenericProjectionError
+from knotfield.errors import (BudgetExceededError, KnotfieldError, NonGenericProjectionError,
+                              OpenChainError)
 from knotfield.extraction import (
     _CORNER_OFFSETS,
     _KUHN_TETS,
@@ -404,6 +411,68 @@ def oracle_candidate_cells(values, min_amp, slab=32):
             idx[:, 0] += lo
             out.append(idx)
     return np.vstack(out) if out else np.zeros((0, 3), dtype=int)
+
+
+def oracle_embed(grid: SampleGrid, x, y, z):
+    """Map chart coordinates x, y, z to the sphere point (z, w) in C^2.
+
+    The three coordinates are broadcast against each other, so lattice
+    axes shaped (m, 1, 1), (1, n, 1) and (1, 1, n) give the values on the
+    whole (m, n, n) block; (m, 3) points pass as `*p.T`.
+    """
+    x, y, zc = (np.asarray(c, dtype=float) for c in (x, y, z))
+    s = 1.0 + x * x + y * y + zc * zc
+    r = grid.radius
+    x0 = (r if grid.chart == "north" else -r) * (s - 2.0) / s  # +-(|u|^2 - 1)/(|u|^2 + 1)
+    x1, x2, x3 = 2.0 * r * x / s, 2.0 * r * y / s, 2.0 * r * zc / s
+    return x0 + 1j * x1, x2 + 1j * x3
+
+
+def oracle_chain(segments, points, allow_open=False):
+    """Join segments sharing a face into polylines of face indices.
+
+    Returns (loops, paths).  A path starts at its lower-indexed end and a
+    loop at its lowest face, walking first to that face's lower neighbour.
+    Chains that do not close are an error unless allow_open is set, in
+    which case they come back as open paths (used when tracking filaments
+    truncated at an amplitude floor).
+    """
+    adjacency = {}  # face -> ascending neighbours, keys ascending
+    for a, b in np.unique(np.vstack([segments, segments[:, ::-1]]), axis=0).tolist():
+        adjacency.setdefault(a, []).append(b)
+    dangling = [k for k, nbrs in adjacency.items() if len(nbrs) != 2]
+    if dangling and not allow_open:
+        pts = [tuple(np.round(points[k], 6)) for k in dangling]
+        shown = ", ".join(str(p) for p in pts[:4])
+        if len(pts) > 4:
+            shown += f", ... ({len(pts)} total)"
+        raise OpenChainError(
+            f"{len(pts)} dangling nodal segment endpoints (raise the resolution "
+            f"or extent): {shown}", pts)
+    if any(len(nbrs) > 2 for nbrs in adjacency.values()):
+        raise OpenChainError(
+            "nodal segments form a junction (three or more chains meet); "
+            "the sampling does not separate nearby strands", [])
+
+    visited = set()
+
+    def walk(start):
+        # stops at the far end of a path, or just before closing a loop
+        chain = [start]
+        visited.add(start)
+        prev, cur = None, start
+        while True:
+            nxt = [n for n in adjacency[cur] if n != prev]
+            if not nxt or nxt[0] == start:
+                return chain
+            prev, cur = cur, nxt[0]
+            chain.append(cur)
+            visited.add(cur)
+
+    ends = [k for k in adjacency if len(adjacency[k]) == 1]
+    paths = [walk(k) for k in ends if k not in visited]
+    loops = [walk(k) for k in adjacency if k not in visited]
+    return loops, paths
 
 
 def oracle_march(axes, values, min_amp=0.0):

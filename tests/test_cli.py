@@ -156,10 +156,11 @@ _EVOLVE = ["evolve", "run", "--resolution", "16", "--box", "8", "--steps", "2"]
     (None, _EVOLVE + ["--initial", "gaussian", "--dt", "1e308"]),
     (None, _EVOLVE + ["--initial", "gaussian", "--dt", "1e308", "--hamiltonian", "harmonic"]),
     (None, _EVOLVE + ["--initial", "gaussian", "--box", "1e-300", "--steps", "1"]),
-    # finite inputs whose field value or lattice spacing overflows
+    # finite inputs whose field value, lattice spacing or chart embedding overflows
     (None, ["field", "eval", "--field", "milnor:2,3", "--z", "1e200", "--w", "0"]),
     (None, ["field", "eval", "--field", "rudolph_G", "--z", "1e200", "--w", "1"]),
     (None, ["field", "extract", "--field", "unknot", "--resolution", "16", "--extent", "1e308"]),
+    (None, ["field", "extract", "--field", "unknot", "--resolution", "16", "--extent", "1e200"]),
 ])
 def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, mosaic_text, argv):
     if argv is None:

@@ -5,12 +5,22 @@ z = 0, which the north chart maps to the unit circle in the (y, z) chart
 plane (chart x = 0).  That gives exact geometry to test against.
 """
 
+import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
 from conftest import LIBRARY, LIBRARY_IDS, library_grid
-from oracles import oracle_candidate_cells, oracle_march, oracle_refine, oracle_sample_fiber
+from hypothesis import example, given, settings, strategies as st
+from oracles import (
+    oracle_candidate_cells,
+    oracle_chain,
+    oracle_embed,
+    oracle_march,
+    oracle_refine,
+    oracle_sample_fiber,
+)
 
 from knotfield import extraction
 from knotfield.errors import KnotfieldError, OpenChainError
@@ -18,6 +28,7 @@ from knotfield.evolution import EvolutionConfig, initial_knot_state, run
 from knotfield.extraction import (
     RESIDUAL_TOL,
     _candidate_cells,
+    _chain,
     _march,
     NodalCurve,
     SampleGrid,
@@ -87,6 +98,30 @@ def test_embed_lands_on_sphere():
     u = np.random.default_rng(0).normal(size=(50, 3))
     z, w = embed(g, *u.T)
     assert np.allclose(np.abs(z) ** 2 + np.abs(w) ** 2, 4.0)
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("chart", ["north", "south"])
+def test_embed_bit_identical_to_oracle(chart, radius):
+    # Odd resolutions put 0 and +-1 on the axes, so s = 2 exactly at six
+    # lattice points, where the south chart's x0 is -0.
+    for resolution in (48, 49, 96, 97, 136):
+        grid = SampleGrid(chart=chart, resolution=resolution, radius=radius)
+        ax = grid.axes()
+        lattice = (ax[0][:, None, None], ax[1][None, :, None], ax[2][None, None, :])
+        assert_same_bits(embed(grid, *lattice), oracle_embed(grid, *lattice))
+    rng = np.random.default_rng(17)
+    pts = 10.0 ** rng.uniform(-3.0, 3.0, size=(5000, 3))
+    pts *= rng.choice([-1.0, 1.0], size=pts.shape)
+    signed = np.array(list(itertools.product([0.0, -0.0, 1.0, -1.0, 0.6, -0.8], repeat=3)))
+    for p in (pts, signed):
+        assert_same_bits(embed(grid, *p.T), oracle_embed(grid, *p.T))
 
 
 def test_chart_transfer_involution():
@@ -326,3 +361,77 @@ def test_refine_warns_like_oracle_on_degenerate_jacobian():
         for p in square[:-1]]
     assert np.array_equal(sharp.components[0], square)
     assert np.allclose(sharp.vertex_residuals[0], oracle.vertex_residuals[0], rtol=1e-12)
+
+
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e-300, -1e-300, 0.25, -0.5)
+
+
+@st.composite
+def special_samples(draw):
+    """A small complex lattice whose parts are drawn from _SPECIAL."""
+    shape = tuple(draw(st.integers(2, 6)) for _ in range(3))
+    size = 2 * math.prod(shape)
+    parts = draw(st.lists(st.sampled_from(_SPECIAL), min_size=size, max_size=size))
+    return np.array(parts).view(complex).reshape(shape)
+
+
+# One cell: Re straddles zero along corners (0, 0, *) and Im along
+# (1, 1, *), but the NaN Re at (1, 0, 0) rules it out.  With that NaN
+# read as 1 and Im held at 1, only Re straddles, which rules it out too.
+_CELL = np.array([[[1 + 1j, -1 + 1j], [-1 + 1j, 1 + 1j]],
+                  [[math.nan + 1j, 1 - 1j], [1 + 1j, 1 - 1j]]])
+_RE_ONLY = np.nan_to_num(_CELL.real, nan=1.0) + 1j
+
+
+@example(values=_CELL, min_amp=0.0, slab=1)
+@example(values=_RE_ONLY, min_amp=0.5, slab=2)
+@settings(max_examples=300, deadline=None)
+@given(values=special_samples(), min_amp=st.sampled_from([0.0, 0.5, 1.0]),
+       slab=st.integers(1, 5))
+def test_candidate_cells_special_values(values, min_amp, slab):
+    # slabs of 1-5 cells split every lattice; a transposed view and the
+    # real part (a strided float array) go through the same conversion
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extraction, "CELL_SLAB", slab)
+        for arr in (values, values.transpose(2, 0, 1), values.real):
+            assert np.array_equal(_candidate_cells(arr, min_amp),
+                                  oracle_candidate_cells(arr, min_amp))
+
+
+def chain_outcome(chain, segments, points, allow_open):
+    """chain's loops and paths, or its error's type, message and points."""
+    try:
+        return chain(segments, points, allow_open=allow_open)
+    except OpenChainError as exc:
+        return type(exc), str(exc), exc.endpoints
+
+
+def assert_chain_matches_oracle(segments, points, allow_open=False):
+    got = chain_outcome(_chain, segments, points, allow_open)
+    assert got == chain_outcome(oracle_chain, segments, points, allow_open)
+    return got
+
+
+@pytest.mark.parametrize("chart", ["north", "south"])
+@pytest.mark.parametrize("spec", LIBRARY, ids=LIBRARY_IDS)
+def test_chain_matches_oracle(spec, chart):
+    for resolution in (32, 64, 96):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # degenerate tetrahedra
+            segments, points = _march(*samples(field_library(*spec),
+                                                library_grid(spec, chart, resolution)))
+        assert len(segments) > 0
+        # the library segments, each also given twice, once reversed
+        for segs in (segments, np.vstack([segments, segments[::-1, ::-1]])):
+            for allow_open in (False, True):
+                assert_chain_matches_oracle(segs, points, allow_open)
+        # cut loops: open paths, or dangling endpoints when they must close
+        cut = segments[np.arange(len(segments)) % 7 != 3]
+        loops, paths = assert_chain_matches_oracle(cut, points, allow_open=True)
+        assert paths
+        error, message, _ = assert_chain_matches_oracle(cut, points)
+        assert error is OpenChainError and "dangling" in message
+        # a chord between two faces that are not neighbours makes two junctions
+        chord = np.vstack([segments, [[segments[0, 0], segments[len(segments) // 2, 1]]]])
+        error, message, _ = assert_chain_matches_oracle(chord, points, allow_open=True)
+        assert error is OpenChainError and "junction" in message
