@@ -218,7 +218,7 @@ def _cmd_field_extract(args):
         return json.dumps({
             "chart": curve.chart, "n_components": curve.n_components,
             "residual": curve.residual,
-            "components": [[[round(float(v), 12) for v in p] for p in c]
+            "components": [[[round(v, 12) for v in p] for p in c.tolist()]
                            for c in curve.components]}), 0
     if args.obj:
         return curve.to_obj().rstrip("\n"), 0
@@ -245,8 +245,8 @@ def _cmd_field_fiber(args):
     cloud = sample_fiber(f, args.theta, _grid(args), band=args.band)
     if args.format == "json":
         return json.dumps({"theta": args.theta, "n_points": len(cloud),
-                           "points": [[round(float(v), 12) for v in row]
-                                      for row in cloud]}), 0
+                           "points": [[round(v, 12) for v in row]
+                                      for row in cloud.tolist()]}), 0
     return fiber_to_csv(cloud).rstrip("\n"), 0
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import KnotfieldError
-from .extraction import NodalCurve, SampleGrid, embed, extract_from_samples, hausdorff
+from .extraction import NodalCurve, SampleGrid, extract_from_samples, hausdorff, sample_lattice
 
 TAPER = (0.7, 0.95)  # bump shoulder and cutoff of initial states, as fractions of L/2
 RECONNECTION_FACTOR = 4.0  # a matched move beyond this many cells is a reconnection
@@ -240,7 +240,9 @@ def initial_knot_state(f, cfg: EvolutionConfig, scale: float = None) -> FieldSta
     radial taper (1 inside TAPER[0] * L/2, decaying to below 1e-15 of peak
     by TAPER[1] * L/2) enforces periodicity to rounding error.  The taper is
     strictly positive, so it multiplies amplitudes without creating new
-    zeros.
+    zeros.  Field and taper go through the one slab loop of
+    `sample_lattice`, sized in points so each slab stays in cache, and are
+    bit-identical to one evaluation on the whole box.
     """
     L = cfg.box
     if scale is None:
@@ -250,13 +252,14 @@ def initial_knot_state(f, cfg: EvolutionConfig, scale: float = None) -> FieldSta
     lo, hi = (t * L / 2.0 for t in TAPER)
     ax = cfg.axes()
     X, Y, Z = np.meshgrid(*ax, indexing="ij", sparse=True)
-    z, w = embed(SampleGrid(), X / scale, Y / scale, Z / scale)
-    vals = np.asarray(f(z, w), dtype=complex)
 
-    rho = np.sqrt(X * X + Y * Y + Z * Z)
-    t = np.maximum(rho - lo, 0.0) / ((hi - lo) / 6.0)
-    bump = np.exp(-t * t)  # < 1e-15 at rho = hi, but never exactly zero
-    return FieldState(vals * bump, 0.0)
+    def bump(planes):
+        x = X[planes]
+        rho = np.sqrt(x * x + Y * Y + Z * Z)
+        t = np.maximum(rho - lo, 0.0) / ((hi - lo) / 6.0)
+        return np.exp(-t * t)  # < 1e-15 at rho = hi, but never exactly zero
+
+    return FieldState(sample_lattice(f, SampleGrid(), tuple(a / scale for a in ax), bump), 0.0)
 
 
 def gaussian_state(cfg: EvolutionConfig, center=(0.0, 0.0, 0.0), width: float = 1.0,

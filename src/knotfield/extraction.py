@@ -14,13 +14,17 @@ iterates all vertices together, with one field evaluation per batch of
 points.  The per-cell and per-vertex loops they replaced are kept in
 tests/oracles.py as the reference the tests compare against.
 
-The two passes over the full lattice are memory-bound.  `embed` writes
-each real component of (z, w) straight into its complex outputs, with the
-same bits as the per-component formula.  The candidate scan packs the
-signs and NaN flags of Re and Im of each lattice point into one 16-bit
-code and ORs the codes over every cell's corners; a cell is kept when both
-parts straddle zero and neither is NaN, as the min/max rule in the oracle
-decides.
+The two passes over the full lattice are memory-bound.  Sampling is one
+slab loop (`sample_lattice`) sized in points, about 2^16 per slab, so each
+slab's `embed` outputs and field temporaries stay in cache; every value
+takes the same elementwise operations as on the whole cube, so the samples
+are bit-identical to one whole-cube evaluation, the tests' oracle.  `embed`
+writes each real component of (z, w) straight into its complex outputs,
+with the same bits as the per-component formula.  The candidate scan
+packs the signs and NaN flags of Re and Im of each lattice point into one
+16-bit code and ORs the codes over every cell's corners; a cell is kept
+when both parts straddle zero and neither is NaN, as the min/max rule in
+the oracle decides.
 
 Charts: S^3 = {|z|^2 + |w|^2 = r^2} in R^4 with coordinates
 (x0, x1, x2, x3) = (Re z, Im z, Re w, Im w), stereographically projected
@@ -52,7 +56,7 @@ NEWTON_MAX_STEPS = 20
 NEWTON_TARGET = 1e-10
 RESIDUAL_TOL = 1e-8
 CONDITION_WARN = 1e8
-SAMPLE_SLAB = 64  # x-planes per field evaluation in `sample_chart`
+SAMPLE_SLAB = 1 << 16  # lattice points per slab of `sample_lattice`, so slabs stay in cache
 CELL_SLAB = 32  # x-planes per pass in `_candidate_cells`
 FIBER_NODAL_TOL = 1e-3  # `sample_fiber` drops points with |f| at or below this
 
@@ -123,19 +127,41 @@ def embed(grid: SampleGrid, x, y, z):
     return zw
 
 
+def sample_lattice(f, grid: SampleGrid, axes, taper=None):
+    """The (n0, n1, n2) complex values of f(*embed(grid, x, y, z)) on the
+    lattice of the three coordinate axes, times taper(planes) if given.
+
+    The one slab loop over a lattice: x-slabs of max(1, SAMPLE_SLAB //
+    (n1*n2)) planes, about 2^16 points, so that each slab's `embed`
+    outputs, field temporaries and taper stay in cache.  The axes reach
+    `embed` shaped (m,1,1), (1,n1,1) and (1,1,n2); taper receives the
+    slice of x-planes and returns real factors that broadcast to the slab.
+    Every value takes the same elementwise operations as in one evaluation
+    on the whole cube, which the tests keep as the oracle, so the result is
+    bit-identical to it.
+    """
+    ax, ay, az = axes
+    values = np.empty((len(ax), len(ay), len(az)), dtype=complex)
+    planes = max(1, SAMPLE_SLAB // (len(ay) * len(az)))
+    y, z = ay[None, :, None], az[None, None, :]
+    for lo in range(0, len(ax), planes):
+        sl = slice(lo, lo + planes)
+        v = f(*embed(grid, ax[sl, None, None], y, z))
+        if taper is None:
+            values[sl] = v
+        else:
+            np.multiply(np.asarray(v, dtype=complex), taper(sl), out=values[sl])
+    return values
+
+
 def sample_chart(f, grid: SampleGrid):
     """grid's axes and the (n, n, n) complex values of f on its lattice.
 
-    Evaluated in x-slabs of SAMPLE_SLAB planes to bound peak memory.
+    Sampled by the one slab loop, `sample_lattice`: slabs sized in points
+    to stay in cache, bit-identical to one whole-cube evaluation.
     """
     ax = grid.axes()
-    n = grid.resolution
-    values = np.empty((n, n, n), dtype=complex)
-    y, z = ax[1][None, :, None], ax[2][None, None, :]
-    for lo in range(0, n, SAMPLE_SLAB):
-        x = ax[0][lo:lo + SAMPLE_SLAB, None, None]
-        values[lo:lo + SAMPLE_SLAB] = f(*embed(grid, x, y, z))
-    return ax, values
+    return ax, sample_lattice(f, grid, ax)
 
 
 def chart_transfer(u):
@@ -445,19 +471,28 @@ def extract_from_samples(values, axes, min_amp=0.0, chart="box",
 # Deterministic grid dilations tried when the sampling lattice happens to
 # be degenerate (the curve passing exactly through a cell face makes the
 # marched segments inconsistent).  The offsets are arbitrary but fixed.
+# Every retry lattice is also shifted by _RETRY_SHIFT cells along each
+# axis: a dilation about the origin keeps an odd lattice's x = 0, y = 0
+# and z = 0 planes, where symmetric fields have exact zeros.
 _RETRY_DILATIONS = (1.0, 1.0000701, 0.9999303, 1.0002107)
+_RETRY_SHIFT = 0.382
 
 
 def extract(f, grid: SampleGrid) -> NodalCurve:
     """The piecewise-linear nodal curve of a ComplexField in a stereographic chart.
 
     On a degenerate lattice (open chains, or a tetrahedron with more than
-    two face zeros) the grid is dilated and sampled again.  Pass the result
-    to `refine` for vertices on the zero set of f itself.
+    two face zeros) the grid is dilated, shifted off the origin by a
+    fraction of a cell and sampled again.  Pass the result to `refine` for
+    vertices on the zero set of f itself.
     """
     last_exc = None
-    for dilation in _RETRY_DILATIONS:
-        ax, values = sample_chart(f, replace(grid, extent=grid.extent * dilation))
+    for attempt, dilation in enumerate(_RETRY_DILATIONS):
+        lattice = replace(grid, extent=grid.extent * dilation)
+        ax = lattice.axes()
+        if attempt:
+            ax = tuple(a + _RETRY_SHIFT * lattice.spacing for a in ax)
+        values = sample_lattice(f, lattice, ax)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", UserWarning)

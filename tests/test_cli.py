@@ -295,6 +295,18 @@ def test_field_verify(capsys):
     assert json.loads(out)["match"] is True
 
 
+def test_field_commands_at_odd_resolution(capsys, tmp_path):
+    # an odd lattice holds the x, y, z = 0 planes; the retry lattices move off them
+    circle = tmp_path / "circle.mosaic"
+    circle.write_text(mosaic.encode(mosaic.Mosaic(2, (2, 1, 3, 4))))
+    code, out, _ = run_cli(capsys, "field", "verify", "--field", "unknot",
+                           "--expect", str(circle), "--resolution", "49", "--format", "json")
+    assert code == 0 and json.loads(out)["match"] is True
+    code, out, _ = run_cli(capsys, "field", "extract", "--field", "milnor:2,3",
+                           "--resolution", "49", "--format", "json")
+    assert code == 0 and json.loads(out)["n_components"] == 1
+
+
 def test_field_verify_makes_no_scalar_evaluations(capsys, monkeypatch):
     # verify projects the piecewise-linear zero set, so it samples the field
     # on the grid only and never point by point as Newton refinement does

@@ -151,9 +151,10 @@ def test_initial_knot_state_contains_curve():
     assert report.events == ()
 
 
-@pytest.mark.parametrize("box", [16.0, 12.0])
-def test_initial_knot_state_matches_inline_stereographic_oracle(box):
-    f, cfg = field_library("milnor", (2, 3)), EvolutionConfig(box=box, resolution=64)
+@pytest.mark.parametrize("box, resolution", [(16.0, 64), (12.0, 64), (16.0, 128)],
+                         ids=["16.0", "12.0", "16.0-128"])  # 128: four-plane slabs
+def test_initial_knot_state_matches_inline_stereographic_oracle(box, resolution):
+    f, cfg = field_library("milnor", (2, 3)), EvolutionConfig(box=box, resolution=resolution)
     assert np.array_equal(initial_knot_state(f, cfg).values, oracle_initial_knot_state(f, cfg))
 
 

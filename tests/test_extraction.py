@@ -7,6 +7,7 @@ plane (chart x = 0).  That gives exact geometry to test against.
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -255,6 +256,45 @@ def test_sample_chart_is_the_extraction_lattice():
     assert np.array_equal(values, ref)
 
 
+@pytest.mark.parametrize("resolution", [97, 136])
+@pytest.mark.parametrize("chart", ["north", "south"])
+@pytest.mark.parametrize("spec", LIBRARY, ids=LIBRARY_IDS)
+def test_sample_chart_matches_oracle_across_slab_boundaries(spec, chart, resolution):
+    # slabs of 6 and 3 planes leave a short last slab at 97 and 136
+    f, grid = field_library(*spec), library_grid(spec, chart, resolution)
+    _, values = extraction.sample_chart(f, grid)
+    assert np.array_equal(values.view(np.uint64), samples(f, grid)[1].view(np.uint64))
+
+
+@pytest.mark.parametrize("chart", ["north", "south"])
+def test_sample_chart_matches_oracle_in_one_plane_slabs(chart, monkeypatch):
+    # a budget below one plane still samples a plane per slab
+    monkeypatch.setattr(extraction, "SAMPLE_SLAB", 100)
+    f, grid = field_library("rudolph_G"), SampleGrid(chart=chart, resolution=33, radius=0.5)
+    _, values = extraction.sample_chart(f, grid)
+    assert np.array_equal(values.view(np.uint64), samples(f, grid)[1].view(np.uint64))
+
+
+def test_sample_chart_peak_memory_is_one_slab(monkeypatch):
+    # Beyond the n^3 complex output, only one slab of 2^16 points is live:
+    # 8 MiB at 128 for rudolph_G, eight complex temporaries of 1 MiB; the
+    # whole cube as one slab peaks 224 MiB above the output.
+    f, grid = field_library("rudolph_G"), SampleGrid(resolution=128, radius=0.5)
+    output = 16 * grid.resolution ** 3
+
+    def peak():
+        tracemalloc.start()
+        try:
+            extraction.sample_chart(f, grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() <= output + 12 * 2 ** 20
+    monkeypatch.setattr(extraction, "SAMPLE_SLAB", grid.resolution ** 3)
+    assert peak() > output + 12 * 2 ** 20  # the bound sees whole-cube temporaries
+
+
 def test_hausdorff_basics():
     a = np.zeros((3, 3))
     b = np.ones((2, 3))
@@ -310,7 +350,8 @@ def test_degenerate_tetrahedron_warns_and_extract_dilates(monkeypatch):
 
     monkeypatch.setattr(extraction, "extract_from_samples", counted)
     curve = extract(f, grid)
-    assert calls == [3.0, 3.0 * 1.0000701]  # settled at the second dilation
+    dilated = 3.0 * 1.0000701  # settled at the second lattice: dilated, then shifted
+    assert calls == [3.0, dilated + 0.382 * (2.0 * dilated / 63)]
     assert curve.n_components == 2
 
 
