@@ -28,10 +28,10 @@ import numpy as np
 from . import __version__
 from .errors import KnotfieldError
 from . import mosaic as mz
-from .diagram import evaluate_jones, jones, to_diagram
+from .diagram import evaluate_jones, jones, row_diagrams, to_diagram
 from .moves import default_table
 from .orbits import DEFAULT_BUDGET, orbit, same_orbit
-from .states import chi as chi_observable, invariant_observable
+from .states import chi as chi_observable, row_observable
 from .wirtinger import abelianization_rank, wirtinger
 from .fields import parse_field_spec, phase
 from .extraction import SampleGrid, extract, fiber_to_csv, refine, sample_fiber
@@ -136,31 +136,59 @@ def _cmd_observable_chi(args):
             f"representative:\n{oid.rstrip(chr(10))}"), 0
 
 
-def _v_minus1():
-    """V(-1) of each mosaic, bracketing each distinct diagram once: an orbit's
-    members share few diagrams.  The memo lives as long as one observable."""
+# Orbits with fewer members than this are evaluated member by member with
+# the Python strand walk: on fewer rows, the batched walk's fixed numpy cost
+# is more than it saves.  Measured on 3x3 and 4x4 orbits, the batch breaks
+# even at about 12 members for components and 20 for v_minus1.
+_BATCH_MEMBERS = 20
+
+
+def _by_size(per_mosaic, per_rows, n):
+    """A function of an orbit's member rows: per_mosaic on each member of a
+    small orbit, per_rows on the rows of a larger one."""
+    def values(rows):
+        if len(rows) < _BATCH_MEMBERS:
+            return (per_mosaic(mz.Mosaic(n, tuple(r))) for r in rows.tolist())
+        return per_rows(rows)
+
+    return values
+
+
+def _v_minus1(n):
+    """V(-1) of each member, bracketing each distinct diagram once: an
+    orbit's members share few diagrams.  The memo lives as long as one
+    observable."""
     values = {}
 
-    def inv(m):
-        d = to_diagram(m)
+    def of(d):
         if d not in values:
             values[d] = evaluate_jones(jones(d), -1.0)
         return values[d]
 
-    return inv
+    def of_rows(rows):
+        diagrams, index = row_diagrams(rows, n)
+        return np.array([of(d) for d in diagrams])[index].tolist()
+
+    return _by_size(lambda m: of(to_diagram(m)), of_rows, n)
 
 
-# Each entry makes a fresh invariant for one observable.
-_INVARIANTS = {
-    "v_minus1": _v_minus1,
-    "components": lambda: lambda m: float(len(mz.trace_components(m))),
-}
+def _components(n):
+    def of_rows(rows):
+        row, strand, *_ = mz.trace_rows(rows, n)
+        return mz.strand_counts(row, strand, len(rows)).astype(float).tolist()
+
+    return _by_size(lambda m: float(len(mz.trace_components(m))), of_rows, n)
+
+
+# Each entry makes a fresh function of an orbit's member rows for one
+# observable on n x n mosaics.
+_INVARIANTS = {"v_minus1": _v_minus1, "components": _components}
 
 
 def _cmd_observable_invariant(args):
     m = _load_mosaic(args.file)
-    inv = _INVARIANTS[args.invariant]()
-    obs = invariant_observable(inv, m.n, default_table(), budget=args.budget)
+    values = _INVARIANTS[args.invariant](m.n)
+    obs = row_observable(values, m.n, default_table(), budget=args.budget)
     val = obs.eigenvalue_for(m)
     if args.format == "json":
         return json.dumps({"invariant": args.invariant, "eigenvalue": val,

@@ -97,6 +97,12 @@ class Orbit:
         except (TypeError, ValueError):  # cells that fit no byte row
             return False
 
+    def member_rows(self):
+        """Every member's byte row, as one read-only (size, n^2) uint8
+        array in label order: row 0 is the member `label` encodes."""
+        rows = sorted(self._parents, key=label_key)
+        return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1)
+
     def member_mosaics(self):
         """Every member as a Mosaic, in BFS order."""
         n = self.representative.n

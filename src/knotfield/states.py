@@ -6,6 +6,13 @@ hashable string label works for the linear-algebra layer.  The full
 11^(n^2)-dimensional space is never materialized; operators are diagonal
 over orbits, materialize orbits lazily, and look up a Mosaic or a label by
 its byte row in the orbits they hold, named by `Orbit.label`.
+
+An invariant observable's core, `row_observable`, takes a function of an
+orbit's member rows (`Orbit.member_rows()`: a (size, n^2) uint8 array in
+label order, row 0 being the member `Orbit.label` encodes), so an
+invariant can be evaluated on a whole orbit at once.  Constancy is still
+checked on every member.  `invariant_observable` keeps the per-mosaic
+contract: it is the core with the invariant called on each member in turn.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import threading
 from dataclasses import dataclass, field
 
 from .errors import ContractViolationError, KnotfieldError
-from .mosaic import Mosaic, decode, encode, label_key
+from .mosaic import Mosaic, decode, encode
 from .moves import apply as apply_move
 from .orbits import DEFAULT_BUDGET, orbit
 
@@ -182,14 +189,26 @@ def chi(K: Mosaic, templates, budget: int = DEFAULT_BUDGET) -> DiagonalObservabl
 
 def invariant_observable(inv, n: int, templates, budget: int = DEFAULT_BUDGET,
                          tol: float = 1e-9) -> DiagonalObservable:
-    """Diagonal observable with eigenvalue inv(K) on the orbit of K.
+    """Diagonal observable with eigenvalue inv(K) on the orbit of K: a
+    real-valued function of mosaics, called on every member of each orbit
+    materialized, in label order (`row_observable`)."""
+    return row_observable(lambda rows: (inv(Mosaic(n, tuple(r))) for r in rows.tolist()),
+                          n, templates, budget, tol)
 
-    inv must be a real-valued function of mosaics that is constant on
-    orbits; constancy is checked on every orbit actually materialized, and
-    a violation raises ContractViolationError naming two witnesses.  Text
-    labels must be canonical encodings.  Materialized orbits are cached;
-    the cache is guarded by a lock so concurrent lookups are safe and
-    order-independent.
+
+def row_observable(values, n: int, templates, budget: int = DEFAULT_BUDGET,
+                   tol: float = 1e-9) -> DiagonalObservable:
+    """Diagonal observable with eigenvalue values(rows)[0] on each orbit,
+    where rows is `Orbit.member_rows()`: the members' byte rows in label
+    order, row 0 being the member `Orbit.label` encodes.
+
+    values must give one real number per row, read in order, and be
+    constant on orbits; constancy is checked on every member of every orbit
+    actually materialized, and a violation raises ContractViolationError
+    naming two witnesses: the label and the first member off its value.
+    Text labels must be canonical encodings.  Materialized orbits are
+    cached; the cache is guarded by a lock so concurrent lookups are safe
+    and order-independent.
     """
     closed = []  # materialized orbits, each named by its Orbit.label
     eigenvalue = {}
@@ -210,14 +229,16 @@ def invariant_observable(inv, n: int, templates, budget: int = DEFAULT_BUDGET,
                 if m in orb:
                     return orb.label
         orb = orbit(m, templates, budget=budget)
-        first, *rest = sorted(orb.member_mosaics(), key=lambda k: label_key(k.cells))
-        val = float(inv(first))
-        for k in rest:
-            v = float(inv(k))
+        rows = orb.member_rows()
+        each = iter(values(rows))
+        val = float(next(each))
+        for i, v in enumerate(each, 1):
+            v = float(v)
             if not math.isclose(v, val, rel_tol=tol, abs_tol=tol):
+                witness = encode(Mosaic(n, tuple(rows[i].tolist())))
                 raise ContractViolationError(
                     "invariant is not constant on an orbit: "
-                    f"{orb.label!r} -> {val} but {encode(k)!r} -> {v}")
+                    f"{orb.label!r} -> {val} but {witness!r} -> {v}")
         with lock:
             if orb.label not in eigenvalue:  # no other lookup closed it meanwhile
                 closed.append(orb)

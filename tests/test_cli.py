@@ -5,6 +5,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,12 +162,15 @@ _EVOLVE = ["evolve", "run", "--resolution", "16", "--box", "8", "--steps", "2"]
     (None, ["field", "eval", "--field", "rudolph_G", "--z", "1e200", "--w", "1"]),
     (None, ["field", "extract", "--field", "unknot", "--resolution", "16", "--extent", "1e308"]),
     (None, ["field", "extract", "--field", "unknot", "--resolution", "16", "--extent", "1e200"]),
+    # V(-1) of a two-component link: the input file takes the place of MOSAIC
+    ("4\n2 1 2 1\n3 4 3 4\n0 0 0 0\n0 0 0 0\n",
+     ["observable", "invariant", "MOSAIC", "--invariant", "v_minus1"]),
 ])
 def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, mosaic_text, argv):
-    if argv is None:
+    if mosaic_text is not None:
         path = tmp_path / "bad.mosaic"
         path.write_text(mosaic_text)
-        argv = ["mosaic", "show", str(path)]
+        argv = [str(path) if a == "MOSAIC" else a for a in argv or ["mosaic", "show", "MOSAIC"]]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -255,6 +259,66 @@ def test_v_minus1_brackets_each_distinct_diagram_once(tmp_path, capsys, monkeypa
         assert (code, out) == (0, "v_minus1 eigenvalue on this orbit: 1\n")
         assert len(bracketed) == len(codes)
         assert {d.pd_code() for d in bracketed} == codes
+
+
+_TWO_CIRCLES = "4\n2 1 2 1\n3 4 3 4\n0 0 0 0\n0 0 0 0\n"  # the 766-member unlink class
+_EVEN_LINK = ("error: evaluating at t < 0 needs integral t powers, which the Jones "
+              "polynomial of a link with an even number of components does not have\n")
+
+
+@pytest.mark.parametrize("text,invariant,want_out,want_err", [
+    (_TWO_CIRCLES, "v_minus1", "", _EVEN_LINK),
+    (_TWO_CIRCLES, "components", "components eigenvalue on this orbit: 2\n", ""),
+    ("4\n" + "0 0 0 0\n" * 4, "v_minus1", "", "error: mosaic has zero components\n"),
+    ("4\n" + "0 0 0 0\n" * 4, "components", "components eigenvalue on this orbit: 0\n", ""),
+])
+def test_invariant_rows_answer_as_members(tmp_path, capsys, monkeypatch, text, invariant,
+                                          want_out, want_err):
+    # Every orbit batched, or every orbit member by member: the same output.
+    path = tmp_path / "m.mosaic"
+    path.write_text(text)
+    for batch_members in (0, 10 ** 9):
+        monkeypatch.setattr(cli, "_BATCH_MEMBERS", batch_members)
+        _, out, err = run_cli(capsys, "observable", "invariant", str(path),
+                              "--invariant", invariant)
+        assert (out, err) == (want_out, want_err)
+
+
+@pytest.mark.parametrize("name", ["trefoil4", "fig8_5"])
+@pytest.mark.parametrize("invariant", ["v_minus1", "components"])
+def test_invariant_rows_json_as_members(capsys, monkeypatch, name, invariant):
+    argv = ["observable", "invariant", data_path(f"{name}.mosaic"), "--invariant", invariant,
+            "--format", "json"]
+    outputs = []
+    for batch_members in (0, 10 ** 9):
+        monkeypatch.setattr(cli, "_BATCH_MEMBERS", batch_members)
+        outputs.append(run_cli(capsys, *argv))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
+@pytest.mark.parametrize("invariant", ["components", "v_minus1"])
+def test_batched_invariant_peak_memory(tmp_path, monkeypatch, invariant):
+    # The 1,348-member orbit is traced a chunk of 2^14 endpoints at a time:
+    # about 1.3 MiB at the peak, orbit closure included; traced in one chunk
+    # it peaks near 4 MiB.
+    circle = mosaic.Mosaic(4, (0,) * 10 + (2, 1, 0, 0, 3, 4))
+    path = tmp_path / "circle.mosaic"
+    path.write_text(mosaic.encode(circle))
+    argv = ["observable", "invariant", str(path), "--invariant", invariant, "--out",
+            str(tmp_path / "out.txt")]
+
+    def peak():
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    main(argv)  # tables and caches built outside the measurement
+    assert peak() <= 2 * 2 ** 20
+    monkeypatch.setattr(mosaic, "_TRACE_CHUNK", 1348 * 64)
+    assert peak() > 2 * 2 ** 20  # the bound sees whole-orbit temporaries
 
 
 def test_observable_chi(capsys):

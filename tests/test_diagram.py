@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,10 +19,13 @@ from knotfield.diagram import (
     from_xcode,
     jones,
     jones_in_t,
+    row_diagrams,
     to_diagram,
 )
 from knotfield.laurent import LaurentPolynomial
 from knotfield.mosaic import Mosaic, trace_components
+from knotfield.moves import default_table
+from knotfield.orbits import orbit
 from knotfield.project import reduce_diagram
 
 
@@ -81,6 +85,13 @@ def test_half_integer_powers_rejected():
     hopf = from_xcode([(1, 3, 2, 4), (3, 1, 4, 2)])
     with pytest.raises(KnotfieldError):
         jones_in_t(jones(hopf))
+
+
+def test_negative_t_on_even_component_link_names_the_cause():
+    hopf = from_xcode([(1, 3, 2, 4), (3, 1, 4, 2)])
+    with pytest.raises(KnotfieldError, match="link with an even number of components"):
+        evaluate_jones(jones(hopf), -1.0)
+    assert evaluate_jones(jones(hopf), 1.0) == -2.0
 
 
 def test_crossing_cap():
@@ -199,3 +210,40 @@ def test_bracket_matches_oracle_on_built_diagrams(case, trefoil, fig8):
         assert bracket(d) == LaurentPolynomial({2: -1, -2: -1}) * bracket(t) * bracket(f)
     if case == "kink_pair":
         assert bracket(d) == LaurentPolynomial.one()
+
+
+def _assert_rows_diagram_as_mosaics(rows, n):
+    diagrams, index = row_diagrams(rows, n)
+    want = [to_diagram(Mosaic(n, tuple(r))) for r in rows.tolist()]
+    assert [diagrams[i] for i in index.tolist()] == want
+    # each distinct diagram built once, in the order of first appearance
+    assert diagrams == list(dict.fromkeys(want))
+
+
+def test_row_diagrams_match_to_diagram_on_orbit_classes(trefoil, fig8, granny):
+    circles = [(0,) * 10 + (2, 1, 0, 0, 3, 4), (0,) * 5 + (2, 1, 0, 2, 7, 8, 1, 3, 4, 3, 4)]
+    circle3 = Mosaic(3, (0, 0, 0, 0, 2, 1, 0, 3, 4))
+    starts = [Mosaic(4, c) for c in circles] + [trefoil, fig8, circle3]
+    for m in starts:
+        _assert_rows_diagram_as_mosaics(orbit(m, default_table()).member_rows(), m.n)
+    _assert_rows_diagram_as_mosaics(np.array([granny.cells], dtype=np.uint8), granny.n)
+
+
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.integers(0, 2 ** 32 - 1), min_size=1, max_size=10))))
+@settings(max_examples=60, deadline=None)
+def test_row_diagrams_match_to_diagram_on_random_batches(batch):
+    # Mostly crossings, some rows repeated, links and knots mixed.
+    n, seeds = batch
+    ms = [crossing_mosaic(random.Random(seed), n) for seed in seeds]
+    ms = [m for m in ms + ms[:2] if trace_components(m)]
+    if ms:
+        _assert_rows_diagram_as_mosaics(np.array([m.cells for m in ms], dtype=np.uint8), n)
+
+
+def test_row_diagrams_reject_zero_components_as_to_diagram():
+    blank = np.zeros((1, 16), dtype=np.uint8)
+    with pytest.raises(KnotfieldError, match="^mosaic has zero components$"):
+        to_diagram(Mosaic(4, (0,) * 16))
+    with pytest.raises(KnotfieldError, match="^mosaic has zero components$"):
+        row_diagrams(blank, 4)

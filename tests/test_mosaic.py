@@ -2,14 +2,18 @@ import pathlib
 import random
 import runpy
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import oracle_random_mosaic, oracle_trace_components, oracle_validate
 
+import knotfield.mosaic
 from knotfield.errors import KnotfieldError, MosaicParseError
 from knotfield.mosaic import (
     CROSSING_TILES,
+    SIDES,
     Mosaic,
+    Strand,
     decode,
     encode,
     enumerate_mosaics,
@@ -17,8 +21,10 @@ from knotfield.mosaic import (
     label_key,
     load,
     random_mosaic,
+    strand_counts,
     to_json,
     trace_components,
+    trace_rows,
     validate,
 )
 from knotfield.moves import default_table
@@ -33,6 +39,7 @@ CLASSES_4X4 = {
     766: (0,) * 8 + (2, 1, 2, 1, 3, 4, 3, 4),
     172: (0,) * 5 + (2, 1, 0, 2, 7, 8, 1, 3, 4, 3, 4),
 }
+CIRCLE3 = Mosaic(3, (0, 0, 0, 0, 2, 1, 0, 3, 4))  # the 19-member 3x3 unknot class
 
 
 def test_blank_is_valid():
@@ -80,6 +87,56 @@ def test_trace_matches_oracle_on_4x4_orbit_classes(trefoil):
 def test_trace_matches_oracle(n, seed):
     m = random_mosaic(n, random.Random(seed))
     assert trace_components(m) == oracle_trace_components(m)
+
+
+def _row_strands(rows, n):
+    """trace_rows' passages regrouped as each row's list of Strands, after
+    checking that strands are numbered 0, 1, ... in order."""
+    row, strand, cell, entry, exit_ = (a.tolist() for a in trace_rows(rows, n))
+    assert strand == sorted(strand) and sorted(set(strand)) == list(range(len(set(strand))))
+    out = [[] for _ in range(len(rows))]
+    for j, s in enumerate(strand):
+        if j == 0 or s != strand[j - 1]:
+            out[row[j]].append([])
+        out[row[j]][-1].append((cell[j], SIDES[entry[j]], SIDES[exit_[j]]))
+    return [[Strand(tuple(p)) for p in strands] for strands in out]
+
+
+def _assert_rows_trace_as_mosaics(rows, n):
+    want = [trace_components(Mosaic(n, tuple(r))) for r in rows.tolist()]
+    assert _row_strands(rows, n) == want
+    row, strand, *_ = trace_rows(rows, n)
+    assert strand_counts(row, strand, len(rows)).tolist() == [len(w) for w in want]
+
+
+def test_trace_rows_matches_trace_on_orbit_classes(trefoil, fig8):
+    # Every member of the 1348-, 766-, 172-, 80-, 19- and 2-member classes,
+    # as each orbit's member rows.
+    starts = [Mosaic(4, cells) for cells in CLASSES_4X4.values()] + [fig8, CIRCLE3, trefoil]
+    orbits = [orbit(m, default_table()) for m in starts]
+    assert [orb.size for orb in orbits] == list(CLASSES_4X4) + [80, 19, 2]
+    for orb in orbits:
+        _assert_rows_trace_as_mosaics(orb.member_rows(), orb.representative.n)
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 14])
+def test_trace_rows_on_every_4_mosaic(monkeypatch, chunk):
+    # All 2,594 valid 4-mosaics in one batch; chunk 1 traces a row at a time.
+    monkeypatch.setattr(knotfield.mosaic, "_TRACE_CHUNK", chunk)
+    rows = np.array([m.cells for m in enumerate_mosaics(4)], dtype=np.uint8)
+    assert len(rows) == 2594
+    _assert_rows_trace_as_mosaics(rows, 4)
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.one_of(st.none(), st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=12))))
+@settings(max_examples=100, deadline=None)
+def test_trace_rows_matches_trace_on_random_batches(batch):
+    # None is a blank row: no strand, and the rows after it keep their numbers.
+    n, seeds = batch
+    rows = np.array([(0,) * n * n if seed is None else random_mosaic(n, random.Random(seed)).cells
+                     for seed in seeds], dtype=np.uint8)
+    _assert_rows_trace_as_mosaics(rows, n)
 
 
 # Tile ids the walk must reject as validate() does: out of range at either

@@ -163,6 +163,16 @@ def test_budget_seen_matches_oracle():
     assert got.value.seen == want.value.seen
 
 
+@pytest.mark.parametrize("name", ["circle3", "trefoil"])
+def test_member_rows_in_label_order(name, request):
+    m = CIRCLE3 if name == "circle3" else request.getfixturevalue(name)
+    orb = orbit(m, TABLE)
+    rows = orb.member_rows()
+    texts = [encode(Mosaic(m.n, tuple(r))) for r in rows.tolist()]
+    assert texts == sorted(orb.members) and texts[0] == orb.label
+    assert rows.shape == (orb.size, m.n * m.n) and not rows.flags.writeable
+
+
 def test_compile_instances_cached_read_only():
     first = compile_instances(TABLE, 4)
     again = compile_instances(list(TABLE), 4)

@@ -5,14 +5,16 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TREFOIL_JONES
 
 from knotfield.errors import ContractViolationError, KnotfieldError
-from knotfield.diagram import evaluate_jones, jones, to_diagram
-from knotfield.mosaic import Mosaic, encode, random_mosaic
+from knotfield.diagram import evaluate_jones, jones, row_diagrams, to_diagram
+from knotfield.mosaic import (Mosaic, encode, enumerate_mosaics, random_mosaic, strand_counts,
+                              trace_components, trace_rows)
 from knotfield.moves import default_table, instances_for, apply
 from knotfield.states import (
     StateVector,
@@ -21,6 +23,7 @@ from knotfield.states import (
     dim,
     inner,
     invariant_observable,
+    row_observable,
 )
 
 TABLE = default_table()
@@ -218,3 +221,67 @@ def test_wrong_lattice_size_rejected(trefoil):
     obs = invariant_observable(_v_minus1, 3, TABLE)
     with pytest.raises(KnotfieldError):
         obs.eigenvalue_for(trefoil)
+
+
+def _crossing_tiles(m):
+    return float(sum(1 for t in m.cells if t >= 9))
+
+
+def test_non_invariant_rows_rejected_as_per_mosaic():
+    # The row core names the same two members as the per-mosaic adapter.
+    errors = []
+    for obs in (invariant_observable(_crossing_tiles, 4, TABLE),
+                row_observable(lambda rows: (rows >= 9).sum(axis=1), 4, TABLE)):
+        with pytest.raises(ContractViolationError) as exc:
+            obs.eigenvalue_for(CIRCLE4)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    label = chi(CIRCLE4, TABLE).orbit_index(CIRCLE4)
+    assert errors[0].startswith(f"invariant is not constant on an orbit: {label!r} -> 0.0 but ")
+
+
+def test_row_observable_reads_label_order():
+    seen = []
+
+    def values(rows):
+        seen.append(rows)
+        return np.zeros(len(rows))
+
+    obs = row_observable(values, 4, TABLE)
+    assert obs.eigenvalue_for(CIRCLE4) == 0.0
+    (rows,) = seen
+    assert encode(Mosaic(4, tuple(rows[0].tolist()))) == obs.orbit_index(CIRCLE4)
+    assert len(rows) == 1348
+
+
+def _components(rows):
+    row, strand, *_ = trace_rows(rows, 4)
+    return strand_counts(row, strand, len(rows))
+
+
+def _v_minus1_rows(rows):
+    diagrams, index = row_diagrams(rows, 4)
+    return np.array([evaluate_jones(jones(d), -1.0) for d in diagrams])[index]
+
+
+def test_n4_table_by_orbit():
+    # The 2,594 valid 4-mosaics fall into 160 orbits, which cover them
+    # exactly; both invariants are checked constant on every member.
+    mosaics = list(enumerate_mosaics(4))
+    rows = np.array([m.cells for m in mosaics], dtype=np.uint8)
+    assert _components(rows).tolist() == [len(trace_components(m)) for m in mosaics]
+    components = row_observable(_components, 4, TABLE)
+    labels = [components.orbit_index(m) for m in mosaics]
+    sizes = components.orbit_sizes
+    assert len(sizes) == 160 and sum(sizes.values()) == len(mosaics) == 2594
+    assert all(labels.count(label) == size for label, size in sizes.items())
+    by_count = {}
+    for value in components.eigenvalue.values():
+        by_count[int(value)] = by_count.get(int(value), 0) + 1
+    assert by_count == {0: 1, 1: 81, 2: 66, 3: 9, 4: 2, 5: 1}
+    # V(-1) on the knot orbits: 73 unknot orbits, and 8 of the two trefoils
+    v_minus1 = row_observable(_v_minus1_rows, 4, TABLE)
+    knots = [label for label, value in components.eigenvalue.items() if value == 1]
+    values = [v_minus1.eigenvalue_for(label) for label in knots]
+    assert sorted(set(values)) == [-3.0, 1.0]
+    assert (values.count(1.0), values.count(-3.0)) == (73, 8)
