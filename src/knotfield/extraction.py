@@ -59,6 +59,7 @@ CONDITION_WARN = 1e8
 SAMPLE_SLAB = 1 << 16  # lattice points per slab of `sample_lattice`, so slabs stay in cache
 CELL_SLAB = 32  # x-planes per pass in `_candidate_cells`
 FIBER_NODAL_TOL = 1e-3  # `sample_fiber` drops points with |f| at or below this
+_HAUSDORFF_PAIRS = 1 << 16  # point pairs per block of `hausdorff`
 
 
 @dataclass(frozen=True)
@@ -567,16 +568,29 @@ def fiber_to_csv(cloud) -> str:
     return buf.getvalue()
 
 
-def closure_gaps(curve: NodalCurve):
-    """First-to-last vertex gap of every component (zero when closed)."""
-    return [float(np.linalg.norm(pts[0] - pts[-1])) for pts in curve.components]
-
-
 def hausdorff(a, b) -> float:
-    """Symmetric Hausdorff distance between two point sets (m,3) and (k,3)."""
+    """Symmetric Hausdorff distance between two point sets (m,3) and (k,3).
+
+    Squared distances are taken over blocks of `a`'s rows, so no (m, k, 3)
+    temporary is built; the minima are taken of the squares and the square
+    root last, which gives the distance of the whole-matrix formula bit for
+    bit (the root is monotone, and each square is summed as x + y, then + z).
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) == 0 or len(b) == 0:
         return float("inf") if len(a) != len(b) else 0.0
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    rows = max(1, _HAUSDORFF_PAIRS // len(b))
+    to_b = np.empty(len(a))  # squared distance of each point of a to b
+    to_a = np.full(len(b), np.inf)  # and of each point of b to a
+    for start in range(0, len(a), rows):
+        block = a[start:start + rows]
+        sq = np.subtract.outer(block[:, 0], b[:, 0])
+        sq *= sq
+        for axis in (1, 2):
+            d = np.subtract.outer(block[:, axis], b[:, axis])
+            d *= d
+            sq += d
+        to_b[start:start + rows] = sq.min(axis=1)
+        np.minimum(to_a, sq.min(axis=0), out=to_a)
+    return float(max(np.sqrt(to_b.max()), np.sqrt(to_a.max())))

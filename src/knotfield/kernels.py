@@ -17,6 +17,21 @@ window of a chunk of states, and `np.searchsorted` then finds exactly the
 instances with a matching pattern; no other cell is compared.  A byte
 above 10 reads as the digit 11, which no pattern has, so it matches
 nothing.
+
+A matched move is written as one precomputed delta row: the row of table
+entry k holds target - source (mod 256) at its instance's cells and 0
+elsewhere, so a chunk's neighbors are its source rows gathered once plus
+the delta rows of their entries, and bytes off the window (above 10 or
+not) come through unchanged.  A level comes back as three parallel lists
+(sources, instances, neighbors) rather than one tuple per neighbor.
+Against a 2-D scatter of the target patterns and a list of triples, this
+took the 1,348-member 4x4 unknot closure from 4.7 to 3.7 ms of CPU time
+(best of 200, 2 vCPUs, one BLAS thread), and a 5x5 circle closed up to
+3,000 members from about 17 to 12 ms.  A hashed window-code table (open
+addressing, Fibonacci hashing) cut the lookup itself from 0.87 to about
+0.1 ms but cost more in per-chunk probe calls than it saved end to end,
+and a direct-address table took 1.5 s to build, so `np.searchsorted`
+stays.
 """
 
 from __future__ import annotations
@@ -43,10 +58,10 @@ _DIGIT = np.minimum(np.arange(256), _BASE - 1).astype(np.float64)
 # place value of cell c in window w's code (0 off the window), and
 # offsets[w] keeps the windows' codes apart.  Entry k of the sorted `keys`
 # is one pattern of instance `inst[k]`, and run[k] counts the entries from
-# k on with the same key; matching it writes `target[k]` at that
-# instance's cells `pos[inst[k]]`, both padded with copies of their first
-# cell.
-_Windows = namedtuple("_Windows", "weights offsets keys run inst pos target")
+# k on with the same key.  Row k of `delta` (one column per cell that any
+# window covers) is the move matching entry k as a byte difference:
+# target - source (mod 256) at the instance's cells, 0 elsewhere.
+_Windows = namedtuple("_Windows", "weights offsets keys run inst delta")
 
 # id()s of packed arrays -> (those arrays, their _Windows).  Holding the
 # arrays keeps their ids from being reused while the entry lives.
@@ -84,7 +99,9 @@ def _build_windows(pos, pat_a, pat_b, lens):
     weights[pos[~pad], np.broadcast_to(win[:, None], pad.shape)[~pad]] = value[~pad]
     offsets = np.arange(len(window_of)) * float(_BASE ** max_len)
 
-    pos = np.where(pad, pos[:, :1], pos).astype(np.min_scalar_type(int(pos.max())))
+    # Padded cells repeat the first cell, so assigning them writes its
+    # difference again.
+    pos = np.where(pad, pos[:, :1], pos)
     pat_a = np.where(pad, pat_a[:, :1], pat_a)
     pat_b = np.where(pad, pat_b[:, :1], pat_b)
     keys = np.concatenate([(pat_a * value).sum(axis=1) + offsets[win],
@@ -93,8 +110,11 @@ def _build_windows(pos, pat_a, pat_b, lens):
     keys = keys[order]
     run = np.searchsorted(keys, keys, "right") - np.arange(len(keys))
     # Matching pattern_a writes pattern_b, and the other way round.
+    delta = np.zeros((2 * n_inst, len(weights)), dtype=np.uint8)
+    delta[np.arange(2 * n_inst)[:, None], np.tile(pos, (2, 1))] = np.concatenate(
+        [pat_b - pat_a, pat_a - pat_b]).astype(np.uint8)
     return _Windows(weights, offsets, keys, run, np.tile(np.arange(n_inst), 2)[order],
-                    pos, np.concatenate([pat_b, pat_a])[order])
+                    delta[order])
 
 
 def expand(state, pos, pat_a, pat_b, lens):
@@ -103,30 +123,32 @@ def expand(state, pos, pat_a, pat_b, lens):
     pos/pat_a/pat_b are (num_instances, max_len) int arrays (padded), lens the
     per-instance pattern length.  Neighbors come back in instance order.
     """
-    return [nb for _, _, nb in expand_level([state], pos, pat_a, pat_b, lens)]
+    return expand_level([state], pos, pat_a, pat_b, lens)[2]
 
 
 def expand_level(states, pos, pat_a, pat_b, lens):
     """Apply every instance to every state of a BFS level.
 
     `states` is a sequence of equal-length bytes; the instance arrays are as
-    for `expand`.  Returns (source index, instance index, neighbor bytes)
-    triples ordered by source state and then by instance, so their
-    neighbors are the concatenation of `expand(s, ...)` over `states`.
+    for `expand`.  Returns three equal-length lists (source indices,
+    instance indices, neighbor bytes), ordered by source state and then by
+    instance, so the neighbors are the concatenation of `expand(s, ...)`
+    over `states`.
     """
+    sources, instances, neighbors = [], [], []
     n_inst = len(lens)
     if not states or n_inst == 0:
-        return []
+        return sources, instances, neighbors
     win = _windows(pos, pat_a, pat_b, lens)
     width = len(states[0])
     frontier = np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), width)
     n_win = len(win.offsets)
+    n_cells = len(win.weights)
 
-    out = []
     rows_per_chunk = max(1, _CHUNK_PAIRS // n_win)
     for start in range(0, len(states), rows_per_chunk):
         block = frontier[start:start + rows_per_chunk]
-        codes = (_DIGIT[block[:, :len(win.weights)]] @ win.weights + win.offsets).ravel()
+        codes = (_DIGIT[block[:, :n_cells]] @ win.weights + win.offsets).ravel()
         lo = np.minimum(np.searchsorted(win.keys, codes), len(win.keys) - 1)
         count = np.where(win.keys[lo] == codes, win.run[lo], 0)
         # Entry lo, lo + 1, ..., lo + count - 1 for each (state, window) pair.
@@ -136,7 +158,8 @@ def expand_level(states, pos, pat_a, pat_b, lens):
         order = np.argsort(rows * n_inst + inst, kind="stable")
         rows, inst, entry = rows[order], inst[order], entry[order]
         new = block[rows]
-        new[np.arange(len(rows))[:, None], win.pos[inst]] = win.target[entry]
-        out.extend(zip((rows + start).tolist(), inst.tolist(),
-                       new.view(f"V{width}").ravel().tolist()))
-    return out
+        new[:, :n_cells] += win.delta[entry]
+        sources += (rows + start).tolist()
+        instances += inst.tolist()
+        neighbors += new.view(f"V{width}").ravel().tolist()
+    return sources, instances, neighbors

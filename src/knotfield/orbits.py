@@ -1,12 +1,15 @@
 """Orbit closure of mosaics under the ambient group's move templates.
 
 Breadth-first closure over the finite basis of an n x n lattice, expanding
-each whole BFS level with one `kernels.expand_level` call.  Members live
+each whole BFS level with one `kernels.expand_level` call, whose parallel
+source and neighbor lists the closure walks side by side.  Members live
 only as byte rows (one byte per cell) in the BFS parent map; `Orbit.label`
-encodes only the member whose text sorts first, and `Orbit.members` builds
+encodes only the member whose text sorts first (taken from row 0 of
+`member_rows()` when that has been read), and `Orbit.members` builds
 every member's text on first read.  Witnesses follow parent pointers laid
 down in deterministic BFS order (by level, source state, move instance);
-each step re-expands only its parent to name the move.
+each step re-expands only its parent and takes the instance at the first
+position of the child in the neighbor list.
 """
 
 from __future__ import annotations
@@ -99,8 +102,11 @@ class Orbit:
 
     def member_rows(self):
         """Every member's byte row, as one read-only (size, n^2) uint8
-        array in label order: row 0 is the member `label` encodes."""
+        array in label order: row 0 is the member `label` encodes, and
+        `label` is cached from it, so no member's key is built twice."""
         rows = sorted(self._parents, key=label_key)
+        if "label" not in self.__dict__:
+            self.__dict__["label"] = encode(Mosaic(self.representative.n, tuple(rows[0])))
         return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1)
 
     def member_mosaics(self):
@@ -117,8 +123,8 @@ class Orbit:
         seq = []
         while (parent := self._parents[state]) is not None:
             # BFS kept the first (source, instance) pair reaching each state.
-            seq.append(next(insts[k] for _, k, nb in kernels.expand_level([parent], *packed)
-                            if nb == state))
+            _, instances, neighbors = kernels.expand_level([parent], *packed)
+            seq.append(insts[instances[neighbors.index(state)]])
             state = parent
         return seq[::-1]
 
@@ -135,7 +141,8 @@ def orbit(m: Mosaic, templates, budget: int = DEFAULT_BUDGET) -> Orbit:
     frontier = [start]
     while frontier:
         next_frontier = []
-        for i, _, nb in kernels.expand_level(frontier, *packed[1:]):
+        sources, _, neighbors = kernels.expand_level(frontier, *packed[1:])
+        for i, nb in zip(sources, neighbors):
             if nb not in parents:
                 parents[nb] = frontier[i]
                 next_frontier.append(nb)

@@ -20,6 +20,9 @@ segment pairs, where production packs each pair into one integer.  The
 sampling oracles write the inverse stereographic map out inline (the box
 initial state) or evaluate the whole chart cube in one call (the fiber),
 where production goes through `embed` and the slab-wise `sample_chart`.
+The Hausdorff oracle builds the whole (m, k, 3) difference array and takes
+the norm of each pair, where production sums squares over row blocks and
+takes the root last.
 The validation oracle checks each lattice edge
 with a three-way None/True/False comparison, where production scans any
 rows x cols block with one rule shared by validation and move templates.
@@ -609,6 +612,22 @@ def oracle_sample_fiber(f, theta, grid: SampleGrid, band=0.05, nodal_tol=1e-3):
     diff = np.angle(np.exp(1j * (np.angle(values) - theta)))
     mask = (np.abs(diff) <= band) & (mag > nodal_tol)
     return np.column_stack([u[mask], mag[mask]])
+
+
+def closure_gaps(curve: NodalCurve):
+    """First-to-last vertex gap of every component (zero when closed)."""
+    return [float(np.linalg.norm(pts[0] - pts[-1])) for pts in curve.components]
+
+
+def oracle_hausdorff(a, b) -> float:
+    """Symmetric Hausdorff distance from the whole (m, k, 3) difference
+    array, with the norm taken per pair."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if len(a) == 0 or len(b) == 0:
+        return float("inf") if len(a) != len(b) else 0.0
+    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 def oracle_initial_knot_state(f, cfg, scale=None, taper=(0.7, 0.95)):

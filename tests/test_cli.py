@@ -12,7 +12,7 @@ import pytest
 
 from conftest import CHILD_ENV, data_path
 
-from knotfield import cli, diagram, mosaic
+from knotfield import cli, diagram, mosaic, orbits
 from knotfield.cli import main
 from knotfield.diagram import to_diagram
 from knotfield.moves import default_table
@@ -259,6 +259,21 @@ def test_v_minus1_brackets_each_distinct_diagram_once(tmp_path, capsys, monkeypa
         assert (code, out) == (0, "v_minus1 eigenvalue on this orbit: 1\n")
         assert len(bracketed) == len(codes)
         assert {d.pd_code() for d in bracketed} == codes
+
+
+def test_invariant_observable_builds_each_label_key_once(tmp_path, capsys, monkeypatch):
+    # member_rows() sorts the members once and names the orbit by row 0, so
+    # reading Orbit.label afterwards sorts nothing again.
+    circle = mosaic.Mosaic(4, (0,) * 10 + (2, 1, 0, 0, 3, 4))
+    path = tmp_path / "circle.mosaic"
+    path.write_text(mosaic.encode(circle))
+    keys = []
+    real = orbits.label_key
+    monkeypatch.setattr(orbits, "label_key", lambda cells: keys.append(cells) or real(cells))
+    code, out, _ = run_cli(capsys, "observable", "invariant", str(path),
+                           "--invariant", "components")
+    assert (code, out) == (0, "components eigenvalue on this orbit: 1\n")
+    assert len(keys) == 1348
 
 
 _TWO_CIRCLES = "4\n2 1 2 1\n3 4 3 4\n0 0 0 0\n0 0 0 0\n"  # the 766-member unlink class

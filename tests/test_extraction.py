@@ -15,9 +15,11 @@ import pytest
 from conftest import LIBRARY, LIBRARY_IDS, library_grid
 from hypothesis import example, given, settings, strategies as st
 from oracles import (
+    closure_gaps,
     oracle_candidate_cells,
     oracle_chain,
     oracle_embed,
+    oracle_hausdorff,
     oracle_march,
     oracle_refine,
     oracle_sample_fiber,
@@ -34,7 +36,6 @@ from knotfield.extraction import (
     NodalCurve,
     SampleGrid,
     chart_transfer,
-    closure_gaps,
     embed,
     extract,
     extract_from_samples,
@@ -300,6 +301,40 @@ def test_hausdorff_basics():
     b = np.ones((2, 3))
     assert hausdorff(a, a) == 0.0
     assert hausdorff(a, b) == pytest.approx(np.sqrt(3.0))
+    empty = np.zeros((0, 3))
+    assert hausdorff(a, empty) == hausdorff(empty, b) == float("inf")
+    assert hausdorff(empty, empty) == 0.0
+
+
+@given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_hausdorff_matches_oracle_bit_for_bit(m, k, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, 3)) * rng.uniform(1e-3, 1e3)
+    b = rng.normal(size=(k, 3)) * rng.uniform(1e-3, 1e3) + rng.normal(size=3)
+    with pytest.MonkeyPatch.context() as mp:
+        # A block of 7 pairs splits `a` into blocks of one or a few rows.
+        mp.setattr(extraction, "_HAUSDORFF_PAIRS", 7)
+        blocked = hausdorff(a, b)
+    assert hausdorff(a, b) == blocked == oracle_hausdorff(a, b)
+    assert hausdorff(b, a) == oracle_hausdorff(b, a)
+
+
+def test_hausdorff_peak_memory_is_row_blocks(monkeypatch):
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(1000, 3)), rng.normal(size=(1000, 3))
+
+    def peak():
+        tracemalloc.start()
+        try:
+            hausdorff(a, b)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < 4 * 2 ** 20
+    monkeypatch.setattr(extraction, "_HAUSDORFF_PAIRS", len(a) * len(b))
+    assert peak() > 4 * 2 ** 20  # the bound sees a whole-matrix temporary
 
 
 @pytest.mark.parametrize("chart", ["north", "south"])

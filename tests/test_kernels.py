@@ -13,6 +13,12 @@ from knotfield.orbits import compile_instances
 
 from oracles import oracle_expand
 
+
+def _triples(level):
+    """expand_level's three parallel lists as (source, instance, neighbor)
+    triples."""
+    return list(zip(*level))
+
 TABLE = default_table()
 INSTS = {n: compile_instances(TABLE, n)[0] for n in range(1, 7)}
 PACKED = {n: compile_instances(TABLE, n)[1:] for n in range(1, 7)}
@@ -34,7 +40,7 @@ def test_expand_level_matches_oracle(n, size, chunk_pairs, seed):
     want = [(i, nb) for i, s in enumerate(frontier) for nb in oracle_expand(s, TABLE)]
     # A small chunk bound splits the frontier into several chunks.
     with mock.patch.object(kernels, "_CHUNK_PAIRS", chunk_pairs):
-        got = kernels.expand_level([bytes(s.cells) for s in frontier], *PACKED[n])
+        got = _triples(kernels.expand_level([bytes(s.cells) for s in frontier], *PACKED[n]))
     assert [(i, nb) for i, _, nb in got] == want
     # The instance index names the move that maps the source to the neighbor.
     for i, k, nb in got:
@@ -44,7 +50,7 @@ def test_expand_level_matches_oracle(n, size, chunk_pairs, seed):
 def _assert_level_matches_oracle(n, frontier):
     """expand_level on a whole level against oracle_expand state by state;
     returns the level's neighbors."""
-    got = kernels.expand_level([bytes(m.cells) for m in frontier], *PACKED[n])
+    got = _triples(kernels.expand_level([bytes(m.cells) for m in frontier], *PACKED[n]))
     want = [(i, nb) for i, m in enumerate(frontier) for nb in oracle_expand(m, TABLE)]
     assert [(i, nb) for i, _, nb in got] == want
     for i, k, nb in got:
@@ -97,6 +103,18 @@ def test_byte_above_10_matches_nothing():
     assert kernels.expand(bytes(m.cells), *PACKED[2]) == oracle_expand(m, TABLE) == []
 
 
+def test_bytes_outside_the_window_are_kept():
+    # A move adds its delta row, which is 0 off the instance's cells, so a
+    # byte there, one above 10 included, comes through unchanged.
+    t = next(t for t in TABLE if (t.rows, t.cols) == (2, 2))
+    a, b, c, d = t.pattern_a
+    m = Mosaic(3, (a, b, 200, c, d, 255, 11, 12, 13))
+    got = kernels.expand(bytes(m.cells), *PACKED[3])
+    assert got == oracle_expand(m, TABLE) and got
+    for nb in got:
+        assert nb[2] == 200 and nb[5:] == bytes([255, 11, 12, 13])
+
+
 def test_expand_level_without_3x3_windows():
     # n = 1 fits no move at all, n = 2 only the 2x2 ones.
     assert len(INSTS[1]) == 0
@@ -114,7 +132,8 @@ def test_expand_level_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    out = _triples(out)
     assert len(out) > 5 * len(frontier)
-    # About 7 MB, most of it the returned neighbors; one unchunked gather
+    # About 5 MB, most of it the returned neighbors; one unchunked gather
     # over the whole frontier peaks above 30 MB.
     assert peak < 8 * 2 ** 20

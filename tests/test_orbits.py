@@ -1,5 +1,6 @@
 """Orbit closure under the move table, with pinned sizes for the 4x4 lattice."""
 
+import dataclasses
 import random
 
 import pytest
@@ -81,6 +82,19 @@ def test_witness_matches_oracle_circle4():
     for row in rows:
         k = Mosaic(4, tuple(row))
         assert orb.witness_for(k) == oracle_witness(orb._parents, k, TABLE)
+
+
+def test_witness_takes_the_first_of_two_moves_to_one_state():
+    # Under the default table one move joins each parent to each child; a
+    # copy of every template under another name makes two, and the witness
+    # names the first, as the BFS kept it.
+    twins = list(TABLE) + [dataclasses.replace(t, name=t.name + "-twin") for t in TABLE]
+    orb = orbit(CIRCLE3, twins)
+    assert list(orb._parents.items()) == list(orbit(CIRCLE3, TABLE)._parents.items())
+    for k in orb.member_mosaics():
+        witness = orb.witness_for(k)
+        assert witness == oracle_witness(orb._parents, k, twins)
+        assert not any(inst.template.name.endswith("-twin") for inst in witness)
 
 
 def test_label_is_first_member_text(trefoil, monkeypatch):
