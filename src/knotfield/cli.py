@@ -368,22 +368,24 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--manifest", default=None, help="write the run manifest here")
     common.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; has no effect")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="orbit search budget")
+    # Only the commands that close an orbit read a budget.
+    closes_orbit = argparse.ArgumentParser(add_help=False, parents=[common])
+    closes_orbit.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                              help="orbit search budget")
     sub = top.add_subparsers(dest="group")
 
     g = sub.add_parser("mosaic", help="mosaic file operations").add_subparsers(dest="cmd")
     p = g.add_parser("validate", parents=[common]); p.add_argument("file"); p.set_defaults(fn=_cmd_mosaic_validate)
     p = g.add_parser("show", parents=[common]); p.add_argument("file"); p.set_defaults(fn=_cmd_mosaic_show)
-    p = g.add_parser("orbit", parents=[common]); p.add_argument("file")
+    p = g.add_parser("orbit", parents=[closes_orbit]); p.add_argument("file")
     p.add_argument("--members", action="store_true"); p.set_defaults(fn=_cmd_mosaic_orbit)
-    p = g.add_parser("same-orbit", parents=[common])
+    p = g.add_parser("same-orbit", parents=[closes_orbit])
     p.add_argument("file_a"); p.add_argument("file_b"); p.set_defaults(fn=_cmd_mosaic_same_orbit)
     p = g.add_parser("jones", parents=[common]); p.add_argument("file"); p.set_defaults(fn=_cmd_mosaic_jones)
 
     g = sub.add_parser("observable", help="diagonal orbit observables").add_subparsers(dest="cmd")
-    p = g.add_parser("chi", parents=[common]); p.add_argument("file"); p.set_defaults(fn=_cmd_observable_chi)
-    p = g.add_parser("invariant", parents=[common]); p.add_argument("file")
+    p = g.add_parser("chi", parents=[closes_orbit]); p.add_argument("file"); p.set_defaults(fn=_cmd_observable_chi)
+    p = g.add_parser("invariant", parents=[closes_orbit]); p.add_argument("file")
     p.add_argument("--invariant", default="v_minus1", choices=sorted(_INVARIANTS))
     p.set_defaults(fn=_cmd_observable_invariant)
 
@@ -457,6 +459,9 @@ def main(argv=None) -> int:
             _write(manifest_path, _manifest(args, argv, code) + "\n")
     except KnotfieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return 1
     return code
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import KnotfieldError
-from .extraction import NodalCurve, SampleGrid, extract_from_samples, hausdorff, sample_lattice
+from .extraction import (NodalCurve, SampleGrid, check_cube_size, extract_from_samples, hausdorff,
+                         sample_lattice)
 
 TAPER = (0.7, 0.95)  # bump shoulder and cutoff of initial states, as fractions of L/2
 RECONNECTION_FACTOR = 4.0  # a matched move beyond this many cells is a reconnection
@@ -61,6 +62,7 @@ class EvolutionConfig:
         n = self.resolution
         if n < 2 or (n & (n - 1)) != 0:
             raise KnotfieldError(f"resolution must be a power of two >= 2, got {n}")
+        check_cube_size(n)
         om = self.omega
         if np.isscalar(om):
             om = (float(om),) * 3

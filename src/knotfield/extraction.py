@@ -38,6 +38,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -62,6 +63,13 @@ FIBER_NODAL_TOL = 1e-3  # `sample_fiber` drops points with |f| at or below this
 _HAUSDORFF_PAIRS = 1 << 16  # point pairs per block of `hausdorff`
 
 
+def check_cube_size(n: int) -> None:
+    """Reject an n^3 lattice of complex samples that no process can address."""
+    if n ** 3 * 16 > sys.maxsize:
+        raise KnotfieldError(f"resolution {n} is too large: {n}^3 complex samples "
+                             f"exceed the largest array this platform can address")
+
+
 @dataclass(frozen=True)
 class SampleGrid:
     """Regular sampling lattice in the "north" or "south" stereographic chart of S^3.
@@ -80,6 +88,7 @@ class SampleGrid:
             raise KnotfieldError(f"unknown chart {self.chart!r}")
         if self.resolution < 16:
             raise KnotfieldError(f"resolution must be >= 16, got {self.resolution}")
+        check_cube_size(self.resolution)
         if not (0 < self.extent < math.inf and 0 < self.radius < math.inf):
             raise KnotfieldError(f"extent and radius must be positive and finite, "
                                  f"got {self.extent} and {self.radius}")

@@ -20,11 +20,10 @@ PHASE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ComplexField:
-    """A named evaluator C^2 -> C with a note on its sphere restriction."""
+    """A named evaluator C^2 -> C, cut with the sphere |z|^2 + |w|^2 = r^2."""
 
     name: str
     evaluator: object  # callable (z, w) -> complex, numpy-vectorized
-    domain_note: str = "restrict to |z|^2 + |w|^2 = r^2"
     multi_component: bool = False  # known to cut out a link, not a knot
 
     def __call__(self, z, w):
@@ -42,6 +41,8 @@ def _rudolph_F(z, w):
     # The zbar (rather than |z|^2) coefficient keeps the cubic's
     # discriminant nonzero on small circles around z = 0, so the three
     # roots never collide and the zero set is an embedded curve.
+    # Cut it with |z|^2 + |w|^2 = r^2 for r <= 0.5 only: at larger radii the
+    # cut leaves the conical regime.
     zb = np.conjugate(z)
     return w ** 3 - 3 * zb * (1 + z + zb) * w - 2 * (z + zb)
 
@@ -71,9 +72,7 @@ def field_library(name: str, params=()) -> ComplexField:
     if name == "rudolph_F":
         if params:
             raise KnotfieldError("rudolph_F takes no parameters")
-        return ComplexField("rudolph_F", _rudolph_F,
-                            domain_note="restrict to |z|^2 + |w|^2 = r^2 with r <= 0.5; "
-                                        "at larger radii the cut leaves the conical regime")
+        return ComplexField("rudolph_F", _rudolph_F)
     if name == "rudolph_G":
         if params:
             raise KnotfieldError("rudolph_G takes no parameters")

@@ -27,8 +27,6 @@ from .mosaic import Mosaic, decode, encode
 from .moves import apply as apply_move
 from .orbits import DEFAULT_BUDGET, orbit
 
-INNER_TOL = 1e-12
-
 
 def dim(n: int) -> int:
     """Dimension of the mosaic state space: eleven tiles per cell, n^2 cells."""

@@ -3,12 +3,17 @@
 One generator per arc (maximal over-passage), one conjugation relation per
 crossing: a_out = a_over^-1 a_in a_over, with the input arc chosen so that,
 looking along it into the crossing, the over strand runs left to right.
+
+Each relation abelianizes to a_in = a_out, so H1 of the complement is free
+abelian of rank equal to the number of generator classes under those
+identifications: `abelianization_rank` counts them with the same union-find
+that groups edges into arcs.  The exact rational elimination of the
+relation matrix is kept in the tests as the oracle it is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import KnotfieldError
 from .diagram import PlanarDiagram
@@ -32,9 +37,9 @@ class WirtingerPresentation:
         return "\n".join(lines) + "\n"
 
 
-def _arc_classes(diagram: PlanarDiagram):
-    """Union edges across over-passages into arcs; return {edge id: arc root}."""
-    parent = {e: e for e in range(1, diagram.n_edges + 1)}
+def _classes(items, pairs):
+    """Union-find: unite each pair of items; return {item: class root}."""
+    parent = {x: x for x in items}
 
     def find(a):
         while parent[a] != a:
@@ -42,12 +47,18 @@ def _arc_classes(diagram: PlanarDiagram):
             a = parent[a]
         return a
 
-    for x in diagram.crossings:
-        over_out = (x.over_in + 2) % 4
-        ra, rb = find(x.ends[x.over_in]), find(x.ends[over_out])
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    return {e: find(e) for e in parent}
+    return {x: find(x) for x in parent}
+
+
+def _arc_classes(diagram: PlanarDiagram):
+    """Union edges across over-passages into arcs; return {edge id: arc root}."""
+    return _classes(range(1, diagram.n_edges + 1),
+                    ((x.ends[x.over_in], x.ends[(x.over_in + 2) % 4])
+                     for x in diagram.crossings))
 
 
 def wirtinger(diagram: PlanarDiagram) -> WirtingerPresentation:
@@ -71,7 +82,7 @@ def wirtinger(diagram: PlanarDiagram) -> WirtingerPresentation:
         over_out_pos = (x.over_in + 2) % 4
         # The input under end is the one whose ccw-next position carries the
         # outgoing over edge: from there the over strand crosses left to right.
-        if (0 + 1) % 4 == over_out_pos:
+        if over_out_pos == 1:
             inp, out = arc[x.ends[0]], arc[x.ends[2]]
         else:
             inp, out = arc[x.ends[2]], arc[x.ends[0]]
@@ -80,57 +91,11 @@ def wirtinger(diagram: PlanarDiagram) -> WirtingerPresentation:
     return WirtingerPresentation(tuple(label.values()), tuple(relations))
 
 
-def relation_exponent_sums(p: WirtingerPresentation):
-    """Per-relation generator exponent sums of the boundary word c^-1 b^-1 a b.
+def abelianization_rank(p: WirtingerPresentation) -> int:
+    """Rank of H1 of the presented group: the number of generator classes.
 
-    Sending every generator to a single symbol t must trivialize each
-    relation (total exponent 0), certifying the degree-one circle map.
+    Each conjugation relation abelianizes to a_in = a_out, so H1 is free
+    abelian on the classes of generators under those identifications.
     """
-    out = []
-    for rel_out, over, inp in p.relations:
-        sums = {}
-        for g, e in ((rel_out, -1), (over, -1), (inp, 1), (over, 1)):
-            sums[g] = sums.get(g, 0) + e
-        out.append({g: e for g, e in sums.items() if e})
-    return out
-
-
-def abelianization_rank(p: WirtingerPresentation, extra_rows=()) -> int:
-    """Rank of H1 of the presented group: generators minus relation-matrix rank.
-
-    Each conjugation relation abelianizes to a_in - a_out.  extra_rows, maps
-    from generator to integer coefficient, let callers inject additional
-    abelian relations (e.g. {"a1": 1} kills a1).
-    """
-    idx = {g: i for i, g in enumerate(p.generators)}
-    rows = []
-    for out, _, inp in p.relations:
-        row = [0] * len(p.generators)
-        row[idx[inp]] += 1
-        row[idx[out]] -= 1
-        rows.append(row)
-    for extra in extra_rows:
-        row = [0] * len(p.generators)
-        for g, e in extra.items():
-            row[idx[g]] += e
-        rows.append(row)
-    if not rows:
-        return len(p.generators)
-    return len(p.generators) - _rank(rows)
-
-
-def _rank(rows):
-    """Exact rank of an integer matrix by Gaussian elimination over Q."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    for col in range(len(m[0])):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for r in range(rank + 1, len(m)):
-            if m[r][col]:
-                f = m[r][col] / m[rank][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+    roots = _classes(p.generators, ((out, inp) for out, _, inp in p.relations))
+    return len(set(roots.values()))

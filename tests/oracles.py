@@ -40,10 +40,14 @@ oscillator).  The
 projection-crossing oracle tests each segment against every later one in
 a Python loop and checks triple points pair by pair, where production
 sweeps sorted bounding boxes for candidate pairs and tests them all at
-once.
+once.  The abelianization oracle row-reduces the abelianized relation
+matrix exactly over the rationals, where production counts generator
+classes with a union-find; the exponent-sum oracle writes out each
+relation's boundary word.
 """
 
 import itertools
+from fractions import Fraction
 import warnings
 
 import numpy as np
@@ -755,3 +759,59 @@ def oracle_crossing_events(pts2, depth, scale):
         if len(dd) and dd.min() < 1e-6 * scale:
             raise NonGenericProjectionError("two crossings nearly coincide (triple point)")
     return events
+
+
+def relation_exponent_sums(p):
+    """Per-relation generator exponent sums of the boundary word c^-1 b^-1 a b.
+
+    Sending every generator to a single symbol t must trivialize each
+    relation (total exponent 0), certifying the degree-one circle map.
+    """
+    out = []
+    for rel_out, over, inp in p.relations:
+        sums = {}
+        for g, e in ((rel_out, -1), (over, -1), (inp, 1), (over, 1)):
+            sums[g] = sums.get(g, 0) + e
+        out.append({g: e for g, e in sums.items() if e})
+    return out
+
+
+def oracle_abelianization_rank(p, extra_rows=()) -> int:
+    """Rank of H1 of the presented group: generators minus relation-matrix rank.
+
+    Each conjugation relation abelianizes to a_in - a_out.  extra_rows, maps
+    from generator to integer coefficient, let callers inject additional
+    abelian relations (e.g. {"a1": 1} kills a1).
+    """
+    idx = {g: i for i, g in enumerate(p.generators)}
+    rows = []
+    for out, _, inp in p.relations:
+        row = [0] * len(p.generators)
+        row[idx[inp]] += 1
+        row[idx[out]] -= 1
+        rows.append(row)
+    for extra in extra_rows:
+        row = [0] * len(p.generators)
+        for g, e in extra.items():
+            row[idx[g]] += e
+        rows.append(row)
+    if not rows:
+        return len(p.generators)
+    return len(p.generators) - _rank(rows)
+
+
+def _rank(rows):
+    """Exact rank of an integer matrix by Gaussian elimination over Q."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            if m[r][col]:
+                f = m[r][col] / m[rank][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import CHILD_ENV, FIG8_JONES, TREFOIL_JONES, UNKNOT_JONES, data_path
 
-from oracles import oracle_jones
+from oracles import oracle_jones, relation_exponent_sums
 
 from knotfield.diagram import evaluate_jones, jones, to_diagram
 from knotfield.evolution import (EvolutionConfig, gaussian_state, plane_wave,
@@ -29,8 +29,7 @@ from knotfield.moves import apply, default_table, instances_for
 from knotfield.orbits import orbit, same_orbit
 from knotfield.project import verify_knot_type
 from knotfield.states import (StateVector, chi, dim, invariant_observable)
-from knotfield.wirtinger import (abelianization_rank, relation_exponent_sums,
-                                 wirtinger)
+from knotfield.wirtinger import abelianization_rank, wirtinger
 
 TABLE = default_table()
 CIRCLE3 = Mosaic(3, (2, 1, 0, 3, 4, 0, 0, 0, 0))

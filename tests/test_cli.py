@@ -12,7 +12,7 @@ import pytest
 
 from conftest import CHILD_ENV, data_path
 
-from knotfield import cli, diagram, mosaic, orbits
+from knotfield import cli, diagram, extraction, mosaic, orbits
 from knotfield.cli import main
 from knotfield.diagram import to_diagram
 from knotfield.moves import default_table
@@ -528,3 +528,72 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert shared[1] == shared[3] == shared[11] and not shared[1][1].startswith("{")
     assert shared[2] == (0, "", "")
     assert [o[0] for o in shared[6:11]] == [2, 2, 2, 0, 0]
+
+
+_GRID = ["--field", "unknot", "--resolution", "16"]
+_NO_ORBIT = [
+    ["mosaic", "validate", TREFOIL],
+    ["mosaic", "show", TREFOIL],
+    ["mosaic", "jones", TREFOIL],
+    ["wirtinger", TREFOIL],
+    ["field", "eval", "--field", "unknot", "--z", "0", "--w", "1"],
+    ["field", "extract"] + _GRID,
+    ["field", "verify", "--expect", TREFOIL] + _GRID,
+    ["field", "fiber", "--theta", "0"] + _GRID,
+    _EVOLVE + ["--initial", "gaussian"],
+    ["evolve", "track", "--resolution", "16", "--box", "8", "--steps", "2"],
+]
+_CLOSES_ORBIT = [
+    ["mosaic", "orbit", TREFOIL],
+    ["mosaic", "same-orbit", TREFOIL, TREFOIL],
+    ["observable", "chi", TREFOIL],
+    ["observable", "invariant", TREFOIL],
+]
+
+
+def _command(argv):
+    return " ".join(argv[:1] if argv[0] == "wirtinger" else argv[:2])
+
+
+@pytest.mark.parametrize("argv", _NO_ORBIT, ids=_command)
+def test_budget_rejected_where_no_orbit_closes(capsys, argv):
+    code, out, err = outcome_of(capsys, argv + ["--budget", "5"])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --budget 5" in err
+
+
+@pytest.mark.parametrize("argv", _CLOSES_ORBIT, ids=_command)
+def test_budget_errors_where_an_orbit_closes(capsys, argv):
+    # The trefoil's orbit has 2 members: a budget of 1 is exceeded, 0 is invalid.
+    for budget, message in (("0", "orbit budget must be at least 1, got 0"),
+                            ("1", "orbit budget of 1 members exceeded")):
+        code, out, err = outcome_of(capsys, argv + ["--budget", budget])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "extract", "--field", "unknot", "--resolution", "1000000"],
+    ["evolve", "run", "--resolution", "1048576"],
+])
+def test_unaddressable_lattice_rejected(capsys, argv):
+    # n^3 * 16 bytes above sys.maxsize: refused before any array is made
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "is too large" in err
+
+
+def test_memory_error_is_one_error_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64. GiB")
+
+    monkeypatch.setattr(extraction, "sample_lattice", exhausted)
+    code, out, err = run_cli(capsys, "field", "extract", "--field", "unknot", "--resolution", "16")
+    assert code == 1
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 64. GiB\n"

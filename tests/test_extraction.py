@@ -7,6 +7,7 @@ plane (chart x = 0).  That gives exact geometry to test against.
 
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -511,3 +512,17 @@ def test_chain_matches_oracle(spec, chart):
         chord = np.vstack([segments, [[segments[0, 0], segments[len(segments) // 2, 1]]]])
         error, message, _ = assert_chain_matches_oracle(chord, points, allow_open=True)
         assert error is OpenChainError and "junction" in message
+
+
+def test_lattice_size_limit_at_the_address_space():
+    # The largest n with n^3 complex (16-byte) samples addressable is accepted
+    # by both lattices; one more is one error.  Neither allocates anything.
+    n = round((sys.maxsize // 16) ** (1 / 3))
+    n -= (n ** 3 * 16 > sys.maxsize)
+    assert n ** 3 * 16 <= sys.maxsize < (n + 1) ** 3 * 16
+    SampleGrid(resolution=n)
+    with pytest.raises(KnotfieldError, match="too large"):
+        SampleGrid(resolution=n + 1)
+    EvolutionConfig(resolution=2 ** 19)
+    with pytest.raises(KnotfieldError, match="too large"):
+        EvolutionConfig(resolution=2 ** 20)

@@ -55,6 +55,18 @@ MUTANTS = (
            "insts[instances[neighbors.index(state)]]",
            "insts[instances[len(neighbors) - 1 - neighbors[::-1].index(state)]]",
            ("tests/test_orbits.py::test_witness_takes_the_first_of_two_moves_to_one_state",)),
+    Mutant("rank-unites-over-with-input", "src/knotfield/wirtinger.py",
+           "((out, inp) for out, _, inp in p.relations)",
+           "((over, inp) for _, over, inp in p.relations)",
+           ("tests/test_wirtinger.py::test_class_count_matches_oracle_on_random_presentations",)),
+    Mutant("classes-root-reversed", "src/knotfield/wirtinger.py",
+           "parent[ra] = rb", "parent[rb] = ra",
+           ("tests/test_wirtinger.py::test_fixture_presentations_pinned",)),
+    Mutant("rank-counts-complement", "src/knotfield/wirtinger.py",
+           "return len(set(roots.values()))",
+           "return len(p.generators) - len(set(roots.values()))",
+           ("tests/test_wirtinger.py::test_trefoil_presentation",
+            "tests/test_wirtinger.py::test_class_count_matches_oracle_on_random_presentations")),
 )
 
 
