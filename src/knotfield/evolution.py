@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import KnotfieldError
-from .extraction import (NodalCurve, SampleGrid, check_cube_size, extract_from_samples, hausdorff,
-                         sample_lattice)
+from .extraction import (NodalCurve, SampleGrid, check_chart_extent, check_cube_size,
+                         extract_from_samples, hausdorff, sample_lattice)
 
 TAPER = (0.7, 0.95)  # bump shoulder and cutoff of initial states, as fractions of L/2
 RECONNECTION_FACTOR = 4.0  # a matched move beyond this many cells is a reconnection
@@ -251,8 +251,10 @@ def initial_knot_state(f, cfg: EvolutionConfig, scale: float = None) -> FieldSta
         scale = L / 16.0
     if not 0 < scale < math.inf:
         raise KnotfieldError(f"scale must be positive and finite, got {scale}")
-    lo, hi = (t * L / 2.0 for t in TAPER)
     ax = cfg.axes()
+    extent = max(float(np.abs(a).max()) for a in ax) / scale
+    check_chart_extent(extent, f"scale {scale} (chart extent {extent})")
+    lo, hi = (t * L / 2.0 for t in TAPER)
     X, Y, Z = np.meshgrid(*ax, indexing="ij", sparse=True)
 
     def bump(planes):
@@ -276,26 +278,6 @@ def gaussian_state(cfg: EvolutionConfig, center=(0.0, 0.0, 0.0), width: float = 
     r2 = (X - cx) ** 2 + (Y - cy) ** 2 + (Z - cz) ** 2
     return FieldState(np.exp(-r2 / (2.0 * width ** 2))
                       * np.exp(1j * (px * X + py * Y + pz * Z)), 0.0)
-
-
-def plane_wave(cfg: EvolutionConfig, mode=(1, 0, 0)) -> FieldState:
-    """exp(i k . x) with k a lattice wavevector (integer mode numbers)."""
-    ax = cfg.axes()
-    X, Y, Z = np.meshgrid(*ax, indexing="ij")
-    kf = 2.0 * np.pi / cfg.box
-    mx, my, mz = mode
-    return FieldState(np.exp(1j * kf * (mx * X + my * Y + mz * Z)), 0.0)
-
-
-def density_center(s: FieldState, cfg: EvolutionConfig):
-    """|psi|^2-weighted mean position, for trajectory checks."""
-    ax = cfg.axes()
-    rho = np.abs(s.values) ** 2
-    tot = rho.sum()
-    if tot == 0:
-        raise KnotfieldError("cannot locate the center of the zero field")
-    return np.array([float((rho.sum(axis=tuple(j for j in range(3) if j != i)) * ax[i]).sum())
-                     for i in range(3)]) / tot
 
 
 @dataclass(frozen=True)

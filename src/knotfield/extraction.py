@@ -70,6 +70,15 @@ def check_cube_size(n: int) -> None:
                              f"exceed the largest array this platform can address")
 
 
+def check_chart_extent(extent: float, what: str) -> None:
+    """Reject chart coordinates up to `extent` in absolute value that
+    overflow `embed`, whose s = 1 + x*x + y*y + z*z reaches 1 + 3*extent^2
+    at the lattice corners; `what` names the offending input."""
+    if not math.isfinite(1.0 + 3.0 * (extent * extent)):
+        raise KnotfieldError(f"{what} overflows the chart embedding "
+                             f"(1 + 3*extent^2 is not finite)")
+
+
 @dataclass(frozen=True)
 class SampleGrid:
     """Regular sampling lattice in the "north" or "south" stereographic chart of S^3.
@@ -92,11 +101,8 @@ class SampleGrid:
         if not (0 < self.extent < math.inf and 0 < self.radius < math.inf):
             raise KnotfieldError(f"extent and radius must be positive and finite, "
                                  f"got {self.extent} and {self.radius}")
-        # s = 1 + x*x + y*y + z*z in `embed` reaches 1 + 3*extent^2 at the
-        # lattice corners; finite there, the spacing is finite too
-        if not math.isfinite(1.0 + 3.0 * (self.extent * self.extent)):
-            raise KnotfieldError(f"extent {self.extent} overflows the chart embedding "
-                                 f"(1 + 3*extent^2 is not finite)")
+        # with 1 + 3*extent^2 finite, the spacing is finite too
+        check_chart_extent(self.extent, f"extent {self.extent}")
 
     def axes(self):
         ax = np.linspace(-self.extent, self.extent, self.resolution)
@@ -172,13 +178,6 @@ def sample_chart(f, grid: SampleGrid):
     """
     ax = grid.axes()
     return ax, sample_lattice(f, grid, ax)
-
-
-def chart_transfer(u):
-    """Coordinates of the same sphere point in the opposite chart: u / |u|^2."""
-    u = np.asarray(u, dtype=float)
-    s = np.sum(u * u, axis=-1, keepdims=True)
-    return u / s
 
 
 @dataclass(frozen=True)
@@ -364,7 +363,7 @@ def _chain(segments, points, allow_open=False):
         adjacency.setdefault(a, []).append(b)
     dangling = [k for k, nbrs in adjacency.items() if len(nbrs) != 2]
     if dangling and not allow_open:
-        pts = [tuple(np.round(points[k], 6)) for k in dangling]
+        pts = [tuple(np.round(points[k], 6).tolist()) for k in dangling]
         shown = ", ".join(str(p) for p in pts[:4])
         if len(pts) > 4:
             shown += f", ... ({len(pts)} total)"

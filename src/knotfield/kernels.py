@@ -1,11 +1,14 @@
 """The move-expansion kernel: the hot loop of orbit closure.
 
-Given mosaic states as bytes and the move instances packed by
-`orbits.compile_instances`, produce every neighbor state, with the source
-state and the instance that reached it.  `expand_level` is the only
-implementation: it expands a whole BFS level with numpy, a bounded chunk
-of states at a time, and `expand` is the same kernel on one state.
-BACKEND names it in benchmark reports.
+Given mosaic states as bytes and the window tables of a packed move
+table, produce every neighbor state, with the source state and the
+instance that reached it.  `window_tables` builds the tables from the
+arrays that `orbits.compile_instances` packs; they are a read-only value,
+built once per (table, n) inside that cache and passed in by the caller,
+so this module keeps no state.  `expand_level` is the only implementation:
+it expands a whole BFS level with numpy, a bounded chunk of states at a
+time, and `expand` is the same kernel on one state.  BACKEND names it in
+benchmark reports.
 
 Moves are matched by window code.  A window is the block of cells that
 instances of one shape share at one anchor; the default table at n = 4
@@ -36,7 +39,6 @@ stays.
 
 from __future__ import annotations
 
-import threading
 from collections import namedtuple
 
 import numpy as np
@@ -54,48 +56,32 @@ _BASE = 12
 # are exact.
 _DIGIT = np.minimum(np.arange(256), _BASE - 1).astype(np.float64)
 
-# The window tables of one packed instance table.  weights[c, w] is the
-# place value of cell c in window w's code (0 off the window), and
-# offsets[w] keeps the windows' codes apart.  Entry k of the sorted `keys`
-# is one pattern of instance `inst[k]`, and run[k] counts the entries from
-# k on with the same key.  Row k of `delta` (one column per cell that any
-# window covers) is the move matching entry k as a byte difference:
-# target - source (mod 256) at the instance's cells, 0 elsewhere.
-_Windows = namedtuple("_Windows", "weights offsets keys run inst delta")
-
-# id()s of packed arrays -> (those arrays, their _Windows).  Holding the
-# arrays keeps their ids from being reused while the entry lives.
-_TABLES = {}
-_TABLES_MAX = 16
-_TABLES_LOCK = threading.Lock()
+# The window tables of one packed instance table of n_inst instances.
+# weights[c, w] is the place value of cell c in window w's code (0 off the
+# window), and offsets[w] keeps the windows' codes apart.  Entry k of the
+# sorted `keys` is one pattern of instance `inst[k]`, and run[k] counts the
+# entries from k on with the same key.  Row k of `delta` (one column per
+# cell that any window covers) is the move matching entry k as a byte
+# difference: target - source (mod 256) at the instance's cells, 0
+# elsewhere.
+WindowTables = namedtuple("WindowTables", "n_inst weights offsets keys run inst delta")
 
 
-def _windows(pos, pat_a, pat_b, lens):
-    """The window tables of a packed instance table, built once per table.
-
-    The arrays are taken as read-only, as `compile_instances` returns them.
+def window_tables(pos, pat_a, pat_b, lens):
+    """The window tables of a packed instance table, as `expand_level` takes
+    them.  pos/pat_a/pat_b are (num_instances, max_len) int arrays (padded),
+    lens the per-instance pattern length.  The arrays come back read-only,
+    since callers share one value.
     """
-    key = (id(pos), id(pat_a), id(pat_b), id(lens))
-    with _TABLES_LOCK:
-        hit = _TABLES.get(key)
-        if hit is None:
-            if len(_TABLES) >= _TABLES_MAX:
-                del _TABLES[next(iter(_TABLES))]
-            hit = _TABLES[key] = ((pos, pat_a, pat_b, lens),
-                                  _build_windows(pos, pat_a, pat_b, lens))
-    return hit[1]
-
-
-def _build_windows(pos, pat_a, pat_b, lens):
     n_inst, max_len = pos.shape
     window_of = {}
     win = np.array([window_of.setdefault(tuple(pos[i, :k].tolist()), len(window_of))
-                    for i, k in enumerate(lens.tolist())])
+                    for i, k in enumerate(lens.tolist())], dtype=np.intp)
     # Padded cells have place value 0, and write cell 0's new value again.
     pad = np.arange(max_len) >= lens[:, None]
     power = np.maximum(lens[:, None] - 1 - np.arange(max_len), 0)
     value = np.where(pad, 0, np.int64(_BASE) ** power)
-    weights = np.zeros((int(pos.max()) + 1, len(window_of)))
+    weights = np.zeros((int(pos.max(initial=-1)) + 1, len(window_of)))
     weights[pos[~pad], np.broadcast_to(win[:, None], pad.shape)[~pad]] = value[~pad]
     offsets = np.arange(len(window_of)) * float(_BASE ** max_len)
 
@@ -113,52 +99,54 @@ def _build_windows(pos, pat_a, pat_b, lens):
     delta = np.zeros((2 * n_inst, len(weights)), dtype=np.uint8)
     delta[np.arange(2 * n_inst)[:, None], np.tile(pos, (2, 1))] = np.concatenate(
         [pat_b - pat_a, pat_a - pat_b]).astype(np.uint8)
-    return _Windows(weights, offsets, keys, run, np.tile(np.arange(n_inst), 2)[order],
-                    delta[order])
+    tables = WindowTables(n_inst, weights, offsets, keys, run,
+                          np.tile(np.arange(n_inst), 2)[order], delta[order])
+    for arr in tables[1:]:
+        arr.setflags(write=False)
+    return tables
 
 
 def expand(state, pos, pat_a, pat_b, lens):
     """Apply every instance to `state`; return the list of changed states.
 
-    pos/pat_a/pat_b are (num_instances, max_len) int arrays (padded), lens the
-    per-instance pattern length.  Neighbors come back in instance order.
+    The instance arrays are as for `window_tables`, whose tables this builds
+    on every call.  Neighbors come back in instance order.
     """
-    return expand_level([state], pos, pat_a, pat_b, lens)[2]
+    return expand_level([state], window_tables(pos, pat_a, pat_b, lens))[2]
 
 
-def expand_level(states, pos, pat_a, pat_b, lens):
+def expand_level(states, tables):
     """Apply every instance to every state of a BFS level.
 
-    `states` is a sequence of equal-length bytes; the instance arrays are as
-    for `expand`.  Returns three equal-length lists (source indices,
-    instance indices, neighbor bytes), ordered by source state and then by
-    instance, so the neighbors are the concatenation of `expand(s, ...)`
-    over `states`.
+    `states` is a sequence of equal-length bytes and `tables` the
+    `window_tables` of the instance table.  Returns three equal-length lists
+    (source indices, instance indices, neighbor bytes), ordered by source
+    state and then by instance, so the neighbors are the concatenation of
+    `expand(s, ...)` over `states`.
     """
     sources, instances, neighbors = [], [], []
-    n_inst = len(lens)
+    n_inst = tables.n_inst
     if not states or n_inst == 0:
         return sources, instances, neighbors
-    win = _windows(pos, pat_a, pat_b, lens)
     width = len(states[0])
     frontier = np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), width)
-    n_win = len(win.offsets)
-    n_cells = len(win.weights)
+    n_win = len(tables.offsets)
+    n_cells = len(tables.weights)
 
     rows_per_chunk = max(1, _CHUNK_PAIRS // n_win)
     for start in range(0, len(states), rows_per_chunk):
         block = frontier[start:start + rows_per_chunk]
-        codes = (_DIGIT[block[:, :n_cells]] @ win.weights + win.offsets).ravel()
-        lo = np.minimum(np.searchsorted(win.keys, codes), len(win.keys) - 1)
-        count = np.where(win.keys[lo] == codes, win.run[lo], 0)
+        codes = (_DIGIT[block[:, :n_cells]] @ tables.weights + tables.offsets).ravel()
+        lo = np.minimum(np.searchsorted(tables.keys, codes), len(tables.keys) - 1)
+        count = np.where(tables.keys[lo] == codes, tables.run[lo], 0)
         # Entry lo, lo + 1, ..., lo + count - 1 for each (state, window) pair.
         pair = np.repeat(np.arange(len(codes)), count)
         entry = np.arange(len(pair)) + np.repeat(lo - np.cumsum(count) + count, count)
-        rows, inst = pair // n_win, win.inst[entry]
+        rows, inst = pair // n_win, tables.inst[entry]
         order = np.argsort(rows * n_inst + inst, kind="stable")
         rows, inst, entry = rows[order], inst[order], entry[order]
         new = block[rows]
-        new[:, :n_cells] += win.delta[entry]
+        new[:, :n_cells] += tables.delta[entry]
         sources += (rows + start).tolist()
         instances += inst.tolist()
         neighbors += new.view(f"V{width}").ravel().tolist()

@@ -9,6 +9,7 @@ Reidemeister moves R1, R2, R3; tables are data and are re-validated on load.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -16,7 +17,6 @@ from importlib import resources
 from .errors import MoveTableError, KnotfieldError
 from .mosaic import BOUNDARY_FAULT, Mosaic, NUM_TILES, _edge_faults
 
-_DEFAULT_TABLE = None
 _ENTRY_KEYS = ("name", "rows", "cols", "pattern_a", "pattern_b")
 
 
@@ -130,10 +130,8 @@ def templates_from_json(text_or_obj):
     return templates
 
 
+@functools.cache
 def default_table():
     """The bundled move table (planar isotopy + R1/R2/R3), loaded once."""
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        text = resources.files("knotfield.data").joinpath("moves_default.json").read_text()
-        _DEFAULT_TABLE = templates_from_json(text)
-    return _DEFAULT_TABLE
+    text = resources.files("knotfield.data").joinpath("moves_default.json").read_text()
+    return templates_from_json(text)

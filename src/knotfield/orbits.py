@@ -2,14 +2,17 @@
 
 Breadth-first closure over the finite basis of an n x n lattice, expanding
 each whole BFS level with one `kernels.expand_level` call, whose parallel
-source and neighbor lists the closure walks side by side.  Members live
-only as byte rows (one byte per cell) in the BFS parent map; `Orbit.label`
-encodes only the member whose text sorts first (taken from row 0 of
-`member_rows()` when that has been read), and `Orbit.members` builds
-every member's text on first read.  Witnesses follow parent pointers laid
-down in deterministic BFS order (by level, source state, move instance);
-each step re-expands only its parent and takes the instance at the first
-position of the child in the neighbor list.
+source and neighbor lists the closure walks side by side.  The move table
+is packed, and its kernel window tables built, once per (table, n) in one
+cache here; an `Orbit` holds the instances and tables as a value, and the
+kernel keeps no state.  Members live only as byte rows (one byte per cell)
+in the BFS parent map; `Orbit.label` encodes only the member whose text
+sorts first (taken from row 0 of `member_rows()` when that has been read),
+and `Orbit.members` builds every member's text on first read.  Witnesses
+follow parent pointers laid down in deterministic BFS order (by level,
+source state, move instance); each step re-expands only its parent and
+takes the instance at the first position of the child in the neighbor
+list.
 """
 
 from __future__ import annotations
@@ -33,11 +36,12 @@ def compile_instances(templates, n):
     Returns (instances, pos, pat_a, pat_b, lens).  Results are cached per
     (table, n) and shared between callers, so the arrays are read-only.
     """
-    return _compile_instances(tuple(templates), n)
+    return _compile_instances(tuple(templates), n)[:5]
 
 
 @lru_cache(maxsize=16)
 def _compile_instances(templates, n):
+    """compile_instances' five objects, then their `kernels.window_tables`."""
     insts = tuple(instances_for(templates, n))
     max_len = max((t.rows * t.cols for t in templates), default=1)
     num = len(insts)
@@ -57,14 +61,15 @@ def _compile_instances(templates, n):
             pat_b[i, j] = t.pattern_b[j]
     for arr in (pos, pat_a, pat_b, lens):
         arr.setflags(write=False)
-    return insts, pos, pat_a, pat_b, lens
+    return insts, pos, pat_a, pat_b, lens, kernels.window_tables(pos, pat_a, pat_b, lens)
 
 
 @dataclass(frozen=True, eq=False)
 class Orbit:
     """`_parents` maps each member's byte row to its BFS parent's row (None
     for the representative), in insertion order; `_packed` is the
-    `compile_instances` tuple it was closed with.  Compared by identity."""
+    (instances, window tables) pair it was closed with.  Compared by
+    identity."""
 
     representative: Mosaic
     _parents: dict = field(repr=False)
@@ -118,12 +123,12 @@ class Orbit:
         """Move sequence replaying representative -> m, as MoveInstances."""
         if m not in self:
             raise KnotfieldError("mosaic is not in this orbit")
-        insts, *packed = self._packed
+        insts, tables = self._packed
         state = bytes((decode(m) if isinstance(m, str) else m).cells)
         seq = []
         while (parent := self._parents[state]) is not None:
             # BFS kept the first (source, instance) pair reaching each state.
-            _, instances, neighbors = kernels.expand_level([parent], *packed)
+            _, instances, neighbors = kernels.expand_level([parent], tables)
             seq.append(insts[instances[neighbors.index(state)]])
             state = parent
         return seq[::-1]
@@ -135,13 +140,13 @@ def orbit(m: Mosaic, templates, budget: int = DEFAULT_BUDGET) -> Orbit:
         raise KnotfieldError(f"orbit budget must be at least 1, got {budget}")
     if not validate(m).valid:
         raise KnotfieldError("orbit closure requires a suitably-connected mosaic")
-    packed = compile_instances(templates, m.n)
+    insts, *_, tables = _compile_instances(tuple(templates), m.n)
     start = bytes(m.cells)
     parents = {start: None}
     frontier = [start]
     while frontier:
         next_frontier = []
-        sources, _, neighbors = kernels.expand_level(frontier, *packed[1:])
+        sources, _, neighbors = kernels.expand_level(frontier, tables)
         for i, nb in zip(sources, neighbors):
             if nb not in parents:
                 parents[nb] = frontier[i]
@@ -149,7 +154,7 @@ def orbit(m: Mosaic, templates, budget: int = DEFAULT_BUDGET) -> Orbit:
                 if len(parents) > budget:
                     raise BudgetExceededError(budget, len(parents))
         frontier = next_frontier
-    return Orbit(m, parents, packed)
+    return Orbit(m, parents, (insts, tables))
 
 
 def same_orbit(a: Mosaic, b: Mosaic, templates, budget: int = DEFAULT_BUDGET):

@@ -65,7 +65,7 @@ from knotfield.extraction import (
     embed,
 )
 from knotfield.diagram import Crossing, PlanarDiagram
-from knotfield.evolution import FieldState
+from knotfield.evolution import EvolutionConfig, FieldState
 from knotfield.mosaic import (
     _ADMISSIBLE,
     CROSSING_OVER,
@@ -449,7 +449,7 @@ def oracle_chain(segments, points, allow_open=False):
         adjacency.setdefault(a, []).append(b)
     dangling = [k for k, nbrs in adjacency.items() if len(nbrs) != 2]
     if dangling and not allow_open:
-        pts = [tuple(np.round(points[k], 6)) for k in dangling]
+        pts = [tuple(np.round(points[k], 6).tolist()) for k in dangling]
         shown = ", ".join(str(p) for p in pts[:4])
         if len(pts) > 4:
             shown += f", ... ({len(pts)} total)"
@@ -621,6 +621,33 @@ def oracle_sample_fiber(f, theta, grid: SampleGrid, band=0.05, nodal_tol=1e-3):
 def closure_gaps(curve: NodalCurve):
     """First-to-last vertex gap of every component (zero when closed)."""
     return [float(np.linalg.norm(pts[0] - pts[-1])) for pts in curve.components]
+
+
+def chart_transfer(u):
+    """Coordinates of the same sphere point in the opposite chart: u / |u|^2."""
+    u = np.asarray(u, dtype=float)
+    s = np.sum(u * u, axis=-1, keepdims=True)
+    return u / s
+
+
+def plane_wave(cfg: EvolutionConfig, mode=(1, 0, 0)) -> FieldState:
+    """exp(i k . x) with k a lattice wavevector (integer mode numbers)."""
+    ax = cfg.axes()
+    X, Y, Z = np.meshgrid(*ax, indexing="ij")
+    kf = 2.0 * np.pi / cfg.box
+    mx, my, mz = mode
+    return FieldState(np.exp(1j * kf * (mx * X + my * Y + mz * Z)), 0.0)
+
+
+def density_center(s: FieldState, cfg: EvolutionConfig):
+    """|psi|^2-weighted mean position, for trajectory checks."""
+    ax = cfg.axes()
+    rho = np.abs(s.values) ** 2
+    tot = rho.sum()
+    if tot == 0:
+        raise KnotfieldError("cannot locate the center of the zero field")
+    return np.array([float((rho.sum(axis=tuple(j for j in range(3) if j != i)) * ax[i]).sum())
+                     for i in range(3)]) / tot
 
 
 def oracle_hausdorff(a, b) -> float:

@@ -17,12 +17,11 @@ import pytest
 
 from conftest import CHILD_ENV, FIG8_JONES, TREFOIL_JONES, UNKNOT_JONES, data_path
 
-from oracles import oracle_jones, relation_exponent_sums
+from oracles import chart_transfer, oracle_jones, plane_wave, relation_exponent_sums
 
 from knotfield.diagram import evaluate_jones, jones, to_diagram
-from knotfield.evolution import (EvolutionConfig, gaussian_state, plane_wave,
-                                 run, step)
-from knotfield.extraction import SampleGrid, chart_transfer, extract, refine
+from knotfield.evolution import EvolutionConfig, gaussian_state, run, step
+from knotfield.extraction import SampleGrid, extract, refine
 from knotfield.fields import field_library
 from knotfield.mosaic import Mosaic, load, random_mosaic, validate
 from knotfield.moves import apply, default_table, instances_for

@@ -165,6 +165,9 @@ _EVOLVE = ["evolve", "run", "--resolution", "16", "--box", "8", "--steps", "2"]
     # V(-1) of a two-component link: the input file takes the place of MOSAIC
     ("4\n2 1 2 1\n3 4 3 4\n0 0 0 0\n0 0 0 0\n",
      ["observable", "invariant", "MOSAIC", "--invariant", "v_minus1"]),
+    # a scale so small that the box's chart coordinates overflow the embedding
+    (None, _EVOLVE + ["--initial", "milnor:2,3", "--scale", "1e-160"]),
+    (None, ["evolve", "track"] + _EVOLVE[2:] + ["--initial", "milnor:2,3", "--scale", "1e-160"]),
 ])
 def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, mosaic_text, argv):
     if mosaic_text is not None:
@@ -176,6 +179,22 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, mosaic_tex
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command", ["run", "track"])
+def test_tiny_scale_inside_the_chart_runs(capsys, recwarn, command):
+    code, out, err = run_cli(capsys, "evolve", command, *_EVOLVE[2:], "--initial", "milnor:2,3",
+                             "--scale", "1e-150")
+    assert code == 0 and out and err == ""
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_open_chain_error_prints_plain_floats(capsys):
+    code, out, err = run_cli(capsys, "field", "extract", "--field", "rudolph_F",
+                             "--resolution", "24")
+    assert code == 1 and out == ""
+    assert err.startswith("error: 2 dangling nodal segment endpoints") and len(err.splitlines()) == 1
+    assert "np.float64" not in err and "(-1.459297, -2.900959, 0.898168)" in err
 
 
 def test_unwritable_manifest_is_one_error_line(capsys):

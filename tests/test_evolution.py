@@ -7,7 +7,7 @@ phase exp(-i |k|^2 t / 2) and nothing else.
 
 import numpy as np
 import pytest
-from oracles import oracle_initial_knot_state, oracle_run, oracle_step
+from oracles import density_center, oracle_initial_knot_state, oracle_run, oracle_step, plane_wave
 
 from knotfield import evolution
 from knotfield.errors import KnotfieldError
@@ -15,10 +15,8 @@ from knotfield.evolution import (
     EvolutionConfig,
     _match,
     FieldState,
-    density_center,
     gaussian_state,
     initial_knot_state,
-    plane_wave,
     run,
     step,
     track_nodal,

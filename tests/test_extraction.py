@@ -16,6 +16,7 @@ import pytest
 from conftest import LIBRARY, LIBRARY_IDS, library_grid
 from hypothesis import example, given, settings, strategies as st
 from oracles import (
+    chart_transfer,
     closure_gaps,
     oracle_candidate_cells,
     oracle_chain,
@@ -36,7 +37,6 @@ from knotfield.extraction import (
     _march,
     NodalCurve,
     SampleGrid,
-    chart_transfer,
     embed,
     extract,
     extract_from_samples,

@@ -22,6 +22,7 @@ def _triples(level):
 TABLE = default_table()
 INSTS = {n: compile_instances(TABLE, n)[0] for n in range(1, 7)}
 PACKED = {n: compile_instances(TABLE, n)[1:] for n in range(1, 7)}
+TABLES = {n: kernels.window_tables(*PACKED[n]) for n in range(1, 7)}
 
 
 @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
@@ -40,7 +41,7 @@ def test_expand_level_matches_oracle(n, size, chunk_pairs, seed):
     want = [(i, nb) for i, s in enumerate(frontier) for nb in oracle_expand(s, TABLE)]
     # A small chunk bound splits the frontier into several chunks.
     with mock.patch.object(kernels, "_CHUNK_PAIRS", chunk_pairs):
-        got = _triples(kernels.expand_level([bytes(s.cells) for s in frontier], *PACKED[n]))
+        got = _triples(kernels.expand_level([bytes(s.cells) for s in frontier], TABLES[n]))
     assert [(i, nb) for i, _, nb in got] == want
     # The instance index names the move that maps the source to the neighbor.
     for i, k, nb in got:
@@ -50,7 +51,7 @@ def test_expand_level_matches_oracle(n, size, chunk_pairs, seed):
 def _assert_level_matches_oracle(n, frontier):
     """expand_level on a whole level against oracle_expand state by state;
     returns the level's neighbors."""
-    got = _triples(kernels.expand_level([bytes(m.cells) for m in frontier], *PACKED[n]))
+    got = _triples(kernels.expand_level([bytes(m.cells) for m in frontier], TABLES[n]))
     want = [(i, nb) for i, m in enumerate(frontier) for nb in oracle_expand(m, TABLE)]
     assert [(i, nb) for i, _, nb in got] == want
     for i, k, nb in got:
@@ -123,12 +124,20 @@ def test_expand_level_without_3x3_windows():
         _assert_level_matches_oracle(n, list(enumerate_mosaics(n)))
 
 
+def test_window_tables_read_only():
+    # Callers share one value of the tables, the empty one at n = 1 included.
+    assert TABLES[1].n_inst == 0 and TABLES[4].n_inst == 1320
+    for tables in TABLES.values():
+        assert not any(arr.flags.writeable for arr in tables[1:])
+    assert kernels.expand_level([bytes(1)], TABLES[1]) == ([], [], [])
+
+
 def test_expand_level_memory_is_bounded():
     rng = random.Random(0)
     frontier = [bytes(random_mosaic(5, rng).cells) for _ in range(3000)]
     tracemalloc.start()
     try:
-        out = kernels.expand_level(frontier, *PACKED[5])
+        out = kernels.expand_level(frontier, TABLES[5])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -195,3 +195,19 @@ def test_compile_instances_cached_read_only():
     assert compile_instances(TABLE, 3)[1] is not first[1]
     assert compile_instances(TABLE[:-1], 4)[1] is not first[1]
     assert len(compile_instances(TABLE[:-1], 4)[0]) < len(first[0])
+
+
+def test_window_tables_built_once_read_only():
+    tables = orbit(CIRCLE3, TABLE)._packed[1]
+    assert orbit(CIRCLE3, list(TABLE))._packed[1] is tables
+    assert orbit(CIRCLE3, TABLE[:-1])._packed[1] is not tables
+    assert not any(arr.flags.writeable for arr in tables[1:])
+
+
+def test_orbit_closes_where_no_move_fits():
+    # A 1x1 lattice fits no move: its instance and window tables are empty.
+    blank = Mosaic(1, (0,))
+    orb = orbit(blank, TABLE)
+    assert orb.size == 1 and orb._packed[1].n_inst == 0
+    assert orb.witness_for(blank) == []
+    assert same_orbit(blank, blank, TABLE) == (True, [])

@@ -41,7 +41,7 @@ MUTANTS = (
            "[pat_b - pat_a, pat_a - pat_b]", "[pat_a - pat_b, pat_b - pat_a]",
            ("tests/test_kernels.py::test_expand_matches_oracle",)),
     Mutant("delta-rows-unsorted", "src/knotfield/kernels.py",
-           "                    delta[order])", "                    delta)",
+           "2)[order], delta[order])", "2)[order], delta)",
            ("tests/test_kernels.py::test_expand_matches_oracle",)),
     Mutant("sources-without-chunk-offset", "src/knotfield/kernels.py",
            "sources += (rows + start).tolist()", "sources += rows.tolist()",
@@ -51,10 +51,43 @@ MUTANTS = (
            '        order = np.argsort(rows * n_inst + inst, kind="stable")\n'
            "        rows, inst, entry = rows[order], inst[order], entry[order]\n", "",
            ("tests/test_kernels.py::test_expand_matches_oracle",)),
+    Mutant("window-tables-writable", "src/knotfield/kernels.py",
+           "    for arr in tables[1:]:\n        arr.setflags(write=False)\n", "",
+           ("tests/test_kernels.py::test_window_tables_read_only",
+            "tests/test_orbits.py::test_window_tables_built_once_read_only")),
+    Mutant("empty-table-max-unguarded", "src/knotfield/kernels.py",
+           "int(pos.max(initial=-1))", "int(pos.max())",
+           ("tests/test_orbits.py::test_orbit_closes_where_no_move_fits",)),
+    Mutant("empty-level-guard-dropped", "src/knotfield/kernels.py",
+           "if not states or n_inst == 0:", "if not states:",
+           ("tests/test_kernels.py::test_window_tables_read_only",
+            "tests/test_orbits.py::test_orbit_closes_where_no_move_fits")),
     Mutant("witness-takes-last-match", "src/knotfield/orbits.py",
            "insts[instances[neighbors.index(state)]]",
            "insts[instances[len(neighbors) - 1 - neighbors[::-1].index(state)]]",
            ("tests/test_orbits.py::test_witness_takes_the_first_of_two_moves_to_one_state",)),
+    Mutant("walk-starts-at-larger-pair-side", "src/knotfield/mosaic.py",
+           "(s != _STARTS[t][p])", "(s == _STARTS[t][p])",
+           ("tests/test_mosaic.py::test_trace_rows_matches_trace_on_orbit_classes",
+            "tests/test_mosaic.py::test_trace_rows_matches_trace_on_random_batches")),
+    Mutant("walk-keeps-reverse-orientation", "src/knotfield/mosaic.py",
+           "kept = np.flatnonzero((best & (1 << 32)) == 0)",
+           "kept = np.flatnonzero((best & (1 << 32)) != 0)",
+           ("tests/test_mosaic.py::test_trace_rows_matches_trace_on_orbit_classes",
+            "tests/test_mosaic.py::test_trace_rows_matches_trace_on_random_batches")),
+    Mutant("walk-ranks-off-by-one", "src/knotfield/mosaic.py",
+           "end[strand] - ahead,", "end[strand] - ahead - 1,",
+           ("tests/test_mosaic.py::test_trace_rows_matches_trace_on_orbit_classes",
+            "tests/test_mosaic.py::test_trace_rows_matches_trace_on_random_batches")),
+    Mutant("walk-strands-descending", "src/knotfield/mosaic.py",
+           "strand = np.searchsorted(starts, low)",
+           "strand = starts.size - 1 - np.searchsorted(starts, low)",
+           ("tests/test_mosaic.py::test_trace_rows_matches_trace_on_orbit_classes",
+            "tests/test_mosaic.py::test_trace_rows_matches_trace_on_random_batches")),
+    Mutant("row-diagrams-over-inverted", "src/knotfield/diagram.py",
+           "over = _OVER[rows[row, cell], exit_]", "over = ~_OVER[rows[row, cell], exit_]",
+           ("tests/test_diagram.py::test_row_diagrams_match_to_diagram_on_orbit_classes",
+            "tests/test_diagram.py::test_row_diagrams_match_to_diagram_on_random_batches")),
     Mutant("rank-unites-over-with-input", "src/knotfield/wirtinger.py",
            "((out, inp) for out, _, inp in p.relations)",
            "((over, inp) for _, over, inp in p.relations)",
@@ -67,6 +100,14 @@ MUTANTS = (
            "return len(p.generators) - len(set(roots.values()))",
            ("tests/test_wirtinger.py::test_trefoil_presentation",
             "tests/test_wirtinger.py::test_class_count_matches_oracle_on_random_presentations")),
+    Mutant("scale-extent-not-divided", "src/knotfield/evolution.py",
+           "extent = max(float(np.abs(a).max()) for a in ax) / scale",
+           "extent = max(float(np.abs(a).max()) for a in ax)",
+           ("tests/test_cli.py::test_malformed_input_is_one_error_line",)),
+    Mutant("chain-endpoints-numpy-floats", "src/knotfield/extraction.py",
+           "pts = [tuple(np.round(points[k], 6).tolist()) for k in dangling]",
+           "pts = [tuple(np.round(points[k], 6)) for k in dangling]",
+           ("tests/test_cli.py::test_open_chain_error_prints_plain_floats",)),
 )
 
 
