@@ -220,11 +220,8 @@ def _parse_complex(s: str) -> complex:
 def _cmd_field_eval(args):
     f = parse_field_spec(args.field)
     z, w = _parse_complex(args.z), _parse_complex(args.w)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = complex(f(z, w))
-    except OverflowError:  # Python complex powers raise instead of giving inf
-        v = complex("nan")
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = complex(f(z, w))
     if not np.isfinite(v):
         raise KnotfieldError(f"{f.name} is not finite at ({z}, {w})")
     payload = {"field": f.name, "re": v.real, "im": v.imag, "abs": abs(v)}
@@ -238,6 +235,27 @@ def _cmd_field_eval(args):
     return f"{f.name}({z}, {w}) = {v.real:.12g} + {v.imag:.12g}i (phase {ph})", 0
 
 
+def _round12(a):
+    """round(v, 12) of every element of a float array, as nested lists.
+
+    rint(v * 1e12) / 1e12 gives the bits of round(v, 12), a correctly
+    rounded quotient of the same integer, except where the rounding of the
+    product can carry it across a half-integer.  Those elements, the ones
+    whose product reaches 2^52 and the non-finite ones go through round()
+    itself.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = a * 1e12
+        out = np.rint(scaled) / 1e12
+        t = np.abs(scaled)
+        # t lies within t * 2^-52 of |v| * 10^12, and below 2^52 the distance
+        # t - floor(t) - 1/2 is exact wherever it is under 1/4
+        hard = ~(t < 2.0 ** 52) | (np.abs(t - np.floor(t) - 0.5) <= t * 2.0 ** -50)
+    out[hard] = [round(v, 12) for v in a[hard].tolist()]
+    return out.tolist()
+
+
 def _cmd_field_extract(args):
     f = parse_field_spec(args.field)
     grid = _grid(args)
@@ -246,8 +264,7 @@ def _cmd_field_extract(args):
         return json.dumps({
             "chart": curve.chart, "n_components": curve.n_components,
             "residual": curve.residual,
-            "components": [[[round(v, 12) for v in p] for p in c.tolist()]
-                           for c in curve.components]}), 0
+            "components": [_round12(c) for c in curve.components]}), 0
     if args.obj:
         return curve.to_obj().rstrip("\n"), 0
     return curve.to_csv().rstrip("\n"), 0
@@ -273,8 +290,7 @@ def _cmd_field_fiber(args):
     cloud = sample_fiber(f, args.theta, _grid(args), band=args.band)
     if args.format == "json":
         return json.dumps({"theta": args.theta, "n_points": len(cloud),
-                           "points": [[round(v, 12) for v in row]
-                                      for row in cloud.tolist()]}), 0
+                           "points": _round12(cloud)}), 0
     return fiber_to_csv(cloud).rstrip("\n"), 0
 
 

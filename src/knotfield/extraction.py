@@ -11,8 +11,11 @@ Both work on whole arrays.  The march gathers the 24 tetrahedron faces of
 every candidate cell at once, keys each face by its lowest lattice vertex
 and its shape, and solves every distinct face's zero in one pass; Newton
 iterates all vertices together, with one field evaluation per batch of
-points.  The per-cell and per-vertex loops they replaced are kept in
-tests/oracles.py as the reference the tests compare against.
+points.  Chaining takes each face's degree and its two neighbours from
+the sorted segment pairs in one `np.unique`, so that dangling ends and
+junctions are found on arrays and the walk reads plain int lists, with no
+dict per face.  The per-cell, per-vertex and per-face loops they replaced
+are kept in tests/oracles.py as the reference the tests compare against.
 
 The two passes over the full lattice are memory-bound.  Sampling is one
 slab loop (`sample_lattice`) sized in points, about 2^16 per slab, so each
@@ -353,15 +356,18 @@ def _chain(segments, points, allow_open=False):
     Chains that do not close are an error unless allow_open is set, in
     which case they come back as open paths (used when tracking filaments
     truncated at an amplitude floor).
+
+    The adjacency is built on arrays: the distinct directed pairs, sorted,
+    give each face its degree and its lower and higher neighbour (-1 for
+    none), and the walk reads those as plain int lists.
     """
     # both directions of every segment as one key a*H + b, ascending as (a, b) pairs
     h = len(points)
     keys = np.unique(np.concatenate([segments[:, 0] * h + segments[:, 1],
                                      segments[:, 1] * h + segments[:, 0]]))
-    adjacency = {}  # face -> ascending neighbours, keys ascending
-    for a, b in zip((keys // h).tolist(), (keys % h).tolist()):
-        adjacency.setdefault(a, []).append(b)
-    dangling = [k for k, nbrs in adjacency.items() if len(nbrs) != 2]
+    source, target = keys // h, keys % h
+    faces, first, degree = np.unique(source, return_index=True, return_counts=True)
+    dangling = faces[degree != 2].tolist()
     if dangling and not allow_open:
         pts = [tuple(np.round(points[k], 6).tolist()) for k in dangling]
         shown = ", ".join(str(p) for p in pts[:4])
@@ -370,29 +376,35 @@ def _chain(segments, points, allow_open=False):
         raise OpenChainError(
             f"{len(pts)} dangling nodal segment endpoints (raise the resolution "
             f"or extent): {shown}", pts)
-    if any(len(nbrs) > 2 for nbrs in adjacency.values()):
+    if (degree > 2).any():
         raise OpenChainError(
             "nodal segments form a junction (three or more chains meet); "
             "the sampling does not separate nearby strands", [])
 
-    visited = set()
+    lo, hi = np.full(h, -1), np.full(h, -1)
+    lo[faces] = target[first]
+    pair = degree == 2
+    hi[faces[pair]] = target[first[pair] + 1]
+    lo, hi = lo.tolist(), hi.tolist()
+    visited = [False] * h
 
     def walk(start):
         # stops at the far end of a path, or just before closing a loop
         chain = [start]
-        visited.add(start)
-        prev, cur = None, start
+        visited[start] = True
+        prev, cur = -1, start
         while True:
-            nxt = [n for n in adjacency[cur] if n != prev]
-            if not nxt or nxt[0] == start:
+            nxt = lo[cur] if lo[cur] != prev else hi[cur]
+            if nxt < 0 or nxt == start:
                 return chain
-            prev, cur = cur, nxt[0]
+            prev, cur = cur, nxt
             chain.append(cur)
-            visited.add(cur)
+            visited[cur] = True
 
-    ends = [k for k in adjacency if len(adjacency[k]) == 1]
-    paths = [walk(k) for k in ends if k not in visited]
-    loops = [walk(k) for k in adjacency if k not in visited]
+    faces = faces.tolist()
+    # with no junction, every dangling face is the end of a path
+    paths = [walk(k) for k in dangling if not visited[k]]
+    loops = [walk(k) for k in faces if not visited[k]]
     return loops, paths
 
 

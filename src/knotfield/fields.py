@@ -4,6 +4,16 @@ The library fields are polynomial (or semi-analytic in z, zbar) maps
 f: C^2 -> C.  Restricted to the sphere |z|^2 + |w|^2 = r^2 their zero sets
 give the unknot, torus knots and links, and the figure-eight knot.
 Evaluators are vectorized over numpy arrays.
+
+Integer powers are taken by repeated multiplication (`_ipow`), not `**`.
+On a complex array numpy's `**` calls a complex power function for every
+element, several times the cost of the two or three multiplies that
+square-and-multiply needs for the small exponents here; the values
+differ only by rounding.  On a Python complex, CPython's `**` itself
+multiplies for integer exponents up to 100, in the same order, so scalar
+values such as `field eval` prints keep their bits; above 100 `**` turns
+to a polar formula, and the last digits can differ.  Where a power
+overflows, `**` raises on a scalar; `_ipow` gives inf, as on arrays.
 """
 
 from __future__ import annotations
@@ -30,9 +40,30 @@ class ComplexField:
         return self.evaluator(z, w)
 
 
+def _ipow(x, n):
+    """x to the integer power n >= 1, by square-and-multiply from the low bit.
+
+    These are the products of CPython's complex `**` for integer
+    exponents up to 100, including its first, 1 * x, which can change the
+    sign of a zero component; that product is skipped on arrays, where
+    `**` never gave those bits.
+    """
+    result = None
+    while True:
+        if n & 1:
+            if result is None:
+                result = x if isinstance(x, np.ndarray) else 1 * x
+            else:
+                result = result * x
+        n >>= 1
+        if not n:
+            return result
+        x = x * x
+
+
 def _milnor(p, q):
     def f(z, w):
-        return z ** p + w ** q
+        return _ipow(z, p) + _ipow(w, q)
     return f
 
 
@@ -44,11 +75,11 @@ def _rudolph_F(z, w):
     # Cut it with |z|^2 + |w|^2 = r^2 for r <= 0.5 only: at larger radii the
     # cut leaves the conical regime.
     zb = np.conjugate(z)
-    return w ** 3 - 3 * zb * (1 + z + zb) * w - 2 * (z + zb)
+    return _ipow(w, 3) - 3 * zb * (1 + z + zb) * w - 2 * (z + zb)
 
 
 def _rudolph_G(z, w):
-    return _rudolph_F(z ** 2, w)
+    return _rudolph_F(_ipow(z, 2), w)
 
 
 def field_library(name: str, params=()) -> ComplexField:

@@ -16,8 +16,10 @@ real arrays, where production writes each component into the real and
 imaginary parts of its outputs; the candidate-cell oracle takes min and
 max over the stacked corners, where production ORs packed sign bits; the
 chaining oracle finds the adjacency with a row-wise `np.unique` of
-segment pairs, where production packs each pair into one integer.  The
-sampling oracles write the inverse stereographic map out inline (the box
+segment pairs into a dict of neighbour lists, where production packs each
+pair into one integer and reads degrees and neighbours off arrays.  The
+field oracle takes integer powers with `**`, where production multiplies
+them out.  The sampling oracles write the inverse stereographic map out inline (the box
 initial state) or evaluate the whole chart cube in one call (the fiber),
 where production goes through `embed` and the slab-wise `sample_chart`.
 The Hausdorff oracle builds the whole (m, k, 3) difference array and takes
@@ -364,6 +366,24 @@ def oracle_witness(parents, m, templates):
         seq.append(next(i for i in insts if bytes(apply(i, src).cells) == state))
         state = parent
     return seq[::-1]
+
+
+def oracle_field(name, params=()):
+    """The library field `name` written with `**` for its integer powers,
+    as the library wrote it before it multiplied them out."""
+    if name == "milnor":
+        p, q = params
+        return lambda z, w: z ** p + w ** q
+
+    def rudolph_F(z, w):
+        zb = np.conjugate(z)
+        return w ** 3 - 3 * zb * (1 + z + zb) * w - 2 * (z + zb)
+
+    if name == "rudolph_F":
+        return rudolph_F
+    if name == "rudolph_G":
+        return lambda z, w: rudolph_F(z ** 2, w)
+    raise ValueError(f"no oracle for field {name!r}")
 
 
 def oracle_face_zero(ids, coords, vals):

@@ -15,6 +15,8 @@ from conftest import CHILD_ENV, data_path
 from knotfield import cli, diagram, extraction, mosaic, orbits
 from knotfield.cli import main
 from knotfield.diagram import to_diagram
+from knotfield.extraction import SampleGrid, extract, refine
+from knotfield.fields import parse_field_spec
 from knotfield.moves import default_table
 from knotfield.orbits import orbit
 
@@ -383,6 +385,47 @@ def test_field_extract_csv(capsys):
                            "--resolution", "32")
     assert code == 0
     assert out.splitlines()[0] == "component,index,x,y,z,abs_f"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_round12_is_round_bit_for_bit():
+    rng = np.random.default_rng(12)
+    n = 20000
+    sign = rng.choice([-1.0, 1.0], n)
+    odd = 2 * rng.integers(-2 ** 25, 2 ** 25, n) + 1
+    ties = odd / 8192.0  # v * 10^12 is a half-integer exactly for these
+    near = (rng.integers(-4 * 10 ** 15, 4 * 10 ** 15, n) + 0.5) / 1e12
+    groups = [
+        rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(float),  # any bits: nans, infs
+        sign * np.ldexp(rng.uniform(1, 2, n), rng.integers(-1074, 1024, n)),  # every magnitude
+        rng.uniform(-3, 3, n),  # chart coordinates
+        rng.uniform(-4504, 4504, n),
+        ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+        near, np.nextafter(near, np.inf), np.nextafter(near, -np.inf),
+        np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-13,
+                  -1e-13, 5e-13, -5e-13, 4503.999999999999, 4504.0, -4504.0, 4504.5, 1e15,
+                  -1e300, 1.7976931348623157e308, np.inf, -np.inf, np.nan]),
+    ]
+    for values in groups:
+        got = np.array(cli._round12(values))
+        want = np.array([round(v, 12) for v in values.tolist()])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    grid = rng.uniform(-3, 3, (7, 3))
+    assert cli._round12(grid) == [[round(v, 12) for v in p] for p in grid.tolist()]
+    assert cli._round12(np.zeros((0, 4))) == []
+
+
+@pytest.mark.parametrize("chart", ["north", "south"])
+def test_field_extract_json_coordinates_are_round(capsys, chart):
+    code, out, _ = run_cli(capsys, "field", "extract", "--field", "milnor:2,3",
+                           "--resolution", "48", "--chart", chart, "--format", "json")
+    f, grid = parse_field_spec("milnor:2,3"), SampleGrid(chart=chart, resolution=48)
+    curve = refine(extract(f, grid), f, grid)
+    assert code == 0 and out == json.dumps({
+        "chart": curve.chart, "n_components": curve.n_components,
+        "residual": curve.residual,
+        "components": [[[round(v, 12) for v in p] for p in c.tolist()]
+                       for c in curve.components]}) + "\n"
 
 
 def test_field_verify(capsys):

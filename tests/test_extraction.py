@@ -514,6 +514,42 @@ def test_chain_matches_oracle(spec, chart):
         assert error is OpenChainError and "junction" in message
 
 
+def random_chain_graph(rng, n_cycles, n_paths):
+    """Segments of disjoint cycles and paths on sparse face ids, in shuffled
+    order and orientation, some given twice, and points indexed by face."""
+    sizes = ([int(rng.integers(3, 12)) for _ in range(n_cycles)]
+             + [int(rng.integers(1, 12)) for _ in range(n_paths)])
+    h = 4 * sum(sizes) + 1
+    ids = rng.permutation(h)[:sum(sizes)].tolist()
+    segments, at = [], 0
+    for c, k in enumerate(sizes):
+        v, at = ids[at:at + k], at + k
+        segments += [(v[i], v[(i + 1) % k]) for i in range(k if c < n_cycles else k - 1)]
+    segments = np.array(segments, dtype=int).reshape(-1, 2)
+    segments = np.vstack([segments, segments[rng.random(len(segments)) < 0.1]])
+    flip = rng.random(len(segments)) < 0.5
+    segments[flip] = segments[flip, ::-1]
+    return segments[rng.permutation(len(segments))], rng.normal(size=(h, 3))
+
+
+def test_chain_matches_oracle_on_random_graphs():
+    rng = np.random.default_rng(24)
+    seen = set()
+    for _ in range(300):
+        segments, points = random_chain_graph(rng, int(rng.integers(0, 5)),
+                                              int(rng.integers(0, 4)))
+        for allow_open in (False, True):
+            got = assert_chain_matches_oracle(segments, points, allow_open)
+            seen.add("error" if got[0] is OpenChainError else "chains")
+            if len(segments) > 1:  # a chord from one segment's end to another's
+                chord = [[segments[0, 0], segments[-1, 1]]]
+                got = assert_chain_matches_oracle(np.vstack([segments, chord]), points,
+                                                  allow_open)
+                if got[0] is OpenChainError:
+                    seen.add("junction" if "junction" in got[1] else "dangling")
+    assert seen == {"chains", "error", "junction", "dangling"}
+
+
 def test_lattice_size_limit_at_the_address_space():
     # The largest n with n^3 complex (16-byte) samples addressable is accepted
     # by both lattices; one more is one error.  Neither allocates anything.

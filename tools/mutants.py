@@ -108,6 +108,18 @@ MUTANTS = (
            "pts = [tuple(np.round(points[k], 6).tolist()) for k in dangling]",
            "pts = [tuple(np.round(points[k], 6)) for k in dangling]",
            ("tests/test_cli.py::test_open_chain_error_prints_plain_floats",)),
+    Mutant("chain-walk-starts-at-higher-neighbour", "src/knotfield/extraction.py",
+           "nxt = lo[cur] if lo[cur] != prev else hi[cur]",
+           "nxt = hi[cur] if hi[cur] != prev else lo[cur]",
+           ("tests/test_extraction.py::test_chain_matches_oracle_on_random_graphs",
+            "tests/test_extraction.py::test_chain_matches_oracle")),
+    Mutant("power-drops-a-factor", "src/knotfield/fields.py",
+           "result = result * x", "result = result",
+           ("tests/test_fields.py::test_fields_match_power_oracle_bit_for_bit_on_scalars",
+            "tests/test_fields.py::test_fields_match_power_oracle_on_chart_lattices")),
+    Mutant("round-fallback-band-dropped", "src/knotfield/cli.py",
+           " | (np.abs(t - np.floor(t) - 0.5) <= t * 2.0 ** -50)", "",
+           ("tests/test_cli.py::test_round12_is_round_bit_for_bit",)),
 )
 
 
