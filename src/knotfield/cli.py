@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -207,11 +208,18 @@ def _cmd_wirtinger(args):
     return pres.to_text() + f"abelianization rank: {rank}", 0
 
 
-def _parse_complex(s: str) -> complex:
+def _complex(s: str):
+    """s as a complex number (i or j for the imaginary unit), or None."""
     try:
-        v = complex(s.replace("i", "j"))
-    except ValueError as exc:
-        raise KnotfieldError(f"cannot parse complex number {s!r}") from exc
+        return complex(s.replace("i", "j"))
+    except ValueError:
+        return None
+
+
+def _parse_complex(s: str) -> complex:
+    v = _complex(s)
+    if v is None:
+        raise KnotfieldError(f"cannot parse complex number {s!r}")
     if not np.isfinite(v):
         raise KnotfieldError(f"complex number must be finite, got {s!r}")
     return v
@@ -232,7 +240,8 @@ def _cmd_field_eval(args):
     if args.format == "json":
         return json.dumps(payload), 0
     ph = "undefined" if payload["phase"] is None else f"{payload['phase']:.12g}"
-    return f"{f.name}({z}, {w}) = {v.real:.12g} + {v.imag:.12g}i (phase {ph})", 0
+    sign = "-" if math.copysign(1.0, v.imag) < 0 else "+"
+    return f"{f.name}({z}, {w}) = {v.real:.12g} {sign} {abs(v.imag):.12g}i (phase {ph})", 0
 
 
 def _round12(a):
@@ -442,6 +451,18 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _attach_complex_values(argv):
+    """argv with `field eval --z V` as `--z=V` where V is a complex number:
+    argparse takes a V such as -0.2-0.7i, which starts with '-' and is not a
+    plain negative number, for an option."""
+    out = list(argv)
+    if out[:2] == ["field", "eval"]:
+        for i in range(len(out) - 2, 1, -1):
+            if out[i] in ("--z", "--w") and _complex(out[i + 1]) is not None:
+                out[i:i + 2] = [f"{out[i]}={out[i + 1]}"]
+    return out
+
+
 def _manifest(args, argv, code):
     inputs = [getattr(args, k) for k in ("file", "file_a", "file_b", "expect")
               if getattr(args, k, None)]
@@ -459,7 +480,7 @@ def _manifest(args, argv, code):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_complex_values(argv))
     if not getattr(args, "fn", None):
         parser.print_usage(sys.stderr)
         print("error: missing subcommand", file=sys.stderr)

@@ -2,19 +2,21 @@
 bracket/Jones.
 
 PD convention.  Mosaic and projected diagrams are both built by
-`from_traversal`, which gives a diagram with c crossings the edge ids
-1..2c, numbered along each component in turn (edge j runs from its j-th
-crossing passage to the next), so each id appears exactly twice and
-`n_edges` = 2c is derived.  A crossing lists its ends counterclockwise
-from the incoming under edge; `over_in` (1 or 3) is the position of the
-incoming over edge: 3 when ud x od < 0 for under and over directions ud,
-od (the over strand runs left to right seen along the under strand), else
-1.  Closed components that meet no crossing are counted as free loops.
+`from_traversal`, the one diagram builder, which gives a diagram with c
+crossings the edge ids 1..2c, numbered along each component in turn (edge
+j runs from its j-th crossing passage to the next), so each id appears
+exactly twice and `n_edges` = 2c is derived.  A crossing lists its ends
+counterclockwise from the incoming under edge; `over_in` (1 or 3) is the
+position of the incoming over edge: 3 when ud x od < 0 for under and over
+directions ud, od (the over strand runs left to right seen along the under
+strand), else 1.  Closed components that meet no crossing are counted as
+free loops.
 
 The Kauffman bracket is exact: it contracts the diagram crossing by
 crossing, keeping one polynomial per way the smoothed arcs can pair up the
 edges left open, so its cost follows the width of that open boundary
-rather than 2^c.
+rather than 2^c.  Above `CROSSING_CAP` crossings, a fixed module constant
+read on every call, it raises CrossingCapError instead of contracting.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .mosaic import (CROSSING_OVER, CROSSING_TILES, NUM_TILES, SIDES, Mosaic,
 # Unit direction of travel towards each cell side (x = column, y = -row).
 SIDE_VECTORS = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
 
-DEFAULT_CROSSING_CAP = 24
+CROSSING_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -85,30 +87,6 @@ class PlanarDiagram:
 
     def pd_code(self):
         return " ".join("X(%d,%d,%d,%d)" % x.ends for x in self.crossings) or "(no crossings)"
-
-
-def from_xcode(quads):
-    """Build a diagram from classical X(a,b,c,d) codes.
-
-    Edges are assumed numbered 1..2c sequentially along the orientation;
-    a is the incoming under edge and b, d the over pair.
-    """
-    quads = [tuple(int(v) for v in q) for q in quads]
-    n_edges = 2 * len(quads)
-
-    def succ(e):
-        return e % n_edges + 1
-
-    crossings = []
-    for a, b, c, d in quads:
-        if succ(b) == d:
-            over_in = 1
-        elif succ(d) == b:
-            over_in = 3
-        else:
-            raise KnotfieldError(f"cannot orient over strand of X({a},{b},{c},{d})")
-        crossings.append(Crossing((a, b, c, d), over_in))
-    return PlanarDiagram(tuple(crossings), 0, 1).check()
 
 
 def from_traversal(components) -> PlanarDiagram:
@@ -258,7 +236,7 @@ def _glue(match, a, b):
 _SMOOTHINGS = ((((0, 1), (2, 3)), 1), (((1, 2), (3, 0)), -1))
 
 
-def bracket(diagram: PlanarDiagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentPolynomial:
+def bracket(diagram: PlanarDiagram) -> LaurentPolynomial:
     """Exact Kauffman bracket in the variable A, <unknot> = 1.
 
     Adds the crossings one at a time (`_contraction_order`) and keeps the
@@ -272,8 +250,8 @@ def bracket(diagram: PlanarDiagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentP
     same key merge, so after k crossings there are at most 2^k of them.
     """
     c = len(diagram.crossings)
-    if c > cap:
-        raise CrossingCapError(c, cap)
+    if c > CROSSING_CAP:
+        raise CrossingCapError(c, CROSSING_CAP)
     delta = LaurentPolynomial({2: -1, -2: -1})
     if c == 0:
         if diagram.free_loops < 1:
@@ -300,12 +278,12 @@ def bracket(diagram: PlanarDiagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentP
     return LaurentPolynomial(states[(), True]) * delta ** diagram.free_loops
 
 
-def jones(diagram: PlanarDiagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentPolynomial:
+def jones(diagram: PlanarDiagram) -> LaurentPolynomial:
     """Jones polynomial, exponents counted in units of t^(1/2).
 
     V = (-A^3)^(-w) <D> with the substitution A = t^(-1/4).
     """
-    br = bracket(diagram, cap=cap)
+    br = bracket(diagram)
     w = diagram.writhe
     sign = -1 if w % 2 else 1  # (-A^3)^(-w) = (-1)^w A^(-3w)
     poly_a = LaurentPolynomial.monomial(-3 * w, sign) * br

@@ -29,9 +29,10 @@ class BudgetExceededError(KnotfieldError):
 
 
 class CrossingCapError(KnotfieldError):
-    """The exact bracket refuses diagrams above the crossing cap rather than
-    approximate.  After k crossings its contraction holds at most 2^k
-    partial states, so the cap bounds the worst case."""
+    """The exact bracket refuses diagrams above the crossing cap
+    (`diagram.CROSSING_CAP`, a constant) rather than approximate.  After k
+    crossings its contraction holds at most 2^k partial states, so the cap
+    bounds the worst case.  `cap` is the cap that refused."""
 
     def __init__(self, crossings, cap):
         super().__init__(f"diagram has {crossings} crossings, above the bracket's crossing cap of {cap}")

@@ -5,7 +5,9 @@ into six tetrahedra around a consistent main diagonal, intersect the zero
 line of the per-tet linear interpolant with the tet faces, chain segments
 by shared faces into closed loops: `extract` returns this piecewise-linear
 zero set.  `refine` then sharpens every vertex with damped Newton steps in
-the plane normal to the local tangent; only `field extract` runs it.
+the plane normal to the local tangent; only `field extract` runs it.  Both
+return a `NodalCurve` with every field given: per component its vertices,
+their |f| (zero before refinement) and whether it closes up.
 
 Both work on whole arrays.  The march gathers the 24 tetrahedron faces of
 every candidate cell at once, keys each face by its lowest lattice vertex
@@ -190,15 +192,15 @@ class NodalCurve:
     components: tuple  # tuple of (k, 3) float arrays
     chart: str
     residual: float  # max |f| over all vertices; 0 on the piecewise-linear set
-    vertex_residuals: tuple = ()  # per-vertex |f| arrays, parallel to components
-    closed_flags: tuple = ()  # per-component; empty means all closed
+    vertex_residuals: tuple  # per-vertex |f| arrays, parallel to components
+    closed_flags: tuple  # per-component: True where it closes up
 
     @property
     def n_components(self):
         return len(self.components)
 
     def is_closed(self, i) -> bool:
-        return bool(self.closed_flags[i]) if self.closed_flags else True
+        return bool(self.closed_flags[i])
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -124,13 +124,14 @@ def parse_field_spec(spec: str) -> ComplexField:
     return field_library(name, params)
 
 
-def phase(f: ComplexField, z, w, tol: float = PHASE_TOL) -> float:
+def phase(f: ComplexField, z, w) -> float:
     """Argument of f at a point, folded into [0, 2*pi).
 
-    Undefined on (or numerically near) the nodal set.
+    Undefined on (or numerically near) the nodal set: where |f| <= PHASE_TOL.
     """
     v = complex(f(z, w))
-    if abs(v) <= tol:
+    if abs(v) <= PHASE_TOL:
         raise UndefinedPhaseError(
-            f"|f| = {abs(v):.3e} <= {tol:.1e} at ({z}, {w}); phase undefined on the nodal set")
+            f"|f| = {abs(v):.3e} <= {PHASE_TOL:.1e} at ({z}, {w}); "
+            "phase undefined on the nodal set")
     return math.atan2(v.imag, v.real) % (2 * math.pi)

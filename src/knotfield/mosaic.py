@@ -424,6 +424,15 @@ def decode(text: str) -> Mosaic:
     return Mosaic(n, tuple(cells))
 
 
+def from_label(text: str) -> Mosaic:
+    """The mosaic a basis label names.  A label is the canonical encode()
+    text of its mosaic; any other text raises, even one that decodes."""
+    m = decode(text)
+    if encode(m) != text:
+        raise KnotfieldError(f"label {text!r} is not a canonical mosaic encoding")
+    return m
+
+
 def to_json(m: Mosaic) -> str:
     return json.dumps({"n": m.n, "cells": list(m.cells)})
 

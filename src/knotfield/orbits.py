@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BudgetExceededError, KnotfieldError
-from .mosaic import Mosaic, decode, encode, label_key, validate
+from .mosaic import Mosaic, encode, from_label, label_key, validate
 from .moves import instances_for
 
 DEFAULT_BUDGET = 10 ** 6
@@ -92,14 +92,11 @@ class Orbit:
         return len(self._parents)
 
     def __contains__(self, m):
-        if isinstance(m, str):  # only a canonical encode() text names a member
+        if isinstance(m, str):
             try:
-                mosaic = decode(m)
+                m = from_label(m)
             except KnotfieldError:
                 return False
-            if encode(mosaic) != m:
-                return False
-            m = mosaic
         try:
             return bytes(m.cells) in self._parents
         except (TypeError, ValueError):  # cells that fit no byte row
@@ -121,10 +118,12 @@ class Orbit:
 
     def witness_for(self, m):
         """Move sequence replaying representative -> m, as MoveInstances."""
+        if isinstance(m, str):
+            m = from_label(m)
         if m not in self:
             raise KnotfieldError("mosaic is not in this orbit")
         insts, tables = self._packed
-        state = bytes((decode(m) if isinstance(m, str) else m).cells)
+        state = bytes(m.cells)
         seq = []
         while (parent := self._parents[state]) is not None:
             # BFS kept the first (source, instance) pair reaching each state.

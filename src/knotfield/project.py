@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KnotfieldError, NonGenericProjectionError
-from .diagram import (DEFAULT_CROSSING_CAP, Crossing, PlanarDiagram, from_traversal,
-                      jones, to_diagram)
+from .diagram import Crossing, PlanarDiagram, from_traversal, jones, to_diagram
 from .laurent import LaurentPolynomial
 from .mosaic import Mosaic
 
@@ -272,7 +271,7 @@ def expected_jones(expected) -> LaurentPolynomial:
     raise KnotfieldError(f"cannot derive a Jones polynomial from {type(expected).__name__}")
 
 
-def verify_knot_type(curve, expected, cap: int = DEFAULT_CROSSING_CAP) -> VerificationReport:
+def verify_knot_type(curve, expected) -> VerificationReport:
     """Compare an extracted curve's knot type with an expected knot.
 
     curve: the unrefined `extract` result (one component; its piecewise-linear
@@ -289,7 +288,7 @@ def verify_knot_type(curve, expected, cap: int = DEFAULT_CROSSING_CAP) -> Verifi
         points = curve
     raw = project_diagram(points)
     red = reduce_diagram(raw)
-    computed = jones(red, cap=cap)
+    computed = jones(red)
     want = expected_jones(expected)
     if computed == want:
         return VerificationReport(True, False, computed, want,

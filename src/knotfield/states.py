@@ -1,11 +1,13 @@
 """Finite-support state vectors over mosaic basis labels, and diagonal
 observables built from orbit partitions.
 
-Basis labels are canonical mosaic encodings (see mosaic.encode), though any
-hashable string label works for the linear-algebra layer.  The full
-11^(n^2)-dimensional space is never materialized; operators are diagonal
-over orbits, materialize orbits lazily, and look up a Mosaic or a label by
-its byte row in the orbits they hold, named by `Orbit.label`.
+Basis labels are canonical mosaic encodings.  The linear-algebra layer
+takes any hashable label; `act`, `chi` and the invariant observables read
+a label with `mosaic.from_label`, which rejects non-canonical text, so one
+state has one label.  The full 11^(n^2)-dimensional space is never
+materialized; operators are diagonal over orbits, materialize orbits
+lazily, and look up a Mosaic or a label by its byte row in the orbits they
+hold, named by `Orbit.label`.
 
 An invariant observable's core, `row_observable`, takes a function of an
 orbit's member rows (`Orbit.member_rows()`: a (size, n^2) uint8 array in
@@ -20,12 +22,14 @@ from __future__ import annotations
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ContractViolationError, KnotfieldError
-from .mosaic import Mosaic, decode, encode
+from .mosaic import Mosaic, encode, from_label
 from .moves import apply as apply_move
 from .orbits import DEFAULT_BUDGET, orbit
+
+CONSTANCY_TOL = 1e-9  # rel and abs: an invariant's values on one orbit count as equal
 
 
 def dim(n: int) -> int:
@@ -127,12 +131,13 @@ def act(g, psi: StateVector) -> StateVector:
     """Apply a sequence of move instances to every basis label of psi.
 
     Each instance is an involution on the basis, so the sequence acts as a
-    permutation and the map is unitary.
+    permutation and the map is unitary; the empty sequence is the identity.
+    Labels must be canonical encodings (`mosaic.from_label`).
     """
     g = list(g)
     out = {}
     for label, amp in psi.amplitudes.items():
-        m = decode(label)
+        m = from_label(label)
         for inst in g:
             m = apply_move(inst, m)
         key = encode(m)
@@ -152,7 +157,7 @@ class DiagonalObservable:
 
     eigenvalue: dict
     orbit_index: object  # callable: label or Mosaic -> orbit id or None
-    orbit_sizes: dict = field(default_factory=dict)
+    orbit_sizes: dict  # orbit id -> member count, for every key of eigenvalue
 
     def eigenvalue_for(self, label) -> float:
         oid = self.orbit_index(label)
@@ -169,7 +174,7 @@ class DiagonalObservable:
     def to_json(self) -> str:
         items = [{"orbit_representative": oid,
                   "eigenvalue": self.eigenvalue[oid],
-                  "orbit_size": self.orbit_sizes.get(oid)}
+                  "orbit_size": self.orbit_sizes[oid]}
                  for oid in sorted(self.eigenvalue)]
         return json.dumps(items)
 
@@ -180,33 +185,34 @@ def chi(K: Mosaic, templates, budget: int = DEFAULT_BUDGET) -> DiagonalObservabl
     orb = orbit(K, templates, budget=budget)
 
     def index(label):
-        return orb.label if label in orb else None
+        m = label if isinstance(label, Mosaic) else from_label(label)
+        return orb.label if m in orb else None
 
     return DiagonalObservable({orb.label: 1.0}, index, {orb.label: orb.size})
 
 
-def invariant_observable(inv, n: int, templates, budget: int = DEFAULT_BUDGET,
-                         tol: float = 1e-9) -> DiagonalObservable:
+def invariant_observable(inv, n: int, templates,
+                         budget: int = DEFAULT_BUDGET) -> DiagonalObservable:
     """Diagonal observable with eigenvalue inv(K) on the orbit of K: a
     real-valued function of mosaics, called on every member of each orbit
     materialized, in label order (`row_observable`)."""
     return row_observable(lambda rows: (inv(Mosaic(n, tuple(r))) for r in rows.tolist()),
-                          n, templates, budget, tol)
+                          n, templates, budget)
 
 
-def row_observable(values, n: int, templates, budget: int = DEFAULT_BUDGET,
-                   tol: float = 1e-9) -> DiagonalObservable:
+def row_observable(values, n: int, templates,
+                   budget: int = DEFAULT_BUDGET) -> DiagonalObservable:
     """Diagonal observable with eigenvalue values(rows)[0] on each orbit,
     where rows is `Orbit.member_rows()`: the members' byte rows in label
     order, row 0 being the member `Orbit.label` encodes.
 
     values must give one real number per row, read in order, and be
-    constant on orbits; constancy is checked on every member of every orbit
-    actually materialized, and a violation raises ContractViolationError
-    naming two witnesses: the label and the first member off its value.
-    Text labels must be canonical encodings.  Materialized orbits are
-    cached; the cache is guarded by a lock so concurrent lookups are safe
-    and order-independent.
+    constant on orbits, to CONSTANCY_TOL; constancy is checked on every
+    member of every orbit actually materialized, and a violation raises
+    ContractViolationError naming two witnesses: the label and the first
+    member off its value.  Text labels must be canonical encodings
+    (`mosaic.from_label`).  Materialized orbits are cached; the cache is
+    guarded by a lock so concurrent lookups are safe and order-independent.
     """
     closed = []  # materialized orbits, each named by its Orbit.label
     eigenvalue = {}
@@ -214,12 +220,7 @@ def row_observable(values, n: int, templates, budget: int = DEFAULT_BUDGET,
     lock = threading.Lock()
 
     def index(label):
-        if isinstance(label, Mosaic):
-            m = label
-        else:
-            m = decode(label)
-            if encode(m) != label:
-                raise KnotfieldError(f"label {label!r} is not a canonical mosaic encoding")
+        m = label if isinstance(label, Mosaic) else from_label(label)
         if m.n != n:
             raise KnotfieldError(f"label has lattice size {m.n}, observable expects {n}")
         with lock:
@@ -232,7 +233,7 @@ def row_observable(values, n: int, templates, budget: int = DEFAULT_BUDGET,
         val = float(next(each))
         for i, v in enumerate(each, 1):
             v = float(v)
-            if not math.isclose(v, val, rel_tol=tol, abs_tol=tol):
+            if not math.isclose(v, val, rel_tol=CONSTANCY_TOL, abs_tol=CONSTANCY_TOL):
                 witness = encode(Mosaic(n, tuple(rows[i].tolist())))
                 raise ContractViolationError(
                     "invariant is not constant on an orbit: "

@@ -45,7 +45,9 @@ sweeps sorted bounding boxes for candidate pairs and tests them all at
 once.  The abelianization oracle row-reduces the abelianized relation
 matrix exactly over the rationals, where production counts generator
 classes with a union-find; the exponent-sum oracle writes out each
-relation's boundary word.
+relation's boundary word.  `from_xcode` builds a diagram from classical
+X(a,b,c,d) codes, for test links written that way; the library builds
+every diagram with `from_traversal`.
 """
 
 import itertools
@@ -317,6 +319,30 @@ def oracle_to_diagram(m):
                        if order[(under_in_pos + i) % 4][1] == "in")
         crossings.append(Crossing(ends, over_in))
     return PlanarDiagram(tuple(crossings), free_loops, len(strands))
+
+
+def from_xcode(quads):
+    """Build a diagram from classical X(a,b,c,d) codes.
+
+    Edges are assumed numbered 1..2c sequentially along the orientation;
+    a is the incoming under edge and b, d the over pair.
+    """
+    quads = [tuple(int(v) for v in q) for q in quads]
+    n_edges = 2 * len(quads)
+
+    def succ(e):
+        return e % n_edges + 1
+
+    crossings = []
+    for a, b, c, d in quads:
+        if succ(b) == d:
+            over_in = 1
+        elif succ(d) == b:
+            over_in = 3
+        else:
+            raise KnotfieldError(f"cannot orient over strand of X({a},{b},{c},{d})")
+        crossings.append(Crossing((a, b, c, d), over_in))
+    return PlanarDiagram(tuple(crossings), 0, 1).check()
 
 
 def oracle_dim(n):

@@ -3,6 +3,7 @@ except where thread independence is the point."""
 
 import dataclasses
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import CHILD_ENV, data_path
+from conftest import CHILD_ENV, crossing_mosaic, data_path
 
 from knotfield import cli, diagram, extraction, mosaic, orbits
 from knotfield.cli import main
@@ -659,3 +660,50 @@ def test_memory_error_is_one_error_line(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: out of memory: Unable to allocate 64. GiB\n"
+
+
+_EVAL = ["field", "eval", "--field", "unknot"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("z", ["-0.2-0.7i", "-1e5", "-2j", "0.5"])
+def test_field_eval_value_after_a_space_reads_as_after_equals(capsys, z, fmt):
+    # argparse reads "-0.2-0.7i" after "--z " as an option unless it is joined
+    attached = outcome_of(capsys, _EVAL + [f"--z={z}", "--w", "1", "--format", fmt])
+    spaced = outcome_of(capsys, _EVAL + ["--z", z, "--w", "1", "--format", fmt])
+    assert spaced == attached
+    assert spaced[0] == 0 and spaced[2] == ""
+
+
+def test_field_eval_text_signs_the_imaginary_part(capsys):
+    _, out, _ = run_cli(capsys, *_EVAL, "--z", "-0.2-0.7i", "--w", "1")
+    assert out == "unknot((-0.2-0.7j), (1+0j)) = -0.2 - 0.7i (phase 4.43408932138)\n"
+    _, out, _ = run_cli(capsys, *_EVAL, "--z", "0.5+0.25i", "--w", "1")
+    assert out == "unknot((0.5+0.25j), (1+0j)) = 0.5 + 0.25i (phase 0.463647609001)\n"
+
+
+@pytest.mark.parametrize("args,code,message", [
+    (["--z", "--w", "1"], 2, "argument --z: expected one argument"),
+    (["--w", "1", "--z"], 2, "argument --z: expected one argument"),
+    (["--z", "-abc", "--w", "1"], 2, "argument --z: expected one argument"),
+    (["--z", "1", "--w", "-1-i-"], 2, "argument --w: expected one argument"),
+    (["--z", "abc", "--w", "1"], 1, "error: cannot parse complex number 'abc'"),
+])
+def test_field_eval_bad_values_stay_errors(capsys, args, code, message):
+    got, out, err = outcome_of(capsys, _EVAL + args)
+    assert (got, out) == (code, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mosaic", "jones"],
+    ["field", "verify", "--field", "unknot", "--resolution", "16", "--expect"],
+], ids=_command)
+def test_crossing_cap_is_one_error_line(tmp_path, capsys, argv):
+    m = crossing_mosaic(random.Random(9), 10, max_crossings=40)
+    assert mosaic.validate(m).valid and mosaic.count_crossings(m) == 28
+    path = tmp_path / "crossings28.mosaic"
+    path.write_text(mosaic.encode(m))
+    code, out, err = outcome_of(capsys, argv + [str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: diagram has 28 crossings, above the bracket's crossing cap of 24\n"

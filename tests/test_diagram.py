@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIG8_JONES, TREFOIL_JONES, UNKNOT_JONES, crossing_mosaic, random_diagram
-from oracles import oracle_bracket, oracle_jones, oracle_to_diagram, oracle_writhe
+from oracles import from_xcode, oracle_bracket, oracle_jones, oracle_to_diagram, oracle_writhe
 
 from knotfield.errors import CrossingCapError, KnotfieldError
 from knotfield.diagram import (
@@ -16,7 +16,6 @@ from knotfield.diagram import (
     bracket,
     evaluate_jones,
     from_traversal,
-    from_xcode,
     jones,
     jones_in_t,
     row_diagrams,
@@ -94,10 +93,13 @@ def test_negative_t_on_even_component_link_names_the_cause():
     assert evaluate_jones(jones(hopf), 1.0) == -2.0
 
 
-def test_crossing_cap():
+def test_crossing_cap(monkeypatch):
     d = to_diagram(Mosaic(4, (0, 2, 1, 0, 2, 8, 9, 1, 3, 9, 10, 4, 0, 3, 4, 0)))
+    monkeypatch.setattr("knotfield.diagram.CROSSING_CAP", 3)  # at the cap: contracted
+    assert dict(bracket(d).terms()) == oracle_bracket(d)
+    monkeypatch.setattr("knotfield.diagram.CROSSING_CAP", 2)
     with pytest.raises(CrossingCapError, match="above the bracket's crossing cap of 2"):
-        bracket(d, cap=2)
+        bracket(d)
 
 
 def test_bracket_rejects_open_diagram():

@@ -202,8 +202,8 @@ def test_match_compares_every_vertex_of_open_components():
     line = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     moved = line.copy()
     moved[-1, 0] += 5.0
-    prev = NodalCurve((line,), "box", 0.0, closed_flags=(False,))
-    curr = NodalCurve((moved,), "box", 0.0, closed_flags=(False,))
+    prev = NodalCurve((line,), "box", 0.0, (np.zeros(3),), (False,))
+    curr = NodalCurve((moved,), "box", 0.0, (np.zeros(3),), (False,))
     events = []
     assert _match(prev, curr, 1.0, events, reconnect_dist=1.0) == 5.0
     assert [kind for _, kind, _ in events] == ["reconnection"]
@@ -417,7 +417,8 @@ def test_track_min_amp_validation():
 def test_track_counts_closed_and_open_components():
     line = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     loop = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-    curve = NodalCurve((loop, line, line), "box", 0.0, closed_flags=(True, False, False))
+    curve = NodalCurve((loop, line, line), "box", 0.0,
+                       (np.zeros(4), np.zeros(2), np.zeros(2)), (True, False, False))
     snap = evolution.TrackedSnapshot(0.0, curve)
     assert (snap.n_components, snap.n_closed, snap.n_open) == (3, 1, 2)
     gap = evolution.TrackedSnapshot(0.0, None, "failed")

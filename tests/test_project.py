@@ -152,25 +152,20 @@ def test_verify_rejects_links():
         verify_knot_type(curve, UNKNOT_JONES)
 
 
-def test_crossing_cap_enforced():
+def test_crossing_cap_enforced(monkeypatch):
+    monkeypatch.setattr("knotfield.diagram.CROSSING_CAP", 2)
     with pytest.raises(CrossingCapError):
-        verify_knot_type(fig8_polyline(), FIG8_JONES, cap=2)
+        verify_knot_type(fig8_polyline(), FIG8_JONES)
 
 
 def test_crossing_cap_reaches_jones(monkeypatch):
-    import knotfield.project
-    caps = []
-
-    def spy(diagram, **kwargs):
-        caps.append(kwargs.get("cap"))
-        return jones(diagram, **kwargs)
-
-    monkeypatch.setattr(knotfield.project, "jones", spy)
-    assert verify_knot_type(fig8_polyline(), FIG8_JONES, cap=30).match
-    assert caps == [30]
+    # The bracket reads the cap on every call, so verification follows it.
+    monkeypatch.setattr("knotfield.diagram.CROSSING_CAP", 30)
+    assert verify_knot_type(fig8_polyline(), FIG8_JONES).match
+    monkeypatch.setattr("knotfield.diagram.CROSSING_CAP", 2)
     with pytest.raises(CrossingCapError) as exc:
-        verify_knot_type(fig8_polyline(), FIG8_JONES, cap=2)
-    assert caps == [30, 2] and exc.value.cap == 2
+        verify_knot_type(fig8_polyline(), FIG8_JONES)
+    assert exc.value.cap == 2
 
 
 def test_expected_jones_type_rejected():

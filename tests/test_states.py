@@ -127,6 +127,24 @@ def test_chi_text_lookup_encodes_once(monkeypatch):
     assert proj.orbit_sizes[proj.orbit_index(label)] == 1348
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda t: t[:-1],
+    lambda t: t + "\n",
+    lambda t: t.replace("\n", " \n"),
+    lambda t: "0" + t,
+])
+def test_act_and_chi_reject_non_canonical_labels(trefoil, mangle):
+    # One state has one label: the empty sequence is the identity on
+    # canonical labels, and any other text names no state.
+    basis = StateVector.basis(trefoil)
+    assert act([], basis) == basis
+    text = mangle(encode(trefoil))
+    with pytest.raises(KnotfieldError, match="is not a canonical mosaic encoding"):
+        act([], StateVector({text: 1.0}))
+    with pytest.raises(KnotfieldError, match="is not a canonical mosaic encoding"):
+        chi(trefoil, TABLE).eigenvalue_for(text)
+
+
 def _v_minus1(m):
     return evaluate_jones(jones(to_diagram(m)), -1.0)
 

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CHILD_ENV, random_diagram, torus_polyline
-from oracles import oracle_abelianization_rank, relation_exponent_sums
+from oracles import from_xcode, oracle_abelianization_rank, relation_exponent_sums
 
 from knotfield.errors import KnotfieldError
-from knotfield.diagram import Crossing, PlanarDiagram, from_xcode, to_diagram
+from knotfield.diagram import Crossing, PlanarDiagram, to_diagram
 from knotfield.project import project_diagram, reduce_diagram
 from knotfield.wirtinger import WirtingerPresentation, abelianization_rank, wirtinger
 

@@ -120,6 +120,52 @@ MUTANTS = (
     Mutant("round-fallback-band-dropped", "src/knotfield/cli.py",
            " | (np.abs(t - np.floor(t) - 0.5) <= t * 2.0 ** -50)", "",
            ("tests/test_cli.py::test_round12_is_round_bit_for_bit",)),
+    Mutant("free-phases-take-n-steps", "src/knotfield/evolution.py",
+           "omega, n, dt = (0.0, 0.0, 0.0), 1, n * dt", "omega = (0.0, 0.0, 0.0)",
+           ("tests/test_evolution.py::test_run_builds_each_phase_once",)),
+    Mutant("free-phases-span-one-step", "src/knotfield/evolution.py",
+           "omega, n, dt = (0.0, 0.0, 0.0), 1, n * dt", "omega, n, dt = (0.0, 0.0, 0.0), 1, dt",
+           ("tests/test_evolution.py::test_run_builds_each_phase_once",
+            "tests/test_evolution.py::test_run_matches_per_step_oracle")),
+    Mutant("advance-axes-1-2-swapped", "src/knotfield/evolution.py",
+           "m0, m1, m2 = phases", "m0, m2, m1 = phases",
+           ("tests/test_evolution.py::test_run_matches_per_step_oracle",
+            "tests/test_evolution.py::test_harmonic_run_matches_per_step_oracle")),
+    Mutant("last-kick-full", "src/knotfield/evolution.py",
+           "m *= (full if i < n - 1 else half)[:, None]", "m *= full[:, None]",
+           ("tests/test_evolution.py::test_harmonic_run_matches_per_step_oracle",)),
+    Mutant("embed-signed-zeros-dropped", "src/knotfield/extraction.py",
+           "    np.add(re0, 0.0 * nx - 0.0, out=re0)\n"
+           "    np.divide(nx + 0.0, s, out=zw[0].imag)\n"
+           "    np.divide(ny + (0.0 * nz - 0.0), s, out=zw[1].real)\n"
+           "    np.divide(nz + 0.0, s, out=zw[1].imag)\n",
+           "    np.divide(nx, s, out=zw[0].imag)\n"
+           "    np.divide(ny, s, out=zw[1].real)\n"
+           "    np.divide(nz, s, out=zw[1].imag)\n",
+           ("tests/test_extraction.py::test_embed_bit_identical_to_oracle",)),
+    Mutant("candidate-scan-nan-bit-dropped", "src/knotfield/extraction.py",
+           "\n                | (np.isnan(v).view(np.uint16) << 2))", ")",
+           ("tests/test_extraction.py::test_candidate_cells_special_values",)),
+    Mutant("sampling-slab-one-plane-short", "src/knotfield/extraction.py",
+           "sl = slice(lo, lo + planes)", "sl = slice(lo, lo + planes - 1)",
+           ("tests/test_extraction.py::test_sample_chart_is_the_extraction_lattice",)),
+    Mutant("retry-shift-on-first-attempt", "src/knotfield/extraction.py",
+           "        if attempt:\n            ax = tuple(", "        if True:\n            ax = tuple(",
+           ("tests/test_extraction.py::test_degenerate_tetrahedron_warns_and_extract_dilates",)),
+    Mutant("crossing-cap-refuses-at-the-cap", "src/knotfield/diagram.py",
+           "if c > CROSSING_CAP:", "if c >= CROSSING_CAP:",
+           ("tests/test_diagram.py::test_crossing_cap",
+            "tests/test_project.py::test_torus_knot_jones_closed_form")),
+    Mutant("is-closed-inverted", "src/knotfield/extraction.py",
+           "return bool(self.closed_flags[i])", "return not self.closed_flags[i]",
+           ("tests/test_evolution.py::test_track_counts_closed_and_open_components",
+            "tests/test_extraction.py::test_csv_and_obj_exports")),
+    Mutant("label-reader-accepts-any-decodable-text", "src/knotfield/mosaic.py",
+           "    if encode(m) != text:\n"
+           "        raise KnotfieldError(f\"label {text!r} is not a canonical mosaic encoding\")\n",
+           "",
+           ("tests/test_orbits.py::test_text_membership_needs_canonical_label",
+            "tests/test_states.py::test_act_and_chi_reject_non_canonical_labels")),
 )
 
 
