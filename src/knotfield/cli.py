@@ -14,30 +14,27 @@ Outputs are deterministic: no wall clock and no unseeded randomness;
 --threads is accepted for compatibility and has no effect.  A JSON manifest
 describing the run is written next to --out (or to --manifest) so results
 can be reproduced.
+
+numpy and the modules that import it (orbits, states, rows, fields,
+extraction, project, evolution) are imported inside the handlers that use
+them, so `mosaic validate|show|jones` and `wirtinger` start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import KnotfieldError
 from . import mosaic as mz
-from .diagram import evaluate_jones, jones, row_diagrams, to_diagram
-from .moves import default_table
-from .orbits import DEFAULT_BUDGET, orbit, same_orbit
-from .states import chi as chi_observable, row_observable
+from .diagram import evaluate_jones, jones, to_diagram
+from .moves import DEFAULT_BUDGET, default_table
 from .wirtinger import abelianization_rank, wirtinger
-from .fields import parse_field_spec, phase
-from .extraction import SampleGrid, extract, fiber_to_csv, refine, sample_fiber
-from .project import expected_jones, verify_knot_type
-from . import evolution as ev
 
 
 def _read(path: str) -> str:
@@ -60,7 +57,9 @@ def _load_mosaic(path: str) -> mz.Mosaic:
     return mz.load(_read(path))
 
 
-def _grid(args) -> SampleGrid:
+def _grid(args):
+    from .extraction import SampleGrid
+
     return SampleGrid(chart=args.chart, resolution=args.resolution,
                       extent=args.extent, radius=args.radius)
 
@@ -96,6 +95,8 @@ def _cmd_mosaic_show(args):
 
 
 def _cmd_mosaic_orbit(args):
+    from .orbits import orbit
+
     m = _load_mosaic(args.file)
     orb = orbit(m, default_table(), budget=args.budget)
     if args.format == "json":
@@ -110,6 +111,8 @@ def _cmd_mosaic_orbit(args):
 
 
 def _cmd_mosaic_same_orbit(args):
+    from .orbits import same_orbit
+
     a, b = _load_mosaic(args.file_a), _load_mosaic(args.file_b)
     same, witness = same_orbit(a, b, default_table(), budget=args.budget)
     moves = len(witness) if witness is not None else None
@@ -128,8 +131,10 @@ def _cmd_mosaic_jones(args):
 
 
 def _cmd_observable_chi(args):
+    from .states import chi
+
     m = _load_mosaic(args.file)
-    obs = chi_observable(m, default_table(), budget=args.budget)
+    obs = chi(m, default_table(), budget=args.budget)
     if args.format == "json":
         return obs.to_json(), 0
     (oid,) = obs.eigenvalue
@@ -159,6 +164,9 @@ def _v_minus1(n):
     """V(-1) of each member, bracketing each distinct diagram once: an
     orbit's members share few diagrams.  The memo lives as long as one
     observable."""
+    import numpy as np
+    from .rows import row_diagrams
+
     values = {}
 
     def of(d):
@@ -174,9 +182,11 @@ def _v_minus1(n):
 
 
 def _components(n):
+    from .rows import strand_counts, trace_rows
+
     def of_rows(rows):
-        row, strand, *_ = mz.trace_rows(rows, n)
-        return mz.strand_counts(row, strand, len(rows)).astype(float).tolist()
+        row, strand, *_ = trace_rows(rows, n)
+        return strand_counts(row, strand, len(rows)).astype(float).tolist()
 
     return _by_size(lambda m: float(len(mz.trace_components(m))), of_rows, n)
 
@@ -187,6 +197,8 @@ _INVARIANTS = {"v_minus1": _v_minus1, "components": _components}
 
 
 def _cmd_observable_invariant(args):
+    from .states import row_observable
+
     m = _load_mosaic(args.file)
     values = _INVARIANTS[args.invariant](m.n)
     obs = row_observable(values, m.n, default_table(), budget=args.budget)
@@ -209,9 +221,13 @@ def _cmd_wirtinger(args):
 
 
 def _complex(s: str):
-    """s as a complex number (i or j for the imaginary unit), or None."""
+    """s as a complex number, or None: complex()'s syntax, with a trailing
+    i read as j (only a trailing one, so that inf and nan parse)."""
+    s = s.strip()
+    if s.endswith("i"):
+        s = s[:-1] + "j"
     try:
-        return complex(s.replace("i", "j"))
+        return complex(s)
     except ValueError:
         return None
 
@@ -220,17 +236,26 @@ def _parse_complex(s: str) -> complex:
     v = _complex(s)
     if v is None:
         raise KnotfieldError(f"cannot parse complex number {s!r}")
-    if not np.isfinite(v):
+    if not cmath.isfinite(v):
         raise KnotfieldError(f"complex number must be finite, got {s!r}")
     return v
 
 
+def _format_complex(v: complex) -> str:
+    """v as `a + bi` or `a - bi`, each part to 12 significant digits."""
+    sign = "-" if math.copysign(1.0, v.imag) < 0 else "+"
+    return f"{v.real:.12g} {sign} {abs(v.imag):.12g}i"
+
+
 def _cmd_field_eval(args):
+    import numpy as np
+    from .fields import parse_field_spec, phase
+
     f = parse_field_spec(args.field)
     z, w = _parse_complex(args.z), _parse_complex(args.w)
     with np.errstate(over="ignore", invalid="ignore"):
         v = complex(f(z, w))
-    if not np.isfinite(v):
+    if not cmath.isfinite(v):
         raise KnotfieldError(f"{f.name} is not finite at ({z}, {w})")
     payload = {"field": f.name, "re": v.real, "im": v.imag, "abs": abs(v)}
     try:
@@ -240,8 +265,8 @@ def _cmd_field_eval(args):
     if args.format == "json":
         return json.dumps(payload), 0
     ph = "undefined" if payload["phase"] is None else f"{payload['phase']:.12g}"
-    sign = "-" if math.copysign(1.0, v.imag) < 0 else "+"
-    return f"{f.name}({z}, {w}) = {v.real:.12g} {sign} {abs(v.imag):.12g}i (phase {ph})", 0
+    return (f"{f.name}({_format_complex(z)}, {_format_complex(w)}) = {_format_complex(v)}"
+            f" (phase {ph})"), 0
 
 
 def _round12(a):
@@ -253,6 +278,8 @@ def _round12(a):
     whose product reaches 2^52 and the non-finite ones go through round()
     itself.
     """
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = a * 1e12
@@ -266,6 +293,9 @@ def _round12(a):
 
 
 def _cmd_field_extract(args):
+    from .extraction import extract, refine
+    from .fields import parse_field_spec
+
     f = parse_field_spec(args.field)
     grid = _grid(args)
     curve = refine(extract(f, grid), f, grid)
@@ -280,6 +310,10 @@ def _cmd_field_extract(args):
 
 
 def _cmd_field_verify(args):
+    from .extraction import extract
+    from .fields import parse_field_spec
+    from .project import expected_jones, verify_knot_type
+
     f = parse_field_spec(args.field)
     curve = extract(f, _grid(args))
     expect = expected_jones(_load_mosaic(args.expect))
@@ -295,6 +329,9 @@ def _cmd_field_verify(args):
 
 
 def _cmd_field_fiber(args):
+    from .extraction import fiber_to_csv, sample_fiber
+    from .fields import parse_field_spec
+
     f = parse_field_spec(args.field)
     cloud = sample_fiber(f, args.theta, _grid(args), band=args.band)
     if args.format == "json":
@@ -304,6 +341,9 @@ def _cmd_field_fiber(args):
 
 
 def _evolution_setup(args):
+    from . import evolution as ev
+    from .fields import parse_field_spec
+
     try:
         omega = tuple(float(v) for v in args.omega.split(","))
     except ValueError:
@@ -338,6 +378,9 @@ def _add_evolve_flags(p):
 
 def _dump_snapshots(history, outdir):
     import os
+
+    import numpy as np
+
     try:
         os.makedirs(outdir, exist_ok=True)
         for i, st in enumerate(history):
@@ -347,6 +390,8 @@ def _dump_snapshots(history, outdir):
 
 
 def _cmd_evolve_run(args):
+    from . import evolution as ev
+
     cfg, state = _evolution_setup(args)
     history = ev.run(state, cfg, snapshot_every=args.snapshot_every)
     final = history[-1]
@@ -364,6 +409,8 @@ def _cmd_evolve_run(args):
 
 
 def _cmd_evolve_track(args):
+    from . import evolution as ev
+
     cfg, state = _evolution_setup(args)
     history = ev.run(state, cfg, snapshot_every=args.snapshot_every)
     if args.snapshots_dir:

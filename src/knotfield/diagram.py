@@ -23,12 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CrossingCapError, KnotfieldError
 from .laurent import LaurentPolynomial
-from .mosaic import (CROSSING_OVER, CROSSING_TILES, NUM_TILES, SIDES, Mosaic,
-                     strand_counts, trace_components, trace_rows)
+from .mosaic import CROSSING_OVER, CROSSING_TILES, Mosaic, trace_components
 
 # Unit direction of travel towards each cell side (x = column, y = -row).
 SIDE_VECTORS = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
@@ -128,71 +125,6 @@ def to_diagram(m: Mosaic) -> PlanarDiagram:
         [(cell, exit_ in CROSSING_OVER[cells[cell]], SIDE_VECTORS[exit_])
          for cell, _, exit_ in strand.passages if cells[cell] in CROSSING_TILES]
         for strand in strands])
-
-
-# to_diagram's rules as tables: per tile whether it is a crossing; per tile
-# and exit side whether that passage is the over-strand; per exit side the
-# direction of travel.
-_IS_CROSSING = np.array([t in CROSSING_TILES for t in range(NUM_TILES)])
-_OVER = np.array([[t in CROSSING_TILES and side in CROSSING_OVER[t] for side in SIDES]
-                  for t in range(NUM_TILES)])
-_DIRECTION = np.array([SIDE_VECTORS[side] for side in SIDES], dtype=np.int8)
-
-
-def row_diagrams(rows, n):
-    """The diagrams of a (k, n^2) uint8 array of valid mosaics, each
-    distinct one built once: (diagrams, index), where row i's diagram is
-    diagrams[index[i]], equal to to_diagram(Mosaic(n, row i)).  Diagrams are
-    built in the order of the rows they first appear in, and the first row
-    with no component raises as to_diagram does.
-
-    Rows are grouped by a signature that holds exactly what from_traversal
-    reads: the row's strand count, then per crossing passage in trace order
-    the rank of its cell among the row's crossing cells, whether it passes
-    over, the sign of its crossing and whether it is the first on its
-    strand.  Rows with one signature have one diagram, and rows with one
-    diagram one signature.
-    """
-    rows = np.asarray(rows, dtype=np.uint8).reshape(-1, n * n)
-    k = len(rows)
-    row, strand, cell, _, exit_ = trace_rows(rows, n)
-    strands = strand_counts(row, strand, k)
-    crossing = _IS_CROSSING[rows]
-    cross = np.flatnonzero(crossing[row, cell])
-    row, strand, cell, exit_ = row[cross], strand[cross], cell[cross], exit_[cross]
-    new = np.ones(strand.size, dtype=bool)  # first crossing passage on its strand
-    new[1:] = strand[1:] != strand[:-1]
-    over = _OVER[rows[row, cell], exit_]
-    direction = _DIRECTION[exit_]
-    at = row.astype(np.int64) * (n * n) + cell
-    travel = np.zeros((2, rows.size, 2), dtype=np.int8)  # under, over direction per cell
-    travel[over.astype(np.intp), at] = direction
-    (ux, uy), (ox, oy) = travel[0, at].T, travel[1, at].T
-    negative = ux * oy - uy * ox < 0
-    rank = (np.cumsum(crossing, axis=1) - 1)[row, cell]
-    per_row = np.bincount(row, minlength=k)
-    begin = np.cumsum(per_row) - per_row
-    signature = np.full((k, 1 + int(per_row.max(initial=0))), -1, dtype=np.int32)
-    signature[:, 0] = strands
-    signature[row, 1 + np.arange(row.size) - begin[row]] = \
-        ((rank * 2 + over) * 2 + negative) * 2 + new
-    # One void item per row: np.unique groups equal bytes without a row-wise sort.
-    _, first, inverse = np.unique(signature.view(np.dtype((np.void, signature[0].nbytes))),
-                                  return_index=True, return_inverse=True)
-    built = np.argsort(first)  # distinct signatures in the order of their first rows
-    diagrams = []
-    for i in first[built].tolist():
-        if not strands[i]:
-            raise KnotfieldError("mosaic has zero components")
-        components = [[] for _ in range(strands[i])]
-        c = -1
-        for j in range(begin[i], begin[i] + per_row[i]):
-            c += bool(new[j])
-            components[c].append((int(cell[j]), bool(over[j]), SIDE_VECTORS[SIDES[exit_[j]]]))
-        diagrams.append(from_traversal(components))
-    position = np.empty(len(built), dtype=np.int64)
-    position[built] = np.arange(len(built))
-    return diagrams, position[inverse.reshape(-1)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ Strands are followed by two walks that give the same strands in the same
 order.  `_walk` steps through one block of cells in Python; it serves
 single mosaics (`trace_components`, hence `to_diagram`, `mosaic jones`,
 `wirtinger`) and move templates, whose blocks have open strands.
-`trace_rows` traces a (k, n^2) array of valid mosaics at once with numpy
-pointer jumping; it serves the members of an orbit.  Both are kept
+`rows.trace_rows` traces a (k, n^2) array of valid mosaics at once with
+numpy pointer jumping; it serves the members of an orbit, and lives in its
+own module so that this one does not import numpy.  Both are kept
 because each loses where the other wins (2 vCPUs, best of 300): on one
 random 4x4 to 12x12 mosaic the batched walk takes 55-84 us against 8-82 us
 for `_walk`, while on the 1,348 members of the 4x4 unknot orbit it takes
@@ -32,8 +33,6 @@ import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import KnotfieldError, MosaicParseError
 
@@ -256,7 +255,7 @@ def trace_components(m: Mosaic):
 
 
 def _entry_code(t, s):
-    """trace_rows' code for entering tile t at side s: -1 without a
+    """rows.trace_rows' code for entering tile t at side s: -1 without a
     connection point there, else 4 * the entry's order key + the exit side.
     The key is 2 * (index of the side's pair in TILE_PAIRS), plus 1 unless
     the side is where _walk starts that pair."""
@@ -264,103 +263,6 @@ def _entry_code(t, s):
         return -1
     p = next(i for i, pair in enumerate(TILE_PAIRS[t]) if SIDES[s] in pair)
     return 4 * (2 * p + (s != _STARTS[t][p])) + _EXIT[t * 4 + s]
-
-
-_ENTRY = np.array([[_entry_code(t, s) for s in range(4)] for t in range(NUM_TILES)],
-                  dtype=np.int8)
-_PAIRS = ((_ENTRY >= 0).sum(axis=1) // 2).astype(np.uint8)  # connection pairs per tile
-
-# Endpoints traced at once by trace_rows: its temporaries stay a few hundred
-# KB whatever the number of rows.
-_TRACE_CHUNK = 1 << 14
-
-
-@lru_cache(maxsize=None)
-def _across_rows(n, rows):
-    """_across(n, n) for `rows` consecutive n x n rows, endpoints numbered
-    on through the rows."""
-    across = np.array(_across(n, n), dtype=np.int32)
-    out = np.add.outer(np.arange(rows, dtype=np.int32) * across.size, across).ravel()
-    out.setflags(write=False)
-    return out
-
-
-def trace_rows(rows, n):
-    """Every strand of every row of a (k, n^2) uint8 array of valid n x n
-    mosaics, as flat int32 arrays (row, strand, cell, entry, exit): one entry
-    per passage, strands numbered 0, 1, ... across all rows, in the order of
-    trace_components(Mosaic(n, row)) strand by strand and passage by
-    passage.  Sides are numbered in SIDES order.  Rows are not validated.
-
-    The walk is _walk's, on all rows at once.  Each entry endpoint (cell * 4
-    + side) with a connection point steps to the endpoint facing its exit,
-    so every strand is two cycles of entries, one per orientation.  Pointer
-    jumping finds each cycle's smallest entry key (cell, then pair position
-    in _STARTS, then whether the pair is entered away from its start side)
-    and how many steps ahead it lies.  The cycle whose minimum enters at a
-    start side is the orientation _walk takes, and that minimum is where it
-    starts; the steps ahead rank the passages.  Rows go a chunk of about
-    _TRACE_CHUNK endpoints at a time.
-    """
-    rows = np.asarray(rows, dtype=np.uint8).reshape(-1, n * n)
-    step = max(1, _TRACE_CHUNK // (4 * n * n))
-    across = _across_rows(n, step)
-    out = np.empty((5, int(_PAIRS[rows].sum())), dtype=np.int32)  # a passage per pair
-    done = strands = 0
-    for r0 in range(0, len(rows), step):
-        part, count = _trace_chunk(rows[r0:r0 + step], across)
-        part[0] += r0
-        part[1] += strands
-        out[:, done:done + part.shape[1]] = part
-        done += part.shape[1]
-        strands += count
-    return tuple(out)
-
-
-def strand_counts(row, strand, k):
-    """The number of strands in each of k rows, from trace_rows' row and
-    strand arrays."""
-    first = np.ones(strand.size, dtype=bool)
-    first[1:] = strand[1:] != strand[:-1]
-    return np.bincount(row[first], minlength=k)
-
-
-def _trace_chunk(block, across):
-    """trace_rows on one block of rows: its (5, passages) int32 table, rows
-    and strands counted from 0 in the block, and the number of strands."""
-    cells = block.shape[1]
-    entries = _ENTRY[block]
-    longest = int(_PAIRS[block].sum(axis=1).max())
-    live = np.flatnonzero(entries >= 0)
-    code = entries.ravel()[live]
-    exit_end = (live & -4) | (code & 3)
-    index = np.empty(entries.size, np.int32)
-    index[live] = np.arange(live.size)
-    jump = index[across[exit_end]]
-    # Each entry's least key over the next `span` entries, shifted up, plus
-    # how far ahead its first occurrence lies: min() keeps the nearer of ties.
-    best = ((live & -4) | (code >> 2)) << 32
-    span = 1
-    while span < longest:
-        best = np.minimum(best, best[jump] + span)
-        jump = jump[jump]
-        span *= 2
-    kept = np.flatnonzero((best & (1 << 32)) == 0)
-    best = best[kept]
-    low, ahead = best >> 32, best & 0xFFFFFFFF
-    starts = np.sort(low[ahead == 0])
-    strand = np.searchsorted(starts, low)
-    length = np.bincount(strand, minlength=starts.size)
-    end = np.cumsum(length)
-    order = np.where(ahead > 0, end[strand] - ahead, end[strand] - length[strand])
-    entry = live[kept]
-    out = np.empty((5, kept.size), np.int32)
-    out[0, order] = (entry >> 2) // cells
-    out[1, order] = strand
-    out[2, order] = (entry >> 2) % cells
-    out[3, order] = entry & 3
-    out[4, order] = code[kept] & 3
-    return out, starts.size
 
 
 def count_crossings(m: Mosaic) -> int:

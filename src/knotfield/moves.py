@@ -19,6 +19,10 @@ from .mosaic import BOUNDARY_FAULT, Mosaic, NUM_TILES, _edge_faults
 
 _ENTRY_KEYS = ("name", "rows", "cols", "pattern_a", "pattern_b")
 
+# The member budget of an orbit closure under these moves (`orbits.orbit`,
+# the CLI's --budget); `orbits` re-exports it.
+DEFAULT_BUDGET = 10 ** 6
+
 
 @dataclass(frozen=True)
 class MoveTemplate:

@@ -25,9 +25,7 @@ import numpy as np
 from . import kernels
 from .errors import BudgetExceededError, KnotfieldError
 from .mosaic import Mosaic, encode, from_label, label_key, validate
-from .moves import instances_for
-
-DEFAULT_BUDGET = 10 ** 6
+from .moves import DEFAULT_BUDGET, instances_for
 
 
 def compile_instances(templates, n):

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import CHILD_ENV, crossing_mosaic, data_path
 
-from knotfield import cli, diagram, extraction, mosaic, orbits
+from knotfield import cli, diagram, extraction, fields, mosaic, orbits, rows
 from knotfield.cli import main
 from knotfield.diagram import to_diagram
 from knotfield.extraction import SampleGrid, extract, refine
@@ -354,7 +354,7 @@ def test_batched_invariant_peak_memory(tmp_path, monkeypatch, invariant):
 
     main(argv)  # tables and caches built outside the measurement
     assert peak() <= 2 * 2 ** 20
-    monkeypatch.setattr(mosaic, "_TRACE_CHUNK", 1348 * 64)
+    monkeypatch.setattr(rows, "_TRACE_CHUNK", 1348 * 64)
     assert peak() > 2 * 2 ** 20  # the bound sees whole-orbit temporaries
 
 
@@ -453,7 +453,7 @@ def test_field_verify_makes_no_scalar_evaluations(capsys, monkeypatch):
     # verify projects the piecewise-linear zero set, so it samples the field
     # on the grid only and never point by point as Newton refinement does
     calls = {"scalar": 0, "array": 0}
-    parse = cli.parse_field_spec
+    parse = fields.parse_field_spec
 
     def counting_spec(spec):
         f = parse(spec)
@@ -463,7 +463,7 @@ def test_field_verify_makes_no_scalar_evaluations(capsys, monkeypatch):
             return f.evaluator(z, w)
         return dataclasses.replace(f, evaluator=evaluate)
 
-    monkeypatch.setattr(cli, "parse_field_spec", counting_spec)
+    monkeypatch.setattr(fields, "parse_field_spec", counting_spec)
     code, out, _ = run_cli(capsys, "field", "verify", "--field", "milnor:2,3",
                            "--expect", TREFOIL, "--resolution", "48",
                            "--format", "json")
@@ -534,6 +534,29 @@ def test_explicit_manifest_path(tmp_path, capsys):
                          "--manifest", str(man))
     assert code == 0
     assert json.loads(man.read_text())["subcommand"] == "mosaic jones"
+
+
+# A fresh process runs each command and then lists the modules it imported
+# from these; the commands that read one mosaic need none of them.
+_STARTUP_SCRIPT = """
+import contextlib, io, sys
+from knotfield import cli
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(name for name in {modules!r} if name in sys.modules))
+"""
+
+
+def test_mosaic_commands_start_without_numpy():
+    commands = [["mosaic", "validate", TREFOIL], ["mosaic", "show", TREFOIL],
+                ["mosaic", "jones", TREFOIL], ["wirtinger", TREFOIL]]
+    modules = ["numpy", "knotfield.orbits", "knotfield.extraction", "knotfield.evolution"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT.format(commands=commands, modules=modules)],
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_thread_independence(tmp_path):
@@ -676,10 +699,27 @@ def test_field_eval_value_after_a_space_reads_as_after_equals(capsys, z, fmt):
 
 
 def test_field_eval_text_signs_the_imaginary_part(capsys):
+    # inputs and value in one notation
     _, out, _ = run_cli(capsys, *_EVAL, "--z", "-0.2-0.7i", "--w", "1")
-    assert out == "unknot((-0.2-0.7j), (1+0j)) = -0.2 - 0.7i (phase 4.43408932138)\n"
+    assert out == "unknot(-0.2 - 0.7i, 1 + 0i) = -0.2 - 0.7i (phase 4.43408932138)\n"
     _, out, _ = run_cli(capsys, *_EVAL, "--z", "0.5+0.25i", "--w", "1")
-    assert out == "unknot((0.5+0.25j), (1+0j)) = 0.5 + 0.25i (phase 0.463647609001)\n"
+    assert out == "unknot(0.5 + 0.25i, 1 + 0i) = 0.5 + 0.25i (phase 0.463647609001)\n"
+
+
+@pytest.mark.parametrize("z,code,err", [
+    ("inf", 1, "error: complex number must be finite, got 'inf'\n"),
+    ("nan", 1, "error: complex number must be finite, got 'nan'\n"),
+    ("-inf", 1, "error: complex number must be finite, got '-inf'\n"),
+    ("1e400", 1, "error: complex number must be finite, got '1e400'\n"),
+    ("-0.2-0.7i", 0, ""),
+])
+def test_field_eval_reads_inf_and_nan_as_numbers(capsys, z, code, err):
+    # only a trailing i is the imaginary unit, so inf and nan parse and are
+    # refused as non-finite; a value after a space reads as after '='
+    for argv in (["--z", z], [f"--z={z}"]):
+        got, out, got_err = outcome_of(capsys, _EVAL + argv + ["--w", "1"])
+        assert (got, got_err) == (code, err)
+        assert (out != "") == (code == 0)
 
 
 @pytest.mark.parametrize("args,code,message", [

@@ -18,7 +18,6 @@ from knotfield.diagram import (
     from_traversal,
     jones,
     jones_in_t,
-    row_diagrams,
     to_diagram,
 )
 from knotfield.laurent import LaurentPolynomial
@@ -26,6 +25,7 @@ from knotfield.mosaic import Mosaic, trace_components
 from knotfield.moves import default_table
 from knotfield.orbits import orbit
 from knotfield.project import reduce_diagram
+from knotfield.rows import row_diagrams
 
 
 def test_unknot_jones_is_one():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import oracle_random_mosaic, oracle_trace_components, oracle_validate
 
-import knotfield.mosaic
+import knotfield.rows
 from knotfield.errors import KnotfieldError, MosaicParseError
 from knotfield.mosaic import (
     CROSSING_TILES,
@@ -21,14 +21,13 @@ from knotfield.mosaic import (
     label_key,
     load,
     random_mosaic,
-    strand_counts,
     to_json,
     trace_components,
-    trace_rows,
     validate,
 )
 from knotfield.moves import default_table
 from knotfield.orbits import orbit
+from knotfield.rows import strand_counts, trace_rows
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -122,7 +121,7 @@ def test_trace_rows_matches_trace_on_orbit_classes(trefoil, fig8):
 @pytest.mark.parametrize("chunk", [1, 1 << 14])
 def test_trace_rows_on_every_4_mosaic(monkeypatch, chunk):
     # All 2,594 valid 4-mosaics in one batch; chunk 1 traces a row at a time.
-    monkeypatch.setattr(knotfield.mosaic, "_TRACE_CHUNK", chunk)
+    monkeypatch.setattr(knotfield.rows, "_TRACE_CHUNK", chunk)
     rows = np.array([m.cells for m in enumerate_mosaics(4)], dtype=np.uint8)
     assert len(rows) == 2594
     _assert_rows_trace_as_mosaics(rows, 4)

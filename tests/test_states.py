@@ -12,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import TREFOIL_JONES
 
 from knotfield.errors import ContractViolationError, KnotfieldError
-from knotfield.diagram import evaluate_jones, jones, row_diagrams, to_diagram
-from knotfield.mosaic import (Mosaic, encode, enumerate_mosaics, random_mosaic, strand_counts,
-                              trace_components, trace_rows)
+from knotfield.diagram import evaluate_jones, jones, to_diagram
+from knotfield.mosaic import Mosaic, encode, enumerate_mosaics, random_mosaic, trace_components
 from knotfield.moves import default_table, instances_for, apply
 from knotfield.states import (
     StateVector,
@@ -25,6 +24,7 @@ from knotfield.states import (
     invariant_observable,
     row_observable,
 )
+from knotfield.rows import row_diagrams, strand_counts, trace_rows
 
 TABLE = default_table()
 CIRCLE4 = Mosaic(4, (2, 1, 0, 0, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))

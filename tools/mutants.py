@@ -70,21 +70,21 @@ MUTANTS = (
            "(s != _STARTS[t][p])", "(s == _STARTS[t][p])",
            ("tests/test_mosaic.py::test_trace_rows_matches_trace_on_orbit_classes",
             "tests/test_mosaic.py::test_trace_rows_matches_trace_on_random_batches")),
-    Mutant("walk-keeps-reverse-orientation", "src/knotfield/mosaic.py",
+    Mutant("walk-keeps-reverse-orientation", "src/knotfield/rows.py",
            "kept = np.flatnonzero((best & (1 << 32)) == 0)",
            "kept = np.flatnonzero((best & (1 << 32)) != 0)",
            ("tests/test_mosaic.py::test_trace_rows_matches_trace_on_orbit_classes",
             "tests/test_mosaic.py::test_trace_rows_matches_trace_on_random_batches")),
-    Mutant("walk-ranks-off-by-one", "src/knotfield/mosaic.py",
+    Mutant("walk-ranks-off-by-one", "src/knotfield/rows.py",
            "end[strand] - ahead,", "end[strand] - ahead - 1,",
            ("tests/test_mosaic.py::test_trace_rows_matches_trace_on_orbit_classes",
             "tests/test_mosaic.py::test_trace_rows_matches_trace_on_random_batches")),
-    Mutant("walk-strands-descending", "src/knotfield/mosaic.py",
+    Mutant("walk-strands-descending", "src/knotfield/rows.py",
            "strand = np.searchsorted(starts, low)",
            "strand = starts.size - 1 - np.searchsorted(starts, low)",
            ("tests/test_mosaic.py::test_trace_rows_matches_trace_on_orbit_classes",
             "tests/test_mosaic.py::test_trace_rows_matches_trace_on_random_batches")),
-    Mutant("row-diagrams-over-inverted", "src/knotfield/diagram.py",
+    Mutant("row-diagrams-over-inverted", "src/knotfield/rows.py",
            "over = _OVER[rows[row, cell], exit_]", "over = ~_OVER[rows[row, cell], exit_]",
            ("tests/test_diagram.py::test_row_diagrams_match_to_diagram_on_orbit_classes",
             "tests/test_diagram.py::test_row_diagrams_match_to_diagram_on_random_batches")),
@@ -166,6 +166,16 @@ MUTANTS = (
            "",
            ("tests/test_orbits.py::test_text_membership_needs_canonical_label",
             "tests/test_states.py::test_act_and_chi_reject_non_canonical_labels")),
+    Mutant("diagram-imports-numpy", "src/knotfield/diagram.py",
+           "from dataclasses import dataclass\n\nfrom .errors",
+           "from dataclasses import dataclass\n\nimport numpy as np  # noqa: F401\n\nfrom .errors",
+           ("tests/test_cli.py::test_mosaic_commands_start_without_numpy",)),
+    Mutant("late-export-in-wrong-module", "src/knotfield/__init__.py",
+           '"orbits": ("Orbit", "orbit", "same_orbit"),\n'
+           '    "states": ("StateVector", "act", "chi",',
+           '"orbits": ("Orbit", "orbit", "same_orbit", "chi"),\n'
+           '    "states": ("StateVector", "act",',
+           ("tests/test_package.py::test_exported_names_are_their_modules_objects",)),
 )
 
 
