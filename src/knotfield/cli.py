@@ -256,7 +256,8 @@ def _cmd_field_eval(args):
     with np.errstate(over="ignore", invalid="ignore"):
         v = complex(f(z, w))
     if not cmath.isfinite(v):
-        raise KnotfieldError(f"{f.name} is not finite at ({z}, {w})")
+        raise KnotfieldError(
+            f"{f.name} is not finite at ({_format_complex(z)}, {_format_complex(w)})")
     payload = {"field": f.name, "re": v.real, "im": v.imag, "abs": abs(v)}
     try:
         payload["phase"] = phase(f, z, w)

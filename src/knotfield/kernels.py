@@ -5,10 +5,12 @@ table, produce every neighbor state, with the source state and the
 instance that reached it.  `window_tables` builds the tables from the
 arrays that `orbits.compile_instances` packs; they are a read-only value,
 built once per (table, n) inside that cache and passed in by the caller,
-so this module keeps no state.  `expand_level` is the only implementation:
-it expands a whole BFS level with numpy, a bounded chunk of states at a
-time, and `expand` is the same kernel on one state.  BACKEND names it in
-benchmark reports.
+so this module keeps no state.  `expand_chunks` is the only implementation:
+it expands a BFS level with numpy, yielding each bounded chunk of states as
+soon as it is done, so a caller that stops reading (orbit closure, once past
+its budget) expands no further chunk and never holds a whole level's
+neighbors.  `expand_level` concatenates its chunks, and `expand` is the
+same kernel on one state.  BACKEND names it in benchmark reports.
 
 Moves are matched by window code.  A window is the block of cells that
 instances of one shape share at one anchor; the default table at n = 4
@@ -122,12 +124,30 @@ def expand_level(states, tables):
     `window_tables` of the instance table.  Returns three equal-length lists
     (source indices, instance indices, neighbor bytes), ordered by source
     state and then by instance, so the neighbors are the concatenation of
-    `expand(s, ...)` over `states`.
+    `expand(s, ...)` over `states`, and of the chunks of `expand_chunks`.
     """
     sources, instances, neighbors = [], [], []
+    start = 0
+    for block, rows, inst, new in expand_chunks(states, tables):
+        sources += (rows + start).tolist()
+        instances += inst.tolist()
+        neighbors += new
+        start += len(block)
+    return sources, instances, neighbors
+
+
+def expand_chunks(states, tables):
+    """`expand_level` one chunk of `states` at a time.
+
+    Yields (block, rows, inst, neighbors) for each chunk: `block` is the
+    slice of `states` the chunk expands, in order, and `rows` (indices into
+    `block`), `inst` (int arrays) and the list `neighbors` are that slice's
+    share of `expand_level`'s three lists.  A caller that stops reading
+    expands no further chunk.
+    """
     n_inst = tables.n_inst
     if not states or n_inst == 0:
-        return sources, instances, neighbors
+        return
     width = len(states[0])
     frontier = np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), width)
     n_win = len(tables.offsets)
@@ -147,7 +167,5 @@ def expand_level(states, tables):
         rows, inst, entry = rows[order], inst[order], entry[order]
         new = block[rows]
         new[:, :n_cells] += tables.delta[entry]
-        sources += (rows + start).tolist()
-        instances += inst.tolist()
-        neighbors += new.view(f"V{width}").ravel().tolist()
-    return sources, instances, neighbors
+        yield (states[start:start + rows_per_chunk], rows, inst,
+               new.view(f"V{width}").ravel().tolist())

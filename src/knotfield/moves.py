@@ -51,6 +51,18 @@ class MoveTemplate:
             raise MoveTableError(f"{self.name}: patterns are identical")
         if signatures[0] != signatures[1]:
             raise MoveTableError(f"{self.name}: boundary signatures differ")
+        # The hash dataclass would compute, taken once: the move-table cache
+        # hashes a tuple of every template on each orbit closure.
+        object.__setattr__(self, "_hash", hash(
+            (self.name, self.rows, self.cols, self.pattern_a, self.pattern_b)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt through __init__, so an unpickled template takes the hash
+        # of its own process (str hashes differ from process to process).
+        return type(self), (self.name, self.rows, self.cols, self.pattern_a, self.pattern_b)
 
 
 @dataclass(frozen=True)

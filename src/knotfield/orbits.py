@@ -1,12 +1,14 @@
 """Orbit closure of mosaics under the ambient group's move templates.
 
-Breadth-first closure over the finite basis of an n x n lattice, expanding
-each whole BFS level with one `kernels.expand_level` call, whose parallel
-source and neighbor lists the closure walks side by side.  The move table
-is packed, and its kernel window tables built, once per (table, n) in one
-cache here; an `Orbit` holds the instances and tables as a value, and the
-kernel keeps no state.  Members live only as byte rows (one byte per cell)
-in the BFS parent map; `Orbit.label` encodes only the member whose text
+Breadth-first closure over the finite basis of an n x n lattice.  Each BFS
+level is expanded by `kernels.expand_chunks`, and the closure walks one
+chunk's source and neighbor lists side by side before it asks for the next,
+so the member budget stops it inside the chunk that finds member budget + 1
+and no level's neighbors exist whole.  The move table is packed, and its
+kernel window tables built, once per (table, n) in one cache here; an
+`Orbit` holds the instances and tables as a value, and the kernel keeps no
+state.  Members live only as byte rows (one byte per cell) in the BFS
+parent map; `Orbit.label` encodes only the member whose text
 sorts first (taken from row 0 of `member_rows()` when that has been read),
 and `Orbit.members` builds every member's text on first read.  Witnesses
 follow parent pointers laid down in deterministic BFS order (by level,
@@ -143,13 +145,15 @@ def orbit(m: Mosaic, templates, budget: int = DEFAULT_BUDGET) -> Orbit:
     frontier = [start]
     while frontier:
         next_frontier = []
-        sources, _, neighbors = kernels.expand_level(frontier, tables)
-        for i, nb in zip(sources, neighbors):
-            if nb not in parents:
-                parents[nb] = frontier[i]
-                next_frontier.append(nb)
-                if len(parents) > budget:
-                    raise BudgetExceededError(budget, len(parents))
+        # Each chunk's lists are consumed before the next chunk is expanded,
+        # so the budget stops the closure inside the chunk that crosses it.
+        for block, rows, _, neighbors in kernels.expand_chunks(frontier, tables):
+            for i, nb in zip(rows.tolist(), neighbors):
+                if nb not in parents:
+                    parents[nb] = block[i]
+                    next_frontier.append(nb)
+                    if len(parents) > budget:
+                        raise BudgetExceededError(budget, len(parents))
         frontier = next_frontier
     return Orbit(m, parents, (insts, tables))
 

@@ -366,7 +366,8 @@ def oracle_expand(m, templates):
 def oracle_orbit(m, templates, budget):
     """Parent pointers of a plain BFS over oracle_expand, in insertion order.
 
-    Raises BudgetExceededError on the first member past the budget.
+    Raises BudgetExceededError on the first member past the budget; its
+    `parents` attribute holds the members found by then, that one last.
     """
     start = bytes(m.cells)
     parents = {start: None}
@@ -377,7 +378,9 @@ def oracle_orbit(m, templates, budget):
                 parents[nb] = state
                 queue.append(nb)
                 if len(parents) > budget:
-                    raise BudgetExceededError(budget, len(parents))
+                    exc = BudgetExceededError(budget, len(parents))
+                    exc.parents = parents
+                    raise exc
     return parents
 
 

@@ -706,6 +706,14 @@ def test_field_eval_text_signs_the_imaginary_part(capsys):
     assert out == "unknot(0.5 + 0.25i, 1 + 0i) = 0.5 + 0.25i (phase 0.463647609001)\n"
 
 
+def test_field_eval_non_finite_error_signs_the_imaginary_part(capsys):
+    # the error prints its inputs as the text output does
+    code, out, err = run_cli(capsys, "field", "eval", "--field", "milnor:2,3",
+                             "--z", "1e200", "--w", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: milnor(2,3) is not finite at (1e+200 + 0i, 1 + 0i)\n"
+
+
 @pytest.mark.parametrize("z,code,err", [
     ("inf", 1, "error: complex number must be finite, got 'inf'\n"),
     ("nan", 1, "error: complex number must be finite, got 'nan'\n"),

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import pickle
 import random
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import CHILD_ENV
 from knotfield.errors import KnotfieldError, MoveTableError
 from knotfield.diagram import jones, to_diagram
 from knotfield.mosaic import Mosaic, random_mosaic, trace_components, validate
@@ -50,6 +52,26 @@ def test_generator_reproduces_shipped_table(hash_seed):
                            capture_output=True, text=True, check=True).stdout
     shipped = (GENERATOR.parents[1] / "src/knotfield/data/moves_default.json").read_text()
     assert built == shipped
+
+
+def test_template_hash_is_the_hash_of_its_fields():
+    # Taken once at construction, the hash is still the one dataclass would
+    # compute from every field on each call.
+    for t in TABLE:
+        assert hash(t) == hash((t.name, t.rows, t.cols, t.pattern_a, t.pattern_b))
+
+
+def test_unpickled_template_hashes_in_its_own_process():
+    # A template pickled where str hashes differ is rebuilt, not given the
+    # other process's cached hash.
+    code = ("import pickle, sys; from knotfield.moves import default_table; "
+            "sys.stdout.buffer.write(pickle.dumps(default_table()))")
+    for hash_seed in ("0", "1"):
+        data = subprocess.run([sys.executable, "-c", code],
+                              env={**CHILD_ENV, "PYTHONHASHSEED": hash_seed},
+                              capture_output=True, check=True).stdout
+        loaded = pickle.loads(data)
+        assert loaded == TABLE and [hash(t) for t in loaded] == [hash(t) for t in TABLE]
 
 
 def test_template_rejects_mismatched_interior_edge():

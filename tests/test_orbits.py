@@ -1,11 +1,14 @@
 """Orbit closure under the move table, with pinned sizes for the 4x4 lattice."""
 
 import dataclasses
+import functools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotfield import kernels
 from knotfield.errors import BudgetExceededError, KnotfieldError
 from knotfield.mosaic import Mosaic, decode, encode, random_mosaic
 from knotfield.moves import apply, default_table
@@ -150,9 +153,14 @@ def test_budget_enforced():
             orbit(Mosaic(2, (0,) * 4), TABLE, budget=budget)
 
 
+@functools.cache
+def _oracle_parents(m):
+    return oracle_orbit(m, TABLE, DEFAULT_BUDGET)
+
+
 def _assert_same_bfs(m):
     orb = orbit(m, TABLE)
-    want = oracle_orbit(m, TABLE, DEFAULT_BUDGET)
+    want = _oracle_parents(m)
     assert list(orb._parents.items()) == list(want.items())
     assert orb.members == {encode(Mosaic(m.n, tuple(s))) for s in want}
 
@@ -177,6 +185,84 @@ def test_budget_seen_matches_oracle():
     assert got.value.seen == want.value.seen
 
 
+def _chunks_expanded(monkeypatch):
+    """Record (level, block, neighbors) for every chunk that orbit() reads
+    from the kernel, in order."""
+    chunks = []
+    expand_chunks = kernels.expand_chunks
+
+    def counting(states, tables):
+        for chunk in expand_chunks(states, tables):
+            chunks.append((states, chunk[0], chunk[3]))
+            yield chunk
+
+    monkeypatch.setattr(kernels, "expand_chunks", counting)
+    return chunks
+
+
+def _assert_chunked_bfs(m, chunk_pairs, witnesses):
+    """orbit() with `chunk_pairs` per kernel chunk gives the oracle's parent
+    map, in its insertion order, and witnesses for `witnesses` of its rows."""
+    with mock.patch.object(kernels, "_CHUNK_PAIRS", chunk_pairs):
+        orb = orbit(m, TABLE)
+    want = _oracle_parents(m)
+    assert list(orb._parents.items()) == list(want.items())
+    for row in witnesses(list(want)):
+        k = Mosaic(m.n, tuple(row))
+        assert orb.witness_for(k) == oracle_witness(want, k, TABLE)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 16))
+@settings(max_examples=25, deadline=None)
+def test_chunked_closure_matches_oracle_3x3(seed, chunk_pairs):
+    # A 3x3 lattice has 5 windows: 1-9 pairs expand one state per chunk,
+    # 10-16 two or three.
+    _assert_chunked_bfs(random_mosaic(3, random.Random(seed)), chunk_pairs, lambda rows: rows)
+
+
+@pytest.mark.parametrize("chunk_pairs", [1, 27, 130])
+def test_chunked_closure_matches_oracle_circle4(chunk_pairs):
+    # A 4x4 lattice has 13 windows: one, two or ten states per chunk.
+    _assert_chunked_bfs(CIRCLE4, chunk_pairs, lambda rows: random.Random(0).sample(rows, 50))
+
+
+@pytest.mark.parametrize("chunk_pairs", [1, 50, 250])
+def test_chunked_budget_stops_where_the_oracle_does(monkeypatch, chunk_pairs):
+    # A 5x5 lattice has 25 windows: one, two or ten states per chunk.  The
+    # states expanded follow the oracle's BFS order, and the last chunk
+    # expanded holds the parent of member 301.
+    chunks = _chunks_expanded(monkeypatch)
+    with pytest.raises(BudgetExceededError) as want:
+        oracle_orbit(CIRCLE5, TABLE, 300)
+    monkeypatch.setattr(kernels, "_CHUNK_PAIRS", chunk_pairs)
+    with pytest.raises(BudgetExceededError) as got:
+        orbit(CIRCLE5, TABLE, budget=300)
+    assert got.value.seen == want.value.seen == 301
+    bfs = list(want.value.parents)
+    expanded = [s for _, block, _ in chunks for s in block]
+    assert expanded == bfs[:len(expanded)]
+    assert want.value.parents[bfs[-1]] in chunks[-1][1]
+
+
+def test_budget_fails_inside_the_level_that_crosses_it(monkeypatch):
+    # Member 3,001 turns up while the fourth BFS level (1,270 states) is
+    # expanded; the closure stops in the chunk that finds it, not at the end
+    # of the level.
+    chunks = _chunks_expanded(monkeypatch)
+    with pytest.raises(BudgetExceededError) as got:
+        orbit(CIRCLE5, TABLE, budget=3000)
+    assert got.value.seen == 3001
+    members = {bytes(CIRCLE5.cells)}
+    for _, _, neighbors in chunks[:-1]:
+        members.update(neighbors)
+    assert len(members) <= 3000
+    members.update(chunks[-1][2])
+    assert len(members) > 3000
+    level = chunks[-1][0]
+    assert len(level) == 1270
+    assert sum(len(block) for states, block, _ in chunks if states is level) < len(level)
+
+
 @pytest.mark.parametrize("name", ["circle3", "trefoil"])
 def test_member_rows_in_label_order(name, request):
     m = CIRCLE3 if name == "circle3" else request.getfixturevalue(name)
@@ -195,6 +281,16 @@ def test_compile_instances_cached_read_only():
     assert compile_instances(TABLE, 3)[1] is not first[1]
     assert compile_instances(TABLE[:-1], 4)[1] is not first[1]
     assert len(compile_instances(TABLE[:-1], 4)[0]) < len(first[0])
+
+
+def test_templates_differing_only_in_pattern_b_get_their_own_tables():
+    # Same name, shape and pattern_a: the cache still tells them apart.
+    a, b = next((s, t) for s in TABLE for t in TABLE
+                if s.pattern_a == t.pattern_a and s.pattern_b != t.pattern_b)
+    twin = dataclasses.replace(b, name=a.name)
+    assert twin != a and hash(twin) != hash(a)
+    ours, theirs = compile_instances([a], 2), compile_instances([twin], 2)
+    assert (ours[3] != theirs[3]).any() and (ours[2] == theirs[2]).all()
 
 
 def test_window_tables_built_once_read_only():

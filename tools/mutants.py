@@ -45,8 +45,7 @@ MUTANTS = (
            ("tests/test_kernels.py::test_expand_matches_oracle",)),
     Mutant("sources-without-chunk-offset", "src/knotfield/kernels.py",
            "sources += (rows + start).tolist()", "sources += rows.tolist()",
-           ("tests/test_kernels.py::test_expand_level_matches_oracle",
-            "tests/test_orbits.py::test_bfs_order_matches_oracle")),
+           ("tests/test_kernels.py::test_expand_level_matches_oracle",)),
     Mutant("source-instance-sort-dropped", "src/knotfield/kernels.py",
            '        order = np.argsort(rows * n_inst + inst, kind="stable")\n'
            "        rows, inst, entry = rows[order], inst[order], entry[order]\n", "",
@@ -66,6 +65,35 @@ MUTANTS = (
            "insts[instances[neighbors.index(state)]]",
            "insts[instances[len(neighbors) - 1 - neighbors[::-1].index(state)]]",
            ("tests/test_orbits.py::test_witness_takes_the_first_of_two_moves_to_one_state",)),
+    Mutant("budget-checked-per-chunk", "src/knotfield/orbits.py",
+           "                    next_frontier.append(nb)\n"
+           "                    if len(parents) > budget:\n"
+           "                        raise BudgetExceededError(budget, len(parents))\n",
+           "                    next_frontier.append(nb)\n"
+           "            if len(parents) > budget:\n"
+           "                raise BudgetExceededError(budget, len(parents))\n",
+           ("tests/test_orbits.py::test_budget_seen_matches_oracle",
+            "tests/test_orbits.py::test_budget_fails_inside_the_level_that_crosses_it")),
+    Mutant("budget-checked-per-level", "src/knotfield/orbits.py",
+           "                    next_frontier.append(nb)\n"
+           "                    if len(parents) > budget:\n"
+           "                        raise BudgetExceededError(budget, len(parents))\n",
+           "                    next_frontier.append(nb)\n"
+           "        if len(parents) > budget:\n"
+           "            raise BudgetExceededError(budget, len(parents))\n",
+           ("tests/test_orbits.py::test_budget_seen_matches_oracle",
+            "tests/test_orbits.py::test_budget_fails_inside_the_level_that_crosses_it")),
+    Mutant("parent-without-chunk-offset", "src/knotfield/orbits.py",
+           "parents[nb] = block[i]", "parents[nb] = frontier[i]",
+           ("tests/test_orbits.py::test_chunked_closure_matches_oracle_3x3",
+            "tests/test_orbits.py::test_chunked_closure_matches_oracle_circle4")),
+    Mutant("template-hash-without-pattern-b", "src/knotfield/moves.py",
+           "self.pattern_a, self.pattern_b)))", "self.pattern_a)))",
+           ("tests/test_moves.py::test_template_hash_is_the_hash_of_its_fields",
+            "tests/test_orbits.py::test_templates_differing_only_in_pattern_b_get_their_own_tables")),
+    Mutant("template-unpickled-with-its-old-hash", "src/knotfield/moves.py",
+           "    def __reduce__(self):", "    def _unused_reduce(self):",
+           ("tests/test_moves.py::test_unpickled_template_hashes_in_its_own_process",)),
     Mutant("walk-starts-at-larger-pair-side", "src/knotfield/mosaic.py",
            "(s != _STARTS[t][p])", "(s == _STARTS[t][p])",
            ("tests/test_mosaic.py::test_trace_rows_matches_trace_on_orbit_classes",
