@@ -374,20 +374,25 @@ def _add_evolve_flags(p):
                    help="stereographic scale for knotted initial states")
     p.add_argument("--snapshot-every", type=int, default=0, dest="snapshot_every")
     p.add_argument("--snapshots-dir", default=None, dest="snapshots_dir",
-                   help="write one .npy field dump per kept snapshot")
+                   help="write one .npy field dump per kept snapshot; evolve track "
+                        "writes each file as its snapshot arrives, so a track that "
+                        "fails part way leaves the earlier ones")
 
 
-def _dump_snapshots(history, outdir):
+def _saved(history, outdir):
+    """Yield the states of history, writing each one's .npy file first."""
     import os
 
     import numpy as np
 
-    try:
-        os.makedirs(outdir, exist_ok=True)
-        for i, st in enumerate(history):
+    for i, st in enumerate(history):
+        try:
+            if i == 0:
+                os.makedirs(outdir, exist_ok=True)
             np.save(os.path.join(outdir, f"snapshot_{i:04d}.npy"), st.values)
-    except OSError as exc:
-        raise KnotfieldError(f"cannot write snapshots to {outdir}: {exc}") from exc
+        except OSError as exc:
+            raise KnotfieldError(f"cannot write snapshots to {outdir}: {exc}") from exc
+        yield st
 
 
 def _cmd_evolve_run(args):
@@ -397,7 +402,7 @@ def _cmd_evolve_run(args):
     history = ev.run(state, cfg, snapshot_every=args.snapshot_every)
     final = history[-1]
     if args.snapshots_dir:
-        _dump_snapshots(history, args.snapshots_dir)
+        history = list(_saved(history, args.snapshots_dir))
     payload = {"config": json.loads(cfg.to_json()),
                "snapshots": len(history),
                "final_time": final.time,
@@ -413,9 +418,9 @@ def _cmd_evolve_track(args):
     from . import evolution as ev
 
     cfg, state = _evolution_setup(args)
-    history = ev.run(state, cfg, snapshot_every=args.snapshot_every)
+    history = ev.snapshots(state, cfg, snapshot_every=args.snapshot_every)
     if args.snapshots_dir:
-        _dump_snapshots(history, args.snapshots_dir)
+        history = _saved(history, args.snapshots_dir)
     report = ev.track_nodal(history, cfg, min_amp=args.min_amp, roi=args.roi)
     if args.format == "json":
         return json.dumps({

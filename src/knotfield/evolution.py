@@ -4,14 +4,16 @@ Natural units hbar = m = 1 throughout.  Both Hamiltonians share one
 propagator form.  The harmonic oscillator uses symmetric Strang splitting,
 second order in dt.  Its kinetic phase and potential are both sums over
 the three axes, so n Strang steps are exactly the Kronecker product of
-three 1-D n-step propagators: `run` builds one N x N matrix per axis and
-interval length and jumps to each snapshot with three matrix products.
-The free Hamiltonian is the omega = 0 oscillator, whose kicks are the
-identity, so a single Strang step of span T is its exact spectral
+three 1-D n-step propagators: `snapshots` builds one N x N matrix per
+axis and interval length and jumps to each snapshot with three matrix
+products.  The free Hamiltonian is the omega = 0 oscillator, whose kicks
+are the identity, so a single Strang step of span T is its exact spectral
 propagator (exp(-i k^2 T / 2) between a 1-D FFT pair) and a whole
 snapshot interval is one such step.  Every snapshot is the exact Strang
-state.  Nodal curves of snapshots are tracked over time with component
-matching.
+state.  Snapshots stream: `snapshots` yields each state as it is reached,
+so `track_nodal` fed from it holds the current and the next state, never
+the whole history; `run` is their list.  Nodal curves of snapshots are
+tracked over time with component matching.
 
 Which Hamiltonians make interesting nodal dynamics is left open here; the
 module ships the two standard ones and measures what happens, making no
@@ -208,18 +210,23 @@ def step(s: FieldState, cfg: EvolutionConfig, dt: float = None) -> FieldState:
     return _advance(s, cfg, 1, dt, _phases(cfg, 1, dt))
 
 
-def run(state: FieldState, cfg: EvolutionConfig, snapshot_every: int = 0):
-    """Evolve cfg.steps steps; return the list of snapshots.
+def snapshots(state: FieldState, cfg: EvolutionConfig, snapshot_every: int):
+    """Evolve cfg.steps steps, yielding each kept snapshot as it is reached.
 
-    snapshot_every = 0 keeps only the initial and final states.  The state
-    jumps from one kept snapshot to the next in a single `_advance` call;
-    the propagator of each distinct interval length (`_phases`) is built
-    once.
+    snapshot_every = 0 keeps only the initial and final states.  The
+    interval is checked here, at the call; the returned iterator yields the
+    initial state and then each `_advance` result, so a consumer that drops
+    what it has read holds two states at a time.  The state jumps from one
+    kept snapshot to the next in a single `_advance` call; the propagator of
+    each distinct interval length (`_phases`) is built once.
     """
     if snapshot_every < 0:
         raise KnotfieldError(f"snapshot interval must be at least 0, got {snapshot_every}")
-    every = snapshot_every or cfg.steps
-    snaps = [state]
+    return _snapshots(state, cfg, snapshot_every or cfg.steps)
+
+
+def _snapshots(state, cfg, every):
+    yield state
     built = {}
     done = 0
     while done < cfg.steps:
@@ -227,9 +234,13 @@ def run(state: FieldState, cfg: EvolutionConfig, snapshot_every: int = 0):
         if n not in built:
             built[n] = _phases(cfg, n, cfg.dt)
         state = _advance(state, cfg, n, cfg.dt, built[n])
-        snaps.append(state)
+        yield state
         done += n
-    return snaps
+
+
+def run(state: FieldState, cfg: EvolutionConfig, snapshot_every: int = 0):
+    """The list of `snapshots`: every kept state of cfg.steps steps."""
+    return list(snapshots(state, cfg, snapshot_every))
 
 
 def initial_knot_state(f, cfg: EvolutionConfig, scale: float = None) -> FieldState:

@@ -13,23 +13,26 @@ Both work on whole arrays.  The march gathers the 24 tetrahedron faces of
 every candidate cell at once, keys each face by its lowest lattice vertex
 and its shape, and solves every distinct face's zero in one pass; Newton
 iterates all vertices together, with one field evaluation per batch of
-points.  Chaining takes each face's degree and its two neighbours from
-the sorted segment pairs in one `np.unique`, so that dangling ends and
-junctions are found on arrays and the walk reads plain int lists, with no
-dict per face.  The per-cell, per-vertex and per-face loops they replaced
-are kept in tests/oracles.py as the reference the tests compare against.
+points.  Chaining sorts the segment pairs as packed integer keys, drops
+equal neighbours, and takes each face's degree and its two neighbours from
+what is left, so that dangling ends and junctions are found on arrays and
+the walk reads plain int lists, with no dict per face.  The per-cell,
+per-vertex and per-face loops they replaced are kept in tests/oracles.py
+as the reference the tests compare against.
 
 The two passes over the full lattice are memory-bound.  Sampling is one
-slab loop (`sample_lattice`) sized in points, about 2^16 per slab, so each
-slab's `embed` outputs and field temporaries stay in cache; every value
-takes the same elementwise operations as on the whole cube, so the samples
-are bit-identical to one whole-cube evaluation, the tests' oracle.  `embed`
-writes each real component of (z, w) straight into its complex outputs,
-with the same bits as the per-component formula.  The candidate scan
-packs the signs and NaN flags of Re and Im of each lattice point into one
-16-bit code and ORs the codes over every cell's corners; a cell is kept
-when both parts straddle zero and neither is NaN, as the min/max rule in
-the oracle decides.
+slab loop (`sample_lattice`) sized in points, about 2^15 per slab, so each
+slab's `embed` outputs and field temporaries stay in cache and add little
+to the n^3 output they are written into, half a MiB per complex
+temporary; larger slabs sample no faster and only raise the peak.  Every
+value takes the same elementwise operations as on the whole cube, so
+the samples are bit-identical to one whole-cube evaluation, the tests'
+oracle.  `embed` writes each real component of (z, w) straight into its
+complex outputs, with the same bits as the per-component formula.  The
+candidate scan packs the signs and NaN flags of Re and Im of each lattice
+point into one 16-bit code and ORs the codes over every cell's corners; a
+cell is kept when both parts straddle zero and neither is NaN, as the
+min/max rule in the oracle decides.
 
 Charts: S^3 = {|z|^2 + |w|^2 = r^2} in R^4 with coordinates
 (x0, x1, x2, x3) = (Re z, Im z, Re w, Im w), stereographically projected
@@ -62,7 +65,9 @@ NEWTON_MAX_STEPS = 20
 NEWTON_TARGET = 1e-10
 RESIDUAL_TOL = 1e-8
 CONDITION_WARN = 1e8
-SAMPLE_SLAB = 1 << 16  # lattice points per slab of `sample_lattice`, so slabs stay in cache
+# lattice points per slab of `sample_lattice`: slabs stay in cache, and their
+# temporaries sit on top of the n^3 output at 512 KiB per complex array
+SAMPLE_SLAB = 1 << 15
 CELL_SLAB = 32  # x-planes per pass in `_candidate_cells`
 FIBER_NODAL_TOL = 1e-3  # `sample_fiber` drops points with |f| at or below this
 _HAUSDORFF_PAIRS = 1 << 16  # point pairs per block of `hausdorff`
@@ -153,7 +158,7 @@ def sample_lattice(f, grid: SampleGrid, axes, taper=None):
     lattice of the three coordinate axes, times taper(planes) if given.
 
     The one slab loop over a lattice: x-slabs of max(1, SAMPLE_SLAB //
-    (n1*n2)) planes, about 2^16 points, so that each slab's `embed`
+    (n1*n2)) planes, about 2^15 points, so that each slab's `embed`
     outputs, field temporaries and taper stay in cache.  The axes reach
     `embed` shaped (m,1,1), (1,n1,1) and (1,1,n2); taper receives the
     slice of x-planes and returns real factors that broadcast to the slab.
@@ -363,10 +368,15 @@ def _chain(segments, points, allow_open=False):
     give each face its degree and its lower and higher neighbour (-1 for
     none), and the walk reads those as plain int lists.
     """
-    # both directions of every segment as one key a*H + b, ascending as (a, b) pairs
+    # both directions of every segment as one key a*H + b, ascending as (a, b)
+    # pairs; sorted, with equal neighbours dropped: np.unique without return
+    # flags hashes, and its hash path imports numpy.ma
     h = len(points)
-    keys = np.unique(np.concatenate([segments[:, 0] * h + segments[:, 1],
-                                     segments[:, 1] * h + segments[:, 0]]))
+    keys = np.sort(np.concatenate([segments[:, 0] * h + segments[:, 1],
+                                   segments[:, 1] * h + segments[:, 0]]))
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    keys = keys[distinct]
     source, target = keys // h, keys % h
     faces, first, degree = np.unique(source, return_index=True, return_counts=True)
     dangling = faces[degree != 2].tolist()

@@ -2,6 +2,7 @@
 except where thread independence is the point."""
 
 import dataclasses
+import io
 import json
 import random
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 
 from conftest import CHILD_ENV, crossing_mosaic, data_path
 
-from knotfield import cli, diagram, extraction, fields, mosaic, orbits, rows
+from knotfield import cli, diagram, evolution, extraction, fields, mosaic, orbits, rows
 from knotfield.cli import main
 from knotfield.diagram import to_diagram
 from knotfield.extraction import SampleGrid, extract, refine
@@ -515,6 +516,56 @@ def test_evolve_track_json_counts_closed_components(capsys):
     assert all(s["n_closed"] + s["n_open"] == s["n_components"] for s in snaps)
 
 
+@pytest.mark.parametrize("command", ["run", "track"])
+def test_snapshots_dir_holds_each_kept_state(tmp_path, capsys, command):
+    # the files are np.save of run()'s list, whether written from the list
+    # (evolve run) or from the stream as each state arrives (evolve track)
+    snaps = tmp_path / "snaps"
+    code, _, _ = run_cli(capsys, "evolve", command, "--resolution", "32", "--box", "8",
+                         "--steps", "7", "--snapshot-every", "3",
+                         "--snapshots-dir", str(snaps))
+    assert code == 0
+    cfg = evolution.EvolutionConfig(box=8.0, resolution=32, steps=7)
+    psi = evolution.initial_knot_state(parse_field_spec("milnor:2,3"), cfg)
+    want = {}
+    for i, st in enumerate(evolution.run(psi, cfg, snapshot_every=3)):
+        buf = io.BytesIO()
+        np.save(buf, st.values)
+        want[f"snapshot_{i:04d}.npy"] = buf.getvalue()
+    assert sorted(want) == ["snapshot_0000.npy", "snapshot_0001.npy",
+                            "snapshot_0002.npy", "snapshot_0003.npy"]
+    assert {p.name: p.read_bytes() for p in snaps.iterdir()} == want
+
+
+def test_failed_track_leaves_the_snapshots_before_the_failure(tmp_path, capsys):
+    # the initial state is written before the first propagation overflows
+    snaps = tmp_path / "snaps"
+    code, out, err = run_cli(capsys, "evolve", "track", "--resolution", "16", "--box", "8",
+                             "--steps", "2", "--initial", "gaussian", "--dt", "1e308",
+                             "--snapshots-dir", str(snaps))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: numeric overflow") and err.count("\n") == 1
+    assert [p.name for p in snaps.iterdir()] == ["snapshot_0000.npy"]
+
+
+def test_track_peak_memory_does_not_grow_with_snapshots(tmp_path):
+    # A track holds the current and the next state, not the history: 4 and
+    # 40 snapshots of 32^3 peak within one 512 KiB state of each other.
+    # Holding all of them adds 36 states, 18 MiB.
+    def peak(snapshots):
+        argv = ["evolve", "track", "--resolution", "32", "--steps", str(snapshots - 1),
+                "--snapshot-every", "1", "--out", str(tmp_path / "track.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4)  # imports, tables and caches built outside the measurement
+    assert abs(peak(40) - peak(4)) < 16 * 32 ** 3
+
+
 def test_out_and_manifest(tmp_path, capsys):
     out_file = tmp_path / "jones.txt"
     code, out, _ = run_cli(capsys, "mosaic", "jones", TREFOIL,
@@ -537,7 +588,8 @@ def test_explicit_manifest_path(tmp_path, capsys):
 
 
 # A fresh process runs each command and then lists the modules it imported
-# from these; the commands that read one mosaic need none of them.
+# from these; the commands that read one mosaic need none of them, and the
+# field and evolve commands need numpy but not numpy.ma.
 _STARTUP_SCRIPT = """
 import contextlib, io, sys
 from knotfield import cli
@@ -557,6 +609,21 @@ def test_mosaic_commands_start_without_numpy():
         capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_field_commands_start_without_numpy_ma():
+    # np.unique without return flags hashes, and its hash path imports numpy.ma
+    commands = [["field", "verify", "--field", "milnor:2,3", "--expect", TREFOIL,
+                 "--resolution", "48"],
+                ["field", "extract", "--field", "milnor:2,3", "--resolution", "32"],
+                ["evolve", "track", "--resolution", "16", "--box", "8", "--steps", "2",
+                 "--snapshot-every", "1"]]
+    modules = ["numpy", "numpy.ma"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT.format(commands=commands, modules=modules)],
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['numpy']\n"
 
 
 def test_thread_independence(tmp_path):

@@ -18,6 +18,7 @@ from knotfield.evolution import (
     gaussian_state,
     initial_knot_state,
     run,
+    snapshots,
     step,
     track_nodal,
 )
@@ -150,7 +151,7 @@ def test_initial_knot_state_contains_curve():
 
 
 @pytest.mark.parametrize("box, resolution", [(16.0, 64), (12.0, 64), (16.0, 128)],
-                         ids=["16.0", "12.0", "16.0-128"])  # 128: four-plane slabs
+                         ids=["16.0", "12.0", "16.0-128"])  # 128: two-plane slabs
 def test_initial_knot_state_matches_inline_stereographic_oracle(box, resolution):
     f, cfg = field_library("milnor", (2, 3)), EvolutionConfig(box=box, resolution=resolution)
     assert np.array_equal(initial_knot_state(f, cfg).values, oracle_initial_knot_state(f, cfg))
@@ -226,6 +227,39 @@ def test_snapshot_interval_validation():
     with pytest.raises(KnotfieldError, match="at least 0"):
         run(psi, SMALL, snapshot_every=-1)  # i % -1 == 0 would keep every step
     assert len(run(psi, SMALL, snapshot_every=0)) == 2
+
+
+def test_snapshot_interval_checked_at_the_call():
+    # not when the stream is first read: the error comes before any work
+    with pytest.raises(KnotfieldError, match="at least 0"):
+        snapshots(gaussian_state(SMALL), SMALL, -1)
+
+
+def _report_values(report):
+    """Everything a TrackReport holds, with curve arrays as bytes."""
+    return [(s.time, s.error, s.displacement, s.n_components,
+             None if s.curve is None else (
+                 s.curve.chart, s.curve.residual, s.curve.closed_flags,
+                 [c.tobytes() for c in s.curve.components],
+                 [r.tobytes() for r in s.curve.vertex_residuals]))
+            for s in report.snapshots], report.events
+
+
+@pytest.mark.parametrize("steps,every", [(0, 0), (0, 2), (6, 0), (6, 2), (7, 3), (7, 1),
+                                         (4, 9)])
+def test_streamed_track_equals_track_of_run(steps, every):
+    # (7, 3) ends in a one-step interval, (4, 9) in one interval shorter
+    # than the requested one, and steps = 0 keeps the initial state alone
+    cfg = EvolutionConfig(resolution=64, steps=steps, dt=2e-2)
+    psi = initial_knot_state(field_library("milnor", (2, 3)), cfg)
+    stream = snapshots(psi, cfg, every)
+    assert not isinstance(stream, list)
+    listed = run(psi, cfg, snapshot_every=every)
+    got, want = track_nodal(stream, cfg), track_nodal(listed, cfg)
+    assert [s.time for s in got.snapshots] == [s.time for s in listed]
+    assert _report_values(got) == _report_values(want)
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(snapshots(psi, cfg, every), listed, strict=True))
 
 
 def test_config_json():

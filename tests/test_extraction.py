@@ -258,11 +258,12 @@ def test_sample_chart_is_the_extraction_lattice():
     assert np.array_equal(values, ref)
 
 
-@pytest.mark.parametrize("resolution", [97, 136])
+@pytest.mark.parametrize("resolution", [97, 101, 136])
 @pytest.mark.parametrize("chart", ["north", "south"])
 @pytest.mark.parametrize("spec", LIBRARY, ids=LIBRARY_IDS)
 def test_sample_chart_matches_oracle_across_slab_boundaries(spec, chart, resolution):
-    # slabs of 6 and 3 planes leave a short last slab at 97 and 136
+    # slabs of 3 planes leave a short last slab at 97 and 101; 136 takes
+    # one plane per slab
     f, grid = field_library(*spec), library_grid(spec, chart, resolution)
     _, values = extraction.sample_chart(f, grid)
     assert np.array_equal(values.view(np.uint64), samples(f, grid)[1].view(np.uint64))
@@ -278,9 +279,10 @@ def test_sample_chart_matches_oracle_in_one_plane_slabs(chart, monkeypatch):
 
 
 def test_sample_chart_peak_memory_is_one_slab(monkeypatch):
-    # Beyond the n^3 complex output, only one slab of 2^16 points is live:
-    # 8 MiB at 128 for rudolph_G, eight complex temporaries of 1 MiB; the
-    # whole cube as one slab peaks 224 MiB above the output.
+    # Beyond the n^3 complex output, only one slab of 2^15 points (two
+    # planes at 128) is live: about 4 MiB for rudolph_G, eight complex
+    # temporaries of 512 KiB; the whole cube as one slab peaks 224 MiB
+    # above the output.
     f, grid = field_library("rudolph_G"), SampleGrid(resolution=128, radius=0.5)
     output = 16 * grid.resolution ** 3
 

@@ -141,6 +141,15 @@ MUTANTS = (
            "nxt = hi[cur] if hi[cur] != prev else lo[cur]",
            ("tests/test_extraction.py::test_chain_matches_oracle_on_random_graphs",
             "tests/test_extraction.py::test_chain_matches_oracle")),
+    Mutant("chain-dedupe-keeps-duplicates", "src/knotfield/extraction.py",
+           "    distinct[1:] = keys[1:] != keys[:-1]\n", "",
+           ("tests/test_extraction.py::test_chain_matches_oracle_on_random_graphs",
+            "tests/test_extraction.py::test_chain_matches_oracle")),
+    Mutant("chain-dedupe-drops-first-key", "src/knotfield/extraction.py",
+           "distinct = np.ones(len(keys), dtype=bool)",
+           "distinct = np.zeros(len(keys), dtype=bool)",
+           ("tests/test_extraction.py::test_chain_matches_oracle_on_random_graphs",
+            "tests/test_extraction.py::test_chain_matches_oracle")),
     Mutant("power-drops-a-factor", "src/knotfield/fields.py",
            "result = result * x", "result = result",
            ("tests/test_fields.py::test_fields_match_power_oracle_bit_for_bit_on_scalars",
@@ -155,6 +164,14 @@ MUTANTS = (
            "omega, n, dt = (0.0, 0.0, 0.0), 1, n * dt", "omega, n, dt = (0.0, 0.0, 0.0), 1, dt",
            ("tests/test_evolution.py::test_run_builds_each_phase_once",
             "tests/test_evolution.py::test_run_matches_per_step_oracle")),
+    Mutant("snapshot-interval-checked-lazily", "src/knotfield/evolution.py",
+           "    return _snapshots(state, cfg, snapshot_every or cfg.steps)",
+           "    yield from _snapshots(state, cfg, snapshot_every or cfg.steps)",
+           ("tests/test_evolution.py::test_snapshot_interval_checked_at_the_call",)),
+    Mutant("track-holds-every-snapshot", "src/knotfield/cli.py",
+           "history = ev.snapshots(state, cfg, snapshot_every=args.snapshot_every)",
+           "history = list(ev.snapshots(state, cfg, snapshot_every=args.snapshot_every))",
+           ("tests/test_cli.py::test_track_peak_memory_does_not_grow_with_snapshots",)),
     Mutant("advance-axes-1-2-swapped", "src/knotfield/evolution.py",
            "m0, m1, m2 = phases", "m0, m2, m1 = phases",
            ("tests/test_evolution.py::test_run_matches_per_step_oracle",
