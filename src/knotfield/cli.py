@@ -12,8 +12,8 @@ Exit codes: 0 success, 1 domain error (bad input data, failed validation),
 2 usage error.  Every error path prints one line starting with "error: ".
 Outputs are deterministic: no wall clock and no unseeded randomness;
 --threads is accepted for compatibility and has no effect.  A JSON manifest
-describing the run is written next to --out (or to --manifest) so results
-can be reproduced.
+describing the run is written to --manifest, or else next to --out when that
+is a regular file, so results can be reproduced.
 
 numpy and the modules that import it (orbits, states, rows, fields,
 extraction, project, evolution) are imported inside the handlers that use
@@ -27,6 +27,7 @@ import cmath
 import functools
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -341,25 +342,6 @@ def _cmd_field_fiber(args):
     return fiber_to_csv(cloud).rstrip("\n"), 0
 
 
-def _evolution_setup(args):
-    from . import evolution as ev
-    from .fields import parse_field_spec
-
-    try:
-        omega = tuple(float(v) for v in args.omega.split(","))
-    except ValueError:
-        raise KnotfieldError(f"cannot parse --omega {args.omega!r}: expected numbers like 1,1,1")
-    cfg = ev.EvolutionConfig(hamiltonian=args.hamiltonian, box=args.box,
-                             resolution=args.resolution, dt=args.dt,
-                             steps=args.steps, omega=omega)
-    if args.initial == "gaussian":
-        state = ev.gaussian_state(cfg, width=args.width)
-    else:
-        state = ev.initial_knot_state(parse_field_spec(args.initial), cfg,
-                                      scale=args.scale)
-    return cfg, state
-
-
 def _add_evolve_flags(p):
     p.add_argument("--hamiltonian", default="free", choices=["free", "harmonic"])
     p.add_argument("--box", type=float, default=16.0)
@@ -374,9 +356,9 @@ def _add_evolve_flags(p):
                    help="stereographic scale for knotted initial states")
     p.add_argument("--snapshot-every", type=int, default=0, dest="snapshot_every")
     p.add_argument("--snapshots-dir", default=None, dest="snapshots_dir",
-                   help="write one .npy field dump per kept snapshot; evolve track "
-                        "writes each file as its snapshot arrives, so a track that "
-                        "fails part way leaves the earlier ones")
+                   help="write one .npy field dump per kept snapshot, each as its "
+                        "snapshot arrives, so a run that fails part way leaves the "
+                        "earlier ones")
 
 
 def _saved(history, outdir):
@@ -395,18 +377,39 @@ def _saved(history, outdir):
         yield st
 
 
-def _cmd_evolve_run(args):
+def _evolution_stream(args):
+    """The config and the stream of kept snapshots, each written to
+    --snapshots-dir as it passes when that is given."""
     from . import evolution as ev
+    from .fields import parse_field_spec
 
-    cfg, state = _evolution_setup(args)
-    history = ev.run(state, cfg, snapshot_every=args.snapshot_every)
-    final = history[-1]
+    try:
+        omega = tuple(float(v) for v in args.omega.split(","))
+    except ValueError:
+        raise KnotfieldError(f"cannot parse --omega {args.omega!r}: expected numbers like 1,1,1")
+    cfg = ev.EvolutionConfig(hamiltonian=args.hamiltonian, box=args.box,
+                             resolution=args.resolution, dt=args.dt,
+                             steps=args.steps, omega=omega)
+    if args.initial == "gaussian":
+        state = ev.gaussian_state(cfg, width=args.width)
+    else:
+        state = ev.initial_knot_state(parse_field_spec(args.initial), cfg,
+                                      scale=args.scale)
+    history = ev.snapshots(state, cfg, snapshot_every=args.snapshot_every)
     if args.snapshots_dir:
-        history = list(_saved(history, args.snapshots_dir))
+        history = _saved(history, args.snapshots_dir)
+    return cfg, history
+
+
+def _cmd_evolve_run(args):
+    cfg, history = _evolution_stream(args)
+    count = 0
+    for final in history:  # the stream yields the initial state first
+        count += 1
     payload = {"config": json.loads(cfg.to_json()),
-               "snapshots": len(history),
+               "snapshots": count,
                "final_time": final.time,
-               "initial_norm": state.norm0,
+               "initial_norm": final.norm0,  # every snapshot carries it
                "final_norm": final.norm(),
                "norm_drift": final.norm_drift()}
     if args.format == "json":
@@ -417,10 +420,7 @@ def _cmd_evolve_run(args):
 def _cmd_evolve_track(args):
     from . import evolution as ev
 
-    cfg, state = _evolution_setup(args)
-    history = ev.snapshots(state, cfg, snapshot_every=args.snapshot_every)
-    if args.snapshots_dir:
-        history = _saved(history, args.snapshots_dir)
+    cfg, history = _evolution_stream(args)
     report = ev.track_nodal(history, cfg, min_amp=args.min_amp, roi=args.roi)
     if args.format == "json":
         return json.dumps({
@@ -544,7 +544,8 @@ def main(argv=None) -> int:
             _write(args.out, text + "\n")
         else:
             print(text)
-        manifest_path = args.manifest or (args.out + ".manifest.json" if args.out else None)
+        manifest_path = args.manifest or (
+            args.out + ".manifest.json" if args.out and os.path.isfile(args.out) else None)
         if manifest_path:
             _write(manifest_path, _manifest(args, argv, code) + "\n")
     except KnotfieldError as exc:

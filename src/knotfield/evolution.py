@@ -40,9 +40,9 @@ RECONNECTION_FACTOR = 4.0  # a matched move beyond this many cells is a reconnec
 class EvolutionConfig:
     """Hamiltonian and discretization parameters.
 
-    hamiltonian is "free" or "harmonic"; omega gives per-axis oscillator
-    frequencies (a scalar is broadcast) and is unused by "free".  The
-    resolution N, samples per axis, must be a power of two of at least 2.
+    hamiltonian is "free" or "harmonic"; omega gives the three per-axis
+    oscillator frequencies and is unused by "free".  The resolution N,
+    samples per axis, must be a power of two of at least 2.
     """
 
     hamiltonian: str = "free"
@@ -65,10 +65,10 @@ class EvolutionConfig:
         if n < 2 or (n & (n - 1)) != 0:
             raise KnotfieldError(f"resolution must be a power of two >= 2, got {n}")
         check_cube_size(n)
-        om = self.omega
-        if np.isscalar(om):
-            om = (float(om),) * 3
-        om = tuple(float(v) for v in om)
+        try:
+            om = tuple(float(v) for v in self.omega)
+        except (TypeError, ValueError):
+            om = ()
         if len(om) != 3 or not all(0 <= v < math.inf for v in om):
             raise KnotfieldError(
                 f"omega must be three finite nonnegative frequencies, got {self.omega}")
@@ -203,10 +203,9 @@ def _advance(s: FieldState, cfg: EvolutionConfig, n: int, dt: float, phases) -> 
     return FieldState(out, t, s.norm0)
 
 
-def step(s: FieldState, cfg: EvolutionConfig, dt: float = None) -> FieldState:
-    """One propagator application; dt defaults to cfg.dt and may be negative
-    (time reversal)."""
-    dt = cfg.dt if dt is None else dt
+def step(s: FieldState, cfg: EvolutionConfig, dt: float) -> FieldState:
+    """One propagator application of span dt, which may be negative (time
+    reversal)."""
     return _advance(s, cfg, 1, dt, _phases(cfg, 1, dt))
 
 
@@ -277,18 +276,12 @@ def initial_knot_state(f, cfg: EvolutionConfig, scale: float = None) -> FieldSta
     return FieldState(sample_lattice(f, SampleGrid(), tuple(a / scale for a in ax), bump), 0.0)
 
 
-def gaussian_state(cfg: EvolutionConfig, center=(0.0, 0.0, 0.0), width: float = 1.0,
-                   momentum=(0.0, 0.0, 0.0)) -> FieldState:
-    """exp(-|x - c|^2 / (2 width^2)) exp(i p . x), unnormalized."""
+def gaussian_state(cfg: EvolutionConfig, width: float = 1.0) -> FieldState:
+    """exp(-|x|^2 / (2 width^2)) at the box center, at rest, unnormalized."""
     if not 0 < width < math.inf:
         raise KnotfieldError(f"width must be positive and finite, got {width}")
-    ax = cfg.axes()
-    X, Y, Z = np.meshgrid(*ax, indexing="ij")
-    cx, cy, cz = center
-    px, py, pz = momentum
-    r2 = (X - cx) ** 2 + (Y - cy) ** 2 + (Z - cz) ** 2
-    return FieldState(np.exp(-r2 / (2.0 * width ** 2))
-                      * np.exp(1j * (px * X + py * Y + pz * Z)), 0.0)
+    X, Y, Z = np.meshgrid(*cfg.axes(), indexing="ij", sparse=True)
+    return FieldState(np.exp(-(X ** 2 + Y ** 2 + Z ** 2) / (2.0 * width ** 2)), 0.0)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ class ComplexField:
 
     name: str
     evaluator: object  # callable (z, w) -> complex, numpy-vectorized
-    multi_component: bool = False  # known to cut out a link, not a knot
 
     def __call__(self, z, w):
         return self.evaluator(z, w)
@@ -86,7 +85,7 @@ def field_library(name: str, params=()) -> ComplexField:
     """Look up a field by name.
 
     Names: "unknot"; "milnor" with params (p, q), p, q >= 2 (coprime for a
-    knot; otherwise a torus link, flagged); "rudolph_F"; "rudolph_G" (its
+    knot; otherwise a torus link); "rudolph_F"; "rudolph_G" (its
     link is the figure-eight knot).
     """
     params = tuple(int(v) for v in params)
@@ -98,8 +97,7 @@ def field_library(name: str, params=()) -> ComplexField:
         p, q = params
         if p < 2 or q < 2:
             raise KnotfieldError(f"milnor exponents must be >= 2, got ({p}, {q})")
-        return ComplexField(f"milnor({p},{q})", _milnor(p, q),
-                            multi_component=math.gcd(p, q) != 1)
+        return ComplexField(f"milnor({p},{q})", _milnor(p, q))
     if name == "rudolph_F":
         if params:
             raise KnotfieldError("rudolph_F takes no parameters")

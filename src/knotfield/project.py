@@ -266,8 +266,6 @@ def expected_jones(expected) -> LaurentPolynomial:
         return expected
     if isinstance(expected, Mosaic):
         return jones(to_diagram(expected))
-    if isinstance(expected, PlanarDiagram):
-        return jones(expected)
     raise KnotfieldError(f"cannot derive a Jones polynomial from {type(expected).__name__}")
 
 
@@ -277,7 +275,7 @@ def verify_knot_type(curve, expected) -> VerificationReport:
     curve: the unrefined `extract` result (one component; its piecewise-linear
     zero set is embedded by construction, refined vertices can jitter where f
     is ill-conditioned), or a raw (k, 3) polyline.
-    expected: Mosaic, PlanarDiagram, or Jones polynomial.
+    expected: Mosaic or Jones polynomial.
     """
     if hasattr(curve, "components"):
         if curve.n_components != 1:

@@ -688,6 +688,19 @@ def plane_wave(cfg: EvolutionConfig, mode=(1, 0, 0)) -> FieldState:
     return FieldState(np.exp(1j * kf * (mx * X + my * Y + mz * Z)), 0.0)
 
 
+def gaussian_packet(cfg: EvolutionConfig, center=(0.0, 0.0, 0.0), width=1.0,
+                    momentum=(0.0, 0.0, 0.0)) -> FieldState:
+    """exp(-|x - c|^2 / (2 width^2)) exp(i p . x), unnormalized: a packet
+    moving at group velocity p; at c = p = 0, `gaussian_state`."""
+    ax = cfg.axes()
+    X, Y, Z = np.meshgrid(*ax, indexing="ij")
+    cx, cy, cz = center
+    px, py, pz = momentum
+    r2 = (X - cx) ** 2 + (Y - cy) ** 2 + (Z - cz) ** 2
+    return FieldState(np.exp(-r2 / (2.0 * width ** 2))
+                      * np.exp(1j * (px * X + py * Y + pz * Z)), 0.0)
+
+
 def density_center(s: FieldState, cfg: EvolutionConfig):
     """|psi|^2-weighted mean position, for trajectory checks."""
     ax = cfg.axes()

@@ -17,7 +17,8 @@ import pytest
 
 from conftest import CHILD_ENV, FIG8_JONES, TREFOIL_JONES, UNKNOT_JONES, data_path
 
-from oracles import chart_transfer, oracle_jones, plane_wave, relation_exponent_sums
+from oracles import (chart_transfer, gaussian_packet, oracle_jones, plane_wave,
+                     relation_exponent_sums)
 
 from knotfield.diagram import evaluate_jones, jones, to_diagram
 from knotfield.evolution import EvolutionConfig, gaussian_state, run, step
@@ -184,7 +185,7 @@ def test_criterion_09_evolution_unitarity_and_order():
     assert np.abs(one.values - two.values).max() < 5e-15
     # harmonic Strang splitting: halving dt cuts the error by about 4
     base = dict(hamiltonian="harmonic", box=8.0, resolution=32)
-    g = gaussian_state(EvolutionConfig(**base), width=1.0, center=(0.5, 0, 0))
+    g = gaussian_packet(EvolutionConfig(**base), width=1.0, center=(0.5, 0, 0))
 
     def err(dt, steps):
         coarse = run(g, EvolutionConfig(dt=dt, steps=steps, **base))[-1]

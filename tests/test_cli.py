@@ -4,6 +4,7 @@ except where thread independence is the point."""
 import dataclasses
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import CHILD_ENV, crossing_mosaic, data_path
+from oracles import oracle_orbit
 
 from knotfield import cli, diagram, evolution, extraction, fields, mosaic, orbits, rows
 from knotfield.cli import main
@@ -481,6 +483,69 @@ def test_field_fiber(capsys):
     assert len(out.splitlines()) > 1
 
 
+def test_validate_json_lists_the_bad_edges(tmp_path, capsys):
+    bad = tmp_path / "bad.mosaic"
+    bad.write_text("2\n9 0\n0 0\n")  # crossing tile on a 2x2 boundary
+    code, out, _ = run_cli(capsys, "mosaic", "validate", str(bad), "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "bad_edges": [
+        ["h", 0, 0, "connection point on outer boundary"],
+        ["h", 1, 0, "mismatched interior edge"],
+        ["v", 0, 0, "connection point on outer boundary"],
+        ["v", 0, 1, "mismatched interior edge"]]}
+
+
+def test_show_json_is_the_mosaic(capsys):
+    code, out, _ = run_cli(capsys, "mosaic", "show", TREFOIL, "--format", "json")
+    assert code == 0
+    m = mosaic.load(open(TREFOIL).read())
+    assert json.loads(out) == {"n": 4, "cells": list(m.cells)}
+    assert mosaic.from_json(out) == m
+
+
+def test_orbit_members_text(tmp_path, capsys):
+    # the 3x3 circle's 19 members, in the order and with the representative
+    # of the JSON output, against a plain BFS closure
+    path = tmp_path / "circle3.mosaic"
+    m = mosaic.Mosaic(3, (2, 1, 0, 3, 4, 0, 0, 0, 0))
+    path.write_text(mosaic.encode(m))
+    code, out, _ = run_cli(capsys, "mosaic", "orbit", str(path), "--members")
+    assert code == 0
+    _, as_json, _ = run_cli(capsys, "mosaic", "orbit", str(path), "--members",
+                            "--format", "json")
+    payload = json.loads(as_json)
+    members = sorted(mosaic.encode(mosaic.Mosaic(3, tuple(cells)))
+                     for cells in oracle_orbit(m, default_table(), 1000))
+    assert payload["size"] == 19 and payload["members"] == members
+    assert out == "\n".join([
+        "orbit size: 19", "representative:", payload["representative"].rstrip("\n"),
+        "members:", *members]) + "\n"
+
+
+def test_field_extract_obj(capsys):
+    code, out, _ = run_cli(capsys, "field", "extract", "--field", "milnor:2,3",
+                           "--resolution", "32", "--obj")
+    assert code == 0
+    grid = SampleGrid(resolution=32)
+    f = parse_field_spec("milnor:2,3")
+    curve = refine(extract(f, grid), f, grid)
+    assert curve.n_components == 1 and curve.is_closed(0)
+    k = len(curve.components[0]) - 1
+    lines = out.splitlines()
+    assert lines == [f"v {x:.12g} {y:.12g} {z:.12g}" for x, y, z in curve.components[0][:-1]] + [
+        "l " + " ".join(str(i) for i in range(1, k + 1)) + " 1"]
+
+
+def test_field_fiber_json(capsys):
+    code, out, _ = run_cli(capsys, "field", "fiber", "--field", "unknot", "--theta", "0.5",
+                           "--resolution", "16", "--format", "json")
+    assert code == 0
+    cloud = extraction.sample_fiber(parse_field_spec("unknot"), 0.5, SampleGrid(resolution=16))
+    assert len(cloud) > 0
+    assert json.loads(out) == {"theta": 0.5, "n_points": len(cloud),
+                               "points": [[round(v, 12) for v in row] for row in cloud.tolist()]}
+
+
 def test_evolve_run_json(capsys):
     code, out, _ = run_cli(capsys, "evolve", "run", "--resolution", "32",
                            "--box", "8", "--steps", "10",
@@ -518,8 +583,8 @@ def test_evolve_track_json_counts_closed_components(capsys):
 
 @pytest.mark.parametrize("command", ["run", "track"])
 def test_snapshots_dir_holds_each_kept_state(tmp_path, capsys, command):
-    # the files are np.save of run()'s list, whether written from the list
-    # (evolve run) or from the stream as each state arrives (evolve track)
+    # the files are np.save of run()'s list, written from the stream as each
+    # state arrives, by evolve run and evolve track alike
     snaps = tmp_path / "snaps"
     code, _, _ = run_cli(capsys, "evolve", command, "--resolution", "32", "--box", "8",
                          "--steps", "7", "--snapshot-every", "3",
@@ -537,10 +602,11 @@ def test_snapshots_dir_holds_each_kept_state(tmp_path, capsys, command):
     assert {p.name: p.read_bytes() for p in snaps.iterdir()} == want
 
 
-def test_failed_track_leaves_the_snapshots_before_the_failure(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["run", "track"])
+def test_failed_track_leaves_the_snapshots_before_the_failure(tmp_path, capsys, command):
     # the initial state is written before the first propagation overflows
     snaps = tmp_path / "snaps"
-    code, out, err = run_cli(capsys, "evolve", "track", "--resolution", "16", "--box", "8",
+    code, out, err = run_cli(capsys, "evolve", command, "--resolution", "16", "--box", "8",
                              "--steps", "2", "--initial", "gaussian", "--dt", "1e308",
                              "--snapshots-dir", str(snaps))
     assert (code, out) == (1, "")
@@ -548,13 +614,14 @@ def test_failed_track_leaves_the_snapshots_before_the_failure(tmp_path, capsys):
     assert [p.name for p in snaps.iterdir()] == ["snapshot_0000.npy"]
 
 
-def test_track_peak_memory_does_not_grow_with_snapshots(tmp_path):
-    # A track holds the current and the next state, not the history: 4 and
-    # 40 snapshots of 32^3 peak within one 512 KiB state of each other.
-    # Holding all of them adds 36 states, 18 MiB.
+@pytest.mark.parametrize("command", ["run", "track"])
+def test_track_peak_memory_does_not_grow_with_snapshots(tmp_path, command):
+    # A run or a track holds the current and the next state, not the
+    # history: 4 and 40 snapshots of 32^3 peak within one 512 KiB state of
+    # each other.  Holding all of them adds 36 states, 18 MiB.
     def peak(snapshots):
-        argv = ["evolve", "track", "--resolution", "32", "--steps", str(snapshots - 1),
-                "--snapshot-every", "1", "--out", str(tmp_path / "track.csv")]
+        argv = ["evolve", command, "--resolution", "32", "--steps", str(snapshots - 1),
+                "--snapshot-every", "1", "--out", str(tmp_path / "out.txt")]
         tracemalloc.start()
         try:
             assert main(argv) == 0
@@ -577,6 +644,30 @@ def test_out_and_manifest(tmp_path, capsys):
     assert manifest["tool"] == "knotfield"
     assert manifest["inputs"] == [TREFOIL]
     assert manifest["exit_code"] == 0
+
+
+def test_out_to_a_device_gets_no_sibling_manifest(tmp_path, capsys, monkeypatch):
+    # the paths passed to _write are recorded; nothing is written under /dev
+    written, real = [], cli._write
+
+    def write(path, text):
+        written.append(path)
+        if path.startswith(str(tmp_path)):
+            real(path, text)
+
+    monkeypatch.setattr(cli, "_write", write)
+    assert main(["mosaic", "jones", TREFOIL, "--out", os.devnull]) == 0
+    assert written == [os.devnull]
+    man = str(tmp_path / "run.json")
+    written.clear()
+    assert main(["mosaic", "jones", TREFOIL, "--out", os.devnull, "--manifest", man]) == 0
+    assert written == [os.devnull, man]
+    assert json.loads((tmp_path / "run.json").read_text())["output"] == os.devnull
+    out = str(tmp_path / "jones.txt")
+    written.clear()
+    assert main(["mosaic", "jones", TREFOIL, "--out", out]) == 0
+    assert written == [out, out + ".manifest.json"]
+    assert capsys.readouterr().out == ""
 
 
 def test_explicit_manifest_path(tmp_path, capsys):

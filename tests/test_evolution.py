@@ -7,7 +7,8 @@ phase exp(-i |k|^2 t / 2) and nothing else.
 
 import numpy as np
 import pytest
-from oracles import density_center, oracle_initial_knot_state, oracle_run, oracle_step, plane_wave
+from oracles import (density_center, gaussian_packet, oracle_initial_knot_state, oracle_run,
+                     oracle_step, plane_wave)
 
 from knotfield import evolution
 from knotfield.errors import KnotfieldError
@@ -41,8 +42,11 @@ def test_config_validation():
         for kwargs in ({"box": bad}, {"dt": bad}, {"omega": (1.0, bad, 1.0)}):
             with pytest.raises(KnotfieldError):
                 EvolutionConfig(**kwargs)
-    cfg = EvolutionConfig(omega=2.0)
-    assert cfg.omega == (2.0, 2.0, 2.0)
+    # three frequencies, as any sequence of numbers, and no other form
+    assert EvolutionConfig(omega=[2, 1, 0.5]).omega == (2.0, 1.0, 0.5)
+    for bad in (2.0, (1.0, 1.0), (1.0,) * 4, "abc", None, (1j, 1.0, 1.0)):
+        with pytest.raises(KnotfieldError, match="omega must be three"):
+            EvolutionConfig(omega=bad)
 
 
 def test_axes_are_cell_centered():
@@ -66,7 +70,7 @@ def test_plane_wave_exact_phase():
     psi = plane_wave(cfg, (2, 1, 0))
     out = psi
     for _ in range(cfg.steps):
-        out = step(out, cfg)
+        out = step(out, cfg, cfg.dt)
     kf = 2 * np.pi / cfg.box
     k2 = kf * kf * (4 + 1)
     t = cfg.steps * cfg.dt
@@ -76,7 +80,7 @@ def test_plane_wave_exact_phase():
 
 def test_free_steps_compose_exactly():
     cfg = SMALL
-    psi = gaussian_state(cfg, width=1.2, momentum=(1.0, 0.0, 0.0))
+    psi = gaussian_packet(cfg, width=1.2, momentum=(1.0, 0.0, 0.0))
     one = step(psi, cfg, dt=cfg.dt)
     two = step(step(psi, cfg, dt=cfg.dt / 2), cfg, dt=cfg.dt / 2)
     assert np.abs(one.values - two.values).max() < 1e-13
@@ -105,8 +109,8 @@ def test_harmonic_ground_state_stationary():
 def test_harmonic_strang_is_second_order():
     # Richardson: halving dt divides the splitting error by about 4
     base = dict(hamiltonian="harmonic", box=8.0, resolution=32)
-    psi = gaussian_state(EvolutionConfig(**base), width=1.0,
-                         center=(0.5, 0.0, 0.0))
+    psi = gaussian_packet(EvolutionConfig(**base), width=1.0,
+                          center=(0.5, 0.0, 0.0))
 
     def err(dt, steps):
         cfg = EvolutionConfig(dt=dt, steps=steps, **base)
@@ -121,7 +125,7 @@ def test_harmonic_strang_is_second_order():
 def test_time_reversal():
     cfg = EvolutionConfig(hamiltonian="harmonic", box=8.0, resolution=32,
                           dt=1e-3, steps=20)
-    psi = gaussian_state(cfg, width=1.0, momentum=(0.5, 0.0, 0.0))
+    psi = gaussian_packet(cfg, width=1.0, momentum=(0.5, 0.0, 0.0))
     fwd = run(psi, cfg)[-1]
     back = fwd
     for _ in range(cfg.steps):
@@ -132,7 +136,7 @@ def test_time_reversal():
 
 def test_gaussian_packet_moves():
     cfg = EvolutionConfig(box=16.0, resolution=32, dt=5e-3, steps=100)
-    psi = gaussian_state(cfg, width=1.0, momentum=(1.0, 0.0, 0.0))
+    psi = gaussian_packet(cfg, width=1.0, momentum=(1.0, 0.0, 0.0))
     final = run(psi, cfg)[-1]
     c0 = density_center(psi, cfg)
     c1 = density_center(final, cfg)
@@ -219,7 +223,7 @@ def test_track_roi_validation():
 def test_resolution_mismatch_rejected():
     psi = gaussian_state(SMALL, width=1.0)
     with pytest.raises(KnotfieldError):
-        step(psi, EvolutionConfig(box=8.0, resolution=64))
+        step(psi, EvolutionConfig(box=8.0, resolution=64), 1e-3)
 
 
 def test_snapshot_interval_validation():
@@ -275,7 +279,7 @@ def _relative_gap(a, b):
 def _initial(kind, cfg):
     if kind == "milnor":
         return initial_knot_state(field_library("milnor", (2, 3)), cfg)
-    return gaussian_state(cfg, center=(0.5, 0.0, 0.0), width=1.0, momentum=(1.0, 0.5, 0.0))
+    return gaussian_packet(cfg, center=(0.5, 0.0, 0.0), width=1.0, momentum=(1.0, 0.5, 0.0))
 
 
 @pytest.mark.parametrize("ham,tol", [("free", 1e-12), ("harmonic", 1e-13)])
@@ -317,7 +321,7 @@ def test_harmonic_run_matches_per_step_oracle(kind, resolution, steps, omega):
 @pytest.mark.parametrize("ham", ["free", "harmonic"])
 def test_negative_step_matches_oracle(ham):
     cfg = EvolutionConfig(hamiltonian=ham, box=8.0, resolution=32, dt=1e-3)
-    psi = gaussian_state(cfg, width=1.0, momentum=(0.5, 0.0, 0.0))
+    psi = gaussian_packet(cfg, width=1.0, momentum=(0.5, 0.0, 0.0))
     got, want = step(psi, cfg, dt=-cfg.dt), oracle_step(psi, cfg, -cfg.dt)
     assert got.time == want.time == -cfg.dt
     assert _relative_gap(got, want) <= 1e-13
@@ -457,3 +461,46 @@ def test_track_counts_closed_and_open_components():
     assert (snap.n_components, snap.n_closed, snap.n_open) == (3, 1, 2)
     gap = evolution.TrackedSnapshot(0.0, None, "failed")
     assert (gap.n_closed, gap.n_open) == (None, None)
+
+
+@pytest.mark.parametrize("resolution,box,width", [(16, 8.0, 1.0), (32, 8.0, 1.5), (64, 16.0, 0.7)])
+def test_gaussian_state_is_the_packet_at_rest(resolution, box, width):
+    # the zero-momentum factor exp(i 0 . x) was exactly 1 + 0j
+    cfg = EvolutionConfig(box=box, resolution=resolution)
+    got, want = gaussian_state(cfg, width), gaussian_packet(cfg, width=width)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.norm0 == want.norm0
+
+
+def test_norm_drift_of_the_zero_state_is_zero():
+    zero = FieldState(np.zeros((4, 4, 4)))
+    assert zero.norm0 == 0.0
+    assert zero.norm_drift() == 0.0
+    assert FieldState(np.ones((4, 4, 4)), 1.0, 0.0).norm_drift() == 0.0
+
+
+def test_track_records_a_gap_and_resumes_from_the_last_good_curve(monkeypatch):
+    # snapshots A, B, then one whose extraction raises, then B again: the
+    # gap is logged, and the last snapshot is matched against B (a move of
+    # 0), not against A
+    cfg = EvolutionConfig(box=16.0, resolution=64, dt=5e-2, steps=4)
+    a, b = run(initial_knot_state(field_library("milnor", (2, 3)), cfg), cfg)
+    real, calls = evolution.extract_from_samples, []
+
+    def extract_from_samples(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise KnotfieldError("no curve here")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "extract_from_samples", extract_from_samples)
+    history = [a, b, FieldState(b.values, 0.5, b.norm0), FieldState(b.values, 0.75, b.norm0)]
+    report = track_nodal(history, cfg)
+    monkeypatch.undo()
+    plain = track_nodal([a, b], cfg)
+    assert [s.time for s in report.snapshots] == [0.0, b.time, 0.5, 0.75]
+    assert [s.error for s in report.snapshots] == ["", "", "no curve here", ""]
+    assert report.snapshots[2].curve is None and report.snapshots[2].displacement is None
+    assert report.snapshots[1].displacement == plain.snapshots[1].displacement > 0
+    assert report.snapshots[3].displacement == 0.0
+    assert report.events == plain.events + ((0.5, "gap", "no curve here"),)

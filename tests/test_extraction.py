@@ -424,6 +424,32 @@ def test_refine_matches_oracle_off_the_zero_set(spec, shift):
         assert np.abs(a - b).max() <= 1e-12
 
 
+def test_refine_open_component_matches_oracle():
+    # an arc of the trefoil moved off the zero set, next to the closed curve:
+    # the arc's end vertices take one-sided tangents and stay open
+    f, grid = field_library("milnor", (2, 3)), library_grid(("milnor", (2, 3)), "north", 32)
+    loop = extract(f, grid).components[0]
+    arc = loop[: len(loop) // 2] + np.array([0.02, -0.01, 0.0])
+    curve = NodalCurve((loop, arc), "north", 0.0, (np.zeros(len(loop)), np.zeros(len(arc))),
+                       (True, False))
+    sharp, oracle = refine(curve, f, grid), oracle_refine(curve, f, grid)
+    assert sharp.closed_flags == oracle.closed_flags == (True, False)
+    assert [len(c) for c in sharp.components] == [len(loop), len(arc)]
+    for a, b in zip(sharp.components, oracle.components, strict=True):
+        assert np.abs(a - b).max() <= 1e-12
+    assert not np.array_equal(sharp.components[1][-1], sharp.components[1][0])
+    assert sharp.residual <= RESIDUAL_TOL and oracle.residual <= RESIDUAL_TOL
+
+
+def test_refine_empty_curve():
+    f, grid = field_library("unknot"), SampleGrid(chart="south", resolution=16)
+    empty = NodalCurve((), "south", 0.0, (), ())
+    sharp = refine(empty, f, grid)
+    assert (sharp.components, sharp.chart, sharp.residual, sharp.vertex_residuals,
+            sharp.closed_flags) == ((), "south", 0.0, (), ())
+    assert sharp.to_csv() == oracle_refine(empty, f, grid).to_csv()
+
+
 def test_refine_warns_like_oracle_on_degenerate_jacobian():
     # f is real, so the imaginary row of the Jacobian vanishes everywhere
     def f(z, w):

@@ -37,8 +37,7 @@ def test_milnor_validation():
         field_library("milnor", (1, 3))
     with pytest.raises(KnotfieldError):
         field_library("milnor", (2,))
-    assert field_library("milnor", (2, 2)).multi_component
-    assert not field_library("milnor", (2, 3)).multi_component
+    assert field_library("milnor", (2, 2)).name == "milnor(2,2)"  # a torus link
 
 
 def test_rudolph_semianalytic():

@@ -52,6 +52,14 @@ def test_vector_space_axioms(trefoil):
     assert inner(1j * a, a) == pytest.approx(-1j)
 
 
+def test_inner_with_the_shorter_vector_second(trefoil):
+    # the sum runs over the shorter vector, so inner(a, b) is conj(inner(b, a))
+    a = StateVector({encode(trefoil): 0.6, encode(CIRCLE4): 0.8j})
+    b = StateVector({encode(CIRCLE4): 2 - 1j})
+    assert inner(a, b) == -0.8 - 1.6j
+    assert inner(b, a) == -0.8 + 1.6j
+
+
 def test_zero_amplitudes_dropped(trefoil):
     v = StateVector({encode(trefoil): 0.0})
     assert v == StateVector.zero()

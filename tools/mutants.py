@@ -169,8 +169,11 @@ MUTANTS = (
            "    yield from _snapshots(state, cfg, snapshot_every or cfg.steps)",
            ("tests/test_evolution.py::test_snapshot_interval_checked_at_the_call",)),
     Mutant("track-holds-every-snapshot", "src/knotfield/cli.py",
-           "history = ev.snapshots(state, cfg, snapshot_every=args.snapshot_every)",
-           "history = list(ev.snapshots(state, cfg, snapshot_every=args.snapshot_every))",
+           "report = ev.track_nodal(history, cfg,",
+           "report = ev.track_nodal(list(history), cfg,",
+           ("tests/test_cli.py::test_track_peak_memory_does_not_grow_with_snapshots",)),
+    Mutant("run-holds-every-snapshot", "src/knotfield/cli.py",
+           "    for final in history:", "    for final in list(history):",
            ("tests/test_cli.py::test_track_peak_memory_does_not_grow_with_snapshots",)),
     Mutant("advance-axes-1-2-swapped", "src/knotfield/evolution.py",
            "m0, m1, m2 = phases", "m0, m2, m1 = phases",
