@@ -62,6 +62,8 @@ class PlanarDiagram:
     def check(self):
         seen = {}
         for x in self.crossings:
+            if x.over_in not in (1, 3):
+                raise KnotfieldError(f"crossing {x.ends} has over_in {x.over_in}, expected 1 or 3")
             for e in x.ends:
                 seen[e] = seen.get(e, 0) + 1
         for e, k in seen.items():

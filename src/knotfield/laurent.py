@@ -9,7 +9,8 @@ class LaurentPolynomial:
     """Map from integer exponent to nonzero integer coefficient.
 
     The variable is anonymous; callers track whether exponents count powers
-    of A or of t^(1/2).
+    of A or of t^(1/2).  Both operands of +, - and * are polynomials, and a
+    polynomial is not hashable.
     """
 
     __slots__ = ("coeffs",)
@@ -34,48 +35,28 @@ class LaurentPolynomial:
     def monomial(cls, exp, coeff=1):
         return cls({exp: coeff})
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPolynomial({0: other})
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return isinstance(other, LaurentPolynomial) and self.coeffs == other.coeffs
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPolynomial({0: other})
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
         return LaurentPolynomial(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentPolynomial({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPolynomial({0: other})
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = LaurentPolynomial({0: other})
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPolynomial(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:

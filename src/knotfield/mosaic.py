@@ -428,8 +428,8 @@ def enumerate_mosaics(n: int):
 
 
 def random_mosaic(n: int, rng: random.Random) -> Mosaic:
-    """The first mosaic of the DFS with every cell's tile order shuffled by rng."""
-    m = next(_depth_first(n, rng), None)
-    if m is None:
-        raise KnotfieldError(f"no valid mosaic of size {n}")
-    return m
+    """The first mosaic of the DFS with every cell's tile order shuffled by rng.
+
+    The DFS always reaches a mosaic (the blank one at the latest); n < 1
+    raises KnotfieldError when that mosaic is built."""
+    return next(_depth_first(n, rng))

@@ -206,7 +206,7 @@ def reduce_diagram(d: PlanarDiagram) -> PlanarDiagram:
         for e, where in pairs.items():
             if changed:
                 break
-            if len(where) != 2 or where[0] == where[1]:
+            if len(where) != 2:
                 continue
             xi, yi = where
             x, y = crossings[xi], crossings[yi]
@@ -219,13 +219,13 @@ def reduce_diagram(d: PlanarDiagram) -> PlanarDiagram:
                 if (px - pb_x) % 4 not in (1, 3) or (py - pb_y) % 4 not in (1, 3):
                     continue  # not a bigon face
 
+                # The over positions over_in and over_in + 2 share a parity,
+                # so of the neighbours px and pb_x exactly one is over.
                 def is_over(c, pos):
                     return pos in (c.over_in, (c.over_in + 2) % 4)
 
                 if is_over(x, px) != is_over(y, py):
                     continue  # R3-style clasp, not removable
-                if is_over(x, px) == is_over(x, pb_x) or is_over(y, py) == is_over(y, pb_y):
-                    continue  # same strand twice; leave for R1
                 ax, ay = x.ends[(px + 2) % 4], y.ends[(py + 2) % 4]
                 bx, by = x.ends[(pb_x + 2) % 4], y.ends[(pb_y + 2) % 4]
                 for i in sorted((xi, yi), reverse=True):

@@ -48,7 +48,8 @@ class StateVector:
     """Immutable finite map from basis label to complex amplitude.
 
     Zero amplitudes are dropped on construction, so the empty map is the
-    canonical zero vector.
+    canonical zero vector.  A scalar multiplies from the left (`2 * psi`);
+    a state vector is not hashable.
     """
 
     amplitudes: dict
@@ -65,10 +66,6 @@ class StateVector:
         if isinstance(label, Mosaic):
             label = encode(label)
         return StateVector({label: 1.0})
-
-    @property
-    def support(self):
-        return frozenset(self.amplitudes)
 
     def amplitude(self, label) -> complex:
         if isinstance(label, Mosaic):
@@ -87,9 +84,6 @@ class StateVector:
     def __rmul__(self, scalar):
         return StateVector({k: scalar * v for k, v in self.amplitudes.items()})
 
-    def __mul__(self, scalar):
-        return self.__rmul__(scalar)
-
     def norm(self) -> float:
         return math.sqrt(sum(abs(v) ** 2 for v in self.amplitudes.values()))
 
@@ -101,9 +95,6 @@ class StateVector:
 
     def __eq__(self, other):
         return isinstance(other, StateVector) and self.amplitudes == other.amplitudes
-
-    def __hash__(self):
-        return hash(frozenset(self.amplitudes.items()))
 
     def to_json(self) -> str:
         items = [{"label": k, "re": v.real, "im": v.imag}

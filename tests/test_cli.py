@@ -174,6 +174,8 @@ _EVOLVE = ["evolve", "run", "--resolution", "16", "--box", "8", "--steps", "2"]
     # a scale so small that the box's chart coordinates overflow the embedding
     (None, _EVOLVE + ["--initial", "milnor:2,3", "--scale", "1e-160"]),
     (None, ["evolve", "track"] + _EVOLVE[2:] + ["--initial", "milnor:2,3", "--scale", "1e-160"]),
+    (None, ["field", "eval", "--field", "rudolph_F:1", "--z", "0", "--w", "1"]),
+    (None, _EVOLVE[:-1] + ["-1", "--initial", "gaussian"]),
 ])
 def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, mosaic_text, argv):
     if mosaic_text is not None:

@@ -102,6 +102,31 @@ def test_crossing_cap(monkeypatch):
         bracket(d)
 
 
+@pytest.mark.parametrize("crossings,message", [
+    ((Crossing((1, 1, 1, 2), 1), Crossing((2, 3, 4, 4), 1)), "edge 1 appears 3 times, expected 2"),
+    ((Crossing((1, 2, 2, 1), 0),), r"crossing \(1, 2, 2, 1\) has over_in 0, expected 1 or 3"),
+], ids=["edge-thrice", "over-in-0"])
+def test_check_rejects_malformed_crossings(crossings, message):
+    with pytest.raises(KnotfieldError, match=f"^{message}$"):
+        PlanarDiagram(crossings).check()
+
+
+def test_empty_diagram_has_no_bracket():
+    with pytest.raises(KnotfieldError, match="^empty diagram has no bracket$"):
+        bracket(PlanarDiagram((), 0, 1))
+
+
+def test_jones_rejects_an_odd_bracket_exponent(monkeypatch):
+    monkeypatch.setattr("knotfield.diagram.bracket", lambda d: LaurentPolynomial({1: 1}))
+    with pytest.raises(KnotfieldError, match="^odd A-exponent in normalized bracket"):
+        jones(PlanarDiagram((), 1, 1))
+
+
+def test_evaluate_jones_rejects_t_zero():
+    with pytest.raises(KnotfieldError, match="^cannot evaluate at t = 0$"):
+        evaluate_jones(UNKNOT_JONES, 0)
+
+
 def test_bracket_rejects_open_diagram():
     # Edges 2 and 3 each meet the crossing once, so no state closes up.
     with pytest.raises(KnotfieldError, match="does not close up"):

@@ -201,6 +201,21 @@ def test_truncated_curve_raises_or_opens():
         extract(f, small)
 
 
+def test_extract_gives_up_when_every_dilation_warns(monkeypatch):
+    lattices = []
+
+    def warning_march(axes, values, min_amp=0.0):
+        lattices.append(axes[0][0])
+        warnings.warn("degenerate tetrahedron", UserWarning)
+
+    monkeypatch.setattr(extraction, "_march", warning_march)
+    with pytest.raises(OpenChainError) as exc:
+        extract(field_library("unknot"), SampleGrid(resolution=16))
+    assert str(exc.value) == "degenerate sampling at every retry dilation: degenerate tetrahedron"
+    assert exc.value.endpoints == []
+    assert len(set(lattices)) == len(extraction._RETRY_DILATIONS)
+
+
 def test_open_chains_kept_when_allowed():
     # A straight nodal line through the box: z = x + iy vanishes on the
     # vertical axis, which cannot close inside the sampling cube.

@@ -1,7 +1,9 @@
 import json
 
+import pytest
 from hypothesis import given, strategies as st
 
+from knotfield.errors import KnotfieldError
 from knotfield.laurent import LaurentPolynomial
 
 coeffs = st.dictionaries(st.integers(-10, 10), st.integers(-50, 50), max_size=6)
@@ -36,10 +38,27 @@ def test_json_roundtrip():
     assert LaurentPolynomial({int(e): c for e, c in obj["terms"].items()}) == p
 
 
+def test_negative_power_and_evaluation_at_zero_rejected():
+    p = LaurentPolynomial({-1: 1, 1: 1})
+    with pytest.raises(KnotfieldError, match="^negative powers of a polynomial are not defined here$"):
+        p ** -1
+    with pytest.raises(KnotfieldError, match="^cannot evaluate at 0: negative exponents present$"):
+        p.evaluate(0)
+
+
+def test_operands_are_polynomials_and_unhashable():
+    one = LaurentPolynomial.one()
+    assert one != 1
+    with pytest.raises(TypeError):
+        hash(one)
+
+
 def test_pretty_readable():
     p = LaurentPolynomial({-8: -1, -6: 1, -2: 1})
     assert p.pretty("s") == "-s^-8 + s^-6 + s^-2"
     assert LaurentPolynomial.one().pretty("s") == "1"
+    assert LaurentPolynomial.zero().pretty("s") == "0"
+    assert repr(p) == "LaurentPolynomial(-x^-8 + x^-6 + x^-2)"
 
 
 @given(coeffs, coeffs)

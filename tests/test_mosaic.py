@@ -14,6 +14,8 @@ from knotfield.mosaic import (
     SIDES,
     Mosaic,
     Strand,
+    _edge_faults,
+    _walk,
     decode,
     encode,
     enumerate_mosaics,
@@ -215,6 +217,41 @@ def test_decode_rejects_garbage():
         Mosaic(2, (0, 0, 0))  # wrong cell count
 
 
+@pytest.mark.parametrize("text,message,line,column", [
+    ("", "empty mosaic document", 1, None),
+    ("0\n", "lattice size must be positive, got 0", 1, None),
+    ("2\n0 0\n", "expected 2 rows after the header, got 1", 2, None),
+    ("2\n0 0\n0 0 0\n", "expected 2 tile ids, got 3", 3, None),
+    ("2\n0 0\n0 x\n", "bad tile id 'x'", 3, 2),
+], ids=["empty", "header-below-1", "too-few-rows", "wrong-row-length", "non-integer-tile"])
+def test_decode_error_names_its_place(text, message, line, column):
+    with pytest.raises(MosaicParseError) as exc:
+        decode(text)
+    loc = f"line {line}" + (f", column {column}" if column is not None else "")
+    assert str(exc.value) == f"{message} ({loc})"
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("obj", [{"cells": [0]}, {"n": 1}])
+def test_from_json_needs_n_and_cells(obj):
+    with pytest.raises(MosaicParseError) as exc:
+        from_json(obj)
+    assert str(exc.value) == 'expected an object {"n": int, "cells": [int]}'
+    assert (exc.value.line, exc.value.column) == (None, None)
+
+
+def test_mosaic_checks_size_and_stores_a_tuple():
+    with pytest.raises(KnotfieldError, match="^lattice size must be positive, got 0$"):
+        Mosaic(0, ())
+    assert Mosaic(1, [0]).cells == (0,)
+
+
+def test_walk_stops_at_a_side_its_tile_lacks():
+    # The W-E line leaves its cell for a blank one, which has no W side.
+    cells = (5, 0)
+    assert _walk(1, 2, cells, _edge_faults(1, 2, cells)) is None
+
+
 def test_decode_rows_end_the_document():
     assert decode("2\n0 0\n0 0\n\n  \n") == Mosaic(2, (0,) * 4)
     with pytest.raises(MosaicParseError) as exc:
@@ -246,6 +283,11 @@ def test_random_mosaic_always_valid(seed):
     m = random_mosaic(4, random.Random(seed))
     assert m.n == 4
     assert validate(m).valid
+
+
+def test_random_mosaic_rejects_empty_lattice():
+    with pytest.raises(KnotfieldError, match="^lattice size must be positive, got 0$"):
+        random_mosaic(0, random.Random(0))
 
 
 def test_random_mosaic_deterministic():

@@ -1,5 +1,6 @@
 """Move table sanity: involutions that preserve validity, components, Jones."""
 
+import json
 import os
 import pathlib
 import pickle
@@ -115,6 +116,26 @@ def test_malformed_table_entry_is_a_move_table_error(entry, message):
     # the index counts from 0, so the bad entry follows one good one
     with pytest.raises(MoveTableError, match=message):
         templates_from_json([_GOOD_ENTRY, entry])
+
+
+def _table_text(*entries):
+    return json.dumps([_GOOD_ENTRY, *entries])
+
+
+@pytest.mark.parametrize("text,message", [
+    (_table_text({**_GOOD_ENTRY, "rows": 4, "pattern_a": [0] * 8, "pattern_b": [0] * 8}),
+     "move table entry 1: ok: pattern shape must be within 3x3"),
+    (_table_text({**_GOOD_ENTRY, "pattern_b": [1, 2, 3]}),
+     "move table entry 1: ok: pattern_b has 3 cells, expected 4"),
+    (_table_text({**_GOOD_ENTRY, "pattern_b": _GOOD_ENTRY["pattern_a"]}),
+     "move table entry 1: ok: patterns are identical"),
+    (json.dumps(_GOOD_ENTRY), "move table must be a JSON list"),
+    (_table_text(_GOOD_ENTRY), "move table entry 1: duplicate move name ok"),
+], ids=["above-3x3", "wrong-cell-count", "identical-patterns", "not-a-list", "duplicate-name"])
+def test_move_table_text_is_validated(text, message):
+    with pytest.raises(MoveTableError) as exc:
+        templates_from_json(text)
+    assert str(exc.value) == message
 
 
 def test_instance_fit_checking():

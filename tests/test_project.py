@@ -21,7 +21,7 @@ from conftest import (FIG8_JONES, LIBRARY, LIBRARY_IDS, TREFOIL_JONES, UNKNOT_JO
 
 from knotfield import project
 from knotfield.errors import CrossingCapError, KnotfieldError, NonGenericProjectionError
-from knotfield.diagram import jones, to_diagram
+from knotfield.diagram import Crossing, PlanarDiagram, jones, to_diagram
 from knotfield.extraction import SampleGrid, extract
 from knotfield.fields import field_library
 from knotfield.mosaic import Mosaic, enumerate_mosaics
@@ -102,6 +102,12 @@ def test_reduce_preserves_jones_on_census():
         assert jones(reduce_diagram(d)) == jones(d)
         seen += 1
     assert seen > 20
+
+
+def test_reduce_leaves_a_non_planar_code_alone():
+    # Each edge meets the one crossing twice, at opposite ends: no kink, no bigon.
+    d = PlanarDiagram((Crossing((1, 2, 1, 2), 1),))
+    assert reduce_diagram(d) == d
 
 
 def test_reduce_removes_kinks(trefoil):

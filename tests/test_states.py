@@ -67,6 +67,15 @@ def test_zero_amplitudes_dropped(trefoil):
         StateVector.zero().normalized()
 
 
+def test_scalars_multiply_from_the_left_and_states_are_unhashable(trefoil):
+    v = StateVector.basis(trefoil)
+    assert (2 * v).amplitude(trefoil) == 2
+    with pytest.raises(TypeError):
+        v * 2
+    with pytest.raises(TypeError):
+        hash(v)
+
+
 def test_state_json_roundtrip(trefoil):
     v = 0.6 * StateVector.basis(trefoil) + 0.8j * StateVector.basis(CIRCLE4)
     assert StateVector.from_json(v.to_json()) == v

@@ -224,6 +224,19 @@ MUTANTS = (
            '"orbits": ("Orbit", "orbit", "same_orbit", "chi"),\n'
            '    "states": ("StateVector", "act",',
            ("tests/test_package.py::test_exported_names_are_their_modules_objects",)),
+    Mutant("bad-tile-column-from-zero", "src/knotfield/mosaic.py",
+           'f"bad tile id {f!r}", line=r + 2, column=c + 1)',
+           'f"bad tile id {f!r}", line=r + 2, column=c)',
+           ("tests/test_mosaic.py::test_decode_error_names_its_place",)),
+    Mutant("duplicate-move-name-accepted", "src/knotfield/moves.py",
+           "if t.name in names:", "if False:",
+           ("tests/test_moves.py::test_move_table_text_is_validated",)),
+    Mutant("negative-steps-accepted", "src/knotfield/evolution.py",
+           "if self.steps < 0:", "if self.steps < -1:",
+           ("tests/test_cli.py::test_malformed_input_is_one_error_line",)),
+    Mutant("over-in-unchecked", "src/knotfield/diagram.py",
+           "if x.over_in not in (1, 3):", "if False:",
+           ("tests/test_diagram.py::test_check_rejects_malformed_crossings",)),
 )
 
 

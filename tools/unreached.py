@@ -15,10 +15,11 @@ which child processes inherit.  A process that is killed writes nothing.
     python tools/unreached.py --seconds 4   # longer benchmark runs
 
 Prints every executable line of `src/knotfield` that no process reached,
-as `path:line: source`, then a count.  A line is executable when the
-compiled module maps some bytecode to it.  Failing tests or workloads are
-reported on stderr and do not stop the trace (tracing slows every process,
-so timing checks may fail).  The repository and the benchmark are only
+as `path:line: source`, then a count, and exits 1 if there is any such
+line, else 0.  A line is executable when the compiled module maps some
+bytecode to it.  Failing tests or workloads are reported on stderr and do
+not stop the trace (tracing slows every process, so timing checks may
+fail).  The repository and the benchmark are only
 read; the benchmark's own scratch directory is the one thing its runs
 write.
 """
@@ -145,7 +146,7 @@ def main(argv=None):
             print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
     print(f"{missed} of {total} executable lines in src/knotfield unreached "
           f"({processes} processes traced)")
-    return 0
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":
