@@ -5,12 +5,13 @@ table, produce every neighbor state, with the source state and the
 instance that reached it.  `window_tables` builds the tables from the
 arrays that `orbits.compile_instances` packs; they are a read-only value,
 built once per (table, n) inside that cache and passed in by the caller,
-so this module keeps no state.  `expand_chunks` is the only implementation:
-it expands a BFS level with numpy, yielding each bounded chunk of states as
-soon as it is done, so a caller that stops reading (orbit closure, once past
-its budget) expands no further chunk and never holds a whole level's
-neighbors.  `expand_level` concatenates its chunks, and `expand` is the
-same kernel on one state.  BACKEND names it in benchmark reports.
+so this module keeps no state.  `expand_chunks` is the one entry point, for
+orbit closure and witnesses alike: it expands a BFS level with numpy,
+yielding each bounded chunk of states as soon as it is done, so a caller
+that stops reading (orbit closure, once past its budget) expands no further
+chunk and never holds a whole level's neighbors.  `expand`, the same kernel
+on one state, is kept only because perfbench binds it.  BACKEND names the
+kernel in benchmark reports.
 
 Moves are matched by window code.  A window is the block of cells that
 instances of one shape share at one anchor; the default table at n = 4
@@ -27,8 +28,8 @@ A matched move is written as one precomputed delta row: the row of table
 entry k holds target - source (mod 256) at its instance's cells and 0
 elsewhere, so a chunk's neighbors are its source rows gathered once plus
 the delta rows of their entries, and bytes off the window (above 10 or
-not) come through unchanged.  A level comes back as three parallel lists
-(sources, instances, neighbors) rather than one tuple per neighbor.
+not) come through unchanged.  A chunk comes back as parallel arrays of
+sources and instances and a list of neighbors, not one tuple per neighbor.
 Against a 2-D scatter of the target patterns and a list of triples, this
 took the 1,348-member 4x4 unknot closure from 4.7 to 3.7 ms of CPU time
 (best of 200, 2 vCPUs, one BLAS thread), and a 5x5 circle closed up to
@@ -70,7 +71,7 @@ WindowTables = namedtuple("WindowTables", "n_inst weights offsets keys run inst 
 
 
 def window_tables(pos, pat_a, pat_b, lens):
-    """The window tables of a packed instance table, as `expand_level` takes
+    """The window tables of a packed instance table, as `expand_chunks` takes
     them.  pos/pat_a/pat_b are (num_instances, max_len) int arrays (padded),
     lens the per-instance pattern length.  The arrays come back read-only,
     since callers share one value.
@@ -112,38 +113,25 @@ def expand(state, pos, pat_a, pat_b, lens):
     """Apply every instance to `state`; return the list of changed states.
 
     The instance arrays are as for `window_tables`, whose tables this builds
-    on every call.  Neighbors come back in instance order.
+    on every call.  Neighbors come back in instance order.  The package
+    itself calls `expand_chunks`; this stays only because perfbench's
+    `_scramble` and tracer bind it.
     """
-    return expand_level([state], window_tables(pos, pat_a, pat_b, lens))[2]
-
-
-def expand_level(states, tables):
-    """Apply every instance to every state of a BFS level.
-
-    `states` is a sequence of equal-length bytes and `tables` the
-    `window_tables` of the instance table.  Returns three equal-length lists
-    (source indices, instance indices, neighbor bytes), ordered by source
-    state and then by instance, so the neighbors are the concatenation of
-    `expand(s, ...)` over `states`, and of the chunks of `expand_chunks`.
-    """
-    sources, instances, neighbors = [], [], []
-    start = 0
-    for block, rows, inst, new in expand_chunks(states, tables):
-        sources += (rows + start).tolist()
-        instances += inst.tolist()
-        neighbors += new
-        start += len(block)
-    return sources, instances, neighbors
+    chunks = expand_chunks([state], window_tables(pos, pat_a, pat_b, lens))
+    return [nb for *_, neighbors in chunks for nb in neighbors]
 
 
 def expand_chunks(states, tables):
-    """`expand_level` one chunk of `states` at a time.
+    """Apply every instance to every state of a BFS level, one chunk of
+    states at a time.
 
-    Yields (block, rows, inst, neighbors) for each chunk: `block` is the
-    slice of `states` the chunk expands, in order, and `rows` (indices into
-    `block`), `inst` (int arrays) and the list `neighbors` are that slice's
-    share of `expand_level`'s three lists.  A caller that stops reading
-    expands no further chunk.
+    `states` is a sequence of equal-length bytes and `tables` the
+    `window_tables` of the instance table.  Yields (block, rows, inst,
+    neighbors) for each chunk: `block` is the slice of `states` the chunk
+    expands, in order, and `rows` (indices into `block`), `inst` (int
+    arrays) and the list `neighbors` run in parallel, ordered by source
+    state and then by instance.  A caller that stops reading expands no
+    further chunk.
     """
     n_inst = tables.n_inst
     if not states or n_inst == 0:

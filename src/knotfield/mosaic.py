@@ -339,12 +339,11 @@ def to_json(m: Mosaic) -> str:
     return json.dumps({"n": m.n, "cells": list(m.cells)})
 
 
-def from_json(obj) -> Mosaic:
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise MosaicParseError(f"bad JSON: {exc.msg}", line=exc.lineno, column=exc.colno)
+def from_json(text: str) -> Mosaic:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MosaicParseError(f"bad JSON: {exc.msg}", line=exc.lineno, column=exc.colno)
     if not isinstance(obj, dict) or "n" not in obj or "cells" not in obj:
         raise MosaicParseError('expected an object {"n": int, "cells": [int]}')
     n, cells = obj["n"], obj["cells"]

@@ -116,8 +116,8 @@ def templates_to_json(templates):
          for t in templates], indent=1)
 
 
-def templates_from_json(text_or_obj):
-    obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
+def templates_from_json(text):
+    obj = json.loads(text)
     if not isinstance(obj, list):
         raise MoveTableError("move table must be a JSON list")
     templates = []

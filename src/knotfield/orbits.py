@@ -12,9 +12,9 @@ parent map; `Orbit.label` encodes only the member whose text
 sorts first (taken from row 0 of `member_rows()` when that has been read),
 and `Orbit.members` builds every member's text on first read.  Witnesses
 follow parent pointers laid down in deterministic BFS order (by level,
-source state, move instance); each step re-expands only its parent and
-takes the instance at the first position of the child in the neighbor
-list.
+source state, move instance); each step re-expands only its parent, as the
+one chunk `kernels.expand_chunks` yields for it, and takes the instance at
+the first position of the child in that chunk's neighbor list.
 """
 
 from __future__ import annotations
@@ -127,8 +127,9 @@ class Orbit:
         seq = []
         while (parent := self._parents[state]) is not None:
             # BFS kept the first (source, instance) pair reaching each state.
-            _, instances, neighbors = kernels.expand_level([parent], tables)
-            seq.append(insts[instances[neighbors.index(state)]])
+            # One parent is one chunk, and a parent has at least one child.
+            [(_, _, inst, neighbors)] = kernels.expand_chunks([parent], tables)
+            seq.append(insts[inst[neighbors.index(state)]])
             state = parent
         return seq[::-1]
 

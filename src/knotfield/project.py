@@ -216,6 +216,12 @@ def reduce_diagram(d: PlanarDiagram) -> PlanarDiagram:
                     continue
                 px, pb_x = x.ends.index(e), x.ends.index(b)
                 py, pb_y = y.ends.index(e), y.ends.index(b)
+                # In a planar diagram e and b are at an odd distance at both
+                # crossings or at 2 at both: opposite at one, the cycle they
+                # form splits that crossing's other two ends, leaving an odd
+                # number of ends on one side.  So one of the two (1, 3) below
+                # could read (2, 3) to the same effect: a bigon skipped from e
+                # at distance 1 is found from b at distance 3.
                 if (px - pb_x) % 4 not in (1, 3) or (py - pb_y) % 4 not in (1, 3):
                     continue  # not a bigon face
 

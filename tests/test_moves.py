@@ -115,7 +115,7 @@ _GOOD_ENTRY = {"name": "ok", "rows": 2, "cols": 2,
 def test_malformed_table_entry_is_a_move_table_error(entry, message):
     # the index counts from 0, so the bad entry follows one good one
     with pytest.raises(MoveTableError, match=message):
-        templates_from_json([_GOOD_ENTRY, entry])
+        templates_from_json(json.dumps([_GOOD_ENTRY, entry]))
 
 
 def _table_text(*entries):

@@ -69,6 +69,31 @@ def test_torus_knot_jones_closed_form(p, q):
     assert jones(d) in (want, want.mirror())
 
 
+def test_crossing_signs_follow_the_segment_directions():
+    # An 8-vertex (2, 3) torus polygon: its corners are so sharp that a
+    # segment's direction is far from its neighbours', so each crossing's
+    # sign must come from the two segments that cross there.  The Jones
+    # polynomial alone would not tell: with the next segment's direction
+    # the writhe reads -4 and the polynomial stays the same.
+    t = 2 * np.pi * np.arange(8) / 8 + 0.1
+    r = 2 + np.cos(3 * t)
+    pts = np.column_stack([r * np.cos(2 * t), r * np.sin(2 * t), np.sin(3 * t)])
+    d = project_diagram(pts)
+    # The starting direction is generic here, so the diagram is read in its
+    # frame, and the oracle finds the same crossings in the same order.
+    normal, e1, e2 = project._frame(PROJECTION_START)
+    scale = float(np.ptp(pts, axis=0).max())
+    events = oracle_crossing_events(np.column_stack([pts @ e1, pts @ e2]), pts @ normal, scale)
+    step = pts[(np.arange(8) + 1) % 8] - pts  # segment i, vertex i to vertex i + 1, in 3-D
+    direction = np.column_stack([step @ e1, step @ e2])
+    want = []
+    for i, _, j, _, over_is_i in events:
+        (ux, uy), (ox, oy) = direction[[j, i] if over_is_i else [i, j]]
+        want.append(1 if ux * oy - uy * ox < 0 else -1)  # the PD convention's sign
+    assert [x.sign for x in d.crossings] == want == [1, -1, -1, -1]
+    assert jones(d) == LaurentPolynomial({-8: -1, -6: 1, -2: 1})
+
+
 def test_planar_circle_is_unknot():
     t = np.linspace(0.0, 2 * np.pi, 60, endpoint=False)
     pts = np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])

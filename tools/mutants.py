@@ -43,9 +43,10 @@ MUTANTS = (
     Mutant("delta-rows-unsorted", "src/knotfield/kernels.py",
            "2)[order], delta[order])", "2)[order], delta)",
            ("tests/test_kernels.py::test_expand_matches_oracle",)),
-    Mutant("sources-without-chunk-offset", "src/knotfield/kernels.py",
-           "sources += (rows + start).tolist()", "sources += rows.tolist()",
-           ("tests/test_kernels.py::test_expand_level_matches_oracle",)),
+    Mutant("expand-returns-chunk-lists", "src/knotfield/kernels.py",
+           "[nb for *_, neighbors in chunks for nb in neighbors]",
+           "[neighbors for *_, neighbors in chunks]",
+           ("tests/test_kernels.py::test_expand_matches_oracle",)),
     Mutant("source-instance-sort-dropped", "src/knotfield/kernels.py",
            '        order = np.argsort(rows * n_inst + inst, kind="stable")\n'
            "        rows, inst, entry = rows[order], inst[order], entry[order]\n", "",
@@ -62,8 +63,8 @@ MUTANTS = (
            ("tests/test_kernels.py::test_window_tables_read_only",
             "tests/test_orbits.py::test_orbit_closes_where_no_move_fits")),
     Mutant("witness-takes-last-match", "src/knotfield/orbits.py",
-           "insts[instances[neighbors.index(state)]]",
-           "insts[instances[len(neighbors) - 1 - neighbors[::-1].index(state)]]",
+           "insts[inst[neighbors.index(state)]]",
+           "insts[inst[len(neighbors) - 1 - neighbors[::-1].index(state)]]",
            ("tests/test_orbits.py::test_witness_takes_the_first_of_two_moves_to_one_state",)),
     Mutant("budget-checked-per-chunk", "src/knotfield/orbits.py",
            "                    next_frontier.append(nb)\n"
@@ -237,6 +238,9 @@ MUTANTS = (
     Mutant("over-in-unchecked", "src/knotfield/diagram.py",
            "if x.over_in not in (1, 3):", "if False:",
            ("tests/test_diagram.py::test_check_rejects_malformed_crossings",)),
+    Mutant("segment-direction-from-chord", "src/knotfield/project.py",
+           "seg = np.roll(pts2, -1, axis=0) - pts2", "seg = np.roll(pts2, -2, axis=0) - pts2",
+           ("tests/test_project.py::test_crossing_signs_follow_the_segment_directions",)),
 )
 
 
