@@ -136,38 +136,30 @@ def to_diagram(m: Mosaic) -> PlanarDiagram:
 def _contraction_order(crossings):
     """Crossings in contraction order: next comes the one with the most ends
     on the open boundary (edges with exactly one end added so far), ties
-    broken by index."""
+    broken by the lowest index.
+
+    Each crossing's count of open ends is kept as the order grows: placing
+    a crossing flips each of its edges between open and closed, and every
+    crossing at that edge gains or loses one open end per end it has there.
+    """
+    at = {}  # edge -> the index of the crossing at each of its ends
+    for i, x in enumerate(crossings):
+        for e in x.ends:
+            at.setdefault(e, []).append(i)
+    score = [0] * len(crossings)  # open ends per crossing
     left = list(range(len(crossings)))
     open_edges = set()
     order = []
     while left:
-        best = max(left, key=lambda i: (sum(e in open_edges for e in crossings[i].ends), -i))
+        best = max(left, key=score.__getitem__)  # the first maximum: the lowest index
         left.remove(best)
         order.append(crossings[best])
         for e in crossings[best].ends:
+            step = -1 if e in open_edges else 1
             open_edges ^= {e}  # open after its first end, closed after its second
+            for i in at[e]:
+                score[i] += step
     return order
-
-
-def _glue(match, a, b):
-    """Join the arcs ending at edges a and b; return 1 if that closes a loop.
-
-    `match` maps each open edge to the open edge at the other end of its
-    arc.  An edge not in `match` is new, and its arc starts here.
-    """
-    if a == b or match.get(a) == b:
-        match.pop(a, None)
-        match.pop(b, None)
-        return 1
-    ea = match.pop(a, a)
-    eb = match.pop(b, b)
-    match[ea] = eb
-    match[eb] = ea
-    return 0
-
-
-# Each smoothing: the pairs of crossing ends it joins, and its power of A.
-_SMOOTHINGS = ((((0, 1), (2, 3)), 1), (((1, 2), (3, 0)), -1))
 
 
 def bracket(diagram: PlanarDiagram) -> LaurentPolynomial:
@@ -182,6 +174,14 @@ def bracket(diagram: PlanarDiagram) -> LaurentPolynomial:
     factor A) and its B smoothing (ends 1-2 and 3-0, factor A^-1).  Each
     loop after the first multiplies by d = -A^2 - A^-2.  States with the
     same key merge, so after k crossings there are at most 2^k of them.
+
+    With the edges renumbered 1..n, a state's key is a flat tuple: slot e
+    holds the open edge at the other end of e's arc, or 0 when e is not
+    open, and slot 0 holds 1 once a loop has closed.  A transition copies
+    the key, glues the smoothing's two pairs of ends in place and looks the
+    result up once.  With no loop factor, the common case, it adds the
+    polynomial shifted by +-1; otherwise it multiplies by d or d^2 term by
+    term.
     """
     c = len(diagram.crossings)
     if c > CROSSING_CAP:
@@ -192,24 +192,49 @@ def bracket(diagram: PlanarDiagram) -> LaurentPolynomial:
             raise KnotfieldError("empty diagram has no bracket")
         return delta ** (diagram.free_loops - 1)
     d_pows = ({0: 1}, delta.coeffs, (delta * delta).coeffs)  # a crossing closes <= 2 loops
-    states = {((), False): {0: 1}}  # (matching, looped) -> {A exponent: coefficient}
+    ids = {}
+    for x in diagram.crossings:
+        for e in x.ends:
+            ids.setdefault(e, len(ids) + 1)
+    states = {(0,) * (len(ids) + 1): {0: 1}}  # key -> {A exponent: coefficient}
     for x in _contraction_order(diagram.crossings):
-        ends = x.ends
+        e0, e1, e2, e3 = map(ids.__getitem__, x.ends)
+        # Each smoothing: the pairs of ends it joins, and its power of A.
+        smoothings = ((((e0, e1), (e2, e3)), 1), (((e1, e2), (e3, e0)), -1))
         merged = {}
-        for (key, looped), poly in states.items():
-            for pairs, shift in _SMOOTHINGS:
-                match = dict(key)
-                loops = sum(_glue(match, ends[p], ends[q]) for p, q in pairs)
-                factor = d_pows[loops - 1 if loops and not looped else loops]
-                out = merged.setdefault((tuple(sorted(match.items())), looped or loops > 0), {})
-                for e1, c1 in poly.items():
-                    for e2, c2 in factor.items():
-                        e = e1 + e2 + shift
-                        out[e] = out.get(e, 0) + c1 * c2
+        for key, poly in states.items():
+            for pairs, shift in smoothings:
+                m = list(key)
+                loops = 0
+                for a, b in pairs:
+                    if a == b or m[a] == b:  # the pair closes its arc into a loop
+                        m[a] = m[b] = 0
+                        loops += 1
+                    else:  # join the far ends of the two arcs; a new edge is its own far end
+                        ea, eb = m[a] or a, m[b] or b
+                        m[a] = m[b] = 0
+                        m[ea], m[eb] = eb, ea
+                if loops and not m[0]:  # the first loop is free
+                    m[0] = 1
+                    loops -= 1
+                new = tuple(m)
+                out = merged.get(new)
+                if out is None:
+                    out = merged[new] = {}
+                if loops == 0:
+                    for e, c0 in poly.items():
+                        e += shift
+                        out[e] = out.get(e, 0) + c0
+                else:
+                    for e, c0 in poly.items():
+                        for f, cf in d_pows[loops].items():
+                            ef = e + f + shift
+                            out[ef] = out.get(ef, 0) + c0 * cf
         states = merged
-    if list(states) != [((), True)]:
+    closed = (1,) + (0,) * len(ids)
+    if list(states) != [closed]:
         raise KnotfieldError("diagram does not close up: some edge is not met exactly twice")
-    return LaurentPolynomial(states[(), True]) * delta ** diagram.free_loops
+    return LaurentPolynomial(states[closed]) * delta ** diagram.free_loops
 
 
 def jones(diagram: PlanarDiagram) -> LaurentPolynomial:

@@ -4,8 +4,11 @@ The bracket oracle enumerates all 2^n smoothing states and counts loops by
 explicitly walking half-edge pairings, sharing no code with the production
 bracket (which adds crossings one at a time and merges partial states by
 their matching of the open edges).  Polynomials are
-plain exponent->coefficient dicts here.  The expand oracle applies move
-instances one at a time to Mosaic objects, never touching the packed arrays
+plain exponent->coefficient dicts here.  The contraction-order oracle
+recounts every remaining crossing's open ends at each step, where
+production keeps each count and updates it as crossings are placed.  The
+expand oracle applies move instances one at a time to Mosaic objects,
+never touching the packed arrays
 the production kernel reads; the orbit oracle is a plain state-by-state BFS
 over it, and the witness oracle finds each step's move by trying every
 instance on the parent.  `expand_level` is no oracle but a test helper: it
@@ -174,6 +177,22 @@ def oracle_bracket(diagram):
             term = _poly_mul(term, LOOP_FACTOR)
         total = _poly_add(total, term)
     return total
+
+
+def oracle_contraction_order(crossings):
+    """Crossings in contraction order: next comes the one with the most ends
+    on the open boundary (edges with exactly one end added so far), ties
+    broken by index."""
+    left = list(range(len(crossings)))
+    open_edges = set()
+    order = []
+    while left:
+        best = max(left, key=lambda i: (sum(e in open_edges for e in crossings[i].ends), -i))
+        left.remove(best)
+        order.append(crossings[best])
+        for e in crossings[best].ends:
+            open_edges ^= {e}  # open after its first end, closed after its second
+    return order
 
 
 def oracle_writhe(diagram):

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIG8_JONES, TREFOIL_JONES, UNKNOT_JONES, crossing_mosaic, random_diagram
-from oracles import from_xcode, oracle_bracket, oracle_jones, oracle_to_diagram, oracle_writhe
+from oracles import (from_xcode, oracle_bracket, oracle_contraction_order, oracle_jones,
+                     oracle_to_diagram, oracle_writhe)
 
 from knotfield.errors import CrossingCapError, KnotfieldError
 from knotfield.diagram import (
+    CROSSING_CAP,
+    SIDE_VECTORS,
     Crossing,
     PlanarDiagram,
+    _contraction_order,
     bracket,
     evaluate_jones,
     from_traversal,
@@ -21,7 +25,7 @@ from knotfield.diagram import (
     to_diagram,
 )
 from knotfield.laurent import LaurentPolynomial
-from knotfield.mosaic import Mosaic, trace_components
+from knotfield.mosaic import CROSSING_OVER, CROSSING_TILES, Mosaic, trace_components
 from knotfield.moves import default_table
 from knotfield.orbits import orbit
 from knotfield.project import reduce_diagram
@@ -222,14 +226,20 @@ KINK_NEG = PlanarDiagram((Crossing((1, 2, 2, 1), 1),), 0, 1)
 KINK_PAIR = PlanarDiagram((Crossing((1, 1, 2, 4), 3), Crossing((2, 3, 3, 4), 1)), 0, 1)
 
 
-@pytest.mark.parametrize("case", ["kink_pos", "kink_neg", "kink_pair", "free_loops",
-                                  "split", "split_with_kink"])
+BUILT = ["kink_pos", "kink_neg", "kink_pair", "free_loops", "split", "split_with_kink"]
+
+
+def _built_diagram(case, t, f):
+    return {"kink_pos": KINK_POS, "kink_neg": KINK_NEG, "kink_pair": KINK_PAIR,
+            "free_loops": PlanarDiagram(t.crossings, 2, 3),
+            "split": _disjoint_union(t, f),
+            "split_with_kink": _disjoint_union(t, KINK_PAIR)}[case]
+
+
+@pytest.mark.parametrize("case", BUILT)
 def test_bracket_matches_oracle_on_built_diagrams(case, trefoil, fig8):
     t, f = to_diagram(trefoil), to_diagram(fig8)
-    d = {"kink_pos": KINK_POS, "kink_neg": KINK_NEG, "kink_pair": KINK_PAIR,
-         "free_loops": PlanarDiagram(t.crossings, 2, 3),
-         "split": _disjoint_union(t, f),
-         "split_with_kink": _disjoint_union(t, KINK_PAIR)}[case]
+    d = _built_diagram(case, t, f)
     d.check()
     _assert_oracle_bracket(d)
     assert jones(d) == LaurentPolynomial(oracle_jones(d))
@@ -237,6 +247,50 @@ def test_bracket_matches_oracle_on_built_diagrams(case, trefoil, fig8):
         assert bracket(d) == LaurentPolynomial({2: -1, -2: -1}) * bracket(t) * bracket(f)
     if case == "kink_pair":
         assert bracket(d) == LaurentPolynomial.one()
+
+
+def _assert_oracle_order(d):
+    assert _contraction_order(d.crossings) == oracle_contraction_order(d.crossings)
+
+
+# The order decides only the bracket's cost, never its value, so these are the
+# only tests that see it drift from the recount oracle.
+@given(st.integers(0, 2 ** 32 - 1), st.integers(4, 7), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_contraction_order_matches_oracle_on_random_mosaics(seed, n, link):
+    d = random_diagram(seed, n, link)
+    _assert_oracle_order(d)
+    _assert_oracle_order(reduce_diagram(d))
+
+
+@pytest.mark.parametrize("case", BUILT)
+def test_contraction_order_matches_oracle_on_built_diagrams(case, trefoil, fig8):
+    _assert_oracle_order(_built_diagram(case, to_diagram(trefoil), to_diagram(fig8)))
+
+
+def _passages(m, key):
+    """The crossing passages of knot mosaic m for `from_traversal`, keyed (key, cell)."""
+    (strand,) = trace_components(m)
+    return [((key, cell), exit_ in CROSSING_OVER[m.cells[cell]], SIDE_VECTORS[exit_])
+            for cell, _, exit_ in strand.passages if m.cells[cell] in CROSSING_TILES]
+
+
+def test_connected_sums_multiply_jones_up_to_the_cap(trefoil, granny):
+    # Concatenating two knots' traversals cuts each open at one edge and
+    # joins the ends: a diagram of the connected sum, and V(K1 # K2) =
+    # V(K1) V(K2).  Four granny knots reach the cap, far past the 2^c oracle.
+    mirror = [(key, not over, d) for key, over, d in _passages(trefoil, 1)]
+    assert jones(from_traversal([mirror])) == TREFOIL_JONES.mirror()
+    grannies = [_passages(granny, k) for k in range(4)]
+    assert len(from_traversal([sum(grannies, [])]).crossings) == CROSSING_CAP
+    free_loop = LaurentPolynomial({1: -1, -1: -1})  # adding one multiplies V by -(s + 1/s)
+    for parts in (grannies, [_passages(trefoil, 0), mirror]):
+        joined = sum(parts, [])
+        want = LaurentPolynomial.one()
+        for part in parts:
+            want = want * jones(from_traversal([part]))
+        assert jones(from_traversal([joined])) == want
+        assert jones(from_traversal([joined, []])) == want * free_loop
 
 
 def _assert_rows_diagram_as_mosaics(rows, n):

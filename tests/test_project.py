@@ -14,14 +14,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import oracle_crossing_events
+from oracles import oracle_contraction_order, oracle_crossing_events
 
 from conftest import (FIG8_JONES, LIBRARY, LIBRARY_IDS, TREFOIL_JONES, UNKNOT_JONES,
                       library_grid, torus_polyline)
 
 from knotfield import project
 from knotfield.errors import CrossingCapError, KnotfieldError, NonGenericProjectionError
-from knotfield.diagram import Crossing, PlanarDiagram, jones, to_diagram
+from knotfield.diagram import Crossing, PlanarDiagram, _contraction_order, jones, to_diagram
 from knotfield.extraction import SampleGrid, extract
 from knotfield.fields import field_library
 from knotfield.mosaic import Mosaic, enumerate_mosaics
@@ -60,13 +60,26 @@ def torus_jones(p, q):
     return LaurentPolynomial({2 * (k + shift): v for k, v in quot.items()})
 
 
-@pytest.mark.parametrize("p,q", [(2, 5), (3, 4), (2, 21), (4, 7), (2, 23), (5, 6)])
+TORUS_KNOTS = [(2, 5), (3, 4), (2, 21), (4, 7), (2, 23), (5, 6)]
+
+
+def _torus_diagram(p, q):
+    return reduce_diagram(project_diagram(torus_polyline(p, q, 60 * (p + q))))
+
+
+@pytest.mark.parametrize("p,q", TORUS_KNOTS)
 def test_torus_knot_jones_closed_form(p, q):
     # Up to 24 crossings: far beyond an exhaustive sum over 2^c states.
-    d = reduce_diagram(project_diagram(torus_polyline(p, q, 60 * (p + q))))
+    d = _torus_diagram(p, q)
     assert len(d.crossings) == (p - 1) * q
     want = torus_jones(p, q)
     assert jones(d) in (want, want.mirror())
+
+
+@pytest.mark.parametrize("p,q", TORUS_KNOTS)
+def test_torus_knot_contraction_order_matches_oracle(p, q):
+    d = _torus_diagram(p, q)
+    assert _contraction_order(d.crossings) == oracle_contraction_order(d.crossings)
 
 
 def test_crossing_signs_follow_the_segment_directions():

@@ -241,6 +241,21 @@ MUTANTS = (
     Mutant("segment-direction-from-chord", "src/knotfield/project.py",
            "seg = np.roll(pts2, -1, axis=0) - pts2", "seg = np.roll(pts2, -2, axis=0) - pts2",
            ("tests/test_project.py::test_crossing_signs_follow_the_segment_directions",)),
+    Mutant("first-loop-times-d", "src/knotfield/diagram.py",
+           "                    m[0] = 1\n                    loops -= 1\n",
+           "                    m[0] = 1\n",
+           ("tests/test_diagram.py::test_kink_brackets",
+            "tests/test_diagram.py::test_bracket_matches_oracle_on_built_diagrams")),
+    Mutant("b-smoothing-shift-up", "src/knotfield/diagram.py",
+           "(((e1, e2), (e3, e0)), -1)", "(((e1, e2), (e3, e0)), 1)",
+           ("tests/test_diagram.py::test_kink_brackets",
+            "tests/test_diagram.py::test_bracket_matches_oracle_on_built_diagrams")),
+    # The order sets only the bracket's cost: no result test can see it.
+    Mutant("order-ties-to-highest-index", "src/knotfield/diagram.py",
+           "max(left, key=score.__getitem__)", "max(reversed(left), key=score.__getitem__)",
+           ("tests/test_diagram.py::test_contraction_order_matches_oracle_on_random_mosaics",
+            "tests/test_diagram.py::test_contraction_order_matches_oracle_on_built_diagrams",
+            "tests/test_project.py::test_torus_knot_contraction_order_matches_oracle")),
 )
 
 
