@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -127,6 +128,12 @@ class FieldState:
         return self.values.shape[0]
 
     def norm(self) -> float:
+        """The discrete L2 norm, computed on the first call: a state's
+        values are not written after construction."""
+        return self._norm
+
+    @cached_property
+    def _norm(self) -> float:
         return _l2(self.values)
 
     def norm_drift(self) -> float:
@@ -348,7 +355,9 @@ def track_nodal(history, cfg: EvolutionConfig, min_amp: float = None,
         raise KnotfieldError(f"min_amp must be finite and nonnegative, got {min_amp}")
     ax = cfg.axes()
     half = roi * cfg.box / 2.0
-    keep = np.abs(ax[0]) <= half
+    # The cells with |x| <= half are one centred run of the ascending axis,
+    # so the region is a basic slice (possibly empty), not a fancy index.
+    keep = slice(np.searchsorted(ax[0], -half), np.searchsorted(ax[0], half, "right"))
     sub_ax = tuple(a[keep] for a in ax)
     snaps = []
     events = []
@@ -357,7 +366,7 @@ def track_nodal(history, cfg: EvolutionConfig, min_amp: float = None,
         amp = min_amp
         if amp is None:
             amp = 1e-3 * float(np.abs(st.values).max())
-        sub = st.values[np.ix_(keep, keep, keep)]
+        sub = np.ascontiguousarray(st.values[keep, keep, keep])
         try:
             curve = extract_from_samples(sub, sub_ax, min_amp=amp,
                                          allow_open=True)

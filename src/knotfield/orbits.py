@@ -15,6 +15,14 @@ follow parent pointers laid down in deterministic BFS order (by level,
 source state, move instance); each step re-expands only its parent, as the
 one chunk `kernels.expand_chunks` yields for it, and takes the instance at
 the first position of the child in that chunk's neighbor list.
+
+`same_orbit` closes no orbit: it meets in the middle (Pohl, "Bi-directional
+search", Machine Intelligence 6, 1971).  One BFS grows from each mosaic, a
+whole level of the smaller frontier at a time, until a new mosaic of one
+search is a member of the other, or one search runs out of frontier.  Each
+move is an involution, so the witness is a's tree path to the meeting
+mosaic followed by b's tree path to it, reversed: a shortest move sequence
+from a to b, though not always the one `orbit(a).witness_for(b)` gives.
 """
 
 from __future__ import annotations
@@ -122,25 +130,38 @@ class Orbit:
             m = from_label(m)
         if m not in self:
             raise KnotfieldError("mosaic is not in this orbit")
-        insts, tables = self._packed
-        state = bytes(m.cells)
-        seq = []
-        while (parent := self._parents[state]) is not None:
-            # BFS kept the first (source, instance) pair reaching each state.
-            # One parent is one chunk, and a parent has at least one child.
-            [(_, _, inst, neighbors)] = kernels.expand_chunks([parent], tables)
-            seq.append(insts[inst[neighbors.index(state)]])
-            state = parent
-        return seq[::-1]
+        return _tree_path(self._parents, bytes(m.cells), self._packed)
 
 
-def orbit(m: Mosaic, templates, budget: int = DEFAULT_BUDGET) -> Orbit:
-    """Breadth-first closure of {m} under all placements of all templates."""
+def _tree_path(parents, state, packed):
+    """Move sequence replaying the root of the BFS parent map `parents` ->
+    `state`, as MoveInstances of `packed`, an (instances, window tables)
+    pair."""
+    insts, tables = packed
+    seq = []
+    while (parent := parents[state]) is not None:
+        # BFS kept the first (source, instance) pair reaching each state.
+        # One parent is one chunk, and a parent has at least one child.
+        [(_, _, inst, neighbors)] = kernels.expand_chunks([parent], tables)
+        seq.append(insts[inst[neighbors.index(state)]])
+        state = parent
+    return seq[::-1]
+
+
+def _packed_for(m, templates, budget):
+    """The (instances, window tables) pair that searches m's orbit, after
+    the budget and m are checked."""
     if budget < 1:
         raise KnotfieldError(f"orbit budget must be at least 1, got {budget}")
     if not validate(m).valid:
         raise KnotfieldError("orbit closure requires a suitably-connected mosaic")
     insts, *_, tables = _compile_instances(tuple(templates), m.n)
+    return insts, tables
+
+
+def orbit(m: Mosaic, templates, budget: int = DEFAULT_BUDGET) -> Orbit:
+    """Breadth-first closure of {m} under all placements of all templates."""
+    insts, tables = _packed_for(m, templates, budget)
     start = bytes(m.cells)
     parents = {start: None}
     frontier = [start]
@@ -160,12 +181,45 @@ def orbit(m: Mosaic, templates, budget: int = DEFAULT_BUDGET) -> Orbit:
 
 
 def same_orbit(a: Mosaic, b: Mosaic, templates, budget: int = DEFAULT_BUDGET):
-    """Decide orbit equivalence; on success also return a witness sequence."""
+    """Decide orbit equivalence; on success also return a witness, a
+    shortest move sequence replaying a -> b, as MoveInstances.
+
+    A two-sided BFS: each round expands the whole level of the search with
+    the smaller frontier (a's on a tie), and the first new mosaic that the
+    other search holds ends it.  Both searches were complete and disjoint
+    before that level, so the witness has the BFS distance's length.  The
+    budget bounds the members the two searches hold together, a and b
+    counted from the start; a mosaic the other search holds is not counted.
+    """
     if a.n != b.n:
         raise KnotfieldError("mosaics live in different lattice sizes")
     if not validate(b).valid:
         raise KnotfieldError("orbit comparison requires a suitably-connected mosaic")
-    orb = orbit(a, templates, budget=budget)
-    if b in orb:
-        return True, orb.witness_for(b)
+    packed = _packed_for(a, templates, budget)
+    if budget < 2:
+        raise BudgetExceededError(budget, 2)
+    start_a, start_b = bytes(a.cells), bytes(b.cells)
+    if start_a == start_b:
+        return True, []
+    trees = ({start_a: None}, {start_b: None})
+    levels = [[start_a], [start_b]]
+    held = 2
+    while levels[0] and levels[1]:
+        side = int(len(levels[1]) < len(levels[0]))
+        mine, theirs = trees[side], trees[1 - side]
+        reached = []
+        # As in orbit(), the budget stops the search inside the chunk that
+        # crosses it.
+        for block, rows, _, neighbors in kernels.expand_chunks(levels[side], packed[1]):
+            for i, nb in zip(rows.tolist(), neighbors):
+                if nb not in mine:
+                    mine[nb] = block[i]
+                    if nb in theirs:
+                        return True, (_tree_path(trees[0], nb, packed)
+                                      + _tree_path(trees[1], nb, packed)[::-1])
+                    reached.append(nb)
+                    held += 1
+                    if held > budget:
+                        raise BudgetExceededError(budget, held)
+        levels[side] = reached
     return False, None

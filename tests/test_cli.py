@@ -558,6 +558,20 @@ def test_evolve_run_json(capsys):
     assert payload["final_time"] == pytest.approx(0.01)
 
 
+def test_evolve_run_takes_each_norm_once(capsys, monkeypatch):
+    # One norm for the initial state's norm0 and one for the final state,
+    # which the drift reuses.
+    calls = []
+    real = evolution._l2
+    monkeypatch.setattr(evolution, "_l2", lambda values: calls.append(1) or real(values))
+    code, out, _ = run_cli(capsys, "evolve", "run", "--resolution", "16", "--box", "8",
+                           "--steps", "2", "--initial", "gaussian", "--format", "json")
+    assert code == 0
+    assert len(calls) == 2
+    got = json.loads(out)
+    assert got["norm_drift"] == abs(got["final_norm"] - got["initial_norm"]) / got["initial_norm"]
+
+
 def test_evolve_track_csv(capsys, tmp_path):
     snaps = tmp_path / "snaps"
     code, out, _ = run_cli(capsys, "evolve", "track", "--resolution", "64",

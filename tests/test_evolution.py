@@ -220,6 +220,30 @@ def test_track_roi_validation():
         track_nodal([], cfg, roi=0.0)
 
 
+@pytest.mark.parametrize("roi,cells", [(1e-6, 0), (0.25, 8), (0.5, 16), (27 / 32, 28), (1.0, 32)])
+def test_track_region_is_every_cell_within_half_roi(monkeypatch, roi, cells):
+    # Tracking sees the cells with |x| <= roi * box / 2 on every axis, as one
+    # C-contiguous block: none for a roi under half a cell, and the cell at
+    # exactly 27/32 * box / 2 is kept.
+    seen = []
+
+    def record(sub, axes, **_):
+        seen.append((sub, axes))
+        raise KnotfieldError("recorded")
+
+    monkeypatch.setattr(evolution, "extract_from_samples", record)
+    psi = gaussian_state(SMALL, width=1.0)
+    assert track_nodal([psi], SMALL, roi=roi).snapshots[0].error == "recorded"
+    [(sub, axes)] = seen
+    ax = SMALL.axes()[0]
+    keep = np.abs(ax) <= roi * SMALL.box / 2
+    assert sub.flags.c_contiguous
+    np.testing.assert_array_equal(sub, psi.values[np.ix_(keep, keep, keep)])
+    for a in axes:
+        np.testing.assert_array_equal(a, ax[keep])
+    assert sub.shape == (cells,) * 3
+
+
 def test_resolution_mismatch_rejected():
     psi = gaussian_state(SMALL, width=1.0)
     with pytest.raises(KnotfieldError):

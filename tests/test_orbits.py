@@ -126,6 +126,84 @@ def test_unknot_and_trefoil_disjoint(trefoil):
             orb.witness_for(stranger)
 
 
+def _assert_shortest_witness(orb, b):
+    """same_orbit(representative, b) says yes with a witness that replays
+    the representative -> b and is as short as the orbit's BFS witness."""
+    a = orb.representative
+    same, witness = same_orbit(a, b, TABLE)
+    assert same
+    state = a
+    for inst in witness:
+        state = apply(inst, state)
+    assert state == b
+    assert len(witness) == len(orb.witness_for(b))
+
+
+@pytest.mark.parametrize("name", ["circle3", "trefoil", "fig8"])
+def test_same_orbit_witness_is_shortest(name, request):
+    orb = orbit(CIRCLE3 if name == "circle3" else request.getfixturevalue(name), TABLE)
+    for b in orb.member_mosaics():
+        _assert_shortest_witness(orb, b)
+
+
+def test_same_orbit_witness_is_shortest_circle4():
+    orb = orbit(CIRCLE4, TABLE)
+    for row in random.Random(1).sample(list(orb._parents), 200):
+        _assert_shortest_witness(orb, Mosaic(4, tuple(row)))
+
+
+def test_different_orbits_decided_whichever_is_smaller(trefoil):
+    # The trefoil's 2-member orbit runs out of frontier first, whichever
+    # side it is on, before the circle's 1,348 members are all reached.
+    assert same_orbit(CIRCLE4, trefoil, TABLE) == (False, None)
+    for a, b in ((trefoil, CIRCLE4), (CIRCLE4, trefoil)):
+        assert same_orbit(a, b, TABLE, budget=50) == (False, None)
+    with pytest.raises(BudgetExceededError):
+        orbit(CIRCLE4, TABLE, budget=50)
+
+
+def _walk(m, seed, steps):
+    """A seeded random walk of `steps` moves from m."""
+    _, *packed = compile_instances(TABLE, m.n)
+    rng = random.Random(seed)
+    state = bytes(m.cells)
+    for _ in range(steps):
+        state = rng.choice(kernels.expand(state, *packed))
+    return Mosaic(m.n, tuple(state))
+
+
+def test_same_orbit_decides_without_closing_the_orbit():
+    far = _walk(CIRCLE5, 0, 40)
+    same, witness = same_orbit(CIRCLE5, far, TABLE, budget=5000)
+    assert same and 0 < len(witness) <= 40
+    state = CIRCLE5
+    for inst in witness:
+        state = apply(inst, state)
+    assert state == far
+    with pytest.raises(BudgetExceededError):
+        orbit(CIRCLE5, TABLE, budget=5000)
+
+
+def test_same_orbit_budget_counts_both_searches(trefoil):
+    # a and b are held from the start, even when they are one mosaic.
+    with pytest.raises(BudgetExceededError) as got:
+        same_orbit(trefoil, trefoil, TABLE, budget=1)
+    assert got.value.seen == 2
+    assert same_orbit(trefoil, trefoil, TABLE, budget=2) == (True, [])
+    # The partner, reached from the trefoil, is held by b's search: it ends
+    # the search before it is counted.
+    partner = decode(TREFOIL_PARTNER)
+    want = orbit(trefoil, TABLE).witness_for(partner)
+    assert same_orbit(trefoil, partner, TABLE, budget=2) == (True, want)
+
+
+@pytest.mark.parametrize("budget", [300, 1000])
+def test_same_orbit_budget_stops_at_the_member_past_it(budget):
+    with pytest.raises(BudgetExceededError) as got:
+        same_orbit(CIRCLE5, _walk(CIRCLE5, 0, 40), TABLE, budget=budget)
+    assert got.value.seen == budget + 1
+
+
 @pytest.mark.parametrize("mangle", [
     lambda t: t,
     lambda t: t.replace("\n", " \n"),

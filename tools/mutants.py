@@ -88,6 +88,26 @@ MUTANTS = (
            "parents[nb] = block[i]", "parents[nb] = frontier[i]",
            ("tests/test_orbits.py::test_chunked_closure_matches_oracle_3x3",
             "tests/test_orbits.py::test_chunked_closure_matches_oracle_circle4")),
+    Mutant("meet-witness-b-half-unreversed", "src/knotfield/orbits.py",
+           "_tree_path(trees[1], nb, packed)[::-1]", "_tree_path(trees[1], nb, packed)",
+           ("tests/test_orbits.py::test_same_orbit_witness_is_shortest",
+            "tests/test_orbits.py::test_same_orbit_witness_is_shortest_circle4")),
+    Mutant("meet-looked-up-in-own-tree", "src/knotfield/orbits.py",
+           "if nb in theirs:", "if nb in mine:",
+           ("tests/test_orbits.py::test_same_orbit_witness_is_shortest",
+            "tests/test_orbits.py::test_different_orbits_decided_whichever_is_smaller")),
+    Mutant("meet-grows-the-larger-frontier", "src/knotfield/orbits.py",
+           "int(len(levels[1]) < len(levels[0]))", "int(len(levels[1]) > len(levels[0]))",
+           ("tests/test_orbits.py::test_same_orbit_decides_without_closing_the_orbit",)),
+    Mutant("meet-counted-before-it-ends-the-search", "src/knotfield/orbits.py",
+           "                    mine[nb] = block[i]\n"
+           "                    if nb in theirs:\n",
+           "                    mine[nb] = block[i]\n"
+           "                    held += 1\n"
+           "                    if held > budget:\n"
+           "                        raise BudgetExceededError(budget, held)\n"
+           "                    if nb in theirs:\n",
+           ("tests/test_orbits.py::test_same_orbit_budget_counts_both_searches",)),
     Mutant("template-hash-without-pattern-b", "src/knotfield/moves.py",
            "self.pattern_a, self.pattern_b)))", "self.pattern_a)))",
            ("tests/test_moves.py::test_template_hash_is_the_hash_of_its_fields",
@@ -158,6 +178,12 @@ MUTANTS = (
     Mutant("round-fallback-band-dropped", "src/knotfield/cli.py",
            " | (np.abs(t - np.floor(t) - 0.5) <= t * 2.0 ** -50)", "",
            ("tests/test_cli.py::test_round12_is_round_bit_for_bit",)),
+    Mutant("track-region-drops-the-boundary-cell", "src/knotfield/evolution.py",
+           'np.searchsorted(ax[0], half, "right")', "np.searchsorted(ax[0], half)",
+           ("tests/test_evolution.py::test_track_region_is_every_cell_within_half_roi",)),
+    Mutant("norm-recomputed-on-every-call", "src/knotfield/evolution.py",
+           "        return self._norm\n", "        return _l2(self.values)\n",
+           ("tests/test_cli.py::test_evolve_run_takes_each_norm_once",)),
     Mutant("free-phases-take-n-steps", "src/knotfield/evolution.py",
            "omega, n, dt = (0.0, 0.0, 0.0), 1, n * dt", "omega = (0.0, 0.0, 0.0)",
            ("tests/test_evolution.py::test_run_builds_each_phase_once",)),
