@@ -15,6 +15,14 @@ Outputs are deterministic: no wall clock and no unseeded randomness;
 describing the run is written to --manifest, or else next to --out when that
 is a regular file, so results can be reproduced.
 
+`main` parses an argv that names a command (`argv[:2]`, or `argv[:1]` for
+`wirtinger`) with that command's own parser, read off the one cached parser
+tree, in a namespace that already holds `group` (and `cmd`).  Anything the
+command's parser leaves over, and any argv that names no command, goes to
+the full tree, which prints what it always printed.  In-process callers
+(perfbench, the tests) pay the parse on every call, so skipping the
+top-level and group parsers is worth it there.
+
 numpy and the modules that import it (orbits, states, rows, fields,
 extraction, project, evolution) are imported inside the handlers that use
 them, so `mosaic validate|show|jones` and `wirtinger` start without numpy.
@@ -504,6 +512,41 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.lru_cache(maxsize=1)
+def _leaves(parser):
+    """{argv prefix: (leaf parser, the namespace values the prefix sets)}
+    for every command of parser: ("mosaic", "jones") for a command in a
+    group, ("wirtinger",) for a group without commands."""
+    table = {}
+
+    def add(p, prefix, values):
+        for action in p._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    add(child, prefix + (name,), {**values, action.dest: name})
+                return
+        table[prefix] = p, values
+
+    add(parser, (), {})
+    return table
+
+
+def _parse_args(argv):
+    """argv parsed as `_parser().parse_args` parses it (see the module
+    docstring).  The full parser first reads every argument as a possible
+    option of its own, where "--=..." fails, matching both --help and
+    --version; such an argv goes to the full parser, which reports that."""
+    parser = _parser()
+    leaves = _leaves(parser)
+    prefix = tuple(argv[:2]) if tuple(argv[:2]) in leaves else tuple(argv[:1])
+    if prefix in leaves and not any(a.startswith("--=") for a in argv):
+        leaf, values = leaves[prefix]
+        args, rest = leaf.parse_known_args(argv[len(prefix):], argparse.Namespace(**values))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def _attach_complex_values(argv):
     """argv with `field eval --z V` as `--z=V` where V is a complex number:
     argparse takes a V such as -0.2-0.7i, which starts with '-' and is not a
@@ -532,10 +575,9 @@ def _manifest(args, argv, code):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _parser()
-    args = parser.parse_args(_attach_complex_values(argv))
+    args = _parse_args(_attach_complex_values(argv))
     if not getattr(args, "fn", None):
-        parser.print_usage(sys.stderr)
+        _parser().print_usage(sys.stderr)
         print("error: missing subcommand", file=sys.stderr)
         return 2
     try:

@@ -25,10 +25,15 @@ from dataclasses import dataclass
 
 from .errors import CrossingCapError, KnotfieldError
 from .laurent import LaurentPolynomial
-from .mosaic import CROSSING_OVER, CROSSING_TILES, Mosaic, trace_components
+from .mosaic import CROSSING_OVER, CROSSING_TILES, NUM_TILES, SIDES, Mosaic, _closed_paths
 
 # Unit direction of travel towards each cell side (x = column, y = -row).
 SIDE_VECTORS = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
+
+# (over?, direction of travel) of a passage leaving tile t at side s, at
+# t * 4 + s (sides in SIDES order); None where t is not a crossing.
+_CROSSING_EXIT = [(s in CROSSING_OVER[t], SIDE_VECTORS[s]) if t in CROSSING_TILES else None
+                  for t in range(NUM_TILES) for s in SIDES]
 
 CROSSING_CAP = 24
 
@@ -119,14 +124,13 @@ def from_traversal(components) -> PlanarDiagram:
 
 def to_diagram(m: Mosaic) -> PlanarDiagram:
     """Convert a valid mosaic with at least one component into a diagram."""
-    strands = trace_components(m)
-    if not strands:
+    paths = _closed_paths(m)
+    if not paths:
         raise KnotfieldError("mosaic has zero components")
     cells = m.cells
     return from_traversal([
-        [(cell, exit_ in CROSSING_OVER[cells[cell]], SIDE_VECTORS[exit_])
-         for cell, _, exit_ in strand.passages if cells[cell] in CROSSING_TILES]
-        for strand in strands])
+        [(x >> 2, *p) for _, x in path if (p := _CROSSING_EXIT[cells[x >> 2] * 4 + (x & 3)])]
+        for path in paths])
 
 
 # ---------------------------------------------------------------------------

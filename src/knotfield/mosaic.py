@@ -15,8 +15,11 @@ Cells are stored row-major, rows top to bottom, columns left to right.
 
 Strands are followed by two walks that give the same strands in the same
 order.  `_walk` steps through one block of cells in Python; it serves
-single mosaics (`trace_components`, hence `to_diagram`, `mosaic jones`,
-`wirtinger`) and move templates, whose blocks have open strands.
+single mosaics (`trace_components`, `to_diagram`, hence `mosaic jones` and
+`wirtinger`) and move templates, whose blocks have open strands.  It yields
+each strand as integer (entry, exit) endpoint pairs; side letters are made
+(`_passages`) only for the callers of `trace_components` and the move-table
+generator, and `to_diagram` reads the pairs themselves.
 `rows.trace_rows` traces a (k, n^2) array of valid mosaics at once with
 numpy pointer jumping; it serves the members of an orbit, and lives in its
 own module so that this one does not import numpy.  Both are kept
@@ -173,7 +176,7 @@ def _across(rows, cols):
 
 def _walk(rows, cols, cells, faults):
     """Follow the strands of a rows x cols block of tile ids 0..10, each as a
-    tuple of (cell, entry_side, exit_side) passages.
+    list of (entry, exit) endpoint pairs, one per passage through a cell.
 
     Open strands start at the block's boundary `faults` (from _edge_faults,
     in their order) and end where they next leave the block; closed strands
@@ -182,8 +185,9 @@ def _walk(rows, cols, cells, faults):
     enters a side its tile lacks or a closed strand leaves the block: a
     block without faults meets neither.
 
-    The walk runs on integer endpoints (cell * 4 + side) through the _EXIT
-    and _across tables; side letters are made only for the strands returned.
+    An endpoint is cell * 4 + side, sides numbered in SIDES order; the walk
+    steps through the _EXIT and _across tables and makes no side letters
+    (`_passages` makes them).
     """
     across = _across(rows, cols)
     used = bytearray(4 * rows * cols)  # endpoints already traversed
@@ -204,9 +208,6 @@ def _walk(rows, cols, cells, faults):
             if e < 0 or e == start:
                 return path, e < 0
 
-    def passages(path):
-        return tuple((e >> 2, SIDES[e & 3], SIDES[x & 3]) for e, x in path)
-
     opened = []
     for kind, r, c, _ in faults:
         if kind == "h":
@@ -217,7 +218,7 @@ def _walk(rows, cols, cells, faults):
             walked = follow(e)
             if walked is None:
                 return None
-            opened.append(passages(walked[0]))
+            opened.append(walked[0])
     closed = []
     for cell, t in enumerate(cells):
         for side in _STARTS[t]:
@@ -225,8 +226,14 @@ def _walk(rows, cols, cells, faults):
                 walked = follow(cell * 4 + side)
                 if walked is None or walked[1]:
                     return None
-                closed.append(passages(walked[0]))
+                closed.append(walked[0])
     return opened, closed
+
+
+def _passages(path):
+    """A strand's (entry, exit) endpoint pairs from _walk as its
+    (cell, entry_side, exit_side) passages."""
+    return tuple((e >> 2, SIDES[e & 3], SIDES[x & 3]) for e, x in path)
 
 
 @dataclass(frozen=True)
@@ -239,10 +246,15 @@ class Strand:
 def trace_components(m: Mosaic):
     """Follow every connection pair into closed strands.
 
-    Requires a valid mosaic; every pair belongs to exactly one strand.  The
-    walk meets every fault of an invalid one, and only then is the mosaic
-    validated, for the error message.
+    Requires a valid mosaic; every pair belongs to exactly one strand.
     """
+    return [Strand(_passages(path)) for path in _closed_paths(m)]
+
+
+def _closed_paths(m: Mosaic):
+    """The closed strands of a valid mosaic as _walk gives them, (entry,
+    exit) endpoint pairs.  The walk meets every fault of an invalid mosaic,
+    and only then is the mosaic validated, for the error message."""
     try:
         cells = bytes(m.cells)  # a float, a negative or a large id raises
     except (TypeError, ValueError):
@@ -251,7 +263,7 @@ def trace_components(m: Mosaic):
     if walked is None:
         rep = validate(m)  # raises on a malformed tile id
         raise KnotfieldError(f"mosaic is not suitably connected ({len(rep.bad_edges)} bad edges)")
-    return [Strand(p) for p in walked[1]]
+    return walked[1]
 
 
 def _entry_code(t, s):

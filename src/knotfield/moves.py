@@ -143,11 +143,12 @@ def templates_from_json(text):
             raise MoveTableError(f"move table entry {i}: duplicate move name {t.name}")
         names.add(t.name)
         templates.append(t)
-    return templates
+    return tuple(templates)
 
 
 @functools.cache
 def default_table():
-    """The bundled move table (planar isotopy + R1/R2/R3), loaded once."""
+    """The bundled move table (planar isotopy + R1/R2/R3), loaded once; a
+    tuple, so no caller can change the table the next one gets."""
     text = resources.files("knotfield.data").joinpath("moves_default.json").read_text()
     return templates_from_json(text)

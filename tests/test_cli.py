@@ -1,6 +1,8 @@
 """End-to-end CLI checks through main(), without spawning subprocesses
 except where thread independence is the point."""
 
+import argparse
+import contextlib
 import dataclasses
 import io
 import json
@@ -12,6 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CHILD_ENV, crossing_mosaic, data_path
 from oracles import oracle_orbit
@@ -791,6 +794,130 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
 
 
 _GRID = ["--field", "unknot", "--resolution", "16"]
+_SMALL_EVOLVE = ["--resolution", "16", "--box", "8", "--steps", "2", "--initial", "gaussian"]
+
+# Every command of build_parser(): the argv after its name that runs it,
+# and one that lacks what it requires (None where it requires nothing).
+_LEAVES = {
+    ("mosaic", "validate"): ([TREFOIL], []),
+    ("mosaic", "show"): ([TREFOIL], []),
+    ("mosaic", "orbit"): ([TREFOIL, "--members"], ["--members"]),
+    ("mosaic", "same-orbit"): ([TREFOIL, TREFOIL], [TREFOIL]),
+    ("mosaic", "jones"): ([TREFOIL], []),
+    ("observable", "chi"): ([TREFOIL], []),
+    ("observable", "invariant"): ([TREFOIL, "--invariant", "components"], []),
+    ("wirtinger",): ([TREFOIL], []),
+    ("field", "eval"): (["--field", "unknot", "--z", "0.5", "--w", "1"], ["--z", "0", "--w", "1"]),
+    ("field", "extract"): (_GRID, ["--resolution", "16"]),
+    ("field", "verify"): (["--expect", TREFOIL] + _GRID, _GRID),
+    ("field", "fiber"): (["--theta", "0"] + _GRID, _GRID),
+    ("evolve", "run"): (_SMALL_EVOLVE, None),
+    ("evolve", "track"): (_SMALL_EVOLVE, None),
+}
+
+
+def _taken(path):
+    """The bytes of the file at path, which is then removed; None if absent."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return None
+    os.remove(path)
+    return data
+
+
+def _dispatched_and_full(capsys, monkeypatch, argv, written=()):
+    """main(argv)'s exit code, stdout, stderr and the files it wrote, as it
+    runs and then with a fresh full parser's parse_args in place of the
+    command dispatch; and how often the first run fell back to parse_args."""
+    parse_args = argparse.ArgumentParser.parse_args
+    full = []
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a: full.append(a) or parse_args(self, *a))
+    dispatched = outcome_of(capsys, argv) + tuple(_taken(p) for p in written)
+    falls_back = len(full)
+    monkeypatch.setattr(cli, "_parse_args", lambda a: cli.build_parser().parse_args(a))
+    reference = outcome_of(capsys, argv) + tuple(_taken(p) for p in written)
+    monkeypatch.undo()
+    return dispatched, reference, falls_back
+
+
+def test_every_command_is_dispatched():
+    assert set(cli._leaves(cli._parser())) == set(_LEAVES)
+
+
+@pytest.mark.parametrize("command", list(_LEAVES), ids=" ".join)
+def test_dispatch_answers_as_the_full_parser(tmp_path, capsys, monkeypatch, command):
+    valid, missing = _LEAVES[command]
+    out = str(tmp_path / "out.txt")
+    cases = [  # (argv after the command, whether the full parser reads it)
+        (valid + ["--format=json"], False),
+        (valid + ["--form", "json", "--ou", out], False),
+        (valid + ["-h"], False),
+        (valid + ["--format", "xml"], False),
+        (valid + ["--bogus", "1"], True),
+        (valid + ["--version"], True),
+    ] + ([(missing, False)] if missing is not None else [])
+    for rest, full in cases:
+        argv = list(command) + rest
+        dispatched, reference, falls_back = _dispatched_and_full(
+            capsys, monkeypatch, argv, (out, out + ".manifest.json"))
+        assert dispatched == reference, argv
+        assert falls_back == full, argv
+        code, stdout, stderr, *_ = dispatched
+        if rest[len(valid):] in (["--format=json"], ["-h"]):  # runs, or prints its own help
+            assert (code, stderr) == (0, "") and stdout
+        if rest[-1:] == ["-h"]:
+            assert stdout.startswith(f"usage: knotfield {' '.join(command)} [-h]")
+        if full:  # the top parser reports what the command's parser leaves over
+            assert (code, stdout) == (2, "")
+            assert stderr.startswith("usage: knotfield [-h] [--version]")
+            assert stderr.splitlines()[-1] == ("knotfield: error: unrecognized arguments: "
+                                               + " ".join(rest[len(valid):]))
+
+
+@pytest.mark.parametrize("argv,full", [
+    (["field", "eval", "--field", "unknot", "--z", "-0.2-0.7i", "--w", "1"], False),
+    # argv that names no command
+    ([], True), (["mosaic"], True), (["bogus"], True), (["--version"], True),
+    (["-h"], True), (["mosaic", "-h"], True),
+    # "--=x" is an ambiguous top-level option to the full parser, even after "--"
+    (["mosaic", "jones", TREFOIL, "--=x"], True),
+    (["wirtinger", "--", "--=x"], True),
+], ids=repr)
+def test_dispatch_answers_as_the_full_parser_on_other_argv(capsys, monkeypatch, argv, full):
+    dispatched, reference, falls_back = _dispatched_and_full(capsys, monkeypatch, argv)
+    assert dispatched == reference
+    assert falls_back == full
+
+
+_TOKENS = [TREFOIL, "--format", "json", "xml", "--form", "--format=json", "-h", "--he",
+           "--version", "--ver", "--", "-", "", "--=x", "-x", "--budget", "-1", "--bud",
+           "--thr", "2", "--members", "--mem", "--invariant", "components", "--z",
+           "-0.2-0.7i", "--w", "--field", "unknot", "--theta", "--resolution=16",
+           "--chart", "south", "--obj", "--steps", "--roi", "--min-amp", "-1e3",
+           "mosaic", "jones", "wirtinger", "--help=x", "-hh", "--sn", "--s"]
+
+
+@given(st.sampled_from([list(c) for c in _LEAVES] + [[], ["mosaic"], ["bogus"]]),
+       st.lists(st.sampled_from(_TOKENS), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_parse_args_matches_the_full_parser_on_any_tokens(command, tokens):
+    argv = command + tokens
+
+    def parsed(parse):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = vars(parse(argv))
+            except SystemExit as exc:
+                result = exc.code
+        return result, out.getvalue(), err.getvalue()
+
+    assert parsed(cli._parse_args) == parsed(cli.build_parser().parse_args)
+
+
 _NO_ORBIT = [
     ["mosaic", "validate", TREFOIL],
     ["mosaic", "show", TREFOIL],

@@ -30,6 +30,7 @@ from knotfield.moves import default_table
 from knotfield.orbits import orbit
 from knotfield.project import reduce_diagram
 from knotfield.rows import row_diagrams
+from knotfield.wirtinger import abelianization_rank, wirtinger
 
 
 def test_unknot_jones_is_one():
@@ -162,6 +163,23 @@ def test_to_diagram_matches_side_table_oracle(seed, n):
     assert d.pd_code() == want.pd_code()
     assert d.crossings == want.crossings
     assert (d.free_loops, d.n_components) == (want.free_loops, want.n_components)
+
+
+def _presentation(d):
+    """wirtinger(d) and its rank, or the error it raises."""
+    try:
+        p = wirtinger(d)
+    except KnotfieldError as exc:
+        return str(exc)
+    return p, abelianization_rank(p)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8))
+@settings(max_examples=100, deadline=None)
+def test_wirtinger_of_to_diagram_matches_side_table_oracle(seed, n):
+    m = crossing_mosaic(random.Random(seed), n, max_crossings=n * n)
+    if trace_components(m):
+        assert _presentation(to_diagram(m)) == _presentation(oracle_to_diagram(m))
 
 
 def test_from_traversal_kinks_and_free_loops():

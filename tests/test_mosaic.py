@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import oracle_random_mosaic, oracle_trace_components, oracle_validate
 
 import knotfield.rows
+from knotfield.diagram import to_diagram
 from knotfield.errors import KnotfieldError, MosaicParseError
 from knotfield.mosaic import (
     CROSSING_TILES,
@@ -180,6 +181,19 @@ def test_trace_faults_match_validating_first(m):
     with pytest.raises(KnotfieldError) as got:
         trace_components(m)
     assert (type(got.value), str(got.value)) == (type(want), str(want))
+
+
+@given(_faulty_grids())
+@settings(max_examples=200, deadline=None)
+def test_to_diagram_faults_as_trace_components(m):
+    # to_diagram walks the strands without trace_components; an invalid
+    # mosaic must fail there with the same error.
+    try:
+        trace_components(m)
+    except KnotfieldError as exc:
+        with pytest.raises(KnotfieldError) as got:
+            to_diagram(m)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
 
 
 def test_trace_rejects_invalid_mosaic():

@@ -43,6 +43,22 @@ def test_table_json_roundtrip():
     assert templates_from_json(templates_to_json(TABLE)) == TABLE
 
 
+def test_default_table_is_one_immutable_value():
+    # Every command of a process reads the same table; no caller can change
+    # the move set the next one gets.
+    table = default_table()
+    assert default_table() is table
+    assert isinstance(table, tuple)
+    assert isinstance(templates_from_json(templates_to_json(table)), tuple)
+    with pytest.raises(AttributeError):
+        table.append(table[0])
+    with pytest.raises(TypeError):
+        table[0] = table[1]
+    with pytest.raises(AttributeError):
+        table[0].pattern_a = table[0].pattern_b
+    assert default_table() == templates_from_json(templates_to_json(TABLE))
+
+
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
 def test_generator_reproduces_shipped_table(hash_seed):
     # The generator's output must not depend on the string hash seed.

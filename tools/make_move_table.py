@@ -12,7 +12,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from knotfield.mosaic import BOUNDARY_FAULT, _edge_faults, _walk  # noqa: E402
+from knotfield.mosaic import BOUNDARY_FAULT, _edge_faults, _passages, _walk  # noqa: E402
 from knotfield.moves import MoveTemplate, templates_to_json  # noqa: E402
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src/knotfield/data/moves_default.json"
@@ -86,7 +86,7 @@ def planar_2x2_moves():
         opened, closed = _walk(2, 2, cells, faults)
         if closed:
             continue
-        classes.setdefault(frozenset(_ends(s, 2) for s in opened), []).append(cells)
+        classes.setdefault(frozenset(_ends(_passages(s), 2) for s in opened), []).append(cells)
     moves = []
     idx = 0
     for key in sorted(classes, key=_class_order):

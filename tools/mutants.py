@@ -133,6 +133,18 @@ MUTANTS = (
            "strand = starts.size - 1 - np.searchsorted(starts, low)",
            ("tests/test_mosaic.py::test_trace_rows_matches_trace_on_orbit_classes",
             "tests/test_mosaic.py::test_trace_rows_matches_trace_on_random_batches")),
+    Mutant("walk-drops-last-passage", "src/knotfield/mosaic.py",
+           "                return path, e < 0\n", "                return path[:-1], e < 0\n",
+           ("tests/test_mosaic.py::test_trace_matches_oracle",
+            "tests/test_diagram.py::test_to_diagram_matches_side_table_oracle")),
+    # Reading the table at a passage's entry side instead of its exit side
+    # changes nothing: both sides lie on one pair, so the over flag is the
+    # same, and every direction turns round, which keeps every crossing's
+    # sign.  The flag read off the crossing's other strand is what can go wrong.
+    Mutant("crossing-exit-over-flag-inverted", "src/knotfield/diagram.py",
+           "(s in CROSSING_OVER[t], SIDE_VECTORS[s])", "(s not in CROSSING_OVER[t], SIDE_VECTORS[s])",
+           ("tests/test_diagram.py::test_to_diagram_matches_side_table_oracle",
+            "tests/test_diagram.py::test_wirtinger_of_to_diagram_matches_side_table_oracle")),
     Mutant("row-diagrams-over-inverted", "src/knotfield/rows.py",
            "over = _OVER[rows[row, cell], exit_]", "over = ~_OVER[rows[row, cell], exit_]",
            ("tests/test_diagram.py::test_row_diagrams_match_to_diagram_on_orbit_classes",
@@ -175,6 +187,15 @@ MUTANTS = (
            "result = result * x", "result = result",
            ("tests/test_fields.py::test_fields_match_power_oracle_bit_for_bit_on_scalars",
             "tests/test_fields.py::test_fields_match_power_oracle_on_chart_lattices")),
+    Mutant("leftover-arguments-reported-by-the-command", "src/knotfield/cli.py",
+           "        if not rest:\n            return args\n",
+           "        if rest:\n            leaf.error(f\"unrecognized arguments: {' '.join(rest)}\")\n"
+           "        return args\n",
+           ("tests/test_cli.py::test_dispatch_answers_as_the_full_parser",)),
+    Mutant("top-level-option-reading-skipped", "src/knotfield/cli.py",
+           ' and not any(a.startswith("--=") for a in argv)', "",
+           ("tests/test_cli.py::test_dispatch_answers_as_the_full_parser_on_other_argv",
+            "tests/test_cli.py::test_parse_args_matches_the_full_parser_on_any_tokens")),
     Mutant("round-fallback-band-dropped", "src/knotfield/cli.py",
            " | (np.abs(t - np.floor(t) - 0.5) <= t * 2.0 ** -50)", "",
            ("tests/test_cli.py::test_round12_is_round_bit_for_bit",)),
