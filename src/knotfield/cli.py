@@ -50,7 +50,7 @@ def _read(path: str) -> str:
     try:
         with open(path) as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise KnotfieldError(f"cannot read {path}: {exc}") from exc
 
 
@@ -371,8 +371,6 @@ def _add_evolve_flags(p):
 
 def _saved(history, outdir):
     """Yield the states of history, writing each one's .npy file first."""
-    import os
-
     import numpy as np
 
     for i, st in enumerate(history):
@@ -586,6 +584,7 @@ def main(argv=None) -> int:
             _write(args.out, text + "\n")
         else:
             print(text)
+            sys.stdout.flush()
         manifest_path = args.manifest or (
             args.out + ".manifest.json" if args.out and os.path.isfile(args.out) else None)
         if manifest_path:
@@ -595,6 +594,11 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:
         print(f"error: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return 1
+    except BrokenPipeError as exc:
+        # the output still buffered goes to devnull when Python flushes at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return 1
     return code
 

@@ -43,8 +43,6 @@ at both poles, so the two charts each see the whole nodal set, near
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import sys
 import warnings
@@ -180,16 +178,6 @@ def sample_lattice(f, grid: SampleGrid, axes, taper=None):
     return values
 
 
-def sample_chart(f, grid: SampleGrid):
-    """grid's axes and the (n, n, n) complex values of f on its lattice.
-
-    Sampled by the one slab loop, `sample_lattice`: slabs sized in points
-    to stay in cache, bit-identical to one whole-cube evaluation.
-    """
-    ax = grid.axes()
-    return ax, sample_lattice(f, grid, ax)
-
-
 @dataclass(frozen=True)
 class NodalCurve:
     """Polylines in chart coordinates; closed ones repeat their first vertex last."""
@@ -208,14 +196,11 @@ class NodalCurve:
         return bool(self.closed_flags[i])
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        wr = csv.writer(buf, lineterminator="\n")
-        wr.writerow(["component", "index", "x", "y", "z", "abs_f"])
+        lines = ["component,index,x,y,z,abs_f"]
         for ci, (pts, res) in enumerate(zip(self.components, self.vertex_residuals)):
             for i, (p, a) in enumerate(zip(pts, res)):
-                wr.writerow([ci, i, f"{p[0]:.12g}", f"{p[1]:.12g}", f"{p[2]:.12g}",
-                             f"{a:.6g}"])
-        return buf.getvalue()
+                lines.append(f"{ci},{i},{p[0]:.12g},{p[1]:.12g},{p[2]:.12g},{a:.6g}")
+        return "\n".join(lines) + "\n"
 
     def to_obj(self) -> str:
         """Wavefront-style polyline export (v + l records)."""
@@ -583,7 +568,8 @@ def sample_fiber(f, theta, grid: SampleGrid, band: float = 0.05):
         raise KnotfieldError(f"theta must be finite, got {theta}")
     if not 0 <= band < math.inf:
         raise KnotfieldError(f"band must be finite and nonnegative, got {band}")
-    ax, values = sample_chart(f, grid)
+    ax = grid.axes()
+    values = sample_lattice(f, grid, ax)
     mag = np.abs(values)
     ph = np.angle(values)  # (-pi, pi]
     diff = np.angle(np.exp(1j * (ph - theta)))  # wrapped distance to theta
@@ -592,12 +578,9 @@ def sample_fiber(f, theta, grid: SampleGrid, band: float = 0.05):
 
 
 def fiber_to_csv(cloud) -> str:
-    buf = io.StringIO()
-    wr = csv.writer(buf, lineterminator="\n")
-    wr.writerow(["x", "y", "z", "abs_f"])
-    for row in cloud:
-        wr.writerow([f"{v:.12g}" for v in row])
-    return buf.getvalue()
+    lines = ["x,y,z,abs_f"]
+    lines.extend(",".join(f"{v:.12g}" for v in row) for row in cloud)
+    return "\n".join(lines) + "\n"
 
 
 def hausdorff(a, b) -> float:

@@ -294,11 +294,6 @@ def verify_knot_type(curve, expected) -> VerificationReport:
     red = reduce_diagram(raw)
     computed = jones(red)
     want = expected_jones(expected)
-    if computed == want:
-        return VerificationReport(True, False, computed, want,
-                                  len(raw.crossings), len(red.crossings))
-    if computed == want.mirror():
-        return VerificationReport(True, True, computed, want,
-                                  len(raw.crossings), len(red.crossings))
-    return VerificationReport(False, False, computed, want,
+    mirrored = computed != want and computed == want.mirror()
+    return VerificationReport(computed == want or mirrored, mirrored, computed, want,
                               len(raw.crossings), len(red.crossings))

@@ -26,7 +26,7 @@ pair into one integer and reads degrees and neighbours off arrays.  The
 field oracle takes integer powers with `**`, where production multiplies
 them out.  The sampling oracles write the inverse stereographic map out inline (the box
 initial state) or evaluate the whole chart cube in one call (the fiber),
-where production goes through `embed` and the slab-wise `sample_chart`.
+where production goes through `embed` and the slab loop `sample_lattice`.
 The Hausdorff oracle builds the whole (m, k, 3) difference array and takes
 the norm of each pair, where production sums squares over row blocks and
 takes the root last.

@@ -192,6 +192,45 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, mosaic_tex
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("argv", [
+    ["mosaic", "validate", "MOSAIC"],
+    ["mosaic", "show", "MOSAIC"],
+    ["mosaic", "orbit", "MOSAIC"],
+    ["mosaic", "same-orbit", TREFOIL, "MOSAIC"],
+    ["mosaic", "jones", "MOSAIC"],
+    ["observable", "chi", "MOSAIC"],
+    ["observable", "invariant", "MOSAIC", "--invariant", "components"],
+    ["observable", "invariant", "MOSAIC", "--invariant", "v_minus1"],
+    ["wirtinger", "MOSAIC"],
+    ["field", "verify", "--field", "unknot", "--resolution", "16", "--expect", "MOSAIC"],
+], ids=["validate", "show", "orbit", "same-orbit", "jones", "chi", "components", "v_minus1",
+        "wirtinger", "field-verify"])
+def test_undecodable_input_is_one_error_line(tmp_path, capsys, argv):
+    path = tmp_path / "bad.mosaic"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, *[str(path) if a == "MOSAIC" else a for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["mosaic", "show", TREFOIL],
+    ["field", "fiber", "--field", "milnor:2,3", "--theta", "0.5", "--resolution", "32"],
+], ids=["mosaic-show", "field-fiber"])
+def test_closed_stdout_is_one_error_line(argv):
+    # the read end of the child's stdout pipe is closed before it writes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "knotfield.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=CHILD_ENV)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.parametrize("command", ["run", "track"])
 def test_tiny_scale_inside_the_chart_runs(capsys, recwarn, command):
     code, out, err = run_cli(capsys, "evolve", command, *_EVOLVE[2:], "--initial", "milnor:2,3",
@@ -443,6 +482,20 @@ def test_field_verify(capsys):
                            "--format", "json")
     assert code == 0
     assert json.loads(out)["match"] is True
+
+
+@pytest.mark.parametrize("resolution", ["48", "64", "96"])
+def test_field_verify_mirror_flag_follows_the_chart(capsys, resolution):
+    # the south chart's stereographic projection reverses orientation, so the
+    # milnor:2,3 trefoil reads as trefoil4 in the north chart and as its mirror
+    # in the south chart
+    for chart, mirrored in (("north", False), ("south", True)):
+        code, out, _ = run_cli(capsys, "field", "verify", "--field", "milnor:2,3",
+                               "--expect", TREFOIL, "--resolution", resolution,
+                               "--chart", chart, "--format", "json")
+        report = json.loads(out)
+        assert code == 0 and report["match"] is True
+        assert report["mirrored"] is mirrored
 
 
 def test_field_commands_at_odd_resolution(capsys, tmp_path):

@@ -267,7 +267,8 @@ def test_sample_fiber_matches_full_cube_oracle(spec, chart, resolution):
 def test_sample_chart_is_the_extraction_lattice():
     # slab-wise sampling equals one evaluation on the full cube of chart points
     f, grid = field_library("milnor", (2, 3)), SampleGrid(chart="south", resolution=136)
-    ax, values = extraction.sample_chart(f, grid)
+    ax = grid.axes()
+    values = extraction.sample_lattice(f, grid, ax)
     ref_ax, ref = samples(f, grid)
     assert all(np.array_equal(a, b) for a, b in zip(ax, ref_ax))
     assert np.array_equal(values, ref)
@@ -280,7 +281,7 @@ def test_sample_chart_matches_oracle_across_slab_boundaries(spec, chart, resolut
     # slabs of 3 planes leave a short last slab at 97 and 101; 136 takes
     # one plane per slab
     f, grid = field_library(*spec), library_grid(spec, chart, resolution)
-    _, values = extraction.sample_chart(f, grid)
+    values = extraction.sample_lattice(f, grid, grid.axes())
     assert np.array_equal(values.view(np.uint64), samples(f, grid)[1].view(np.uint64))
 
 
@@ -289,7 +290,7 @@ def test_sample_chart_matches_oracle_in_one_plane_slabs(chart, monkeypatch):
     # a budget below one plane still samples a plane per slab
     monkeypatch.setattr(extraction, "SAMPLE_SLAB", 100)
     f, grid = field_library("rudolph_G"), SampleGrid(chart=chart, resolution=33, radius=0.5)
-    _, values = extraction.sample_chart(f, grid)
+    values = extraction.sample_lattice(f, grid, grid.axes())
     assert np.array_equal(values.view(np.uint64), samples(f, grid)[1].view(np.uint64))
 
 
@@ -304,7 +305,7 @@ def test_sample_chart_peak_memory_is_one_slab(monkeypatch):
     def peak():
         tracemalloc.start()
         try:
-            extraction.sample_chart(f, grid)
+            extraction.sample_lattice(f, grid, grid.axes())
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -179,8 +179,8 @@ def test_verify_extracted_trefoil(trefoil):
 def test_verify_extracted_fig8():
     curve = extract(field_library("rudolph_G"), SampleGrid(resolution=64, radius=0.5))
     report = verify_knot_type(curve, FIG8_JONES)
-    assert report.match
-    # the figure-eight is amphichiral, so the mirror flag must be moot
+    # the figure-eight is amphichiral: a match is a plain one, never a mirror one
+    assert report.match and not report.mirrored
     assert report.computed == FIG8_JONES
 
 

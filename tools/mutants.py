@@ -288,6 +288,12 @@ MUTANTS = (
     Mutant("segment-direction-from-chord", "src/knotfield/project.py",
            "seg = np.roll(pts2, -1, axis=0) - pts2", "seg = np.roll(pts2, -2, axis=0) - pts2",
            ("tests/test_project.py::test_crossing_signs_follow_the_segment_directions",)),
+    Mutant("amphichiral-match-reported-mirrored", "src/knotfield/project.py",
+           "computed != want and computed == want.mirror()", "computed == want.mirror()",
+           ("tests/test_project.py::test_verify_extracted_fig8",)),
+    Mutant("mirror-match-reported-plain", "src/knotfield/project.py",
+           "computed == want or mirrored, mirrored,", "computed == want or mirrored, False,",
+           ("tests/test_cli.py::test_field_verify_mirror_flag_follows_the_chart",)),
     Mutant("first-loop-times-d", "src/knotfield/diagram.py",
            "                    m[0] = 1\n                    loops -= 1\n",
            "                    m[0] = 1\n",
