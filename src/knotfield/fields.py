@@ -110,15 +110,13 @@ def field_library(name: str, params=()) -> ComplexField:
 
 
 def parse_field_spec(spec: str) -> ComplexField:
-    """Parse CLI-style "name" or "name:p,q" field selectors."""
-    if ":" in spec:
-        name, _, rest = spec.partition(":")
-        try:
-            params = tuple(int(v) for v in rest.split(",") if v)
-        except ValueError:
-            raise KnotfieldError(f"bad field parameters in {spec!r}: expected integers like 2,3")
-    else:
-        name, params = spec, ()
+    """Parse CLI-style "name" or "name:p,q" field selectors.  Each parameter
+    is ASCII digits (leading zeros allowed): an empty item, a sign, an
+    underscore or a non-ASCII digit raises."""
+    name, colon, rest = spec.partition(":")
+    params = rest.split(",") if colon else ()
+    if not all(v.isascii() and v.isdigit() and len(v) <= 4300 for v in params):  # int()'s limit
+        raise KnotfieldError(f"bad field parameters in {spec!r}: expected integers like 2,3")
     return field_library(name, params)
 
 

@@ -298,6 +298,9 @@ def encode(m: Mosaic) -> str:
 _LABEL_ORDER = bytes.maketrans(bytes(sorted(range(NUM_TILES), key=str)),
                                bytes(range(NUM_TILES)))
 
+# The tokens encode() writes for the tile ids, "0" to "10": decode() reads no other.
+_TILE_IDS = {str(t): t for t in range(NUM_TILES)}
+
 
 def label_key(cells) -> bytes:
     """Sort key of a cell row: same-size mosaics sort by it exactly as their
@@ -306,13 +309,16 @@ def label_key(cells) -> bytes:
 
 
 def decode(text: str) -> Mosaic:
+    """The mosaic of encode()'s text.  The header n is ASCII digits (leading
+    zeros allowed); each tile id is a token encode() writes, so a sign, an
+    underscore, a non-ASCII digit, "01" or "11" raises at its place."""
     lines = text.splitlines()
     if not lines:
         raise MosaicParseError("empty mosaic document", line=1)
-    try:
-        n = int(lines[0].strip())
-    except ValueError:
+    head = lines[0].strip()
+    if not (head.isascii() and head.isdigit()) or len(head) > 4300:  # int()'s digit limit
         raise MosaicParseError(f"bad header {lines[0]!r}, expected an integer n", line=1)
+    n = int(head)
     if n < 1:
         raise MosaicParseError(f"lattice size must be positive, got {n}", line=1)
     if len(lines) < n + 1:
@@ -324,13 +330,9 @@ def decode(text: str) -> Mosaic:
         if len(fields) != n:
             raise MosaicParseError(f"expected {n} tile ids, got {len(fields)}", line=r + 2)
         for c, f in enumerate(fields):
-            try:
-                t = int(f)
-            except ValueError:
+            t = _TILE_IDS.get(f)
+            if t is None:
                 raise MosaicParseError(f"bad tile id {f!r}", line=r + 2, column=c + 1)
-            if not 0 <= t < NUM_TILES:
-                raise MosaicParseError(f"tile id {t} outside 0..{NUM_TILES - 1}",
-                                       line=r + 2, column=c + 1)
             cells.append(t)
     for i in range(n + 1, len(lines)):
         if lines[i].strip():

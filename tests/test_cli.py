@@ -128,6 +128,17 @@ def test_limits_below_range_rejected(capsys, argv):
 
 _EVOLVE = ["evolve", "run", "--resolution", "16", "--box", "8", "--steps", "2"]
 
+# trefoil4 re-spelled in ways int() reads, each with the start of its error:
+# a signed header and an underscored tile, and every digit Arabic-Indic or fullwidth.
+with open(TREFOIL) as _fh:
+    _TREFOIL_TEXT = _fh.read()
+_RESPELLED_TREFOILS = {
+    "signed": ("+" + _TREFOIL_TEXT.replace(" 8 ", " 0_8 "), "bad header '+4'"),
+    **{name: (_TREFOIL_TEXT.translate(str.maketrans("0123456789", "".join(
+        chr(zero + d) for d in range(10)))), "bad header")
+       for name, zero in (("arabic-indic", 0x660), ("fullwidth", 0xFF10))},
+}
+
 
 @pytest.mark.parametrize("mosaic_text,argv", [
     ('{"n": "x", "cells": [0]}', None),
@@ -179,6 +190,11 @@ _EVOLVE = ["evolve", "run", "--resolution", "16", "--box", "8", "--steps", "2"]
     (None, ["evolve", "track"] + _EVOLVE[2:] + ["--initial", "milnor:2,3", "--scale", "1e-160"]),
     (None, ["field", "eval", "--field", "rudolph_F:1", "--z", "0", "--w", "1"]),
     (None, _EVOLVE[:-1] + ["-1", "--initial", "gaussian"]),
+    # int() reads each of these; the formats take ASCII digits only
+    (_RESPELLED_TREFOILS["signed"][0], None),
+    (None, ["field", "eval", "--field", "milnor:2_0,3", "--z", "0", "--w", "1"]),
+    (None, ["field", "eval", "--field", "milnor:\u0662,3", "--z", "0", "--w", "1"]),
+    (None, ["field", "eval", "--field", "milnor:2,3,", "--z", "0", "--w", "1"]),
 ])
 def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, mosaic_text, argv):
     if mosaic_text is not None:
@@ -192,7 +208,8 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, mosaic_tex
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("argv", [
+# Every command that reads a mosaic file, at MOSAIC.
+_MOSAIC_READERS = pytest.mark.parametrize("argv", [
     ["mosaic", "validate", "MOSAIC"],
     ["mosaic", "show", "MOSAIC"],
     ["mosaic", "orbit", "MOSAIC"],
@@ -205,12 +222,26 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, mosaic_tex
     ["field", "verify", "--field", "unknot", "--resolution", "16", "--expect", "MOSAIC"],
 ], ids=["validate", "show", "orbit", "same-orbit", "jones", "chi", "components", "v_minus1",
         "wirtinger", "field-verify"])
+
+
+@_MOSAIC_READERS
 def test_undecodable_input_is_one_error_line(tmp_path, capsys, argv):
     path = tmp_path / "bad.mosaic"
     path.write_bytes(b"\xff\xfe")
     code, out, err = run_cli(capsys, *[str(path) if a == "MOSAIC" else a for a in argv])
     assert code == 1 and out == ""
     assert err.startswith(f"error: cannot read {path}: ") and len(err.splitlines()) == 1
+
+
+@_MOSAIC_READERS
+@pytest.mark.parametrize("spelling", sorted(_RESPELLED_TREFOILS))
+def test_respelled_mosaic_is_one_error_line(tmp_path, capsys, argv, spelling):
+    text, message = _RESPELLED_TREFOILS[spelling]
+    path = tmp_path / "bad.mosaic"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, *[str(path) if a == "MOSAIC" else a for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [

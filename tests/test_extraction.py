@@ -264,7 +264,7 @@ def test_sample_fiber_matches_full_cube_oracle(spec, chart, resolution):
     assert max(sizes) > 0
 
 
-def test_sample_chart_is_the_extraction_lattice():
+def test_sample_lattice_is_the_extraction_lattice():
     # slab-wise sampling equals one evaluation on the full cube of chart points
     f, grid = field_library("milnor", (2, 3)), SampleGrid(chart="south", resolution=136)
     ax = grid.axes()
@@ -286,7 +286,7 @@ def test_sample_chart_matches_oracle_across_slab_boundaries(spec, chart, resolut
 
 
 @pytest.mark.parametrize("chart", ["north", "south"])
-def test_sample_chart_matches_oracle_in_one_plane_slabs(chart, monkeypatch):
+def test_sample_lattice_matches_oracle_in_one_plane_slabs(chart, monkeypatch):
     # a budget below one plane still samples a plane per slab
     monkeypatch.setattr(extraction, "SAMPLE_SLAB", 100)
     f, grid = field_library("rudolph_G"), SampleGrid(chart=chart, resolution=33, radius=0.5)
@@ -294,7 +294,7 @@ def test_sample_chart_matches_oracle_in_one_plane_slabs(chart, monkeypatch):
     assert np.array_equal(values.view(np.uint64), samples(f, grid)[1].view(np.uint64))
 
 
-def test_sample_chart_peak_memory_is_one_slab(monkeypatch):
+def test_sample_lattice_peak_memory_is_one_slab(monkeypatch):
     # Beyond the n^3 complex output, only one slab of 2^15 points (two
     # planes at 128) is live: about 4 MiB for rudolph_G, eight complex
     # temporaries of 512 KiB; the whole cube as one slab peaks 224 MiB

@@ -58,6 +58,20 @@ def test_unknown_field():
 def test_parse_field_spec():
     assert parse_field_spec("milnor:2,3").name == "milnor(2,3)"
     assert parse_field_spec("unknot").name == "unknot"
+    assert parse_field_spec("milnor:02,003").name == "milnor(2,3)"  # leading zeros read
+
+
+@pytest.mark.parametrize("spec", [
+    "milnor:2_0,3", "milnor:\u0662,3", "milnor:\uff12,3", "milnor:+2,3", "milnor:-2,3",
+    "milnor: 2,3", "milnor:2,3,", "milnor:,2,3", "milnor:2,,3", "unknot:", "rudolph_F:",
+    "milnor:" + "9" * 5000 + ",3",
+])
+def test_parse_field_spec_takes_ascii_digits_only(spec):
+    # Signs, underscores, spaces and other scripts' digits, which int() reads,
+    # empty items, and more digits than int() converts: one error naming the spec.
+    with pytest.raises(KnotfieldError) as exc:
+        parse_field_spec(spec)
+    assert str(exc.value) == f"bad field parameters in {spec!r}: expected integers like 2,3"
 
 
 def test_phase_range_and_nodal_rejection():

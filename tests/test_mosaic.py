@@ -238,13 +238,75 @@ def test_decode_rejects_garbage():
     ("2\n0 0\n", "expected 2 rows after the header, got 1", 2, None),
     ("2\n0 0\n0 0 0\n", "expected 2 tile ids, got 3", 3, None),
     ("2\n0 0\n0 x\n", "bad tile id 'x'", 3, 2),
-], ids=["empty", "header-below-1", "too-few-rows", "wrong-row-length", "non-integer-tile"])
+    # int() reads each of these; the text format is the tokens encode() writes
+    ("+4\n", "bad header '+4', expected an integer n", 1, None),
+    ("\u0664\n", "bad header '\u0664', expected an integer n", 1, None),
+    ("\uff14\n", "bad header '\uff14', expected an integer n", 1, None),
+    ("2\n0 +1\n0 0\n", "bad tile id '+1'", 2, 2),
+    ("2\n0 0\n0_8 0\n", "bad tile id '0_8'", 3, 1),
+    ("2\n01 0\n0 0\n", "bad tile id '01'", 2, 1),
+    ("2\n0 0\n0 11\n", "bad tile id '11'", 3, 2),
+    ("2\n0 0\n0 \u0664\n", "bad tile id '\u0664'", 3, 2),
+    ("9" * 5000 + "\n", f"bad header '{'9' * 5000}', expected an integer n", 1, None),
+], ids=["empty", "header-below-1", "too-few-rows", "wrong-row-length", "non-integer-tile",
+        "signed-header", "arabic-indic-header", "fullwidth-header", "signed-tile",
+        "underscored-tile", "zero-padded-tile", "tile-above-10", "arabic-indic-tile",
+        "header-past-int-digit-limit"])
 def test_decode_error_names_its_place(text, message, line, column):
     with pytest.raises(MosaicParseError) as exc:
         decode(text)
     loc = f"line {line}" + (f", column {column}" if column is not None else "")
     assert str(exc.value) == f"{message} ({loc})"
     assert (exc.value.line, exc.value.column) == (line, column)
+
+
+# Other scripts' digits that int() reads: Arabic-Indic, Devanagari, fullwidth.
+_DIGIT_ZEROS = (0x660, 0x966, 0xFF10)
+
+
+@st.composite
+def _respelled(draw):
+    """encode(m) for a random mosaic m with one token re-spelled as int()
+    but not encode() writes it, and that token's (line, column)."""
+    n = draw(st.integers(1, 5))
+    m = Mosaic(n, tuple(draw(st.lists(st.integers(0, 10), min_size=n * n, max_size=n * n))))
+    rows = [line.split(" ") for line in encode(m).splitlines()]
+    line = draw(st.integers(1, n + 1))
+    column = None if line == 1 else draw(st.integers(1, n))
+    token = rows[line - 1][(column or 1) - 1]
+    kinds = ["sign", "underscore", "non-ascii"] + ([] if line == 1 else ["leading-zero"])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "sign":
+        token = draw(st.sampled_from("+-")) + token
+    elif kind == "underscore":
+        token = token[0] + "_" + token[1:] if len(token) > 1 else "0_" + token
+    elif kind == "leading-zero":
+        token = "0" + token
+    else:
+        i = draw(st.integers(0, len(token) - 1))
+        token = token[:i] + chr(draw(st.sampled_from(_DIGIT_ZEROS)) + int(token[i])) + token[i + 1:]
+    rows[line - 1][(column or 1) - 1] = token
+    return "".join(" ".join(row) + "\n" for row in rows), token, line, column
+
+
+@given(_respelled())
+@settings(max_examples=300, deadline=None)
+def test_decode_refuses_any_token_encode_does_not_write(case):
+    text, token, line, column = case
+    with pytest.raises(MosaicParseError) as exc:
+        decode(text)
+    if column is None:
+        assert str(exc.value) == f"bad header {token!r}, expected an integer n (line 1)"
+    else:
+        assert str(exc.value) == f"bad tile id {token!r} (line {line}, column {column})"
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "knotfield" / "data").glob("*.mosaic")),
+                         ids=lambda path: path.stem)
+def test_shipped_mosaics_are_canonical(path):
+    text = path.read_text()
+    assert encode(decode(text)) == text
 
 
 @pytest.mark.parametrize("obj", [{"cells": [0]}, {"n": 1}])

@@ -244,7 +244,7 @@ MUTANTS = (
            ("tests/test_extraction.py::test_candidate_cells_special_values",)),
     Mutant("sampling-slab-one-plane-short", "src/knotfield/extraction.py",
            "sl = slice(lo, lo + planes)", "sl = slice(lo, lo + planes - 1)",
-           ("tests/test_extraction.py::test_sample_chart_is_the_extraction_lattice",)),
+           ("tests/test_extraction.py::test_sample_lattice_is_the_extraction_lattice",)),
     Mutant("retry-shift-on-first-attempt", "src/knotfield/extraction.py",
            "        if attempt:\n            ax = tuple(", "        if True:\n            ax = tuple(",
            ("tests/test_extraction.py::test_degenerate_tetrahedron_warns_and_extract_dilates",)),
@@ -276,6 +276,15 @@ MUTANTS = (
            'f"bad tile id {f!r}", line=r + 2, column=c + 1)',
            'f"bad tile id {f!r}", line=r + 2, column=c)',
            ("tests/test_mosaic.py::test_decode_error_names_its_place",)),
+    Mutant("tile-id-read-by-int", "src/knotfield/mosaic.py",
+           "            t = _TILE_IDS.get(f)\n            if t is None:\n",
+           "            try:\n                t = int(f)\n            except ValueError:\n"
+           "                t = None\n            if t is None or not 0 <= t < NUM_TILES:\n",
+           ("tests/test_mosaic.py::test_decode_error_names_its_place",
+            "tests/test_mosaic.py::test_decode_refuses_any_token_encode_does_not_write")),
+    Mutant("field-spec-ascii-check-dropped", "src/knotfield/fields.py",
+           "v.isascii() and v.isdigit()", "v.isdigit()",
+           ("tests/test_fields.py::test_parse_field_spec_takes_ascii_digits_only",)),
     Mutant("duplicate-move-name-accepted", "src/knotfield/moves.py",
            "if t.name in names:", "if False:",
            ("tests/test_moves.py::test_move_table_text_is_validated",)),
