@@ -43,6 +43,7 @@ from .errors import KnotfieldError
 from . import mosaic as mz
 from .diagram import evaluate_jones, jones, to_diagram
 from .moves import DEFAULT_BUDGET, default_table
+from .numerals import read_float, read_int
 from .wirtinger import abelianization_rank, wirtinger
 
 
@@ -75,9 +76,9 @@ def _grid(args):
 
 def _add_grid_flags(p):
     p.add_argument("--chart", default="north", choices=["north", "south"])
-    p.add_argument("--resolution", type=int, default=64)
-    p.add_argument("--extent", type=float, default=3.0)
-    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--resolution", type=read_int, default=64)
+    p.add_argument("--extent", type=read_float, default=3.0)
+    p.add_argument("--radius", type=read_float, default=1.0)
 
 
 # --- subcommand handlers: return (text, exit_code) ---
@@ -230,13 +231,13 @@ def _cmd_wirtinger(args):
 
 
 def _complex(s: str):
-    """s as a complex number, or None: complex()'s syntax, with a trailing
-    i read as j (only a trailing one, so that inf and nan parse)."""
+    """s as a complex number, or None: complex()'s syntax under `read_float`'s
+    rule, with a trailing i read as j (only a trailing one, so that inf and nan parse)."""
     s = s.strip()
     if s.endswith("i"):
         s = s[:-1] + "j"
     try:
-        return complex(s)
+        return read_float(s, complex)
     except ValueError:
         return None
 
@@ -352,17 +353,17 @@ def _cmd_field_fiber(args):
 
 def _add_evolve_flags(p):
     p.add_argument("--hamiltonian", default="free", choices=["free", "harmonic"])
-    p.add_argument("--box", type=float, default=16.0)
-    p.add_argument("--resolution", type=int, default=64)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--box", type=read_float, default=16.0)
+    p.add_argument("--resolution", type=read_int, default=64)
+    p.add_argument("--dt", type=read_float, default=1e-3)
+    p.add_argument("--steps", type=read_int, default=100)
     p.add_argument("--omega", default="1,1,1")
     p.add_argument("--initial", default="milnor:2,3",
                    help='field spec like "milnor:2,3", or "gaussian"')
-    p.add_argument("--width", type=float, default=1.0, help="gaussian width")
-    p.add_argument("--scale", type=float, default=None,
+    p.add_argument("--width", type=read_float, default=1.0, help="gaussian width")
+    p.add_argument("--scale", type=read_float, default=None,
                    help="stereographic scale for knotted initial states")
-    p.add_argument("--snapshot-every", type=int, default=0, dest="snapshot_every")
+    p.add_argument("--snapshot-every", type=read_int, default=0, dest="snapshot_every")
     p.add_argument("--snapshots-dir", default=None, dest="snapshots_dir",
                    help="write one .npy field dump per kept snapshot, each as its "
                         "snapshot arrives, so a run that fails part way leaves the "
@@ -390,7 +391,7 @@ def _evolution_stream(args):
     from .fields import parse_field_spec
 
     try:
-        omega = tuple(float(v) for v in args.omega.split(","))
+        omega = tuple(read_float(v) for v in args.omega.split(","))
     except ValueError:
         raise KnotfieldError(f"cannot parse --omega {args.omega!r}: expected numbers like 1,1,1")
     cfg = ev.EvolutionConfig(hamiltonian=args.hamiltonian, box=args.box,
@@ -450,11 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", default="text", choices=["text", "json"])
     common.add_argument("--out", default=None, help="write output here instead of stdout")
     common.add_argument("--manifest", default=None, help="write the run manifest here")
-    common.add_argument("--threads", type=int, default=1,
+    common.add_argument("--threads", type=read_int, default=1,
                         help="accepted for compatibility; has no effect")
     # Only the commands that close an orbit read a budget.
     closes_orbit = argparse.ArgumentParser(add_help=False, parents=[common])
-    closes_orbit.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    closes_orbit.add_argument("--budget", type=read_int, default=DEFAULT_BUDGET,
                               help="orbit search budget")
     sub = top.add_subparsers(dest="group")
 
@@ -490,15 +491,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p); p.set_defaults(fn=_cmd_field_verify)
     p = g.add_parser("fiber", parents=[common])
     p.add_argument("--field", required=True)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--band", type=float, default=0.05)
+    p.add_argument("--theta", type=read_float, required=True)
+    p.add_argument("--band", type=read_float, default=0.05)
     _add_grid_flags(p); p.set_defaults(fn=_cmd_field_fiber)
 
     g = sub.add_parser("evolve", help="Schrodinger evolution on a periodic box").add_subparsers(dest="cmd")
     p = g.add_parser("run", parents=[common]); _add_evolve_flags(p); p.set_defaults(fn=_cmd_evolve_run)
     p = g.add_parser("track", parents=[common]); _add_evolve_flags(p)
-    p.add_argument("--min-amp", type=float, default=None, dest="min_amp")
-    p.add_argument("--roi", type=float, default=0.5)
+    p.add_argument("--min-amp", type=read_float, default=None, dest="min_amp")
+    p.add_argument("--roi", type=read_float, default=0.5)
     p.set_defaults(fn=_cmd_evolve_track)
     return top
 

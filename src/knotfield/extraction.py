@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -85,6 +86,19 @@ def check_chart_extent(extent: float, what: str) -> None:
     if not math.isfinite(1.0 + 3.0 * (extent * extent)):
         raise KnotfieldError(f"{what} overflows the chart embedding "
                              f"(1 + 3*extent^2 is not finite)")
+
+
+@contextmanager
+def finite_values(what: str):
+    """A block under numpy's floating-point errors raised: an overflow, a
+    division by zero or an invalid operation in it, or a Python float
+    overflow, is one KnotfieldError naming `what`.  The check rides on the
+    arithmetic, so it adds no pass over the values."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:
+        raise KnotfieldError(f"{what} is out of floating-point range: {exc.args[-1]}") from None
 
 
 @dataclass(frozen=True)
@@ -162,19 +176,21 @@ def sample_lattice(f, grid: SampleGrid, axes, taper=None):
     slice of x-planes and returns real factors that broadcast to the slab.
     Every value takes the same elementwise operations as in one evaluation
     on the whole cube, which the tests keep as the oracle, so the result is
-    bit-identical to it.
+    bit-identical to it.  A value that leaves the floating-point range
+    raises KnotfieldError (`finite_values`).
     """
     ax, ay, az = axes
     values = np.empty((len(ax), len(ay), len(az)), dtype=complex)
     planes = max(1, SAMPLE_SLAB // (len(ay) * len(az)))
     y, z = ay[None, :, None], az[None, None, :]
-    for lo in range(0, len(ax), planes):
-        sl = slice(lo, lo + planes)
-        v = f(*embed(grid, ax[sl, None, None], y, z))
-        if taper is None:
-            values[sl] = v
-        else:
-            np.multiply(np.asarray(v, dtype=complex), taper(sl), out=values[sl])
+    with finite_values("the sampled field"):
+        for lo in range(0, len(ax), planes):
+            sl = slice(lo, lo + planes)
+            v = f(*embed(grid, ax[sl, None, None], y, z))
+            if taper is None:
+                values[sl] = v
+            else:
+                np.multiply(np.asarray(v, dtype=complex), taper(sl), out=values[sl])
     return values
 
 

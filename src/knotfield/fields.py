@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KnotfieldError, UndefinedPhaseError
+from .numerals import read_int
 
 PHASE_TOL = 1e-12
 
@@ -110,12 +111,12 @@ def field_library(name: str, params=()) -> ComplexField:
 
 
 def parse_field_spec(spec: str) -> ComplexField:
-    """Parse CLI-style "name" or "name:p,q" field selectors.  Each parameter
-    is ASCII digits (leading zeros allowed): an empty item, a sign, an
-    underscore or a non-ASCII digit raises."""
+    """Parse CLI-style "name" or "name:p,q" field selectors, each parameter
+    read by the shared `numerals.read_int`, unsigned."""
     name, colon, rest = spec.partition(":")
-    params = rest.split(",") if colon else ()
-    if not all(v.isascii() and v.isdigit() and len(v) <= 4300 for v in params):  # int()'s limit
+    try:
+        params = tuple(read_int(v, signed=False) for v in rest.split(",")) if colon else ()
+    except ValueError:
         raise KnotfieldError(f"bad field parameters in {spec!r}: expected integers like 2,3")
     return field_library(name, params)
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import KnotfieldError, MosaicParseError
+from .numerals import read_int
 
 N, E, S, W = "N", "E", "S", "W"
 SIDES = (N, E, S, W)
@@ -309,16 +310,16 @@ def label_key(cells) -> bytes:
 
 
 def decode(text: str) -> Mosaic:
-    """The mosaic of encode()'s text.  The header n is ASCII digits (leading
-    zeros allowed); each tile id is a token encode() writes, so a sign, an
-    underscore, a non-ASCII digit, "01" or "11" raises at its place."""
+    """The mosaic of encode()'s text: the header n is read by the shared
+    `numerals.read_int`, unsigned, and each tile id is a token encode()
+    writes, so a sign, an underscore, a non-ASCII digit, "01" or "11" raises at its place."""
     lines = text.splitlines()
     if not lines:
         raise MosaicParseError("empty mosaic document", line=1)
-    head = lines[0].strip()
-    if not (head.isascii() and head.isdigit()) or len(head) > 4300:  # int()'s digit limit
+    try:
+        n = read_int(lines[0].strip(), signed=False)
+    except ValueError:
         raise MosaicParseError(f"bad header {lines[0]!r}, expected an integer n", line=1)
-    n = int(head)
     if n < 1:
         raise MosaicParseError(f"lattice size must be positive, got {n}", line=1)
     if len(lines) < n + 1:

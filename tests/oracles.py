@@ -43,7 +43,9 @@ of the shuffled enumeration DFS.  The evolution oracle takes one
 propagator step at a time with a 3-D FFT pair, rebuilding its phases
 every step, where production jumps from snapshot to snapshot with three
 per-axis matrices built once (the free Hamiltonian as the omega = 0
-oscillator).  The
+oscillator); the axis-matrix oracle applies an interval's Strang steps to
+the identity one at a time, where production takes the power by repeated
+squaring.  The
 projection-crossing oracle tests each segment against every later one in
 a Python loop and checks triple points pair by pair, where production
 sweeps sorted bounding boxes for candidate pairs and tests them all at
@@ -940,3 +942,22 @@ def _rank(rows):
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def oracle_axis_matrix(cfg, omega, n, dt):
+    """n Strang steps of dt along one axis of frequency omega, as an N x N matrix.
+
+    The sequence (half kick; then n times 1-D FFT, kinetic phase
+    exp(-i k^2 dt / 2), inverse FFT, full kick; the last kick a half one)
+    applied to the columns of the identity.
+    """
+    v = 0.5 * (omega * cfg.axes()[0]) ** 2
+    half, full = np.exp(-0.5j * dt * v), np.exp(-1j * dt * v)
+    kinetic = np.exp(-0.5j * dt * cfg.wavenumbers() ** 2)
+    m = np.diag(half)
+    for i in range(n):
+        m = np.fft.fft(m, axis=0)
+        m *= kinetic[:, None]
+        np.fft.ifft(m, axis=0, out=m)
+        m *= (full if i < n - 1 else half)[:, None]
+    return m

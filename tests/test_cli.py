@@ -195,6 +195,19 @@ _RESPELLED_TREFOILS = {
     (None, ["field", "eval", "--field", "milnor:2_0,3", "--z", "0", "--w", "1"]),
     (None, ["field", "eval", "--field", "milnor:\u0662,3", "--z", "0", "--w", "1"]),
     (None, ["field", "eval", "--field", "milnor:2,3,", "--z", "0", "--w", "1"]),
+    # more finite inputs whose sampled values overflow (listed last to keep the ids above)
+    (None, ["evolve", "run", "--steps", "2", "--resolution", "16", "--box", "1e308"]),
+    (None, ["evolve", "track", "--steps", "2", "--resolution", "16", "--box", "1e308"]),
+    (None, _EVOLVE + ["--initial", "gaussian", "--width", "1e-308"]),
+    (None, _EVOLVE + ["--initial", "gaussian", "--width", "1e200"]),
+    (None, _EVOLVE[:-2] + ["--box", "1e200", "--initial", "gaussian"]),
+    *[(None, ["field", command, "--field", "milnor:2,3", "--resolution", "16", "--radius", "1e200"]
+       + extra) for command, extra in [("extract", []), ("fiber", ["--theta", "0"]),
+                                       ("verify", ["--expect", TREFOIL])]],
+    # complex() and float() read these; number values take ASCII text without '_'
+    (None, ["field", "eval", "--field", "unknot", "--z", "1_0", "--w", "1"]),
+    (None, ["field", "eval", "--field", "unknot", "--z", "1", "--w", "\u0665"]),
+    (None, _EVOLVE + ["--initial", "gaussian", "--omega", "1_0,1,1"]),
 ])
 def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, mosaic_text, argv):
     if mosaic_text is not None:
@@ -206,6 +219,54 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, mosaic_tex
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# Each number flag, after the start of an argv that reads it.
+_GAUSSIAN_RUN = ["evolve", "run", "--initial", "gaussian", "--resolution", "16"]
+_INT_FLAGS = [
+    ("--budget", ["mosaic", "orbit", TREFOIL]),
+    ("--threads", ["mosaic", "show", TREFOIL]),
+    ("--resolution", ["field", "extract", "--field", "unknot"]),
+    ("--resolution", _GAUSSIAN_RUN[:4]),
+    ("--steps", _GAUSSIAN_RUN),
+    ("--snapshot-every", _GAUSSIAN_RUN),
+]
+_FLOAT_FLAGS = [
+    ("--extent", ["field", "extract", "--field", "unknot"]),
+    ("--radius", ["field", "extract", "--field", "unknot"]),
+    ("--theta", ["field", "fiber", "--field", "unknot"]),
+    ("--band", ["field", "fiber", "--field", "unknot", "--theta", "0"]),
+    *[(flag, _GAUSSIAN_RUN) for flag in ("--box", "--dt", "--width", "--scale")],
+    *[(flag, ["evolve", "track", "--resolution", "16"]) for flag in ("--min-amp", "--roi")],
+]
+
+
+@pytest.mark.parametrize("kind,flag,start,value", [
+    pytest.param(kind, flag, start, value, id=f"{start[0]} {start[1]} {flag} {value}")
+    for kind, flags, values in [("int", _INT_FLAGS, ["1_6", "\u0661\u0666", "\uff11\uff16", "+16"]),
+                                ("float", _FLOAT_FLAGS, ["0_5", "\u0660.\u0665"])]
+    for flag, start in flags for value in values
+])
+def test_respelled_number_flags_are_usage_errors(capsys, kind, flag, start, value):
+    # int() or float() reads each value; number flags take ASCII text without '_'
+    code, out, err = outcome_of(capsys, start + [flag, value])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: invalid {kind} value: {value!r}\n")
+
+
+def test_number_spellings_that_stay_accepted(capsys):
+    assert cli._parse_args(["field", "extract", "--field", "unknot",
+                            "--resolution", "016"]).resolution == 16
+    assert cli._parse_args(["evolve", "run", "--width", "2.5e-1"]).width == 0.25
+    code, out, err = outcome_of(capsys, ["mosaic", "orbit", TREFOIL, "--budget", "-5"])
+    assert (code, out) == (1, "") and "must be at least" in err
+    code, out, err = outcome_of(capsys, ["evolve", "track", "--resolution", "16", "--box", "8",
+                                         "--steps", "1", "--min-amp=-1e3"])
+    assert (code, out) == (1, "")
+    assert err == "error: min_amp must be finite and nonnegative, got -1000.0\n"
+    code, out, err = outcome_of(capsys, ["field", "eval", "--field", "unknot",
+                                         "--z", "-0.2-0.7i", "--w", "1"])
+    assert (code, err) == (0, "") and out.startswith("unknot(-0.2 - 0.7i, 1 + 0i)")
 
 
 # Every command that reads a mosaic file, at MOSAIC.
@@ -981,7 +1042,8 @@ _TOKENS = [TREFOIL, "--format", "json", "xml", "--form", "--format=json", "-h", 
            "--thr", "2", "--members", "--mem", "--invariant", "components", "--z",
            "-0.2-0.7i", "--w", "--field", "unknot", "--theta", "--resolution=16",
            "--chart", "south", "--obj", "--steps", "--roi", "--min-amp", "-1e3",
-           "mosaic", "jones", "wirtinger", "--help=x", "-hh", "--sn", "--s"]
+           "mosaic", "jones", "wirtinger", "--help=x", "-hh", "--sn", "--s", "1_6",
+           "\u0661\u0666"]
 
 
 @given(st.sampled_from([list(c) for c in _LEAVES] + [[], ["mosaic"], ["bogus"]]),

@@ -7,8 +7,8 @@ phase exp(-i |k|^2 t / 2) and nothing else.
 
 import numpy as np
 import pytest
-from oracles import (density_center, gaussian_packet, oracle_initial_knot_state, oracle_run,
-                     oracle_step, plane_wave)
+from oracles import (density_center, gaussian_packet, oracle_axis_matrix,
+                     oracle_initial_knot_state, oracle_run, oracle_step, plane_wave)
 
 from knotfield import evolution
 from knotfield.errors import KnotfieldError
@@ -342,6 +342,15 @@ def test_harmonic_run_matches_per_step_oracle(kind, resolution, steps, omega):
         assert max(_relative_gap(a, b) for a, b in zip(got, want)) <= 1e-13
 
 
+@pytest.mark.parametrize("omega", [0.0, 0.5, 1.5])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 60, 6000])
+def test_axis_matrix_matches_per_step_oracle(n, omega):
+    # repeated squaring against n single Strang steps applied to the identity
+    cfg = EvolutionConfig(hamiltonian="harmonic", resolution=64)
+    got = evolution._axis_matrix(cfg, omega, n, cfg.dt)
+    assert np.abs(got - oracle_axis_matrix(cfg, omega, n, cfg.dt)).max() <= 1e-12
+
+
 @pytest.mark.parametrize("ham", ["free", "harmonic"])
 def test_negative_step_matches_oracle(ham):
     cfg = EvolutionConfig(hamiltonian=ham, box=8.0, resolution=32, dt=1e-3)
@@ -466,6 +475,13 @@ def test_initial_state_validation():
             gaussian_state(SMALL, width=bad)
         with pytest.raises(KnotfieldError, match="scale"):
             initial_knot_state(f, SMALL, scale=bad)
+    # a finite scale whose chart coordinates overflow the embedding is named
+    # before any sampling
+    with pytest.raises(KnotfieldError, match=r"scale 1e-160 \(chart extent"):
+        initial_knot_state(f, SMALL, scale=1e-160)
+    for width in (1e-308, 1e200):  # 2 width^2 underflows to 0, or overflows
+        with pytest.raises(KnotfieldError, match="out of floating-point range"):
+            gaussian_state(SMALL, width=width)
 
 
 def test_track_min_amp_validation():

@@ -164,7 +164,8 @@ MUTANTS = (
     Mutant("scale-extent-not-divided", "src/knotfield/evolution.py",
            "extent = max(float(np.abs(a).max()) for a in ax) / scale",
            "extent = max(float(np.abs(a).max()) for a in ax)",
-           ("tests/test_cli.py::test_malformed_input_is_one_error_line",)),
+           ("tests/test_cli.py::test_malformed_input_is_one_error_line",
+            "tests/test_evolution.py::test_initial_state_validation")),
     Mutant("chain-endpoints-numpy-floats", "src/knotfield/extraction.py",
            "pts = [tuple(np.round(points[k], 6).tolist()) for k in dangling]",
            "pts = [tuple(np.round(points[k], 6)) for k in dangling]",
@@ -228,8 +229,14 @@ MUTANTS = (
            ("tests/test_evolution.py::test_run_matches_per_step_oracle",
             "tests/test_evolution.py::test_harmonic_run_matches_per_step_oracle")),
     Mutant("last-kick-full", "src/knotfield/evolution.py",
-           "m *= (full if i < n - 1 else half)[:, None]", "m *= full[:, None]",
+           "m *= half[:, None]", "m *= full[:, None]",
            ("tests/test_evolution.py::test_harmonic_run_matches_per_step_oracle",)),
+    Mutant("squaring-takes-n-powers", "src/knotfield/evolution.py",
+           "m, e = kinetic_after(half), n - 1", "m, e = kinetic_after(half), n",
+           ("tests/test_evolution.py::test_axis_matrix_matches_per_step_oracle",)),
+    Mutant("sampling-overflow-unchecked", "src/knotfield/extraction.py",
+           'np.errstate(over="raise", divide="raise", invalid="raise")', "np.errstate()",
+           ("tests/test_cli.py::test_malformed_input_is_one_error_line",)),
     Mutant("embed-signed-zeros-dropped", "src/knotfield/extraction.py",
            "    np.add(re0, 0.0 * nx - 0.0, out=re0)\n"
            "    np.divide(nx + 0.0, s, out=zw[0].imag)\n"
@@ -282,9 +289,16 @@ MUTANTS = (
            "                t = None\n            if t is None or not 0 <= t < NUM_TILES:\n",
            ("tests/test_mosaic.py::test_decode_error_names_its_place",
             "tests/test_mosaic.py::test_decode_refuses_any_token_encode_does_not_write")),
-    Mutant("field-spec-ascii-check-dropped", "src/knotfield/fields.py",
-           "v.isascii() and v.isdigit()", "v.isdigit()",
+    Mutant("field-spec-ascii-check-dropped", "src/knotfield/numerals.py",
+           "digits.isascii() and digits.isdigit()", "digits.isdigit()",
            ("tests/test_fields.py::test_parse_field_spec_takes_ascii_digits_only",)),
+    Mutant("int-flags-read-by-int", "src/knotfield/cli.py",
+           "from .numerals import read_float, read_int\n",
+           "from .numerals import read_float\nread_int = int\n",
+           ("tests/test_cli.py::test_respelled_number_flags_are_usage_errors",)),
+    Mutant("float-reader-takes-underscores", "src/knotfield/numerals.py",
+           'if not s.isascii() or "_" in s:', "if not s.isascii():",
+           ("tests/test_cli.py::test_respelled_number_flags_are_usage_errors",)),
     Mutant("duplicate-move-name-accepted", "src/knotfield/moves.py",
            "if t.name in names:", "if False:",
            ("tests/test_moves.py::test_move_table_text_is_validated",)),
