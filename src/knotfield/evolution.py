@@ -6,8 +6,9 @@ second order in dt.  Its kinetic phase and potential are both sums over
 the three axes, so n Strang steps are exactly the Kronecker product of
 three 1-D n-step propagators: `snapshots` builds one N x N matrix per
 axis and interval length, by repeated squaring of one step, and jumps to
-each snapshot with three matrix products.  The free Hamiltonian is the omega = 0 oscillator, whose kicks
-are the identity, so a single Strang step of span T is its exact spectral
+each snapshot with matrix products along the three axes.  The free
+Hamiltonian is the omega = 0 oscillator, whose kicks are the identity, so
+a single Strang step of span T is its exact spectral
 propagator (exp(-i k^2 T / 2) between a 1-D FFT pair) and a whole
 snapshot interval is one such step.  Every snapshot is the exact Strang
 state.  Snapshots stream: `snapshots` yields each state as it is reached,
@@ -201,9 +202,16 @@ def _phases(cfg: EvolutionConfig, n: int, dt: float):
 
 def _advance(s: FieldState, cfg: EvolutionConfig, n: int, dt: float, phases) -> FieldState:
     """n propagator steps of dt from s in one call: the exact n-step state
-    as three matrix products, one per axis.  phases is `_phases(cfg, n,
+    as matrix products along the three axes.  phases is `_phases(cfg, n,
     dt)`, which a caller builds once for many calls.  The time stamp adds
     dt n times, as n single steps would.
+
+    Axis 0 is one product into a new cube; axes 1 and 2 are applied to it
+    in place, slice by slice of axis 0, as m1 @ slice @ m2.T, so a call
+    holds one cube beyond its input and one N x N temporary.  Each slice
+    takes the same products as the whole-cube form (m1 @ cube, then the
+    (N^2, N) reshape times m2.T), the tests' oracle, and gives the same
+    bits.
     """
     if s.resolution != cfg.resolution:
         raise KnotfieldError(
@@ -212,8 +220,8 @@ def _advance(s: FieldState, cfg: EvolutionConfig, n: int, dt: float, phases) -> 
     m0, m1, m2 = phases
     with np.errstate(over="ignore", invalid="ignore"):
         out = (m0 @ s.values.reshape(N, N * N)).reshape(N, N, N)  # axis 0
-        out = m1 @ out  # axis 1, one product per slice of axis 0
-        out = (out.reshape(N * N, N) @ m2.T).reshape(N, N, N)  # axis 2
+        for i in range(N):  # axes 1 and 2
+            np.matmul(m1 @ out[i], m2.T, out=out[i])
     if not np.all(np.isfinite(out.view(float))):
         raise KnotfieldError(f"numeric overflow during step at t = {s.time}")
     t = s.time
@@ -271,9 +279,9 @@ def initial_knot_state(f, cfg: EvolutionConfig, scale: float = None) -> FieldSta
     radial taper (1 inside TAPER[0] * L/2, decaying to below 1e-15 of peak
     by TAPER[1] * L/2) enforces periodicity to rounding error.  The taper is
     strictly positive, so it multiplies amplitudes without creating new
-    zeros.  Field and taper go through the one slab loop of
-    `sample_lattice`, sized in points so each slab stays in cache, and are
-    bit-identical to one evaluation on the whole box.
+    zeros.  Field and taper go through the one slab loop `lattice_slabs`,
+    sized in points so each slab stays in cache, and `sample_lattice`
+    assembles the box, bit-identical to one evaluation on the whole box.
     """
     L = cfg.box
     if scale is None:

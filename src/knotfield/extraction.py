@@ -20,19 +20,24 @@ the walk reads plain int lists, with no dict per face.  The per-cell,
 per-vertex and per-face loops they replaced are kept in tests/oracles.py
 as the reference the tests compare against.
 
-The two passes over the full lattice are memory-bound.  Sampling is one
-slab loop (`sample_lattice`) sized in points, about 2^15 per slab, so each
-slab's `embed` outputs and field temporaries stay in cache and add little
-to the n^3 output they are written into, half a MiB per complex
-temporary; larger slabs sample no faster and only raise the peak.  Every
-value takes the same elementwise operations as on the whole cube, so
-the samples are bit-identical to one whole-cube evaluation, the tests'
-oracle.  `embed` writes each real component of (z, w) straight into its
-complex outputs, with the same bits as the per-component formula.  The
-candidate scan packs the signs and NaN flags of Re and Im of each lattice
-point into one 16-bit code and ORs the codes over every cell's corners; a
-cell is kept when both parts straddle zero and neither is NaN, as the
-min/max rule in the oracle decides.
+Sampling and the candidate scan are one pass over the lattice, in O(n^2)
+memory.  Sampling is one slab loop (`lattice_slabs`) that yields x-slabs
+sized in points, about 2^15 per slab, so each slab's `embed` outputs and
+field temporaries stay in cache, half a MiB per complex temporary; larger
+slabs sample no faster and only raise the peak.  Every value takes the
+same elementwise operations as on the whole cube, so the samples are
+bit-identical to one whole-cube evaluation, the tests' oracle.  `embed`
+writes each real component of (z, w) straight into its complex outputs,
+with the same bits as the per-component formula.  `extract` streams the
+slabs into the candidate scan, which copies them into one reused buffer
+of CELL_SLAB + 1 planes (carrying the last plane of each block into the
+next) and keeps each candidate cell with its 8 corner values; the march
+reads its face values from that table, so no n^3 cube is held.  The scan
+packs the signs and NaN flags of Re and Im of each lattice point into one
+16-bit code and ORs the codes over every cell's corners; a cell is kept
+when both parts straddle zero and neither is NaN, as the min/max rule in
+the oracle decides.  An array (an evolved box) goes through the same
+buffer as a stream of one slab.
 
 Charts: S^3 = {|z|^2 + |w|^2 = r^2} in R^4 with coordinates
 (x0, x1, x2, x3) = (Re z, Im z, Re w, Im w), stereographically projected
@@ -64,10 +69,10 @@ NEWTON_MAX_STEPS = 20
 NEWTON_TARGET = 1e-10
 RESIDUAL_TOL = 1e-8
 CONDITION_WARN = 1e8
-# lattice points per slab of `sample_lattice`: slabs stay in cache, and their
-# temporaries sit on top of the n^3 output at 512 KiB per complex array
+# lattice points per slab of `lattice_slabs`: slabs stay in cache, at
+# 512 KiB per complex temporary
 SAMPLE_SLAB = 1 << 15
-CELL_SLAB = 32  # x-planes per pass in `_candidate_cells`
+CELL_SLAB = 32  # cells along x per block of the candidate scan
 FIBER_NODAL_TOL = 1e-3  # `sample_fiber` drops points with |f| at or below this
 _HAUSDORFF_PAIRS = 1 << 16  # point pairs per block of `hausdorff`
 
@@ -165,9 +170,10 @@ def embed(grid: SampleGrid, x, y, z):
     return zw
 
 
-def sample_lattice(f, grid: SampleGrid, axes, taper=None):
-    """The (n0, n1, n2) complex values of f(*embed(grid, x, y, z)) on the
-    lattice of the three coordinate axes, times taper(planes) if given.
+def lattice_slabs(f, grid: SampleGrid, axes, taper=None):
+    """The complex values of f(*embed(grid, x, y, z)) on the lattice of the
+    three coordinate axes, times taper(planes) if given, as a stream of
+    (lo, slab) pairs, slab holding the x-planes from lo on.
 
     The one slab loop over a lattice: x-slabs of max(1, SAMPLE_SLAB //
     (n1*n2)) planes, about 2^15 points, so that each slab's `embed`
@@ -175,22 +181,30 @@ def sample_lattice(f, grid: SampleGrid, axes, taper=None):
     `embed` shaped (m,1,1), (1,n1,1) and (1,1,n2); taper receives the
     slice of x-planes and returns real factors that broadcast to the slab.
     Every value takes the same elementwise operations as in one evaluation
-    on the whole cube, which the tests keep as the oracle, so the result is
+    on the whole cube, which the tests keep as the oracle, so the slabs are
     bit-identical to it.  A value that leaves the floating-point range
-    raises KnotfieldError (`finite_values`).
+    raises KnotfieldError (`finite_values`, entered per slab and left
+    before the slab is yielded, so the consumer runs under its own error
+    state).
     """
     ax, ay, az = axes
-    values = np.empty((len(ax), len(ay), len(az)), dtype=complex)
     planes = max(1, SAMPLE_SLAB // (len(ay) * len(az)))
     y, z = ay[None, :, None], az[None, None, :]
-    with finite_values("the sampled field"):
-        for lo in range(0, len(ax), planes):
-            sl = slice(lo, lo + planes)
-            v = f(*embed(grid, ax[sl, None, None], y, z))
-            if taper is None:
-                values[sl] = v
-            else:
-                np.multiply(np.asarray(v, dtype=complex), taper(sl), out=values[sl])
+    for lo in range(0, len(ax), planes):
+        sl = slice(lo, lo + planes)
+        with finite_values("the sampled field"):
+            v = np.asarray(f(*embed(grid, ax[sl, None, None], y, z)), dtype=complex)
+            if taper is not None:
+                v = v * taper(sl)
+        yield lo, v
+
+
+def sample_lattice(f, grid: SampleGrid, axes, taper=None):
+    """The (n0, n1, n2) complex values of `lattice_slabs`, as one array."""
+    ax, ay, az = axes
+    values = np.empty((len(ax), len(ay), len(az)), dtype=complex)
+    for lo, v in lattice_slabs(f, grid, axes, taper):
+        values[lo:lo + len(v)] = v
     return values
 
 
@@ -243,8 +257,42 @@ def _corner_or(code):
     return code
 
 
-def _candidate_cells(values, min_amp):
-    """Indices of cells whose corners straddle zero in both Re and Im.
+def _corner_ids(n1, n2):
+    """Row-major offsets of a cell's 8 corners from its lowest one in an
+    (n0, n1, n2) lattice, in the order of `_CORNER_OFFSETS`."""
+    return np.array([dx * n1 * n2 + dy * n2 + dz for dx, dy, dz in _CORNER_OFFSETS])
+
+
+def _cell_blocks(values):
+    """(lo, block) per run of CELL_SLAB cells along x: block holds the
+    lattice planes lo to lo + CELL_SLAB, fewer at the end.
+
+    values is a stream of (lo, slab) x-slabs in order, as `lattice_slabs`
+    yields them, or an array, read as one slab.  The slabs are copied into
+    one reused complex buffer of CELL_SLAB + 1 planes whose last plane is
+    carried into the next block; a block is only valid until the next one
+    is read.
+    """
+    if isinstance(values, np.ndarray):
+        values = [(0, values)]
+    buf, filled, lo = None, 0, 0
+    for _, slab in values:
+        if buf is None:
+            buf = np.empty((CELL_SLAB + 1,) + slab.shape[1:], dtype=complex)
+        while len(slab):
+            take = min(len(slab), len(buf) - filled)
+            buf[filled:filled + take], slab = slab[:take], slab[take:]
+            filled += take
+            if filled == len(buf):
+                yield lo, buf
+                buf[0] = buf[-1]  # the block's last plane is the next one's first
+                filled, lo = 1, lo + CELL_SLAB
+    if filled > 1:
+        yield lo, buf[:filled]
+
+
+def _scan(values, min_amp):
+    """Cells whose corners straddle zero in both Re and Im, and their values.
 
     A cell straddles zero in Re when some corner has Re <= 0, some corner
     has Re >= 0 and no corner has a NaN Re (the min/max rule, NaN failing
@@ -255,29 +303,35 @@ def _candidate_cells(values, min_amp):
     both bytes read 0b011 under the mask 0b111; the test treats the two
     bytes alike, so byte order does not matter.  With min_amp > 0 a kept
     cell also needs a corner with sqrt(re*re + im*im) > min_amp.
-    Processed in x-slabs of CELL_SLAB cells to keep peak memory flat at
-    large resolutions.
+
+    values is an array or a slab stream (see `_cell_blocks`), scanned in
+    x-blocks of CELL_SLAB cells, so a stream is never held whole.  Returns
+    the (k, 3) cell indices and their (k, 8) corner values, corner b at
+    offset `_CORNER_OFFSETS[b]`.
     """
-    values = np.ascontiguousarray(values, dtype=complex)
-    n0 = values.shape[0]
-    out = []
-    for lo in range(0, n0 - 1, CELL_SLAB):
-        hi = min(lo + CELL_SLAB, n0 - 1)
-        block = values[lo:hi + 1]
+    cells, corners = [np.zeros((0, 3), dtype=int)], [np.zeros((0, 8), dtype=complex)]
+    for lo, block in _cell_blocks(values):
         v = block.view(float)
-        code = ((v <= 0).view(np.uint16) | ((v >= 0).view(np.uint16) << 1)
-                | (np.isnan(v).view(np.uint16) << 2))
+        code = (v <= 0).view(np.uint16)
+        code |= (v >= 0).view(np.uint16) << 1
+        code |= np.isnan(v).view(np.uint16) << 2
         mask = (_corner_or(code) & 0x0707) == 0x0303
         idx = np.column_stack(np.unravel_index(np.flatnonzero(mask), mask.shape))
+        _, n1, n2 = block.shape
+        vals = block.reshape(-1)[(idx @ (n1 * n2, n2, 1))[:, None] + _corner_ids(n1, n2)]
         if min_amp > 0:  # the floor, on the cells the sign test keeps
-            re, im = block.real, block.imag
-            amp = np.max([np.sqrt(re[c] * re[c] + im[c] * im[c])
-                          for c in (tuple((idx + off).T) for off in _CORNER_OFFSETS)], axis=0)
-            idx = idx[amp > min_amp]
-        if len(idx):
-            idx[:, 0] += lo
-            out.append(idx)
-    return np.vstack(out) if out else np.zeros((0, 3), dtype=int)
+            re, im = vals.real, vals.imag
+            amp = np.sqrt(re * re + im * im).max(axis=1)
+            idx, vals = idx[amp > min_amp], vals[amp > min_amp]
+        idx[:, 0] += lo
+        cells.append(idx)
+        corners.append(vals)
+    return np.vstack(cells), np.vstack(corners)
+
+
+def _candidate_cells(values, min_amp):
+    """Indices of cells whose corners straddle zero in both Re and Im (see `_scan`)."""
+    return _scan(values, min_amp)[0]
 
 
 def _face_table():
@@ -311,19 +365,21 @@ def _march(axes, values, min_amp=0.0):
     ordered by the face's sorted row-major vertex ids; segments is an
     (s, 2) int array of rows i < j into points, one per tetrahedron with
     exactly two such faces.  A tetrahedron with more warns and is skipped.
+    values is an array or a slab stream, as `_scan` takes it; the face
+    values come from the scan's corner table, so no lattice is indexed.
     """
-    _, n1, n2 = values.shape
-    cells = _candidate_cells(values, min_amp)
-    corner_ids = np.array([dx * n1 * n2 + dy * n2 + dz for dx, dy, dz in _CORNER_OFFSETS])
+    n1, n2 = len(axes[1]), len(axes[2])
+    cells, corner_values = _scan(values, min_amp)
     base = cells @ np.array([n1 * n2, n2, 1])
-    tri = base[:, None, None] + corner_ids[_FACE_CORNERS]  # (cells, 24, 3) vertex ids
+    tri = base[:, None, None] + _corner_ids(n1, n2)[_FACE_CORNERS]  # (cells, 24, 3) vertex ids
     keys = tri[:, :, 0] * 64 + _FACE_SHAPES
     _, first, face_of = np.unique(keys.ravel(), return_index=True, return_inverse=True)
     tri = tri.reshape(-1, 3)[first]  # one row per distinct face
 
     # Zero of the linear interpolant on each face:
     # lam0*f0 + lam1*f1 + (1 - lam0 - lam1)*f2 = 0, all weights >= -1e-12.
-    fv = values.reshape(-1)[tri]
+    cell, face = np.divmod(first, len(_FACE_SHAPES))
+    fv = corner_values.reshape(-1)[8 * cell[:, None] + _FACE_CORNERS[face]]
     re, im = fv.real, fv.imag
     a00, a01 = re[:, 0] - re[:, 2], re[:, 1] - re[:, 2]
     a10, a11 = im[:, 0] - im[:, 2], im[:, 1] - im[:, 2]
@@ -482,7 +538,8 @@ def _newton(g, p, tangent, step_clamp, h):
 
 def extract_from_samples(values, axes, min_amp=0.0, chart="box",
                          allow_open=False) -> NodalCurve:
-    """Extraction core on precomputed samples.
+    """Extraction core on samples: an (n0, n1, n2) array, or a stream of
+    x-slabs as `lattice_slabs` yields them, read once.
 
     Every candidate cell's faces are marched at once (see `_march`), and
     segments are chained on integer face indices.  Vertices lie on the
@@ -519,6 +576,11 @@ def extract(f, grid: SampleGrid) -> NodalCurve:
     two face zeros) the grid is dilated, shifted off the origin by a
     fraction of a cell and sampled again.  Pass the result to `refine` for
     vertices on the zero set of f itself.
+
+    Each attempt streams its lattice slabs (`lattice_slabs`) through the
+    candidate scan, so no n^3 cube is held.  The march runs under
+    `finite_values`: samples too large for its face solve are one
+    KnotfieldError.
     """
     last_exc = None
     for attempt, dilation in enumerate(_RETRY_DILATIONS):
@@ -526,11 +588,11 @@ def extract(f, grid: SampleGrid) -> NodalCurve:
         ax = lattice.axes()
         if attempt:
             ax = tuple(a + _RETRY_SHIFT * lattice.spacing for a in ax)
-        values = sample_lattice(f, lattice, ax)
+        slabs = lattice_slabs(f, lattice, ax)
         try:
-            with warnings.catch_warnings():
+            with warnings.catch_warnings(), finite_values("the interpolated field"):
                 warnings.simplefilter("error", UserWarning)
-                return extract_from_samples(values, ax, chart=grid.chart)
+                return extract_from_samples(slabs, ax, chart=grid.chart)
         except (OpenChainError, UserWarning) as exc:
             last_exc = exc
     if isinstance(last_exc, OpenChainError):

@@ -26,7 +26,7 @@ pair into one integer and reads degrees and neighbours off arrays.  The
 field oracle takes integer powers with `**`, where production multiplies
 them out.  The sampling oracles write the inverse stereographic map out inline (the box
 initial state) or evaluate the whole chart cube in one call (the fiber),
-where production goes through `embed` and the slab loop `sample_lattice`.
+where production goes through `embed` and the slab loop `lattice_slabs`.
 The Hausdorff oracle builds the whole (m, k, 3) difference array and takes
 the norm of each pair, where production sums squares over row blocks and
 takes the root last.
@@ -961,3 +961,14 @@ def oracle_axis_matrix(cfg, omega, n, dt):
         np.fft.ifft(m, axis=0, out=m)
         m *= (full if i < n - 1 else half)[:, None]
     return m
+
+
+def oracle_axis_products(values, phases):
+    """The propagator phases (m0, m1, m2) applied to an N^3 cube as three
+    whole-cube matrix products, one per axis: m0 on the (N, N^2) reshape,
+    m1 on every slice of axis 0, and the (N^2, N) reshape times m2.T."""
+    N = len(values)
+    m0, m1, m2 = phases
+    out = (m0 @ values.reshape(N, N * N)).reshape(N, N, N)
+    out = m1 @ out
+    return (out.reshape(N * N, N) @ m2.T).reshape(N, N, N)

@@ -208,6 +208,10 @@ _RESPELLED_TREFOILS = {
     (None, ["field", "eval", "--field", "unknot", "--z", "1_0", "--w", "1"]),
     (None, ["field", "eval", "--field", "unknot", "--z", "1", "--w", "\u0665"]),
     (None, _EVOLVE + ["--initial", "gaussian", "--omega", "1_0,1,1"]),
+    # finite samples whose face solve in the march overflows
+    (None, ["field", "extract", "--field", "milnor:2,3", "--resolution", "16", "--radius", "1e100"]),
+    (None, ["field", "verify", "--field", "milnor:2,3", "--resolution", "16", "--radius", "1e100",
+            "--expect", TREFOIL]),
 ])
 def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, mosaic_text, argv):
     if mosaic_text is not None:
@@ -1125,7 +1129,7 @@ def test_memory_error_is_one_error_line(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 64. GiB")
 
-    monkeypatch.setattr(extraction, "sample_lattice", exhausted)
+    monkeypatch.setattr(extraction, "lattice_slabs", exhausted)
     code, out, err = run_cli(capsys, "field", "extract", "--field", "unknot", "--resolution", "16")
     assert code == 1
     assert out == ""

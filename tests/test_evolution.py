@@ -5,9 +5,11 @@ machine-precision oracles: a plane wave with wavevector k picks up the
 phase exp(-i |k|^2 t / 2) and nothing else.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracles import (density_center, gaussian_packet, oracle_axis_matrix,
+from oracles import (density_center, gaussian_packet, oracle_axis_matrix, oracle_axis_products,
                      oracle_initial_knot_state, oracle_run, oracle_step, plane_wave)
 
 from knotfield import evolution
@@ -349,6 +351,45 @@ def test_axis_matrix_matches_per_step_oracle(n, omega):
     cfg = EvolutionConfig(hamiltonian="harmonic", resolution=64)
     got = evolution._axis_matrix(cfg, omega, n, cfg.dt)
     assert np.abs(got - oracle_axis_matrix(cfg, omega, n, cfg.dt)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("omega", [(1.0, 1.0, 1.0), (1.0, 1.5, 0.5)], ids=["equal", "unequal"])
+@pytest.mark.parametrize("ham", ["free", "harmonic"])
+@pytest.mark.parametrize("resolution", [16, 32, 64, 128])
+def test_advance_is_bit_identical_to_whole_cube_products(resolution, ham, omega):
+    # slice-by-slice products in place give the bits of the three-product form;
+    # this rests on the BLAS summing each product in the same order for one
+    # (N^2, N) @ (N, N) product as for N products of (N, N), as OpenBLAS's
+    # zgemm does at one and at two threads
+    cfg = EvolutionConfig(hamiltonian=ham, box=8.0, resolution=resolution, omega=omega)
+    states = [gaussian_state(cfg), initial_knot_state(field_library("milnor", (2, 3)), cfg)]
+    for n in (1, 5, 60):
+        phases = evolution._phases(cfg, n, cfg.dt)
+        for psi in states:
+            got = evolution._advance(psi, cfg, n, cfg.dt, phases).values
+            want = oracle_axis_products(psi.values, phases)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_advance_peak_memory_is_one_cube():
+    # Beyond its input, _advance holds its 4 MiB output cube at N = 64, an
+    # N x N temporary and the finiteness check's 512 KiB of booleans, about
+    # 4.5 MiB; the whole-cube products hold a second cube, about 8 MiB.  The
+    # bound lies halfway between one cube and two.
+    cfg = EvolutionConfig(hamiltonian="harmonic", resolution=64)
+    psi, phases = gaussian_state(cfg), evolution._phases(cfg, 5, cfg.dt)
+
+    def peak(advance):
+        tracemalloc.start()
+        try:
+            advance()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: evolution._advance(psi, cfg, 5, cfg.dt, phases)) < 6 * 2 ** 20
+    # the bound sees a second whole cube
+    assert peak(lambda: oracle_axis_products(psi.values, phases)) > 6 * 2 ** 20
 
 
 @pytest.mark.parametrize("ham", ["free", "harmonic"])

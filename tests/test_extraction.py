@@ -315,6 +315,90 @@ def test_sample_lattice_peak_memory_is_one_slab(monkeypatch):
     assert peak() > output + 12 * 2 ** 20  # the bound sees whole-cube temporaries
 
 
+def assert_stream_matches_array(axes, values, slabs, min_amp=0.0):
+    """Extraction from the slab stream `slabs()` equals extraction from the
+    array `values` and the oracles."""
+    segments, points = assert_march_matches_oracle(axes, values, min_amp)
+    assert np.array_equal(_candidate_cells(slabs(), min_amp), _candidate_cells(values, min_amp))
+    (got_segments, got_points), warned = recorded(_march, axes, slabs(), min_amp=min_amp)
+    assert warned == recorded(_march, axes, values, min_amp=min_amp)[1]
+    assert np.array_equal(got_segments, segments) and np.array_equal(got_points, points)
+    assert from_samples_outcome(slabs(), axes, min_amp) == from_samples_outcome(
+        values, axes, min_amp)
+
+
+def from_samples_outcome(values, axes, min_amp):
+    """The curve `extract_from_samples` finds, as lists, or its error text."""
+    try:
+        curve, warned = recorded(extract_from_samples, values, axes, min_amp=min_amp,
+                                 allow_open=True)
+    except OpenChainError as exc:
+        return str(exc)
+    return [c.tolist() for c in curve.components], curve.closed_flags, warned
+
+
+def chart_stream(spec, chart, resolution):
+    f, grid = field_library(*spec), library_grid(spec, chart, resolution)
+    ax = grid.axes()
+    return ax, extraction.sample_lattice(f, grid, ax), lambda: extraction.lattice_slabs(f, grid, ax)
+
+
+@pytest.mark.parametrize("resolution", [33, 50, 65, 97])
+@pytest.mark.parametrize("chart", ["north", "south"])
+@pytest.mark.parametrize("spec", [("unknot", ()), ("milnor", (2, 3)), ("rudolph_G", ())],
+                         ids=["unknot", "milnor23", "rudolph_G"])
+def test_streamed_extraction_matches_array_and_oracle(spec, chart, resolution):
+    # n - 1 cells along x, a multiple of CELL_SLAB at 33, 65 and 97 and not
+    # at 50: blocks' last planes are carried across every block edge, and
+    # 50 ends in a short block
+    assert_stream_matches_array(*chart_stream(spec, chart, resolution))
+
+
+@pytest.mark.parametrize("planes", [1, 5])
+@pytest.mark.parametrize("chart", ["north", "south"])
+def test_streamed_extraction_matches_in_slabs_across_blocks(chart, planes, monkeypatch):
+    # one plane per slab, and 5-plane slabs that straddle every block edge
+    # (5 does not divide CELL_SLAB)
+    for resolution in (50, 65):
+        monkeypatch.setattr(extraction, "SAMPLE_SLAB", 100 if planes == 1 else 5 * resolution ** 2)
+        assert_stream_matches_array(*chart_stream(("milnor", (2, 3)), chart, resolution))
+
+
+def test_streamed_extraction_matches_on_evolved_box_with_floor():
+    cfg = EvolutionConfig(resolution=64, steps=20)
+    history = run(initial_knot_state(field_library("milnor", (2, 3)), cfg), cfg,
+                  snapshot_every=10)
+    ax = cfg.axes()
+    keep = np.abs(ax[0]) <= 5.0  # 40 planes: the subcube crosses a block edge
+    sub_ax = tuple(a[keep] for a in ax)
+    for st in history[1:]:
+        sub = st.values[np.ix_(keep, keep, keep)]
+        for floor, planes in itertools.product((1e-3, 0.1), (1, 7)):
+            min_amp = floor * float(np.abs(st.values).max())
+            assert_stream_matches_array(
+                sub_ax, sub, lambda: ((lo, sub[lo:lo + planes]) for lo in range(0, len(sub), planes)),
+                min_amp)
+
+
+def test_extract_peak_memory_is_one_cell_block(monkeypatch):
+    # The lattice streams through one buffer of CELL_SLAB + 1 planes,
+    # 8.6 MiB at 128, plus the scan's codes on it; the whole 32 MiB cube
+    # held at once (one block of every plane) exceeds the bound.
+    f, grid = field_library("milnor", (2, 3)), SampleGrid(resolution=128)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            assert extract(f, grid).n_components == 1
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < 16 * 2 ** 20
+    monkeypatch.setattr(extraction, "CELL_SLAB", grid.resolution)
+    assert peak() > 16 * 2 ** 20  # the bound sees a whole cube
+
+
 def test_hausdorff_basics():
     a = np.zeros((3, 3))
     b = np.ones((2, 3))

@@ -228,6 +228,9 @@ MUTANTS = (
            "m0, m1, m2 = phases", "m0, m2, m1 = phases",
            ("tests/test_evolution.py::test_run_matches_per_step_oracle",
             "tests/test_evolution.py::test_harmonic_run_matches_per_step_oracle")),
+    Mutant("advance-slice-untransposed", "src/knotfield/evolution.py",
+           "np.matmul(m1 @ out[i], m2.T, out=out[i])", "np.matmul(m1 @ out[i], m2, out=out[i])",
+           ("tests/test_evolution.py::test_advance_is_bit_identical_to_whole_cube_products",)),
     Mutant("last-kick-full", "src/knotfield/evolution.py",
            "m *= half[:, None]", "m *= full[:, None]",
            ("tests/test_evolution.py::test_harmonic_run_matches_per_step_oracle",)),
@@ -247,8 +250,17 @@ MUTANTS = (
            "    np.divide(nz, s, out=zw[1].imag)\n",
            ("tests/test_extraction.py::test_embed_bit_identical_to_oracle",)),
     Mutant("candidate-scan-nan-bit-dropped", "src/knotfield/extraction.py",
-           "\n                | (np.isnan(v).view(np.uint16) << 2))", ")",
+           "\n        code |= np.isnan(v).view(np.uint16) << 2", "",
            ("tests/test_extraction.py::test_candidate_cells_special_values",)),
+    Mutant("scan-carried-plane-dropped", "src/knotfield/extraction.py",
+           "                buf[0] = buf[-1]  # the block's last plane is the next one's first\n"
+           "                filled, lo = 1, lo + CELL_SLAB\n",
+           "                filled, lo = 0, lo + CELL_SLAB + 1\n",
+           ("tests/test_extraction.py::test_streamed_extraction_matches_array_and_oracle",)),
+    Mutant("extract-march-unguarded", "src/knotfield/extraction.py",
+           'with warnings.catch_warnings(), finite_values("the interpolated field"):',
+           "with warnings.catch_warnings():",
+           ("tests/test_cli.py::test_malformed_input_is_one_error_line",)),
     Mutant("sampling-slab-one-plane-short", "src/knotfield/extraction.py",
            "sl = slice(lo, lo + planes)", "sl = slice(lo, lo + planes - 1)",
            ("tests/test_extraction.py::test_sample_lattice_is_the_extraction_lattice",)),
