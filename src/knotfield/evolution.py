@@ -124,6 +124,15 @@ class FieldState:
         if self.norm0 is None:
             object.__setattr__(self, "norm0", _l2(v))
 
+    @classmethod
+    def _checked(cls, values, time, norm0):
+        """The state of a cube `_advance` built and checked: complex,
+        C-contiguous, cubic and finite, so it is taken as it is, without
+        `__post_init__`'s second pass over the values."""
+        state = cls.__new__(cls)
+        state.__dict__.update(values=values, time=time, norm0=norm0)
+        return state
+
     @property
     def resolution(self):
         return self.values.shape[0]
@@ -211,7 +220,8 @@ def _advance(s: FieldState, cfg: EvolutionConfig, n: int, dt: float, phases) -> 
     holds one cube beyond its input and one N x N temporary.  Each slice
     takes the same products as the whole-cube form (m1 @ cube, then the
     (N^2, N) reshape times m2.T), the tests' oracle, and gives the same
-    bits.
+    bits.  The cube is checked for finite values here, once: the state
+    takes it through `FieldState._checked`, with no second pass.
     """
     if s.resolution != cfg.resolution:
         raise KnotfieldError(
@@ -227,7 +237,7 @@ def _advance(s: FieldState, cfg: EvolutionConfig, n: int, dt: float, phases) -> 
     t = s.time
     for _ in range(n):
         t += dt
-    return FieldState(out, t, s.norm0)
+    return FieldState._checked(out, t, s.norm0)
 
 
 def step(s: FieldState, cfg: EvolutionConfig, dt: float) -> FieldState:

@@ -9,9 +9,11 @@ the plane normal to the local tangent; only `field extract` runs it.  Both
 return a `NodalCurve` with every field given: per component its vertices,
 their |f| (zero before refinement) and whether it closes up.
 
-Both work on whole arrays.  The march gathers the 24 tetrahedron faces of
-every candidate cell at once, keys each face by its lowest lattice vertex
-and its shape, and solves every distinct face's zero in one pass; Newton
+Both work on whole arrays.  The march solves the 18 distinct faces of every
+candidate cell (12 on its boundary, 6 inside it that two tetrahedra share)
+in one pass, from one table built at import, counts each tetrahedron's
+zeros through a map from its 4 faces to those 18, and sorts only the faces
+that hold a zero, keyed by lowest lattice vertex and shape; Newton
 iterates all vertices together, with one field evaluation per batch of
 points.  Chaining sorts the segment pairs as packed integer keys, drops
 equal neighbours, and takes each face's degree and its two neighbours from
@@ -335,26 +337,30 @@ def _candidate_cells(values, min_amp):
 
 
 def _face_table():
-    """Corners and shape codes of the 24 (tetrahedron, omitted vertex) faces.
+    """The 18 distinct faces of a cell and the map from its six tetrahedra to them.
 
-    Each face's corners are sorted in row-major order (x slowest).  Within
-    a Kuhn tetrahedron the corners differ by 0 or 1 per axis from the
-    lowest one, so a face is fixed by its lowest lattice vertex plus a
-    shape code < 64 built from the row-major offsets of the other two, and
-    lowest-vertex-id * 64 + shape sorts faces as their sorted vertex-id
-    triples sort.
+    The tetrahedra have 24 (tetrahedron, omitted vertex) faces: 12 lie on
+    the cell's boundary, two per cube face, and 12 pair up into the 6
+    interior faces that two tetrahedra share.  Each face's corners are
+    sorted in row-major order (x slowest).  Within a Kuhn tetrahedron the
+    corners differ by 0 or 1 per axis from the lowest one, so a face is
+    fixed by its lowest lattice vertex plus a shape code < 64 built from the
+    row-major offsets of the other two, and lowest-vertex-id * 64 + shape
+    sorts faces as their sorted vertex-id triples sort.  Returns the (18, 3)
+    corners, their (18,) shape codes and the (6, 4) map whose entry
+    [t, omit] is the face of tetrahedron t without its vertex omit.
     """
     rank = [4 * dx + 2 * dy + dz for dx, dy, dz in _CORNER_OFFSETS]
-    corners, shapes = [], []
+    faces, tet_faces = {}, []  # faces: sorted corner triple -> face number
     for tet in _KUHN_TETS:
-        for omit in range(4):
-            tri = sorted((tet[t] for t in range(4) if t != omit), key=rank.__getitem__)
-            corners.append(tri)
-            shapes.append(8 * (rank[tri[1]] - rank[tri[0]]) + rank[tri[2]] - rank[tri[0]])
-    return np.array(corners), np.array(shapes)
+        tris = (tuple(sorted(set(tet) - {v}, key=rank.__getitem__)) for v in tet)
+        tet_faces.append([faces.setdefault(tri, len(faces)) for tri in tris])
+    corners = np.array(list(faces))
+    r = np.array(rank)[corners]
+    return corners, 8 * (r[:, 1] - r[:, 0]) + r[:, 2] - r[:, 0], np.array(tet_faces)
 
 
-_FACE_CORNERS, _FACE_SHAPES = _face_table()
+_FACE_CORNERS, _FACE_SHAPES, _TET_FACES = _face_table()
 
 
 def _march(axes, values, min_amp=0.0):
@@ -365,25 +371,24 @@ def _march(axes, values, min_amp=0.0):
     ordered by the face's sorted row-major vertex ids; segments is an
     (s, 2) int array of rows i < j into points, one per tetrahedron with
     exactly two such faces.  A tetrahedron with more warns and is skipped.
-    values is an array or a slab stream, as `_scan` takes it; the face
-    values come from the scan's corner table, so no lattice is indexed.
+    values is an array or a slab stream, as `_scan` takes it.
+
+    The march solves the 18 faces of every candidate cell (`_face_table`)
+    in one pass over the scan's corner table, so no lattice is indexed;
+    counts each tetrahedron's zeros through the face map; and sorts only
+    the keys of the faces that hold a zero, to number the points.  A face
+    that two cells share is solved in each from the same three values in
+    the same corner order, so both solves give the same bits.
     """
-    n1, n2 = len(axes[1]), len(axes[2])
     cells, corner_values = _scan(values, min_amp)
-    base = cells @ np.array([n1 * n2, n2, 1])
-    tri = base[:, None, None] + _corner_ids(n1, n2)[_FACE_CORNERS]  # (cells, 24, 3) vertex ids
-    keys = tri[:, :, 0] * 64 + _FACE_SHAPES
-    _, first, face_of = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    tri = tri.reshape(-1, 3)[first]  # one row per distinct face
 
     # Zero of the linear interpolant on each face:
     # lam0*f0 + lam1*f1 + (1 - lam0 - lam1)*f2 = 0, all weights >= -1e-12.
-    cell, face = np.divmod(first, len(_FACE_SHAPES))
-    fv = corner_values.reshape(-1)[8 * cell[:, None] + _FACE_CORNERS[face]]
+    fv = corner_values[:, _FACE_CORNERS]  # (cells, 18, 3)
     re, im = fv.real, fv.imag
-    a00, a01 = re[:, 0] - re[:, 2], re[:, 1] - re[:, 2]
-    a10, a11 = im[:, 0] - im[:, 2], im[:, 1] - im[:, 2]
-    b0, b1 = -re[:, 2], -im[:, 2]
+    a00, a01 = re[..., 0] - re[..., 2], re[..., 1] - re[..., 2]
+    a10, a11 = im[..., 0] - im[..., 2], im[..., 1] - im[..., 2]
+    b0, b1 = -re[..., 2], -im[..., 2]
     det = a00 * a11 - a01 * a10
     # negated comparisons: a NaN counts as a hit, as the per-face rule counted it
     solvable = ~(np.abs(det) < 1e-300)
@@ -391,24 +396,36 @@ def _march(axes, values, min_amp=0.0):
     l0 = (b0 * a11 - b1 * a01) / det
     l1 = (a00 * b1 - a10 * b0) / det
     l2 = 1.0 - l0 - l1
-    hit = solvable & ~((l0 < -1e-12) | (l1 < -1e-12) | (l2 < -1e-12))
+    hit = solvable & ~((l0 < -1e-12) | (l1 < -1e-12) | (l2 < -1e-12))  # (cells, 18)
 
-    ht = tri[hit]
-    coords = np.stack([axes[0][ht // (n1 * n2)], axes[1][ht // n2 % n1], axes[2][ht % n2]],
-                      axis=-1)  # (h, 3 vertices, 3 axes)
-    w0, w1, w2 = l0[hit, None], l1[hit, None], l2[hit, None]
-    points = w0 * coords[:, 0] + w1 * coords[:, 1] + w2 * coords[:, 2]
-
-    face_of = face_of.reshape(-1, 6, 4)
-    tet_hits = hit[face_of]
+    tet_hits = hit[:, _TET_FACES]  # (cells, 6, 4)
     count = tet_hits.sum(axis=2)
     for c, t in np.argwhere(count > 2):
         i, j, k = cells[c]
         warnings.warn(f"degenerate tetrahedron at cell ({i},{j},{k}): "
                       f"{count[c, t]} face zeros", stacklevel=2)
+
+    # number the zero faces by key; a face two cells share appears twice
+    n1, n2 = len(axes[1]), len(axes[2])
+    hc, hf = np.nonzero(hit)
+    lowest = cells[hc] @ np.array([n1 * n2, n2, 1]) + _corner_ids(n1, n2)[_FACE_CORNERS[hf, 0]]
+    keys = lowest * 64 + _FACE_SHAPES[hf]
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    index = np.empty(hit.shape, dtype=int)  # point number of each zero face
+    index[hc[order], hf[order]] = np.cumsum(first) - 1
+    hc, hf = hc[order[first]], hf[order[first]]
+
+    corner = cells[hc, None] + np.array(_CORNER_OFFSETS)[_FACE_CORNERS][hf]  # (h, 3, 3)
+    coords = np.stack([axes[0][corner[..., 0]], axes[1][corner[..., 1]],
+                       axes[2][corner[..., 2]]], axis=-1)  # (h, 3 vertices, 3 axes)
+    w0, w1, w2 = l0[hc, hf, None], l1[hc, hf, None], l2[hc, hf, None]
+    points = w0 * coords[:, 0] + w1 * coords[:, 1] + w2 * coords[:, 2]
+
     pairs = count == 2
-    hit_index = np.cumsum(hit) - 1
-    segments = hit_index[face_of[pairs][tet_hits[pairs]]].reshape(-1, 2)
+    segments = index[:, _TET_FACES][pairs][tet_hits[pairs]].reshape(-1, 2)
     return np.sort(segments, axis=1), points
 
 

@@ -66,6 +66,27 @@ def test_state_validation():
         FieldState(np.full((4, 4, 4), np.nan))
 
 
+def test_propagated_state_is_checked_once(monkeypatch):
+    # _advance checks the cube it builds and hands it to the state with no
+    # second pass; a state built anywhere else is still checked
+    checked = []
+    post_init = FieldState.__post_init__
+    monkeypatch.setattr(FieldState, "__post_init__", lambda s: checked.append(s) or post_init(s))
+    cfg = EvolutionConfig(hamiltonian="harmonic", resolution=16)
+    psi = gaussian_state(cfg)
+    checked.clear()
+    got = step(psi, cfg, cfg.dt)
+    assert checked == []
+    want = FieldState(got.values, got.time, got.norm0)
+    assert len(checked) == 1 and checked[0] is want
+    assert want.values is got.values and got.values.flags.c_contiguous
+    assert (got.time, got.norm0, got.norm()) == (cfg.dt, psi.norm0, want.norm())
+    with pytest.raises(KnotfieldError, match=r"^field values must be finite$"):
+        FieldState(np.full((16, 16, 16), np.inf))
+    with pytest.raises(KnotfieldError, match=r"^numeric overflow during step at t = 0\.0$"):
+        step(psi, cfg, 1e308)  # the phases overflow
+
+
 def test_plane_wave_exact_phase():
     # free evolution multiplies exp(i k.x) by exp(-i |k|^2 t / 2) exactly
     cfg = SMALL

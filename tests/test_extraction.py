@@ -572,11 +572,11 @@ _SPECIAL = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e-300, -1e-300
 
 
 @st.composite
-def special_samples(draw):
-    """A small complex lattice whose parts are drawn from _SPECIAL."""
+def special_samples(draw, values=_SPECIAL):
+    """A small complex lattice whose parts are drawn from values."""
     shape = tuple(draw(st.integers(2, 6)) for _ in range(3))
     size = 2 * math.prod(shape)
-    parts = draw(st.lists(st.sampled_from(_SPECIAL), min_size=size, max_size=size))
+    parts = draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))
     return np.array(parts).view(complex).reshape(shape)
 
 
@@ -601,6 +601,19 @@ def test_candidate_cells_special_values(values, min_amp, slab):
         for arr in (values, values.transpose(2, 0, 1), values.real):
             assert np.array_equal(_candidate_cells(arr, min_amp),
                                   oracle_candidate_cells(arr, min_amp))
+
+
+# Exact zeros put face zeros on corners and edges, so tetrahedra with three
+# or four face zeros, and faces with no solvable zero, are common here
+_MARCH_PARTS = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0)
+
+
+@example(values=np.zeros((2, 2, 2), dtype=complex), min_amp=0.0)
+@settings(max_examples=300, deadline=None)
+@given(values=special_samples(_MARCH_PARTS), min_amp=st.sampled_from([0.0, 0.5]))
+def test_march_matches_oracle_on_lattices_with_exact_zeros(values, min_amp):
+    axes = tuple(np.linspace(-1.0, 1.0, n) for n in values.shape)
+    assert_march_matches_oracle(axes, values, min_amp)
 
 
 def chain_outcome(chain, segments, points, allow_open):

@@ -257,6 +257,23 @@ MUTANTS = (
            "                filled, lo = 1, lo + CELL_SLAB\n",
            "                filled, lo = 0, lo + CELL_SLAB + 1\n",
            ("tests/test_extraction.py::test_streamed_extraction_matches_array_and_oracle",)),
+    Mutant("march-tet-face-map-entry-moved", "src/knotfield/extraction.py",
+           "_FACE_CORNERS, _FACE_SHAPES, _TET_FACES = _face_table()\n",
+           "_FACE_CORNERS, _FACE_SHAPES, _TET_FACES = _face_table()\n"
+           "_TET_FACES[2, 1] = _TET_FACES[3, 1]\n",
+           ("tests/test_extraction.py::test_march_matches_oracle_on_lattices_with_exact_zeros",
+            "tests/test_extraction.py::test_march_matches_oracle")),
+    Mutant("march-segments-from-degenerate-tets", "src/knotfield/extraction.py",
+           "pairs = count == 2", "pairs = count >= 2",
+           ("tests/test_extraction.py::test_march_matches_oracle_on_lattices_with_exact_zeros",
+            "tests/test_extraction.py::test_march_matches_oracle")),
+    Mutant("march-face-key-without-shape", "src/knotfield/extraction.py",
+           "keys = lowest * 64 + _FACE_SHAPES[hf]", "keys = lowest * 64",
+           ("tests/test_extraction.py::test_march_matches_oracle_on_lattices_with_exact_zeros",
+            "tests/test_extraction.py::test_march_matches_oracle")),
+    Mutant("propagated-state-checked-twice", "src/knotfield/evolution.py",
+           "return FieldState._checked(out, t, s.norm0)", "return FieldState(out, t, s.norm0)",
+           ("tests/test_evolution.py::test_propagated_state_is_checked_once",)),
     Mutant("extract-march-unguarded", "src/knotfield/extraction.py",
            'with warnings.catch_warnings(), finite_values("the interpolated field"):',
            "with warnings.catch_warnings():",
