@@ -39,7 +39,8 @@ packs the signs and NaN flags of Re and Im of each lattice point into one
 16-bit code and ORs the codes over every cell's corners; a cell is kept
 when both parts straddle zero and neither is NaN, as the min/max rule in
 the oracle decides.  An array (an evolved box) goes through the same
-buffer as a stream of one slab.
+buffer as a stream of one slab.  `sample_fiber` filters the same stream
+slab by slab; only the evolution box, a state, is sampled whole.
 
 Charts: S^3 = {|z|^2 + |w|^2 = r^2} in R^4 with coordinates
 (x0, x1, x2, x3) = (Re z, Im z, Re w, Im w), stereographically projected
@@ -329,11 +330,6 @@ def _scan(values, min_amp):
         cells.append(idx)
         corners.append(vals)
     return np.vstack(cells), np.vstack(corners)
-
-
-def _candidate_cells(values, min_amp):
-    """Indices of cells whose corners straddle zero in both Re and Im (see `_scan`)."""
-    return _scan(values, min_amp)[0]
 
 
 def _face_table():
@@ -658,18 +654,21 @@ def sample_fiber(f, theta, grid: SampleGrid, band: float = 0.05):
 
     Returns an (m, 4) array of chart coordinates plus |f|; points with
     |f| <= FIBER_NODAL_TOL are excluded (phase undefined near the nodal set).
+    Each slab of `lattice_slabs` is filtered as it is sampled, so the
+    working memory is O(n^2) besides the cloud.
     """
     if not math.isfinite(theta):
         raise KnotfieldError(f"theta must be finite, got {theta}")
     if not 0 <= band < math.inf:
         raise KnotfieldError(f"band must be finite and nonnegative, got {band}")
     ax = grid.axes()
-    values = sample_lattice(f, grid, ax)
-    mag = np.abs(values)
-    ph = np.angle(values)  # (-pi, pi]
-    diff = np.angle(np.exp(1j * (ph - theta)))  # wrapped distance to theta
-    i, j, k = np.nonzero((np.abs(diff) <= band) & (mag > FIBER_NODAL_TOL))
-    return np.column_stack([ax[0][i], ax[1][j], ax[2][k], mag[i, j, k]])
+    parts = []
+    for lo, v in lattice_slabs(f, grid, ax):
+        mag = np.abs(v)
+        diff = np.angle(np.exp(1j * (np.angle(v) - theta)))  # wrapped distance to theta
+        i, j, k = np.nonzero((np.abs(diff) <= band) & (mag > FIBER_NODAL_TOL))
+        parts.append(np.column_stack([ax[0][lo + i], ax[1][j], ax[2][k], mag[i, j, k]]))
+    return np.vstack(parts)
 
 
 def fiber_to_csv(cloud) -> str:

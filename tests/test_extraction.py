@@ -32,9 +32,9 @@ from knotfield.errors import KnotfieldError, OpenChainError
 from knotfield.evolution import EvolutionConfig, initial_knot_state, run
 from knotfield.extraction import (
     RESIDUAL_TOL,
-    _candidate_cells,
     _chain,
     _march,
+    _scan,
     NodalCurve,
     SampleGrid,
     embed,
@@ -63,7 +63,7 @@ def recorded(fn, *args, **kwargs):
 
 
 def assert_march_matches_oracle(axes, values, min_amp=0.0):
-    assert np.array_equal(_candidate_cells(values, min_amp),
+    assert np.array_equal(_scan(values, min_amp)[0],
                           oracle_candidate_cells(values, min_amp))
     (segments, points), warned = recorded(_march, axes, values, min_amp=min_amp)
     (oracle_segments, face_points), oracle_warned = recorded(
@@ -315,11 +315,26 @@ def test_sample_lattice_peak_memory_is_one_slab(monkeypatch):
     assert peak() > output + 12 * 2 ** 20  # the bound sees whole-cube temporaries
 
 
+def test_sample_fiber_peak_memory_is_one_slab():
+    # Each slab is filtered as it is sampled, so beside the kept points
+    # (41,880 at 128, 1.3 MiB) only one slab's temporaries are live: about
+    # 5 MiB in all.  Sampling the whole cube and taking its |f|, phase
+    # and mask arrays peaks at 128 MiB, far above the bound.
+    f, grid = field_library("milnor", (2, 3)), SampleGrid(resolution=128)
+    tracemalloc.start()
+    try:
+        sample_fiber(f, 0.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def assert_stream_matches_array(axes, values, slabs, min_amp=0.0):
     """Extraction from the slab stream `slabs()` equals extraction from the
     array `values` and the oracles."""
     segments, points = assert_march_matches_oracle(axes, values, min_amp)
-    assert np.array_equal(_candidate_cells(slabs(), min_amp), _candidate_cells(values, min_amp))
+    assert np.array_equal(_scan(slabs(), min_amp)[0], _scan(values, min_amp)[0])
     (got_segments, got_points), warned = recorded(_march, axes, slabs(), min_amp=min_amp)
     assert warned == recorded(_march, axes, values, min_amp=min_amp)[1]
     assert np.array_equal(got_segments, segments) and np.array_equal(got_points, points)
@@ -599,7 +614,7 @@ def test_candidate_cells_special_values(values, min_amp, slab):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extraction, "CELL_SLAB", slab)
         for arr in (values, values.transpose(2, 0, 1), values.real):
-            assert np.array_equal(_candidate_cells(arr, min_amp),
+            assert np.array_equal(_scan(arr, min_amp)[0],
                                   oracle_candidate_cells(arr, min_amp))
 
 

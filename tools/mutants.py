@@ -281,6 +281,9 @@ MUTANTS = (
     Mutant("sampling-slab-one-plane-short", "src/knotfield/extraction.py",
            "sl = slice(lo, lo + planes)", "sl = slice(lo, lo + planes - 1)",
            ("tests/test_extraction.py::test_sample_lattice_is_the_extraction_lattice",)),
+    Mutant("fiber-slab-offset-dropped", "src/knotfield/extraction.py",
+           "ax[0][lo + i]", "ax[0][i]",
+           ("tests/test_extraction.py::test_sample_fiber_matches_full_cube_oracle",)),
     Mutant("retry-shift-on-first-attempt", "src/knotfield/extraction.py",
            "        if attempt:\n            ax = tuple(", "        if True:\n            ax = tuple(",
            ("tests/test_extraction.py::test_degenerate_tetrahedron_warns_and_extract_dilates",)),
