@@ -155,7 +155,8 @@ class FieldState:
 def _l2(values) -> float:
     # Grid-functional norm; the cell volume factor cancels in drift ratios
     # but keeps norms comparable across resolutions.
-    return float(np.sqrt(np.sum(np.abs(values) ** 2)))
+    sq = np.abs(values)
+    return float(np.sqrt(np.sum(np.square(sq, out=sq))))
 
 
 def _axis_matrix(cfg: EvolutionConfig, omega: float, n: int, dt: float):
@@ -217,10 +218,11 @@ def _advance(s: FieldState, cfg: EvolutionConfig, n: int, dt: float, phases) -> 
 
     Axis 0 is one product into a new cube; axes 1 and 2 are applied to it
     in place, slice by slice of axis 0, as m1 @ slice @ m2.T, so a call
-    holds one cube beyond its input and one N x N temporary.  Each slice
+    holds one cube beyond its input and per-slice temporaries.  Each slice
     takes the same products as the whole-cube form (m1 @ cube, then the
     (N^2, N) reshape times m2.T), the tests' oracle, and gives the same
-    bits.  The cube is checked for finite values here, once: the state
+    bits.  Each slice is checked for finite values as it is finished, so
+    the cube is checked once with no cube-sized temporary, and the state
     takes it through `FieldState._checked`, with no second pass.
     """
     if s.resolution != cfg.resolution:
@@ -232,8 +234,8 @@ def _advance(s: FieldState, cfg: EvolutionConfig, n: int, dt: float, phases) -> 
         out = (m0 @ s.values.reshape(N, N * N)).reshape(N, N, N)  # axis 0
         for i in range(N):  # axes 1 and 2
             np.matmul(m1 @ out[i], m2.T, out=out[i])
-    if not np.all(np.isfinite(out.view(float))):
-        raise KnotfieldError(f"numeric overflow during step at t = {s.time}")
+            if not np.isfinite(out[i].view(float)).all():
+                raise KnotfieldError(f"numeric overflow during step at t = {s.time}")
     t = s.time
     for _ in range(n):
         t += dt
@@ -398,10 +400,9 @@ def track_nodal(history, cfg: EvolutionConfig, min_amp: float = None,
         amp = min_amp
         if amp is None:
             amp = 1e-3 * float(np.abs(st.values).max())
-        sub = np.ascontiguousarray(st.values[keep, keep, keep])
-        try:
-            curve = extract_from_samples(sub, sub_ax, min_amp=amp,
-                                         allow_open=True)
+        try:  # the subcube's copy is released before the next state is propagated
+            curve = extract_from_samples(np.ascontiguousarray(st.values[keep, keep, keep]),
+                                         sub_ax, min_amp=amp, allow_open=True)
         except KnotfieldError as exc:
             snaps.append(TrackedSnapshot(st.time, None, str(exc)))
             events.append((st.time, "gap", str(exc)))

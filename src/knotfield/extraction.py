@@ -31,16 +31,17 @@ same elementwise operations as on the whole cube, so the samples are
 bit-identical to one whole-cube evaluation, the tests' oracle.  `embed`
 writes each real component of (z, w) straight into its complex outputs,
 with the same bits as the per-component formula.  `extract` streams the
-slabs into the candidate scan, which copies them into one reused buffer
-of CELL_SLAB + 1 planes (carrying the last plane of each block into the
-next) and keeps each candidate cell with its 8 corner values; the march
-reads its face values from that table, so no n^3 cube is held.  The scan
-packs the signs and NaN flags of Re and Im of each lattice point into one
-16-bit code and ORs the codes over every cell's corners; a cell is kept
-when both parts straddle zero and neither is NaN, as the min/max rule in
-the oracle decides.  An array (an evolved box) goes through the same
-buffer as a stream of one slab.  `sample_fiber` filters the same stream
-slab by slab; only the evolution box, a state, is sampled whole.
+slabs into the candidate scan, which reads each slab where it lies,
+carries its last plane of sign codes and of values into the next, and
+keeps each candidate cell with its 8 corner values; the march reads its
+face values from that table, so no n^3 cube is held.  The scan packs the
+signs of Re and Im of each lattice point into one 16-bit code, adds NaN
+flags only to a slab that holds a NaN, and ORs the codes over every
+cell's corners; a cell is kept when both parts straddle zero and neither
+is NaN, as the min/max rule in the oracle decides.  An array (an evolved
+box) is read in x-slabs of the same SAMPLE_SLAB points, so one slab size
+serves sampling, the scan and `sample_fiber`, which filters the sampled
+stream slab by slab; only the evolution box, a state, is sampled whole.
 
 Charts: S^3 = {|z|^2 + |w|^2 = r^2} in R^4 with coordinates
 (x0, x1, x2, x3) = (Re z, Im z, Re w, Im w), stereographically projected
@@ -72,10 +73,9 @@ NEWTON_MAX_STEPS = 20
 NEWTON_TARGET = 1e-10
 RESIDUAL_TOL = 1e-8
 CONDITION_WARN = 1e8
-# lattice points per slab of `lattice_slabs`: slabs stay in cache, at
-# 512 KiB per complex temporary
+# lattice points per x-slab of sampling and of the candidate scan: slabs
+# stay in cache, at 512 KiB per complex temporary
 SAMPLE_SLAB = 1 << 15
-CELL_SLAB = 32  # cells along x per block of the candidate scan
 FIBER_NODAL_TOL = 1e-3  # `sample_fiber` drops points with |f| at or below this
 _HAUSDORFF_PAIRS = 1 << 16  # point pairs per block of `hausdorff`
 
@@ -266,34 +266,6 @@ def _corner_ids(n1, n2):
     return np.array([dx * n1 * n2 + dy * n2 + dz for dx, dy, dz in _CORNER_OFFSETS])
 
 
-def _cell_blocks(values):
-    """(lo, block) per run of CELL_SLAB cells along x: block holds the
-    lattice planes lo to lo + CELL_SLAB, fewer at the end.
-
-    values is a stream of (lo, slab) x-slabs in order, as `lattice_slabs`
-    yields them, or an array, read as one slab.  The slabs are copied into
-    one reused complex buffer of CELL_SLAB + 1 planes whose last plane is
-    carried into the next block; a block is only valid until the next one
-    is read.
-    """
-    if isinstance(values, np.ndarray):
-        values = [(0, values)]
-    buf, filled, lo = None, 0, 0
-    for _, slab in values:
-        if buf is None:
-            buf = np.empty((CELL_SLAB + 1,) + slab.shape[1:], dtype=complex)
-        while len(slab):
-            take = min(len(slab), len(buf) - filled)
-            buf[filled:filled + take], slab = slab[:take], slab[take:]
-            filled += take
-            if filled == len(buf):
-                yield lo, buf
-                buf[0] = buf[-1]  # the block's last plane is the next one's first
-                filled, lo = 1, lo + CELL_SLAB
-    if filled > 1:
-        yield lo, buf[:filled]
-
-
 def _scan(values, min_amp):
     """Cells whose corners straddle zero in both Re and Im, and their values.
 
@@ -301,34 +273,58 @@ def _scan(values, min_amp):
     has Re >= 0 and no corner has a NaN Re (the min/max rule, NaN failing
     every comparison).  Each lattice point packs (v <= 0), (v >= 0) and
     isnan(v) for its Re into bits 0-2 of one byte and for its Im into the
-    byte next to it: the boolean arrays of the interleaved float view, read
-    as uint16.  The codes are ORed over the 8 corners and a cell kept when
-    both bytes read 0b011 under the mask 0b111; the test treats the two
-    bytes alike, so byte order does not matter.  With min_amp > 0 a kept
-    cell also needs a corner with sqrt(re*re + im*im) > min_amp.
+    byte next to it, as uint16.  The codes are ORed over the 8 corners and
+    a cell kept when both bytes read 0b011 under the mask 0b111; the test
+    treats the two bytes alike, so byte order does not matter.  With
+    min_amp > 0 a kept cell also needs a corner with sqrt(re*re + im*im) >
+    min_amp.
 
-    values is an array or a slab stream (see `_cell_blocks`), scanned in
-    x-blocks of CELL_SLAB cells, so a stream is never held whole.  Returns
-    the (k, 3) cell indices and their (k, 8) corner values, corner b at
-    offset `_CORNER_OFFSETS[b]`.
+    values is a stream of (lo, slab) x-slabs in order, as `lattice_slabs`
+    yields them, none longer than the first, or an array, read in x-slabs
+    of SAMPLE_SLAB points; each slab is read where it lies and a stream is
+    never held whole.  The codes go through `out=` into one array, allocated
+    at the first slab, whose plane 0 carries the previous slab's last code
+    plane (NaN before the first slab, so no cell starts below plane 0); the
+    NaN bits are computed only for a slab with a 0 byte, which only a NaN
+    part leaves.  The corner values of the cells that straddle a slab
+    boundary come from the carried value plane and the slab's first.
+    Returns the (k, 3) cell indices and their (k, 8) corner values, corner
+    b at offset `_CORNER_OFFSETS[b]`.
     """
+    if isinstance(values, np.ndarray):
+        arr, planes = values, max(1, SAMPLE_SLAB // max(1, values.shape[1] * values.shape[2]))
+        values = ((lo, arr[lo:lo + planes]) for lo in range(0, len(arr), planes))
     cells, corners = [np.zeros((0, 3), dtype=int)], [np.zeros((0, 8), dtype=complex)]
-    for lo, block in _cell_blocks(values):
-        v = block.view(float)
-        code = (v <= 0).view(np.uint16)
-        code |= (v >= 0).view(np.uint16) << 1
-        code |= np.isnan(v).view(np.uint16) << 2
-        mask = (_corner_or(code) & 0x0707) == 0x0303
+    code = None
+    for lo, slab in values:
+        slab = np.ascontiguousarray(slab, dtype=complex)
+        m, n1, n2 = slab.shape
+        if code is None:
+            code = np.full((m + 1, n1, n2), 0x0404, dtype=np.uint16)
+            carry = np.empty((n1, n2), dtype=complex)  # the previous slab's last plane
+        v, c = slab.view(float), code[1:m + 1]
+        np.greater_equal(v, 0, out=c.view(bool))
+        c <<= 1
+        c |= (v <= 0).view(np.uint16)
+        if not c.view(np.uint8).all():
+            c |= np.isnan(v).view(np.uint16) << 2
+        mask = (_corner_or(code[:m + 1]) & 0x0707) == 0x0303
         idx = np.column_stack(np.unravel_index(np.flatnonzero(mask), mask.shape))
-        _, n1, n2 = block.shape
-        vals = block.reshape(-1)[(idx @ (n1 * n2, n2, 1))[:, None] + _corner_ids(n1, n2)]
+        at = (idx @ (n1 * n2, n2, 1))[:, None] + _corner_ids(n1, n2) - n1 * n2
+        vals = slab.reshape(-1)[at]
+        # the first k cells straddle the boundary: their corners with dx = 0
+        # (even b) lie in the carried plane, where `at` is negative and the
+        # slab's far end was read in their place
+        k = np.count_nonzero(mask[0])
+        vals[:k, ::2] = carry.reshape(-1)[at[:k, ::2] + n1 * n2]
         if min_amp > 0:  # the floor, on the cells the sign test keeps
             re, im = vals.real, vals.imag
             amp = np.sqrt(re * re + im * im).max(axis=1)
             idx, vals = idx[amp > min_amp], vals[amp > min_amp]
-        idx[:, 0] += lo
+        idx[:, 0] += lo - 1
         cells.append(idx)
         corners.append(vals)
+        code[0], carry[...] = code[m], slab[-1]
     return np.vstack(cells), np.vstack(corners)
 
 

@@ -13,6 +13,7 @@ from oracles import (density_center, gaussian_packet, oracle_axis_matrix, oracle
                      oracle_initial_knot_state, oracle_run, oracle_step, plane_wave)
 
 from knotfield import evolution
+from knotfield.cli import main
 from knotfield.errors import KnotfieldError
 from knotfield.evolution import (
     EvolutionConfig,
@@ -85,6 +86,12 @@ def test_propagated_state_is_checked_once(monkeypatch):
         FieldState(np.full((16, 16, 16), np.inf))
     with pytest.raises(KnotfieldError, match=r"^numeric overflow during step at t = 0\.0$"):
         step(psi, cfg, 1e308)  # the phases overflow
+    # every slice is checked: doubling only the last slice's 1e308 overflows
+    values = np.zeros((16, 16, 16), dtype=complex)
+    values[-1] = 1e308
+    eye = np.eye(16, dtype=complex)
+    with pytest.raises(KnotfieldError, match=r"^numeric overflow during step at t = 0\.0$"):
+        evolution._advance(FieldState(values, 0.0, 1.0), cfg, 1, cfg.dt, (eye, eye, 2 * eye))
 
 
 def test_plane_wave_exact_phase():
@@ -393,10 +400,9 @@ def test_advance_is_bit_identical_to_whole_cube_products(resolution, ham, omega)
 
 
 def test_advance_peak_memory_is_one_cube():
-    # Beyond its input, _advance holds its 4 MiB output cube at N = 64, an
-    # N x N temporary and the finiteness check's 512 KiB of booleans, about
-    # 4.5 MiB; the whole-cube products hold a second cube, about 8 MiB.  The
-    # bound lies halfway between one cube and two.
+    # Beyond its input, _advance holds its 4 MiB output cube at N = 64 and
+    # per-slice temporaries; the whole-cube products hold a second cube,
+    # about 8 MiB.  The bound lies halfway between one cube and two.
     cfg = EvolutionConfig(hamiltonian="harmonic", resolution=64)
     psi, phases = gaussian_state(cfg), evolution._phases(cfg, 5, cfg.dt)
 
@@ -411,6 +417,25 @@ def test_advance_peak_memory_is_one_cube():
     assert peak(lambda: evolution._advance(psi, cfg, 5, cfg.dt, phases)) < 6 * 2 ** 20
     # the bound sees a second whole cube
     assert peak(lambda: oracle_axis_products(psi.values, phases)) > 6 * 2 ** 20
+
+
+def test_propagation_holds_two_states(tmp_path):
+    # A propagation step holds the state it starts from and the 4 MiB state
+    # it builds at 64^3, 8 MiB, and per-slice temporaries beside them; a
+    # cube-sized finiteness mask (512 KiB) or a tracked subcube's copy
+    # kept over the step exceeds the bound.
+    def peak(argv, resolution):
+        tracemalloc.start()
+        try:
+            assert main(["evolve", *argv, "--resolution", str(resolution),
+                         "--out", str(tmp_path / "out.txt")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for argv in (["run", "--steps", "60"], ["track", "--steps", "20", "--snapshot-every", "5"]):
+        peak(argv, 16)  # imports, tables and caches built outside the measurement
+        assert peak(argv, 64) < 8.25 * 2 ** 20, argv
 
 
 @pytest.mark.parametrize("ham", ["free", "harmonic"])

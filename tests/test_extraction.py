@@ -363,17 +363,17 @@ def chart_stream(spec, chart, resolution):
 @pytest.mark.parametrize("spec", [("unknot", ()), ("milnor", (2, 3)), ("rudolph_G", ())],
                          ids=["unknot", "milnor23", "rudolph_G"])
 def test_streamed_extraction_matches_array_and_oracle(spec, chart, resolution):
-    # n - 1 cells along x, a multiple of CELL_SLAB at 33, 65 and 97 and not
-    # at 50: blocks' last planes are carried across every block edge, and
-    # 50 ends in a short block
+    # the array and the stream are read in slabs of 30, 13, 7 and 3 planes:
+    # each slab's last plane is carried across every slab edge, and every
+    # resolution ends in a short slab
     assert_stream_matches_array(*chart_stream(spec, chart, resolution))
 
 
 @pytest.mark.parametrize("planes", [1, 5])
 @pytest.mark.parametrize("chart", ["north", "south"])
 def test_streamed_extraction_matches_in_slabs_across_blocks(chart, planes, monkeypatch):
-    # one plane per slab, and 5-plane slabs that straddle every block edge
-    # (5 does not divide CELL_SLAB)
+    # one plane per slab, and 5-plane slabs that end in a short one at 50
+    # and 65, for the array and the stream alike
     for resolution in (50, 65):
         monkeypatch.setattr(extraction, "SAMPLE_SLAB", 100 if planes == 1 else 5 * resolution ** 2)
         assert_stream_matches_array(*chart_stream(("milnor", (2, 3)), chart, resolution))
@@ -384,7 +384,7 @@ def test_streamed_extraction_matches_on_evolved_box_with_floor():
     history = run(initial_knot_state(field_library("milnor", (2, 3)), cfg), cfg,
                   snapshot_every=10)
     ax = cfg.axes()
-    keep = np.abs(ax[0]) <= 5.0  # 40 planes: the subcube crosses a block edge
+    keep = np.abs(ax[0]) <= 5.0  # 40 planes: the array is read in two slabs of 20
     sub_ax = tuple(a[keep] for a in ax)
     for st in history[1:]:
         sub = st.values[np.ix_(keep, keep, keep)]
@@ -396,9 +396,10 @@ def test_streamed_extraction_matches_on_evolved_box_with_floor():
 
 
 def test_extract_peak_memory_is_one_cell_block(monkeypatch):
-    # The lattice streams through one buffer of CELL_SLAB + 1 planes,
-    # 8.6 MiB at 128, plus the scan's codes on it; the whole 32 MiB cube
-    # held at once (one block of every plane) exceeds the bound.
+    # The scan reads each sampled slab of 2^15 points where it lies, beside
+    # one code array of a slab plus a plane and one carried value plane:
+    # about 3.6 MiB at 128.  The whole 32 MiB cube sampled as one slab
+    # exceeds the bound.
     f, grid = field_library("milnor", (2, 3)), SampleGrid(resolution=128)
 
     def peak():
@@ -409,9 +410,9 @@ def test_extract_peak_memory_is_one_cell_block(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    assert peak() < 16 * 2 ** 20
-    monkeypatch.setattr(extraction, "CELL_SLAB", grid.resolution)
-    assert peak() > 16 * 2 ** 20  # the bound sees a whole cube
+    assert peak() < 6 * 2 ** 20
+    monkeypatch.setattr(extraction, "SAMPLE_SLAB", grid.resolution ** 3)
+    assert peak() > 6 * 2 ** 20  # the bound sees a whole cube
 
 
 def test_hausdorff_basics():
@@ -601,19 +602,25 @@ def special_samples(draw, values=_SPECIAL):
 _CELL = np.array([[[1 + 1j, -1 + 1j], [-1 + 1j, 1 + 1j]],
                   [[math.nan + 1j, 1 - 1j], [1 + 1j, 1 - 1j]]])
 _RE_ONLY = np.nan_to_num(_CELL.real, nan=1.0) + 1j
+# Two cells that straddle zero in both parts but for the one NaN of the
+# middle plane: read in 1-plane slabs, its NaN flag is carried across
+# both slab boundaries, into a slab that holds no NaN of its own.
+_STRADDLES = [[1 + 1j, -1 - 1j], [-1 + 1j, 1 - 1j]]
+_MIDDLE_NAN = np.array([_STRADDLES, [[math.nan + 1j, 1 + 1j], [1 + 1j, 1 + 1j]], _STRADDLES])
 
 
 @example(values=_CELL, min_amp=0.0, slab=1)
 @example(values=_RE_ONLY, min_amp=0.5, slab=2)
+@example(values=_MIDDLE_NAN, min_amp=0.0, slab=1)
 @settings(max_examples=300, deadline=None)
 @given(values=special_samples(), min_amp=st.sampled_from([0.0, 0.5, 1.0]),
        slab=st.integers(1, 5))
 def test_candidate_cells_special_values(values, min_amp, slab):
-    # slabs of 1-5 cells split every lattice; a transposed view and the
+    # slabs of 1-5 planes split every lattice; a transposed view and the
     # real part (a strided float array) go through the same conversion
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(extraction, "CELL_SLAB", slab)
         for arr in (values, values.transpose(2, 0, 1), values.real):
+            mp.setattr(extraction, "SAMPLE_SLAB", slab * arr.shape[1] * arr.shape[2])
             assert np.array_equal(_scan(arr, min_amp)[0],
                                   oracle_candidate_cells(arr, min_amp))
 

@@ -250,12 +250,13 @@ MUTANTS = (
            "    np.divide(nz, s, out=zw[1].imag)\n",
            ("tests/test_extraction.py::test_embed_bit_identical_to_oracle",)),
     Mutant("candidate-scan-nan-bit-dropped", "src/knotfield/extraction.py",
-           "\n        code |= np.isnan(v).view(np.uint16) << 2", "",
+           "            c |= np.isnan(v).view(np.uint16) << 2\n", "            pass\n",
+           ("tests/test_extraction.py::test_candidate_cells_special_values",)),
+    Mutant("scan-nan-pass-never-runs", "src/knotfield/extraction.py",
+           "        if not c.view(np.uint8).all():\n", "        if False:\n",
            ("tests/test_extraction.py::test_candidate_cells_special_values",)),
     Mutant("scan-carried-plane-dropped", "src/knotfield/extraction.py",
-           "                buf[0] = buf[-1]  # the block's last plane is the next one's first\n"
-           "                filled, lo = 1, lo + CELL_SLAB\n",
-           "                filled, lo = 0, lo + CELL_SLAB + 1\n",
+           "        code[0], carry[...] = code[m], slab[-1]\n", "",
            ("tests/test_extraction.py::test_streamed_extraction_matches_array_and_oracle",)),
     Mutant("march-tet-face-map-entry-moved", "src/knotfield/extraction.py",
            "_FACE_CORNERS, _FACE_SHAPES, _TET_FACES = _face_table()\n",
@@ -271,6 +272,10 @@ MUTANTS = (
            "keys = lowest * 64 + _FACE_SHAPES[hf]", "keys = lowest * 64",
            ("tests/test_extraction.py::test_march_matches_oracle_on_lattices_with_exact_zeros",
             "tests/test_extraction.py::test_march_matches_oracle")),
+    Mutant("advance-finite-check-first-slice-only", "src/knotfield/evolution.py",
+           "if not np.isfinite(out[i].view(float)).all():",
+           "if not np.isfinite(out[0].view(float)).all():",
+           ("tests/test_evolution.py::test_propagated_state_is_checked_once",)),
     Mutant("propagated-state-checked-twice", "src/knotfield/evolution.py",
            "return FieldState._checked(out, t, s.norm0)", "return FieldState(out, t, s.norm0)",
            ("tests/test_evolution.py::test_propagated_state_is_checked_once",)),
