@@ -416,13 +416,8 @@ def track_nodal(history, cfg: EvolutionConfig, min_amp: float = None,
     return TrackReport(tuple(snaps), tuple(events))
 
 
-def _vertices(curve: NodalCurve):
-    """Component vertices, without the repeated last vertex of closed ones."""
-    return [c[:-1] if curve.is_closed(i) else c for i, c in enumerate(curve.components)]
-
-
 def _match(prev: NodalCurve, curr: NodalCurve, time, events, reconnect_dist):
-    a, b = _vertices(prev), _vertices(curr)
+    a, b = ([c.vertices(i) for i in range(c.n_components)] for c in (prev, curr))
     if len(b) > len(a):
         events.append((time, "creation", f"{len(a)} -> {len(b)} components"))
     elif len(b) < len(a):

@@ -7,7 +7,9 @@ by shared faces into closed loops: `extract` returns this piecewise-linear
 zero set.  `refine` then sharpens every vertex with damped Newton steps in
 the plane normal to the local tangent; only `field extract` runs it.  Both
 return a `NodalCurve` with every field given: per component its vertices,
-their |f| (zero before refinement) and whether it closes up.
+their |f| (zero before refinement) and whether it closes up; only
+`NodalCurve` adds and strips a closed component's repeated first vertex.
+`extract` samples again only on the march's degenerate-tetrahedron warning.
 
 Both work on whole arrays.  The march solves the 18 distinct faces of every
 candidate cell (12 on its boundary, 6 inside it that two tetrahedra share)
@@ -76,6 +78,7 @@ CONDITION_WARN = 1e8
 # lattice points per x-slab of sampling and of the candidate scan: slabs
 # stay in cache, at 512 KiB per complex temporary
 SAMPLE_SLAB = 1 << 15
+_DEGENERATE = "degenerate tetrahedron"  # `_march`'s warning, the only one `extract` retries
 FIBER_NODAL_TOL = 1e-3  # `sample_fiber` drops points with |f| at or below this
 _HAUSDORFF_PAIRS = 1 << 16  # point pairs per block of `hausdorff`
 
@@ -213,7 +216,8 @@ def sample_lattice(f, grid: SampleGrid, axes, taper=None):
 
 @dataclass(frozen=True)
 class NodalCurve:
-    """Polylines in chart coordinates; closed ones repeat their first vertex last."""
+    """Polylines in chart coordinates; a closed one repeats its first vertex last.
+    `_closing`, every curve's constructor, alone adds it; `vertices` alone strips it."""
 
     components: tuple  # tuple of (k, 3) float arrays
     chart: str
@@ -225,8 +229,23 @@ class NodalCurve:
     def n_components(self):
         return len(self.components)
 
+    @classmethod
+    def _closing(cls, vertices, closed, chart, residuals=None):
+        """The curve of per-component vertex arrays and closed flags: each
+        closed component and its residuals (zero if not given) repeat their
+        first entry last, and the residual is the largest of them."""
+        def close(a, c):
+            return np.concatenate([a, a[:1]]) if c else a
+        res = tuple(map(close, residuals or [np.zeros(len(v)) for v in vertices], closed))
+        return cls(tuple(map(close, vertices, closed)), chart,
+                   max((float(r.max()) for r in res if len(r)), default=0.0), res, tuple(closed))
+
     def is_closed(self, i) -> bool:
         return bool(self.closed_flags[i])
+
+    def vertices(self, i):
+        """Component i without the repeated first vertex of a closed one."""
+        return self.components[i][:-1] if self.is_closed(i) else self.components[i]
 
     def to_csv(self) -> str:
         lines = ["component,index,x,y,z,abs_f"]
@@ -239,9 +258,8 @@ class NodalCurve:
         """Wavefront-style polyline export (v + l records)."""
         lines = []
         offset = 1
-        for ci, pts in enumerate(self.components):
-            if self.is_closed(ci):
-                pts = pts[:-1]
+        for ci in range(self.n_components):
+            pts = self.vertices(ci)
             for p in pts:
                 lines.append(f"v {p[0]:.12g} {p[1]:.12g} {p[2]:.12g}")
             k = len(pts)
@@ -394,7 +412,7 @@ def _march(axes, values, min_amp=0.0):
     count = tet_hits.sum(axis=2)
     for c, t in np.argwhere(count > 2):
         i, j, k = cells[c]
-        warnings.warn(f"degenerate tetrahedron at cell ({i},{j},{k}): "
+        warnings.warn(f"{_DEGENERATE} at cell ({i},{j},{k}): "
                       f"{count[c, t]} face zeros", stacklevel=2)
 
     # number the zero faces by key; a face two cells share appears twice
@@ -558,14 +576,8 @@ def extract_from_samples(values, axes, min_amp=0.0, chart="box",
     """
     segments, points = _march(axes, values, min_amp=min_amp)
     loops, paths = _chain(segments, points, allow_open=allow_open)
-    components = []
-    flags = []
-    for chain, closed in [(c, True) for c in loops] + [(c, False) for c in paths]:
-        pts = points[chain]
-        components.append(np.vstack([pts, pts[:1]]) if closed else pts)
-        flags.append(closed)
-    return NodalCurve(tuple(components), chart, 0.0,
-                      tuple(np.zeros(len(c)) for c in components), tuple(flags))
+    return NodalCurve._closing([points[c] for c in loops + paths],
+                               [True] * len(loops) + [False] * len(paths), chart)
 
 
 # Deterministic grid dilations tried when the sampling lattice happens to
@@ -583,8 +595,9 @@ def extract(f, grid: SampleGrid) -> NodalCurve:
 
     On a degenerate lattice (open chains, or a tetrahedron with more than
     two face zeros) the grid is dilated, shifted off the origin by a
-    fraction of a cell and sampled again.  Pass the result to `refine` for
-    vertices on the zero set of f itself.
+    fraction of a cell and sampled again.  Only the march's `_DEGENERATE`
+    warning marks the second case; any other warning reaches the caller.
+    Pass the result to `refine` for vertices on the zero set of f itself.
 
     Each attempt streams its lattice slabs (`lattice_slabs`) through the
     candidate scan, so no n^3 cube is held.  The march runs under
@@ -600,9 +613,11 @@ def extract(f, grid: SampleGrid) -> NodalCurve:
         slabs = lattice_slabs(f, lattice, ax)
         try:
             with warnings.catch_warnings(), finite_values("the interpolated field"):
-                warnings.simplefilter("error", UserWarning)
+                warnings.filterwarnings("error", _DEGENERATE, UserWarning)
                 return extract_from_samples(slabs, ax, chart=grid.chart)
         except (OpenChainError, UserWarning) as exc:
+            if isinstance(exc, UserWarning) and not str(exc).lower().startswith(_DEGENERATE):
+                raise  # the field's own warning, made an error by the caller's filters
             last_exc = exc
     if isinstance(last_exc, OpenChainError):
         raise last_exc
@@ -621,28 +636,17 @@ def refine(curve: NodalCurve, f, grid: SampleGrid) -> NodalCurve:
     """
     ax0 = grid.axes()[0]
     spacing = float(ax0[1] - ax0[0])
-    pts, tangents = [], []
-    for ci, comp in enumerate(curve.components):
-        if curve.is_closed(ci):
-            comp = comp[:-1]
-            tangents.append(np.roll(comp, -1, axis=0) - np.roll(comp, 1, axis=0))
-        else:
-            tangents.append(np.vstack([comp[1:], comp[-1:]]) - np.vstack([comp[:1], comp[:-1]]))
-        pts.append(comp)
+    pts = [curve.vertices(i) for i in range(curve.n_components)]
     if not pts:
-        return NodalCurve((), curve.chart, 0.0, (), curve.closed_flags)
+        return curve
+    tangents = [np.roll(c, -1, axis=0) - np.roll(c, 1, axis=0) if curve.is_closed(i)
+                else np.vstack([c[1:], c[-1:]]) - np.vstack([c[:1], c[:-1]])
+                for i, c in enumerate(pts)]  # one-sided at the ends of an open component
     out, res = _newton(lambda p: f(*embed(grid, *p.T)), np.concatenate(pts),
                        np.concatenate(tangents), step_clamp=spacing / 2.0, h=spacing * 1e-3)
     splits = np.cumsum([len(c) for c in pts])[:-1]
-    components, vertex_abs = [], []
-    for ci, (o, r) in enumerate(zip(np.split(out, splits), np.split(res, splits))):
-        if curve.is_closed(ci):
-            o, r = np.vstack([o, o[:1]]), np.append(r, r[0])
-        components.append(o)
-        vertex_abs.append(r)
-    residual = max((float(r.max()) for r in vertex_abs if len(r)), default=0.0)
-    return NodalCurve(tuple(components), curve.chart, residual, tuple(vertex_abs),
-                      curve.closed_flags)
+    return NodalCurve._closing(np.split(out, splits), curve.closed_flags, curve.chart,
+                               np.split(res, splits))
 
 
 def sample_fiber(f, theta, grid: SampleGrid, band: float = 0.05):

@@ -900,6 +900,26 @@ def test_thread_independence(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_blas_thread_count_does_not_change_outputs():
+    # README: outputs are byte-identical at OPENBLAS_NUM_THREADS 1 and 2
+    commands = [["mosaic", "orbit", data_path("fig8_5.mosaic"), "--members"],
+                ["field", "extract", "--field", "milnor:2,5", "--resolution", "48"],
+                ["field", "verify", "--field", "milnor:2,3", "--expect", TREFOIL,
+                 "--resolution", "48"],
+                ["evolve", "run", "--hamiltonian", "harmonic", "--resolution", "32"],
+                ["evolve", "track", "--resolution", "32"]]
+    for argv in commands:
+        outs = []
+        for n in ("1", "2"):
+            env = {**CHILD_ENV, "OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n,
+                   "MKL_NUM_THREADS": n}
+            proc = subprocess.run([sys.executable, "-m", "knotfield.cli", *argv],
+                                  capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outs.append((proc.stdout, proc.stderr))
+        assert outs[0] == outs[1], argv
+
+
 def outcome_of(capsys, argv):
     """(exit code, stdout, stderr) of main(argv), a SystemExit included."""
     try:

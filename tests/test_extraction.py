@@ -216,6 +216,36 @@ def test_extract_gives_up_when_every_dilation_warns(monkeypatch):
     assert len(set(lattices)) == len(extraction._RETRY_DILATIONS)
 
 
+def test_field_warning_reaches_the_caller_and_is_sampled_once(monkeypatch):
+    # only `_march`'s degenerate-tetrahedron warning makes `extract` sample again
+    trefoil, grid = field_library("milnor", (2, 3)), SampleGrid(resolution=32)
+    attempts = []
+    core = extraction.extract_from_samples
+
+    def counted(values, axes, **kwargs):
+        attempts.append(axes[0][-1])
+        return core(values, axes, **kwargs)
+
+    def remarking(z, w):
+        warnings.warn("a remark of the field's own", UserWarning)
+        return trefoil(z, w)
+
+    monkeypatch.setattr(extraction, "extract_from_samples", counted)
+    with pytest.warns(UserWarning, match="a remark of the field's own"):
+        curve = extract(remarking, grid)
+    assert attempts == [3.0]
+    want = extract(trefoil, grid)
+    assert curve.closed_flags == want.closed_flags == (True,)
+    assert np.array_equal(curve.components[0], want.components[0])
+    # a caller that makes the field's warning an error gets it, from the first lattice
+    attempts.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        with pytest.raises(UserWarning, match="a remark of the field's own"):
+            extract(remarking, grid)
+    assert attempts == [3.0]
+
+
 def test_open_chains_kept_when_allowed():
     # A straight nodal line through the box: z = x + iy vanishes on the
     # vertical axis, which cannot close inside the sampling cube.
@@ -236,6 +266,22 @@ def test_csv_and_obj_exports():
     assert len(csv_text.splitlines()) == 1 + sum(len(c) for c in curve.components)
     obj = curve.to_obj()
     assert obj.startswith("v ") and "\nl " in obj
+
+
+def test_nodal_curve_alone_closes_its_components():
+    loop = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    path = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 3.0]])
+    curve = NodalCurve._closing([loop, path], [True, False], "box",
+                                [np.array([1e-9, 3e-9, 2e-9]), np.array([0.0, 4e-9])])
+    assert np.array_equal(curve.components[0], np.vstack([loop, loop[:1]]))
+    assert np.array_equal(curve.components[1], path)
+    assert [r.tolist() for r in curve.vertex_residuals] == [[1e-9, 3e-9, 2e-9, 1e-9], [0.0, 4e-9]]
+    assert curve.residual == 4e-9 and curve.closed_flags == (True, False)
+    assert np.array_equal(curve.vertices(0), loop) and np.array_equal(curve.vertices(1), path)
+    assert curve.to_obj() == "v 0 0 0\nv 1 0 0\nv 0 1 0\nl 1 2 3 1\nv 0 0 2\nv 0 0 3\nl 4 5\n"
+    unrefined = NodalCurve._closing([loop, path], [True, False], "box")
+    assert [r.tolist() for r in unrefined.vertex_residuals] == [[0.0] * 4, [0.0] * 2]
+    assert unrefined.residual == 0.0
 
 
 def test_sample_fiber_phase_band():

@@ -300,6 +300,18 @@ MUTANTS = (
            "return bool(self.closed_flags[i])", "return not self.closed_flags[i]",
            ("tests/test_evolution.py::test_track_counts_closed_and_open_components",
             "tests/test_extraction.py::test_csv_and_obj_exports")),
+    Mutant("closing-vertex-skipped", "src/knotfield/extraction.py",
+           "return np.concatenate([a, a[:1]]) if c else a", "return a",
+           ("tests/test_extraction.py::test_nodal_curve_alone_closes_its_components",
+            "tests/test_extraction.py::test_refine_matches_oracle")),
+    Mutant("vertices-strips-open-components", "src/knotfield/extraction.py",
+           "return self.components[i][:-1] if self.is_closed(i) else self.components[i]",
+           "return self.components[i][:-1]",
+           ("tests/test_extraction.py::test_nodal_curve_alone_closes_its_components",)),
+    Mutant("extract-escalates-every-user-warning", "src/knotfield/extraction.py",
+           'warnings.filterwarnings("error", _DEGENERATE, UserWarning)',
+           'warnings.simplefilter("error", UserWarning)',
+           ("tests/test_extraction.py::test_field_warning_reaches_the_caller_and_is_sampled_once",)),
     Mutant("label-reader-accepts-any-decodable-text", "src/knotfield/mosaic.py",
            "    if encode(m) != text:\n"
            "        raise KnotfieldError(f\"label {text!r} is not a canonical mosaic encoding\")\n",
