@@ -26,6 +26,15 @@ top-level and group parsers is worth it there.
 numpy and the modules that import it (orbits, states, rows, fields,
 extraction, project, evolution) are imported inside the handlers that use
 them, so `mosaic validate|show|jones` and `wirtinger` start without numpy.
+
+`field extract` and `field fiber` write their JSON coordinate arrays
+through one encoder, `_json_rows`: the bytes json.dumps gives for every
+value rounded by round(v, 12), built with numpy over chunks of
+`_JSON_CHUNK` values from 4-byte records; the scalar keys still go through
+json.dumps.  Their text formats (CSV, OBJ) are one %-format per array, in
+`extraction`.  `evolve track` matches components greedily by Hausdorff
+distance, trying them in order of bounding-box gap and stopping once the
+gap exceeds the best distance (`evolution._match`).
 """
 
 from __future__ import annotations
@@ -280,27 +289,94 @@ def _cmd_field_eval(args):
             f" (phase {ph})"), 0
 
 
-def _round12(a):
-    """round(v, 12) of every element of a float array, as nested lists.
+# values per chunk of `_json_rows`, so that each chunk's temporaries stay in cache
+_JSON_CHUNK = 1 << 13
+# `_json_rows` records: 0 is empty, _SEP is ", " and _SEP + 1 "], [", _MARK
+# stands for a value json writes; from _INT, _DOT and _DEC come blocks of
+# 1000 indexed by a 3-digit group g, the block 1000 further on holding the
+# stripped variant: the integer part g (then -g), ".ddd" in full (then
+# stripped of trailing zeros but for its first digit), "ddd" (then stripped).
+_SEP, _MARK, _INT, _DOT, _DEC = 1, 3, 4, 2004, 4004
 
-    rint(v * 1e12) / 1e12 gives the bits of round(v, 12), a correctly
-    rounded quotient of the same integer, except where the rounding of the
-    product can carry it across a half-integer.  Those elements, the ones
-    whose product reaches 2^52 and the non-finite ones go through round()
-    itself.
+
+@functools.cache
+def _json_records():
+    """The 4-byte `_json_rows` records as uint32, zero bytes padding them."""
+    import numpy as np
+
+    digits = [f"{g:03d}" for g in range(1000)]
+    texts = (["", ", ", "], [", "\1"] + [str(g) for g in range(1000)]
+             + [f"-{g}" for g in range(1000)] + ["." + d for d in digits]
+             + ["." + d[0] + d[1:].rstrip("0") for d in digits]
+             + digits + [d.rstrip("0") for d in digits])
+    return np.frombuffer(b"".join(t.encode().ljust(4, b"\0") for t in texts), dtype=np.uint32)
+
+
+def _json_rows(a) -> str:
+    """json.dumps of a 2-D float array with each value v as round(v, 12),
+    as one text, the same bytes json.dumps(a.tolist() rounded) gives.
+
+    Where |v| * 10^12 rounds to an integer q below 10^15 and q is 0 or at
+    least 10^8, repr(round(v, 12)) is fixed-point with at most 15
+    significant digits: the digits of q / 10^12, sign first, trailing zeros
+    but the first decimal stripped.  Those texts are assembled chunk by
+    chunk from `_json_records`, one uint32 index per sign-and-integer part,
+    per 3-digit group of decimals and per separator, and the padding bytes
+    deleted.  Every other value (0 < |v| < 1e-4, |v| >= 1000, non-finite)
+    is written by json itself.  rint(|v| * 1e12) is q except where the
+    rounding of the product can carry it across a half-integer; those values
+    go through round() as well.
     """
     import numpy as np
 
     a = np.asarray(a, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = a * 1e12
-        out = np.rint(scaled) / 1e12
-        t = np.abs(scaled)
-        # t lies within t * 2^-52 of |v| * 10^12, and below 2^52 the distance
-        # t - floor(t) - 1/2 is exact wherever it is under 1/4
-        hard = ~(t < 2.0 ** 52) | (np.abs(t - np.floor(t) - 0.5) <= t * 2.0 ** -50)
-    out[hard] = [round(v, 12) for v in a[hard].tolist()]
-    return out.tolist()
+    if not a.size:
+        return json.dumps(a.tolist())
+    records, flat, cols = _json_records(), a.reshape(-1), a.shape[1]
+    pow10 = np.array([1e12, 1e9, 1e6, 1e3, 1.0])[:, None]
+    base = np.array([_INT, _DOT, _DEC, _DEC, _DEC], dtype=float)[:, None]
+    parts = ["[["]
+    for lo in range(0, flat.size, _JSON_CHUNK):
+        v = flat[lo:lo + _JSON_CHUNK]
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = np.abs(v * 1e12)
+            q = np.rint(t)
+            # t lies within t * 2^-52 of |v| * 10^12, and below 2^52 the
+            # distance t - floor(t) - 1/2 is exact wherever it is under 1/4
+            by_json = ~(q < 1e15) | (np.abs(t - np.floor(t) - 0.5) <= t * 2.0 ** -50)
+            by_json |= (q < 1e8) & (q != 0)
+        q[by_json] = 0
+        head = q / pow10
+        np.floor(head, out=head)  # head[k]: q's digits down to group k
+        rest_zero = head * pow10 == q  # the groups after group k are all zero
+        rest_zero[0] = np.signbit(v)  # the integer part's second block is -g
+        index = head + base
+        index[1:] -= 1000.0 * head[:-1]
+        index += 1000.0 * rest_zero
+        idx = np.empty((len(v), 6), dtype=np.intp)
+        idx.T[1:] = index
+        idx[:, 0] = _SEP
+        idx[(-lo) % cols::cols, 0] = _SEP + 1  # the first value of a row
+        if lo == 0:
+            idx[0, 0] = 0
+        k = np.flatnonzero(by_json)
+        idx[k, 1], idx[k, 2:] = _MARK, 0
+        text = records[idx].tobytes().translate(None, b"\0").decode()
+        if len(k):
+            pieces = text.split("\1")
+            text = [None] * (2 * len(pieces) - 1)
+            text[::2] = pieces
+            text[1::2] = json.dumps([round(x, 12) for x in v[k].tolist()])[1:-1].split(", ")
+            text = "".join(text)
+        parts.append(text)
+    parts.append("]]")
+    return "".join(parts)
+
+
+def _json_ending_in(payload, raw: str) -> str:
+    """json.dumps(payload), whose last value is None, with the JSON text raw
+    in that value's place."""
+    return "".join([json.dumps(payload)[:-len("null}")], raw, "}"])
 
 
 def _cmd_field_extract(args):
@@ -311,10 +387,10 @@ def _cmd_field_extract(args):
     grid = _grid(args)
     curve = refine(extract(f, grid), f, grid)
     if args.format == "json":
-        return json.dumps({
+        return _json_ending_in({
             "chart": curve.chart, "n_components": curve.n_components,
-            "residual": curve.residual,
-            "components": [_round12(c) for c in curve.components]}), 0
+            "residual": curve.residual, "components": None},
+            "[" + ", ".join(map(_json_rows, curve.components)) + "]"), 0
     if args.obj:
         return curve.to_obj().rstrip("\n"), 0
     return curve.to_csv().rstrip("\n"), 0
@@ -346,8 +422,8 @@ def _cmd_field_fiber(args):
     f = parse_field_spec(args.field)
     cloud = sample_fiber(f, args.theta, _grid(args), band=args.band)
     if args.format == "json":
-        return json.dumps({"theta": args.theta, "n_points": len(cloud),
-                           "points": _round12(cloud)}), 0
+        return _json_ending_in({"theta": args.theta, "n_points": len(cloud), "points": None},
+                               _json_rows(cloud)), 0
     return fiber_to_csv(cloud).rstrip("\n"), 0
 
 

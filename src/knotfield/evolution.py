@@ -370,9 +370,11 @@ def track_nodal(history, cfg: EvolutionConfig, min_amp: float = None,
     """Extract nodal curves per snapshot and match components in time.
 
     Components of consecutive snapshots are paired greedily by smallest
-    Hausdorff distance.  A count change is logged as creation/annihilation;
-    a matched pair moving more than RECONNECTION_FACTOR * spacing in one
-    interval is logged as a reconnection candidate.  Extraction failures
+    Hausdorff distance, each tried in order of its bounding-box gap and the
+    search pruned once the gap exceeds the best distance (`_match`).  A
+    count change is logged as creation/annihilation; a matched pair moving
+    more than RECONNECTION_FACTOR * spacing in one interval is logged as a
+    reconnection candidate.  Extraction failures
     are recorded as gaps and tracking resumes at the next good snapshot.
 
     Tracking is confined to the central subcube of side roi * box (the
@@ -416,25 +418,49 @@ def track_nodal(history, cfg: EvolutionConfig, min_amp: float = None,
     return TrackReport(tuple(snaps), tuple(events))
 
 
+def _boxes(components):
+    """The lower and upper corners of each component's bounding box, (n, 3)
+    each; an empty component's box is all of space."""
+    lo = [c.min(axis=0) if len(c) else np.full(3, -np.inf) for c in components]
+    hi = [c.max(axis=0) if len(c) else np.full(3, np.inf) for c in components]
+    return np.array(lo).reshape(-1, 3), np.array(hi).reshape(-1, 3)
+
+
 def _match(prev: NodalCurve, curr: NodalCurve, time, events, reconnect_dist):
+    """Pair each component of curr, in order, with the unused component of
+    prev nearest in Hausdorff distance, the first of equals, and log the
+    count change and the reconnections; returns the largest matched distance.
+
+    The gap between two bounding boxes is a lower bound of the distance, so
+    the unused components are tried by increasing gap, from the one whose
+    gap is least, and the search stops at a gap beyond the best distance
+    found, with a relative margin for rounding.
+    """
     a, b = ([c.vertices(i) for i in range(c.n_components)] for c in (prev, curr))
     if len(b) > len(a):
         events.append((time, "creation", f"{len(a)} -> {len(b)} components"))
     elif len(b) < len(a):
         events.append((time, "annihilation", f"{len(a)} -> {len(b)} components"))
+    lo, hi = _boxes(a)
     dmax = 0.0
-    used = set()
-    for comp in b:
-        best, bi = None, None
-        for i, ref in enumerate(a):
-            if i in used:
-                continue
-            d = hausdorff(comp, ref)
-            if best is None or d < best:
-                best, bi = d, i
-        if bi is None:
+    used = np.zeros(len(a), dtype=bool)
+    for comp, comp_lo, comp_hi in zip(b, *_boxes(b)):
+        free = np.flatnonzero(~used)
+        if not len(free):
             continue
-        used.add(bi)
+        sq = np.maximum(np.maximum(lo - comp_hi, comp_lo - hi), 0.0) ** 2
+        gap = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+        bi = int(free[np.argmin(gap[free])])
+        best = hausdorff(comp, a[bi])
+        near = free[gap[free] <= best * (1.0 + 1e-9)]
+        for i in near[np.argsort(gap[near], kind="stable")].tolist():
+            if gap[i] > best * (1.0 + 1e-9):
+                break
+            if i != bi:
+                d = hausdorff(comp, a[i])
+                if d < best or (d == best and i < bi):
+                    best, bi = d, i
+        used[bi] = True
         dmax = max(dmax, best)
         if best > reconnect_dist:
             events.append((time, "reconnection",

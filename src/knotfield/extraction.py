@@ -10,6 +10,10 @@ return a `NodalCurve` with every field given: per component its vertices,
 their |f| (zero before refinement) and whether it closes up; only
 `NodalCurve` adds and strips a closed component's repeated first vertex.
 `extract` samples again only on the march's degenerate-tetrahedron warning.
+The CSV and OBJ texts (`NodalCurve.to_csv`, `to_obj`, `fiber_to_csv`) are
+one %-format over each array's flattened values, with the conversions
+'%.12g' for coordinates, '%.6g' for |f| and '%d' for indices; the
+command-line interface writes the JSON coordinates with its own encoder.
 
 Both work on whole arrays.  The march solves the 18 distinct faces of every
 candidate cell (12 on its boundary, 6 inside it that two tetrahedra share)
@@ -248,11 +252,11 @@ class NodalCurve:
         return self.components[i][:-1] if self.is_closed(i) else self.components[i]
 
     def to_csv(self) -> str:
-        lines = ["component,index,x,y,z,abs_f"]
-        for ci, (pts, res) in enumerate(zip(self.components, self.vertex_residuals)):
-            for i, (p, a) in enumerate(zip(pts, res)):
-                lines.append(f"{ci},{i},{p[0]:.12g},{p[1]:.12g},{p[2]:.12g},{a:.6g}")
-        return "\n".join(lines) + "\n"
+        rows = [np.column_stack([np.full(len(pts), ci), np.arange(len(pts)), pts, res])
+                for ci, (pts, res) in enumerate(zip(self.components, self.vertex_residuals))]
+        values = np.concatenate(rows).ravel().tolist() if rows else []
+        return ("component,index,x,y,z,abs_f\n"
+                + "%d,%d,%.12g,%.12g,%.12g,%.6g\n" * (len(values) // 6) % tuple(values))
 
     def to_obj(self) -> str:
         """Wavefront-style polyline export (v + l records)."""
@@ -260,11 +264,10 @@ class NodalCurve:
         offset = 1
         for ci in range(self.n_components):
             pts = self.vertices(ci)
-            for p in pts:
-                lines.append(f"v {p[0]:.12g} {p[1]:.12g} {p[2]:.12g}")
             k = len(pts)
-            idx = " ".join(str(offset + i) for i in range(k))
-            lines.append(f"l {idx} {offset}" if self.is_closed(ci) else f"l {idx}")
+            idx = " ".join(map(str, range(offset, offset + k)))
+            lines.append("v %.12g %.12g %.12g\n" * k % tuple(pts.ravel().tolist())
+                         + (f"l {idx} {offset}" if self.is_closed(ci) else f"l {idx}"))
             offset += k
         return "\n".join(lines) + "\n"
 
@@ -672,9 +675,9 @@ def sample_fiber(f, theta, grid: SampleGrid, band: float = 0.05):
 
 
 def fiber_to_csv(cloud) -> str:
-    lines = ["x,y,z,abs_f"]
-    lines.extend(",".join(f"{v:.12g}" for v in row) for row in cloud)
-    return "\n".join(lines) + "\n"
+    cloud = np.asarray(cloud, dtype=float)
+    row = ",".join(["%.12g"] * cloud.shape[1]) + "\n"
+    return "x,y,z,abs_f\n" + row * len(cloud) % tuple(cloud.ravel().tolist())
 
 
 def hausdorff(a, b) -> float:

@@ -30,6 +30,13 @@ where production goes through `embed` and the slab loop `lattice_slabs`.
 The Hausdorff oracle builds the whole (m, k, 3) difference array and takes
 the norm of each pair, where production sums squares over row blocks and
 takes the root last.
+The matching oracle tries every unused component of the previous curve in
+index order, where production tries them by increasing bounding-box gap
+and stops at a gap beyond the best distance.  The text oracles write every
+CSV and OBJ value with its own f-string, where production formats each
+array with one `%` operation; `round12` rounds every value to 12 decimals
+on the array, and json.dumps of its lists is the text (and the memory
+bound) that production's JSON encoder over numpy byte records is held to.
 The validation oracle checks each lattice edge
 with a three-way None/True/False comparison, where production scans any
 rows x cols block with one rule shared by validation and move templates.
@@ -75,6 +82,7 @@ from knotfield.extraction import (
     NodalCurve,
     SampleGrid,
     embed,
+    hausdorff,
 )
 from knotfield.diagram import Crossing, PlanarDiagram
 from knotfield.evolution import EvolutionConfig, FieldState
@@ -972,3 +980,81 @@ def oracle_axis_products(values, phases):
     out = (m0 @ values.reshape(N, N * N)).reshape(N, N, N)
     out = m1 @ out
     return (out.reshape(N * N, N) @ m2.T).reshape(N, N, N)
+
+
+def round12(a):
+    """round(v, 12) of every element of a float array, as nested lists.
+
+    rint(v * 1e12) / 1e12 gives the bits of round(v, 12), a correctly
+    rounded quotient of the same integer, except where the rounding of the
+    product can carry it across a half-integer.  Those elements, the ones
+    whose product reaches 2^52 and the non-finite ones go through round()
+    itself.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = a * 1e12
+        out = np.rint(scaled) / 1e12
+        t = np.abs(scaled)
+        # t lies within t * 2^-52 of |v| * 10^12, and below 2^52 the distance
+        # t - floor(t) - 1/2 is exact wherever it is under 1/4
+        hard = ~(t < 2.0 ** 52) | (np.abs(t - np.floor(t) - 0.5) <= t * 2.0 ** -50)
+    out[hard] = [round(v, 12) for v in a[hard].tolist()]
+    return out.tolist()
+
+
+def oracle_curve_csv(curve: NodalCurve) -> str:
+    lines = ["component,index,x,y,z,abs_f"]
+    for ci, (pts, res) in enumerate(zip(curve.components, curve.vertex_residuals)):
+        for i, (p, a) in enumerate(zip(pts, res)):
+            lines.append(f"{ci},{i},{p[0]:.12g},{p[1]:.12g},{p[2]:.12g},{a:.6g}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_curve_obj(curve: NodalCurve) -> str:
+    lines = []
+    offset = 1
+    for ci in range(curve.n_components):
+        pts = curve.vertices(ci)
+        for p in pts:
+            lines.append(f"v {p[0]:.12g} {p[1]:.12g} {p[2]:.12g}")
+        k = len(pts)
+        idx = " ".join(str(offset + i) for i in range(k))
+        lines.append(f"l {idx} {offset}" if curve.is_closed(ci) else f"l {idx}")
+        offset += k
+    return "\n".join(lines) + "\n"
+
+
+def oracle_fiber_csv(cloud) -> str:
+    lines = ["x,y,z,abs_f"]
+    lines.extend(",".join(f"{v:.12g}" for v in row) for row in cloud)
+    return "\n".join(lines) + "\n"
+
+
+def oracle_match(prev: NodalCurve, curr: NodalCurve, time, events, reconnect_dist):
+    """Greedy matching with one Hausdorff distance per pair: each component
+    of curr in order takes the unused component of prev nearest to it, the
+    first of equals."""
+    a, b = ([c.vertices(i) for i in range(c.n_components)] for c in (prev, curr))
+    if len(b) > len(a):
+        events.append((time, "creation", f"{len(a)} -> {len(b)} components"))
+    elif len(b) < len(a):
+        events.append((time, "annihilation", f"{len(a)} -> {len(b)} components"))
+    dmax = 0.0
+    used = set()
+    for comp in b:
+        best, bi = None, None
+        for i, ref in enumerate(a):
+            if i in used:
+                continue
+            d = hausdorff(comp, ref)
+            if best is None or d < best:
+                best, bi = d, i
+        if bi is None:
+            continue
+        used.add(bi)
+        dmax = max(dmax, best)
+        if best > reconnect_dist:
+            events.append((time, "reconnection",
+                           f"component moved {best:.3g} in one interval"))
+    return dmax

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CHILD_ENV, crossing_mosaic, data_path
-from oracles import oracle_orbit
+from oracles import oracle_orbit, round12
 
 from knotfield import cli, diagram, evolution, extraction, fields, mosaic, orbits, rows
 from knotfield.cli import main
@@ -531,15 +531,13 @@ def test_field_extract_csv(capsys):
     assert out.splitlines()[0] == "component,index,x,y,z,abs_f"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_round12_is_round_bit_for_bit():
-    rng = np.random.default_rng(12)
-    n = 20000
+def _round12_groups(rng, n):
+    """Arrays of values that round(v, 12) and its 12-decimal texts find hard."""
     sign = rng.choice([-1.0, 1.0], n)
     odd = 2 * rng.integers(-2 ** 25, 2 ** 25, n) + 1
     ties = odd / 8192.0  # v * 10^12 is a half-integer exactly for these
     near = (rng.integers(-4 * 10 ** 15, 4 * 10 ** 15, n) + 0.5) / 1e12
-    groups = [
+    return [
         rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(float),  # any bits: nans, infs
         sign * np.ldexp(rng.uniform(1, 2, n), rng.integers(-1074, 1024, n)),  # every magnitude
         rng.uniform(-3, 3, n),  # chart coordinates
@@ -550,13 +548,64 @@ def test_round12_is_round_bit_for_bit():
                   -1e-13, 5e-13, -5e-13, 4503.999999999999, 4504.0, -4504.0, 4504.5, 1e15,
                   -1e300, 1.7976931348623157e308, np.inf, -np.inf, np.nan]),
     ]
-    for values in groups:
-        got = np.array(cli._round12(values))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_round12_is_round_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for values in _round12_groups(rng, 20000):
+        got = np.array(round12(values))
         want = np.array([round(v, 12) for v in values.tolist()])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     grid = rng.uniform(-3, 3, (7, 3))
-    assert cli._round12(grid) == [[round(v, 12) for v in p] for p in grid.tolist()]
-    assert cli._round12(np.zeros((0, 4))) == []
+    assert round12(grid) == [[round(v, 12) for v in p] for p in grid.tolist()]
+    assert round12(np.zeros((0, 4))) == []
+
+
+def _dumps_round12(a):
+    return json.dumps([[round(v, 12) for v in row] for row in a.tolist()])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_json_rows_is_json_dumps_of_round():
+    rng = np.random.default_rng(13)
+    edges = [1e-4, -1e-4, 1000.0, -1000.0, 999.9999999999995, 999.9999999999994,
+             -999.9999999999996, 9.999999999995e-05, 1e-4 - 5e-17, 0.0, -0.0]
+    edges += np.nextafter(edges, np.inf).tolist() + np.nextafter(edges, -np.inf).tolist()
+    spread = rng.uniform(-1, 1, 20000) * 10.0 ** rng.integers(-14, 5, 20000)  # every exponent
+    for values in _round12_groups(rng, 6000) + [np.array(edges), spread]:
+        for cols in (1, 3, 4):
+            a = values[:len(values) // cols * cols].reshape(-1, cols)
+            assert cli._json_rows(a) == _dumps_round12(a)
+    chunk = cli._JSON_CHUNK
+    for size in (chunk - 1, chunk, chunk + 1, 2 * chunk + 2, 3 * chunk - 3):
+        for cols in (1, 3, 4):
+            a = rng.uniform(-3, 3, (size // cols, cols))
+            assert cli._json_rows(a) == _dumps_round12(a)
+    for shape in ((0, 4), (0, 3), (1, 1), (2, 0)):
+        assert cli._json_rows(np.zeros(shape)) == _dumps_round12(np.zeros(shape))
+
+
+def test_json_rows_temporaries_stay_within_a_chunk():
+    # beyond its text and the chunk texts that join into it, the encoder
+    # holds one chunk's arrays whatever the array size; a fiber cloud peaks
+    # lower than the nested lists of the rounded values took before json
+    rng = np.random.default_rng(14)
+    extra = []
+    for rows in (2 * cli._JSON_CHUNK, 16 * cli._JSON_CHUNK):
+        cloud = np.column_stack([rng.uniform(-3, 3, (rows, 3)), rng.uniform(0, 2, rows)])
+        cli._json_rows(cloud[:10])  # the records, built once per process
+        tracemalloc.start()
+        text = cli._json_rows(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        extra.append(peak - 2 * sys.getsizeof(text))
+        if rows == 2 * cli._JSON_CHUNK:
+            tracemalloc.start()
+            json.dumps(round12(cloud))
+            assert peak <= tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    assert max(extra) < 200 * cli._JSON_CHUNK
 
 
 @pytest.mark.parametrize("chart", ["north", "south"])

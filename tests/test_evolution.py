@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracles import (density_center, gaussian_packet, oracle_axis_matrix, oracle_axis_products,
-                     oracle_initial_knot_state, oracle_run, oracle_step, plane_wave)
+                     oracle_initial_knot_state, oracle_match, oracle_run, oracle_step,
+                     plane_wave)
 
 from knotfield import evolution
 from knotfield.cli import main
@@ -242,6 +243,55 @@ def test_match_compares_every_vertex_of_open_components():
     events = []
     assert _match(prev, curr, 1.0, events, reconnect_dist=1.0) == 5.0
     assert [kind for _, kind, _ in events] == ["reconnection"]
+
+
+def _curve(components):
+    return NodalCurve._closing(components, [len(c) > 2 for c in components], "box")
+
+
+def test_match_breaks_distance_ties_by_index():
+    # prev's components 0 and 1 are both at distance 1 from curr's first;
+    # component 1's box holds it, so it is tried first, and the tie goes to
+    # component 0 as in the oracle, which leaves component 1 to the second
+    point = np.zeros((1, 3))
+    prev = _curve([np.array([[1.0, 0, 0]]), np.array([[0.5, 0, 0], [-1.0, 0, 0]])])
+    curr = _curve([point, np.array([[0.5, 0, 0], [-1.0, 0, 0.1]])])
+    for match in (_match, oracle_match):
+        events = []
+        assert match(prev, curr, 1.0, events, reconnect_dist=0.0) == 1.0
+        assert events == [(1.0, "reconnection", "component moved 1 in one interval"),
+                          (1.0, "reconnection", "component moved 0.1 in one interval")]
+
+
+def test_match_tries_components_by_increasing_gap():
+    # gaps 0, 0.25, 0.5, 0.2 and distances 1, 0.25, 0.5, 0.3 from a point:
+    # the search passes component 0 and must try 3 and 1 before it stops at 2
+    x = np.array([[-1.0], [0.25], [0.5], [0.2], [0.3], [1.0]]) * [1.0, 0, 0]
+    prev = _curve([x[[0, 5]], x[[1]], x[[2]], x[[3, 4]]])
+    for match in (_match, oracle_match):
+        assert match(prev, _curve([np.zeros((1, 3))]), 1.0, [], 1.0) == 0.25
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_match_matches_oracle(seed):
+    # with reconnect_dist 0 the events list every pair's distance in order;
+    # copies and shifted copies of one component make ties, and the
+    # components lie near each other, so boxes overlap as in a dense box
+    rng = np.random.default_rng(seed)
+    def components(n):
+        out = []
+        for _ in range(n):
+            c = rng.uniform(-1, 1, 3) * 3 + rng.normal(0, 0.4, (rng.integers(1, 9), 3))
+            out += [c] + [c + rng.choice([0.0, 0.25], 3)] * int(rng.integers(0, 2))
+        return out
+    a, b = components(int(rng.integers(0, 25))), components(int(rng.integers(0, 25)))
+    b += [a[i] for i in rng.integers(0, len(a), 3)] if a else []
+    for c in (a, b)[:seed % 3]:  # an empty component is at distance inf, or 0 from another
+        c.insert(int(rng.integers(0, len(c) + 1)), np.zeros((0, 3)))
+    prev, curr = _curve(a), _curve(b)
+    got, want = [], []
+    assert _match(prev, curr, 2.0, got, 0.0) == oracle_match(prev, curr, 2.0, want, 0.0)
+    assert got == want
 
 
 def test_track_roi_validation():

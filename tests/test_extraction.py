@@ -20,7 +20,10 @@ from oracles import (
     closure_gaps,
     oracle_candidate_cells,
     oracle_chain,
+    oracle_curve_csv,
+    oracle_curve_obj,
     oracle_embed,
+    oracle_fiber_csv,
     oracle_hausdorff,
     oracle_march,
     oracle_refine,
@@ -282,6 +285,28 @@ def test_nodal_curve_alone_closes_its_components():
     unrefined = NodalCurve._closing([loop, path], [True, False], "box")
     assert [r.tolist() for r in unrefined.vertex_residuals] == [[0.0] * 4, [0.0] * 2]
     assert unrefined.residual == 0.0
+
+
+def test_text_exports_match_per_value_oracles():
+    # one %-format per array writes the bytes of one f-string per value,
+    # special values, both signs of zero and every exponent included
+    rng = np.random.default_rng(21)
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -5e-324, 1e300,
+                        123456789012.5, 1e-5, 0.1, 2.0 / 3.0])
+    def values(*shape):
+        v = rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-20, 20, shape)
+        v.flat[rng.integers(0, v.size, min(v.size, 8))] = rng.choice(special, min(v.size, 8))
+        return v
+    parts = [values(k, 3) for k in (5, 1, 7, 2)]
+    curve = NodalCurve._closing(parts, [True, False, True, False], "box",
+                                [np.abs(values(len(p))) for p in parts])
+    for c in (curve, NodalCurve._closing([], [], "box"),
+              extract(field_library("unknot"), SampleGrid(resolution=32))):
+        assert c.to_csv() == oracle_curve_csv(c)
+        assert c.to_obj() == oracle_curve_obj(c)
+    for cloud in (values(50, 4), np.zeros((0, 4)),
+                  sample_fiber(field_library("unknot"), 0.5, SampleGrid(resolution=16))):
+        assert fiber_to_csv(cloud) == oracle_fiber_csv(cloud)
 
 
 def test_sample_fiber_phase_band():

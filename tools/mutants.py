@@ -197,9 +197,28 @@ MUTANTS = (
            ' and not any(a.startswith("--=") for a in argv)', "",
            ("tests/test_cli.py::test_dispatch_answers_as_the_full_parser_on_other_argv",
             "tests/test_cli.py::test_parse_args_matches_the_full_parser_on_any_tokens")),
-    Mutant("round-fallback-band-dropped", "src/knotfield/cli.py",
+    Mutant("round-fallback-band-dropped", "tests/oracles.py",
            " | (np.abs(t - np.floor(t) - 0.5) <= t * 2.0 ** -50)", "",
            ("tests/test_cli.py::test_round12_is_round_bit_for_bit",)),
+    Mutant("json-half-way-cases-not-sent-to-round", "src/knotfield/cli.py",
+           " | (np.abs(t - np.floor(t) - 0.5) <= t * 2.0 ** -50)", "",
+           ("tests/test_cli.py::test_json_rows_is_json_dumps_of_round",)),
+    Mutant("json-trailing-zero-kept", "src/knotfield/cli.py",
+           '[d.rstrip("0") for d in digits]', '[(d.rstrip("0") + "0")[:3] for d in digits]',
+           ("tests/test_cli.py::test_json_rows_is_json_dumps_of_round",
+            "tests/test_cli.py::test_field_extract_json_coordinates_are_round")),
+    Mutant("json-e-notation-threshold-moved", "src/knotfield/cli.py",
+           "(q < 1e8)", "(q < 1e7)",
+           ("tests/test_cli.py::test_json_rows_is_json_dumps_of_round",)),
+    Mutant("json-chunk-offset-dropped", "src/knotfield/cli.py",
+           "idx[(-lo) % cols::cols, 0]", "idx[::cols, 0]",
+           ("tests/test_cli.py::test_json_rows_is_json_dumps_of_round",)),
+    Mutant("match-ties-not-broken-by-index", "src/knotfield/evolution.py",
+           "if d < best or (d == best and i < bi):", "if d < best:",
+           ("tests/test_evolution.py::test_match_breaks_distance_ties_by_index",)),
+    Mutant("match-tries-components-in-reverse-index-order", "src/knotfield/evolution.py",
+           'near[np.argsort(gap[near], kind="stable")]', "near[::-1]",
+           ("tests/test_evolution.py::test_match_tries_components_by_increasing_gap",)),
     Mutant("track-region-drops-the-boundary-cell", "src/knotfield/evolution.py",
            'np.searchsorted(ax[0], half, "right")', "np.searchsorted(ax[0], half)",
            ("tests/test_evolution.py::test_track_region_is_every_cell_within_half_roi",)),
