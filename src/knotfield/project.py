@@ -4,7 +4,9 @@ A closed polyline is projected along a generic direction, crossings are
 read off with over/under from projection depth, the resulting planar
 diagram is simplified by R1/R2 reductions, and its Jones polynomial is
 compared with the expected knot's (up to mirror, since neither the charts
-nor the projection fix a chirality convention).
+nor the projection fix a chirality convention).  Reduction makes one move
+at a time, R1 before R2, at the lowest crossing and the first edge; that
+order fixes the reduced diagram.
 
 Crossings are found in one array pass: a sort-and-sweep over the projected
 segments' padded bounding boxes yields the candidate pairs, and every
@@ -116,12 +118,13 @@ def _crossing_events(pts2, depth, scale):
 def project_diagram(points) -> PlanarDiagram:
     """Project a closed polyline to a planar diagram along a generic direction.
 
-    The starting direction is fixed; on a non-generic configuration the
-    direction is nudged through a fixed pseudo-random sequence, so results
-    are deterministic across runs.
+    A last vertex that repeats the first, to within 1e-9 of the polyline's
+    extent, is dropped.  The starting direction is fixed; on a non-generic
+    configuration the direction is nudged through a fixed pseudo-random
+    sequence, so results are deterministic across runs.
     """
     pts = np.asarray(points, dtype=float)
-    if len(pts) > 1 and np.allclose(pts[0], pts[-1]):
+    if len(pts) > 1 and np.abs(pts[-1] - pts[0]).max() <= 1e-9 * np.ptp(pts, axis=0).max():
         pts = pts[:-1]
     if len(pts) < 3:
         raise KnotfieldError("polyline too short to project")
@@ -161,88 +164,54 @@ def _renumber(crossings, free_loops, n_components):
     return PlanarDiagram(xs, free_loops, n_components)
 
 
+def _first_move(crossings):
+    """The first R1 or R2 move on crossings, as (indices of the crossings
+    to delete, pairs (u, v) of edge ends to join, v renamed u), or None.
+
+    A kink (an edge at two ccw-adjacent ends) comes first: at the lowest
+    crossing, at its first such position.  Otherwise the first bigon: two
+    crossings sharing edges e and b at odd distance at both, with e over at
+    both or under at both, taking e in order of first appearance.
+    """
+    for i, x in enumerate(crossings):
+        for p in range(4):
+            if x.ends[p] == x.ends[(p + 1) % 4]:
+                return (i,), [(x.ends[(p + 2) % 4], x.ends[(p + 3) % 4])]
+    where = {}
+    for i, x in enumerate(crossings):
+        for e in set(x.ends):
+            where.setdefault(e, []).append(i)
+    for e, pair in where.items():
+        if len(pair) != 2:
+            continue
+        x, y = (crossings[i] for i in pair)
+        for b in set(x.ends) & set(y.ends):
+            px, bx, py, by = x.ends.index(e), x.ends.index(b), y.ends.index(e), y.ends.index(b)
+            if ((px - bx) % 2 and (py - by) % 2
+                    and (px - x.over_in) % 2 == (py - y.over_in) % 2):
+                return pair, [(x.ends[(px + 2) % 4], y.ends[(py + 2) % 4]),
+                              (x.ends[(bx + 2) % 4], y.ends[(by + 2) % 4])]
+    return None
+
+
 def reduce_diagram(d: PlanarDiagram) -> PlanarDiagram:
     """Apply R1 (kink removal) and R2 (bigon removal) until neither fires.
 
     Reduces crossing count without changing the knot type; the Jones
     polynomial is unchanged because both moves are Reidemeister moves on
-    the underlying diagram.
+    the underlying diagram.  Each step makes `_first_move`'s move, R1
+    before R2, so the reduced diagram is fixed by that order.
     """
-    crossings = list(d.crossings)
-    free_loops = d.free_loops
-
-    def substitute(old, new):
-        nonlocal crossings
-        crossings = [Crossing(tuple(new if e == old else e for e in x.ends), x.over_in)
-                     for x in crossings]
-
-    changed = True
-    while changed:
-        changed = False
-        # R1: an edge occupying two ccw-adjacent ends of one crossing
-        for idx, x in enumerate(crossings):
-            kink = None
-            for p in range(4):
-                if x.ends[p] == x.ends[(p + 1) % 4]:
-                    kink = p
-                    break
-            if kink is None:
-                continue
-            rest = [x.ends[(kink + 2) % 4], x.ends[(kink + 3) % 4]]
-            del crossings[idx]
-            if rest[0] == rest[1]:
+    crossings, free_loops = list(d.crossings), d.free_loops
+    while move := _first_move(crossings):
+        drop, joins = move
+        crossings = [x for i, x in enumerate(crossings) if i not in drop]
+        for u, v in joins:
+            if u == v:
                 free_loops += 1
             else:
-                substitute(rest[1], rest[0])
-            changed = True
-            break
-        if changed:
-            continue
-        # R2: a bigon whose one strand is over at both ends
-        pairs = {}
-        for idx, x in enumerate(crossings):
-            for e in set(x.ends):
-                pairs.setdefault(e, []).append(idx)
-        for e, where in pairs.items():
-            if changed:
-                break
-            if len(where) != 2:
-                continue
-            xi, yi = where
-            x, y = crossings[xi], crossings[yi]
-            shared = set(x.ends) & set(y.ends)
-            for b in shared:
-                if b == e:
-                    continue
-                px, pb_x = x.ends.index(e), x.ends.index(b)
-                py, pb_y = y.ends.index(e), y.ends.index(b)
-                # In a planar diagram e and b are at an odd distance at both
-                # crossings or at 2 at both: opposite at one, the cycle they
-                # form splits that crossing's other two ends, leaving an odd
-                # number of ends on one side.  So one of the two (1, 3) below
-                # could read (2, 3) to the same effect: a bigon skipped from e
-                # at distance 1 is found from b at distance 3.
-                if (px - pb_x) % 4 not in (1, 3) or (py - pb_y) % 4 not in (1, 3):
-                    continue  # not a bigon face
-
-                # The over positions over_in and over_in + 2 share a parity,
-                # so of the neighbours px and pb_x exactly one is over.
-                def is_over(c, pos):
-                    return pos in (c.over_in, (c.over_in + 2) % 4)
-
-                if is_over(x, px) != is_over(y, py):
-                    continue  # R3-style clasp, not removable
-                ax, ay = x.ends[(px + 2) % 4], y.ends[(py + 2) % 4]
-                bx, by = x.ends[(pb_x + 2) % 4], y.ends[(pb_y + 2) % 4]
-                for i in sorted((xi, yi), reverse=True):
-                    del crossings[i]
-                for u, v in ((ax, ay), (bx, by)):
-                    if u == v:
-                        free_loops += 1
-                    else:
-                        substitute(v, u)
-                changed = True
-                break
+                crossings = [Crossing(tuple(u if e == v else e for e in x.ends), x.over_in)
+                             for x in crossings]
     return _renumber(crossings, free_loops, d.n_components)
 
 
@@ -287,7 +256,7 @@ def verify_knot_type(curve, expected) -> VerificationReport:
         if curve.n_components != 1:
             raise KnotfieldError(
                 f"verification needs a single component, curve has {curve.n_components}")
-        points = curve.components[0]
+        points = curve.vertices(0)
     else:
         points = curve
     raw = project_diagram(points)

@@ -125,8 +125,17 @@ def test_closed_duplicate_endpoint_dropped():
     assert jones(reduce_diagram(project_diagram(pts))) == UNKNOT_JONES
 
 
+@pytest.mark.parametrize("k", [9, 10])
+def test_far_polyline_keeps_its_last_vertex(k):
+    # Far from the origin the last vertex is within a tolerance relative to
+    # the coordinates of the first; dropping it would unknot the polygon.
+    pts = torus_polyline(2, 3, k) + 1e6
+    assert jones(reduce_diagram(project_diagram(pts))) in (TREFOIL_JONES, TREFOIL_JONES.mirror())
+
+
 def test_reduce_preserves_jones_on_census():
-    # every 4x4 mosaic diagram with crossings, spot-checked deterministically
+    # every 4x4 mosaic diagram with crossings, spot-checked deterministically;
+    # links too, whose bigons can leave free loops
     seen = 0
     for i, m in enumerate(enumerate_mosaics(4)):
         if i % 17:
@@ -135,9 +144,12 @@ def test_reduce_preserves_jones_on_census():
             d = to_diagram(m)
         except KnotfieldError:
             continue
-        if d.n_components != 1 or not d.crossings:
+        if not d.crossings:
             continue
-        assert jones(reduce_diagram(d)) == jones(d)
+        r = reduce_diagram(d)
+        assert jones(r) == jones(d)
+        assert len(r.crossings) <= len(d.crossings)
+        assert reduce_diagram(r) == r  # no move is left
         seen += 1
     assert seen > 20
 
@@ -157,15 +169,19 @@ def test_reduce_removes_kinks(trefoil):
     assert jones(red) in (TREFOIL_JONES, TREFOIL_JONES.mirror())
 
 
-@pytest.mark.parametrize("name,params,resolution,radius,code", [
-    ("milnor", (2, 3), 48, 1.0, "X(6,3,1,4) X(4,1,5,2) X(2,5,3,6)"),
+@pytest.mark.parametrize("name,params,resolution,radius,code,reduced", [
+    ("milnor", (2, 3), 48, 1.0, "X(6,3,1,4) X(4,1,5,2) X(2,5,3,6)",
+     "X(1,2,3,4) X(4,3,5,6) X(6,5,2,1)"),
     ("rudolph_G", (), 64, 0.5, "X(12,9,1,10) X(8,1,9,2) X(2,5,3,6) X(3,11,4,10) "
-                                "X(11,5,12,4) X(7,7,8,6)"),
+                                "X(11,5,12,4) X(7,7,8,6)",
+     "X(1,2,3,4) X(5,3,2,6) X(6,7,8,5) X(8,9,10,4) X(9,7,1,10)"),
 ])
-def test_projected_pd_code_pinned(name, params, resolution, radius, code):
+def test_projected_pd_code_pinned(name, params, resolution, radius, code, reduced):
     curve = extract(field_library(name, params),
                     SampleGrid(chart="north", resolution=resolution, radius=radius))
-    assert project_diagram(curve.components[0]).pd_code() == code
+    raw = project_diagram(curve.components[0])
+    assert raw.pd_code() == code
+    assert reduce_diagram(raw).pd_code() == reduced
 
 
 def test_verify_extracted_trefoil(trefoil):

@@ -385,6 +385,25 @@ MUTANTS = (
     Mutant("mirror-match-reported-plain", "src/knotfield/project.py",
            "computed == want or mirrored, mirrored,", "computed == want or mirrored, False,",
            ("tests/test_cli.py::test_field_verify_mirror_flag_follows_the_chart",)),
+    Mutant("r2-over-parity-dropped", "src/knotfield/project.py",
+           "and (px - x.over_in) % 2 == (py - y.over_in) % 2", "and True",
+           ("tests/test_project.py::test_reduce_preserves_jones_on_census",
+            "tests/test_project.py::test_projected_pd_code_pinned")),
+    Mutant("r1-free-loop-not-counted", "src/knotfield/project.py",
+           "free_loops += 1", "free_loops += len(drop) - 1",
+           ("tests/test_project.py::test_reduce_preserves_jones_on_census",
+            "tests/test_diagram.py::test_bracket_matches_oracle_on_random_mosaics")),
+    Mutant("r2-free-loop-not-counted", "src/knotfield/project.py",
+           "free_loops += 1", "free_loops += 2 - len(drop)",
+           ("tests/test_project.py::test_reduce_preserves_jones_on_census",
+            "tests/test_diagram.py::test_bracket_matches_oracle_on_random_mosaics")),
+    Mutant("r2-joins-wrong-far-end", "src/knotfield/project.py",
+           "[(x.ends[(px + 2) % 4], y.ends[(py + 2) % 4]),\n"
+           "                              (x.ends[(bx + 2) % 4], y.ends[(by + 2) % 4])]",
+           "[(x.ends[(px + 2) % 4], y.ends[(by + 2) % 4]),\n"
+           "                              (x.ends[(bx + 2) % 4], y.ends[(py + 2) % 4])]",
+           ("tests/test_project.py::test_reduce_preserves_jones_on_census",
+            "tests/test_project.py::test_parametric_fig8_jones")),
     Mutant("first-loop-times-d", "src/knotfield/diagram.py",
            "                    m[0] = 1\n                    loops -= 1\n",
            "                    m[0] = 1\n",
